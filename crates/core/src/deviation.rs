@@ -18,7 +18,7 @@ use macgame_dcf::cache::SolveCache;
 use macgame_dcf::classes::{class_utilities, ClassProfile, SymmetricMemo};
 use macgame_dcf::fixedpoint::{solve, solve_symmetric, SolveOptions};
 use macgame_dcf::parallel::{resolve_threads, solve_sweep_seeded};
-use macgame_dcf::utility::{all_utilities, node_utility};
+use macgame_dcf::utility::{all_utilities, symmetric_node_utility};
 use serde::{Deserialize, Serialize};
 
 use crate::error::GameError;
@@ -64,9 +64,7 @@ pub fn deviator_stage(
 pub fn symmetric_stage(game: &GameConfig, w: u32) -> Result<f64, GameError> {
     let n = game.player_count();
     let sym = solve_symmetric(n, w, game.params())?;
-    let taus = vec![sym.tau; n];
-    let ps = vec![sym.collision_prob; n];
-    Ok(node_utility(0, &taus, &ps, game.params(), game.utility()))
+    Ok(symmetric_node_utility(&sym, game.params(), game.utility()))
 }
 
 /// Guards the cached stage variants: a [`SolveCache`] bound to different
@@ -222,9 +220,7 @@ fn symmetric_stage_rooted(
 ) -> Result<f64, GameError> {
     let n = game.player_count();
     let sym = roots.solve(n, w)?;
-    let taus = vec![sym.tau; n];
-    let ps = vec![sym.collision_prob; n];
-    Ok(node_utility(0, &taus, &ps, game.params(), game.utility()))
+    Ok(symmetric_node_utility(&sym, game.params(), game.utility()))
 }
 
 /// Full accounting of a short-sighted deviation.

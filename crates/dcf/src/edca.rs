@@ -17,8 +17,9 @@
 //!
 //! The idle root `q` is the unique solution of the scalar consistency
 //! equation `q = Π_c (1 − τ_c·q^{d_c})^{n_c}` (LHS strictly increasing,
-//! RHS non-increasing on `[0, 1]`), found by a fixed 64-step bisection —
-//! deterministic to the bit for a given `τ` vector.
+//! RHS non-increasing on `[0, 1]`), found by bisection that runs until the
+//! bracket stops moving (at most 64 steps) — a pure function of the `τ`
+//! vector, deterministic to the bit.
 //!
 //! Everything degenerates exactly: a profile with equal AIFS, unit TXOP
 //! and the ambient maximum backoff stage is routed to the scalar class
@@ -56,8 +57,8 @@ pub const MAX_TXOP: u32 = 64;
 /// solver).
 const ACCEL_THRESHOLD: f64 = 1e-3;
 
-/// Bisection steps for the idle-root `q`. 64 halvings of `[0, 1]` reach
-/// the f64 grid, so the root is deterministic and as exact as the type.
+/// Cap on the bisection steps for the idle-root `q`. A bracket that
+/// settles earlier stops there, with the same root.
 const IDLE_ROOT_BISECTIONS: u32 = 64;
 
 /// One EDCA strategy: the four knobs a selfish 802.11e node can turn.
@@ -330,10 +331,12 @@ impl EdcaEquilibrium {
 }
 
 /// Solves the idle-root consistency equation
-/// `q = Π_c (1 − τ_c·q^{d_c})^{n_c}` by a fixed 64-step bisection on
-/// `[0, 1]`. The right-hand side is non-increasing in `q` and the left
-/// strictly increasing, so the root is unique; a fixed step count keeps
-/// the result bit-deterministic.
+/// `q = Π_c (1 − τ_c·q^{d_c})^{n_c}` by bisection on `[0, 1]`. The
+/// right-hand side is non-increasing in `q` and the left strictly
+/// increasing, so the root is unique. The loop stops at the first step
+/// whose midpoint rounds onto an endpoint: that step's update leaves the
+/// bracket unchanged or collapses it, so every later step of the 64-step
+/// cap would repeat it and the root is bitwise the same as running them.
 fn idle_root(taus: &[f64], defers: &[u32], counts: &[usize]) -> f64 {
     let rhs = |q: f64| -> f64 {
         let log: f64 = taus
@@ -357,10 +360,14 @@ fn idle_root(taus: &[f64], defers: &[u32], counts: &[usize]) -> f64 {
     let mut hi = 1.0f64;
     for _ in 0..IDLE_ROOT_BISECTIONS {
         let mid = 0.5 * (lo + hi);
+        let settled = mid == lo || mid == hi;
         if rhs(mid) >= mid {
             lo = mid;
         } else {
             hi = mid;
+        }
+        if settled {
+            break;
         }
     }
     0.5 * (lo + hi)
@@ -931,5 +938,88 @@ mod tests {
         let options = SolveOptions { damping: 0.0, ..SolveOptions::default() };
         assert!(solve_edca(&profile, &p, options).is_err());
         assert!(solve_edca_dense(&[], &p, SolveOptions::default()).is_err());
+    }
+
+    /// The fixed 64-step loop `idle_root` ran before it stopped at the
+    /// bracket's fixed point.
+    fn idle_root_64_steps(taus: &[f64], defers: &[u32], counts: &[usize]) -> f64 {
+        let rhs = |q: f64| -> f64 {
+            let log: f64 = taus
+                .iter()
+                .zip(defers)
+                .zip(counts)
+                .map(|((&t, &d), &c)| {
+                    let thinned = t * q.powi(d as i32);
+                    (c as f64) * (1.0 - thinned).max(f64::MIN_POSITIVE).ln()
+                })
+                .sum();
+            log.exp()
+        };
+        if defers.iter().all(|&d| d == 0) {
+            return rhs(1.0);
+        }
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if rhs(mid) >= mid {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn idle_root_is_bitwise_the_64_step_bisection() {
+        let check = |taus: &[f64], defers: &[u32], counts: &[usize]| {
+            assert_eq!(
+                idle_root(taus, defers, counts).to_bits(),
+                idle_root_64_steps(taus, defers, counts).to_bits(),
+                "τ {taus:?}, defers {defers:?}, counts {counts:?}"
+            );
+        };
+        // The solver corner grid: symmetric roots, alone and against the
+        // most aggressive window, at AIFS defers up to the cap.
+        for m in 0..=10 {
+            let p = DcfParams::builder().max_backoff_stage(m).build().unwrap();
+            for n in [1usize, 2, 3, 10, 128, 1_000, 1_000_000] {
+                let aggressive = crate::fixedpoint::solve_symmetric(n, 1, &p).unwrap().tau;
+                for w in [1u32, 2, 31, 1024, 1 << 16] {
+                    let tau = crate::fixedpoint::solve_symmetric(n, w, &p).unwrap().tau;
+                    for d in [0u32, 1, 2, 7, MAX_AIFS] {
+                        check(&[tau], &[d], &[n]);
+                        check(&[aggressive, tau], &[0, d], &[1, n]);
+                        check(&[tau, aggressive], &[0, d], &[n, 1]);
+                    }
+                }
+            }
+        }
+        // Seeded random class profiles, edge probabilities included.
+        let mut state = 0x1D1Eu64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..5_000 {
+            let k = 1 + (next() % 5) as usize;
+            let mut taus = Vec::with_capacity(k);
+            let mut defers = Vec::with_capacity(k);
+            let mut counts = Vec::with_capacity(k);
+            for _ in 0..k {
+                taus.push(match next() % 6 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => 1e-6 * (next() >> 11) as f64 / (1u64 << 53) as f64,
+                    _ => (next() >> 11) as f64 / (1u64 << 53) as f64,
+                });
+                defers.push((next() % u64::from(MAX_AIFS + 1)) as u32 * u32::from(next() % 3 != 0));
+                counts.push([1usize, 2, 3, 10, 128, 1_000, 1_000_000][(next() % 7) as usize]);
+            }
+            check(&taus, &defers, &counts);
+        }
     }
 }

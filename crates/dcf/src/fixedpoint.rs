@@ -746,12 +746,20 @@ pub fn solve_symmetric(n: usize, w: u32, params: &DcfParams) -> Result<Symmetric
     };
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     // f(0) = −τ(W, 0) < 0 and f(1) = 1 − τ(W, 1) > 0: the root is bracketed.
+    // Once `mid` rounds onto an endpoint, this step's update leaves the
+    // bracket unchanged or collapses it to `lo == hi`; every later step
+    // would repeat it exactly, so stopping there returns the same root.
+    // 200 steps is only the cap (the bracket settles in about 60).
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
+        let settled = mid == lo || mid == hi;
         if f(mid)? <= 0.0 {
             lo = mid;
         } else {
             hi = mid;
+        }
+        if settled {
+            break;
         }
     }
     let tau = 0.5 * (lo + hi);

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::DcfError;
 use crate::fixedpoint::{solve_symmetric, SymmetricPoint};
 use crate::params::DcfParams;
-use crate::utility::{node_utility, UtilityParams};
+use crate::utility::{symmetric_node_utility, UtilityParams};
 
 /// Default upper bound of the contention-window strategy space
 /// `W = {1, …, W_max}`.
@@ -71,12 +71,17 @@ pub fn optimal_tau(n: usize, params: &DcfParams) -> Result<f64, DcfError> {
         return Err(DcfError::invalid("n", "need at least two contenders"));
     }
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    // Stops at the bracket's fixed point, as `solve_symmetric` does.
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
+        let settled = mid == lo || mid == hi;
         if q_function(mid, n, params) >= 0.0 {
             lo = mid;
         } else {
             hi = mid;
+        }
+        if settled {
+            break;
         }
     }
     Ok(0.5 * (lo + hi))
@@ -94,10 +99,7 @@ pub fn symmetric_utility(
     params: &DcfParams,
     utility: &UtilityParams,
 ) -> Result<f64, DcfError> {
-    let sym = solve_symmetric(n, w, params)?;
-    let taus = vec![sym.tau; n];
-    let ps = vec![sym.collision_prob; n];
-    Ok(node_utility(0, &taus, &ps, params, utility))
+    Ok(symmetric_node_utility(&solve_symmetric(n, w, params)?, params, utility))
 }
 
 /// The efficient Nash equilibrium of the symmetric game: the window
@@ -116,8 +118,8 @@ pub struct EfficientNe {
 
 /// Finds `W_c*` by exhaustive scan over `{1, …, w_max}`.
 ///
-/// This is the ground-truth (and still fast) method; [`efficient_cw`] is the
-/// bracketed search that large sweeps should use.
+/// This is the ground-truth method, at `w_max` symmetric solves;
+/// [`efficient_cw`] is the bracketed search that large sweeps should use.
 ///
 /// # Errors
 ///
@@ -236,9 +238,7 @@ pub fn efficient_cw_from_tau_star(
     let tau_star = optimal_tau(n, params)?;
     let window = cw_for_tau(tau_star, n, params, w_max)?;
     let point = solve_symmetric(n, window, params)?;
-    let taus = vec![point.tau; n];
-    let ps = vec![point.collision_prob; n];
-    let utility = node_utility(0, &taus, &ps, params, &UtilityParams::default());
+    let utility = symmetric_node_utility(&point, params, &UtilityParams::default());
     Ok(EfficientNe { window, point, utility, tau_star })
 }
 

@@ -58,16 +58,20 @@ pub fn slot_stats(taus: &[f64], params: &DcfParams) -> SlotStats {
     );
     let all_idle: f64 = taus.iter().map(|&t| 1.0 - t).product();
     let p_transmit = 1.0 - all_idle;
-    let single: f64 = taus
-        .iter()
-        .enumerate()
-        .map(|(i, &ti)| {
-            ti * taus
+    // `single = Σ_i τ_i·Π_{j≠i}(1−τ_j)`. Inside a run of bitwise-equal
+    // consecutive `τ`, every member's product multiplies the same factor
+    // values in the same order, so it is taken once per run; the terms
+    // are still added one per node, in node order. Bit-for-bit the
+    // all-pairs sum, at O(n·runs) instead of O(n²).
+    let single: f64 = bitwise_runs(taus)
+        .flat_map(|(start, len)| {
+            let others = taus
                 .iter()
                 .enumerate()
-                .filter(|&(j, _)| j != i)
+                .filter(|&(j, _)| j != start)
                 .map(|(_, &tj)| 1.0 - tj)
-                .product::<f64>()
+                .product::<f64>();
+            taus[start..start + len].iter().map(move |&ti| ti * others)
         })
         .sum();
     let p_success = if p_transmit > 0.0 { (single / p_transmit).clamp(0.0, 1.0) } else { 0.0 };
@@ -76,6 +80,18 @@ pub fn slot_stats(taus: &[f64], params: &DcfParams) -> SlotStats {
         + p_transmit * p_success * t.success_time
         + p_transmit * (1.0 - p_success) * t.collision_time;
     SlotStats { p_transmit, p_success, mean_slot }
+}
+
+/// Maximal runs of bitwise-equal consecutive entries, as `(start, len)`.
+fn bitwise_runs(taus: &[f64]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let bits = taus.get(start)?.to_bits();
+        let len = taus[start..].iter().take_while(|t| t.to_bits() == bits).count();
+        let run = (start, len);
+        start += len;
+        Some(run)
+    })
 }
 
 /// Normalized saturation throughput `S`: the fraction of channel time spent

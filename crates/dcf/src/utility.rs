@@ -13,8 +13,9 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::fixedpoint::SymmetricPoint;
 use crate::params::DcfParams;
-use crate::throughput::slot_stats;
+use crate::throughput::{slot_stats, SlotStats};
 use crate::units::MicroSecs;
 
 /// Gain/cost parameters of the utility function.
@@ -51,13 +52,34 @@ pub fn node_utility(
     assert_eq!(taus.len(), collision_probs.len(), "profile lengths must match"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
     assert!(node < taus.len(), "node index out of range"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
     let stats = slot_stats(taus, params);
-    let tau = taus[node];
-    let p = collision_probs[node];
+    utility_rate(taus[node], collision_probs[node], &stats, utility)
+}
+
+/// `u_i` from node `i`'s own `(τ_i, p_i)` and the profile's slot statistics.
+fn utility_rate(tau: f64, p: f64, stats: &SlotStats, utility: &UtilityParams) -> f64 {
     assert!((0.0..=1.0).contains(&p), "collision probability must be in [0, 1]"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
     tau * ((1.0 - p) * utility.gain - utility.cost) / stats.mean_slot.value()
 }
 
-/// Utilities of every node, as [`node_utility`] per index.
+/// Utility of each node at a symmetric operating point (all `n` nodes on
+/// the same window): [`node_utility`] of node 0 on the homogeneous
+/// profile.
+///
+/// # Panics
+///
+/// Same conditions as [`node_utility`].
+#[must_use]
+pub fn symmetric_node_utility(
+    point: &SymmetricPoint,
+    params: &DcfParams,
+    utility: &UtilityParams,
+) -> f64 {
+    let stats = slot_stats(&vec![point.tau; point.n], params);
+    utility_rate(point.tau, point.collision_prob, &stats, utility)
+}
+
+/// Utilities of every node, as [`node_utility`] per index. The slot
+/// statistics do not depend on the node, so they are computed once.
 ///
 /// # Panics
 ///
@@ -69,7 +91,16 @@ pub fn all_utilities(
     params: &DcfParams,
     utility: &UtilityParams,
 ) -> Vec<f64> {
-    (0..taus.len()).map(|i| node_utility(i, taus, collision_probs, params, utility)).collect()
+    if taus.is_empty() {
+        // No node to evaluate, hence nothing to check.
+        return Vec::new();
+    }
+    assert_eq!(taus.len(), collision_probs.len(), "profile lengths must match"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    let stats = slot_stats(taus, params);
+    taus.iter()
+        .zip(collision_probs)
+        .map(|(&tau, &p)| utility_rate(tau, p, &stats, utility))
+        .collect()
 }
 
 /// Social welfare: the sum of all node utilities (per microsecond).

@@ -14,6 +14,9 @@ cargo test -q
 echo "==> cargo test -q --release --workspace"
 cargo test -q --release --workspace
 
+echo "==> benchmark exact-repeat tests (macbench, traced counters)"
+cargo test --release --offline --manifest-path macbench/Cargo.toml
+
 echo "==> paper-conformance gate (repro -- conformance --quick)"
 cargo run --release -p macgame-bench --bin repro -- conformance --quick
 
