@@ -16,83 +16,56 @@ use macgame_bench::{
 use macgame_conformance::{run_conformance, ConformanceSettings};
 use macgame_dcf::{AccessMode, MicroSecs};
 
-const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "fig2",
-    "fig3",
-    "multihop",
-    "shortsighted",
-    "malicious",
-    "search",
-    "ne-interval",
-    "convergence",
-    "delay",
-    "edca",
-    "detect",
-    "ratecontrol",
-    "tournament",
-    "validate",
-    "myopia",
-    "bench-solver",
-    "bench-serve",
-    "conformance",
-    "profile",
-    "robustness",
-    "lint",
+/// An experiment driver; its argument is whether `--quick` was given.
+type Driver = fn(bool) -> Result<(), BenchError>;
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[(&str, Driver)] = &[
+    ("table1", |_| table1()),
+    ("table2", |quick| ne_table(AccessMode::Basic, quick)),
+    ("table3", |quick| ne_table(AccessMode::RtsCts, quick)),
+    ("fig2", |_| figure(AccessMode::Basic)),
+    ("fig3", |_| figure(AccessMode::RtsCts)),
+    ("multihop", multihop),
+    ("shortsighted", |_| shortsighted()),
+    ("malicious", |_| malicious()),
+    ("search", search),
+    ("ne-interval", |_| ne_interval()),
+    ("convergence", |_| convergence()),
+    ("delay", |_| delay()),
+    ("edca", edca),
+    ("detect", detect),
+    ("ratecontrol", |_| ratecontrol()),
+    ("tournament", |_| tournament()),
+    ("validate", validate),
+    ("myopia", |_| myopia()),
+    ("conformance", conformance),
+    ("profile", profile),
+    ("robustness", robustness),
+    ("lint", |_| lint()),
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let picked: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
-    let run_all = picked.is_empty() || picked.contains(&"all");
-    let wants = |name: &str| run_all || picked.contains(&name);
-
-    if !run_all {
-        for p in &picked {
-            if !EXPERIMENTS.contains(p) && *p != "all" {
-                eprintln!("unknown experiment `{p}`; available: all {EXPERIMENTS:?} [--quick]");
-                std::process::exit(2);
-            }
-        }
+    // Every argument is validated before anything runs, so a typo fails
+    // fast instead of silently widening the run.
+    let known = |a: &str| a == "all" || a == "--quick" || EXPERIMENTS.iter().any(|(n, _)| *n == a);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        eprintln!("unknown argument `{bad}`; available: all {names:?} [--quick]");
+        std::process::exit(2);
     }
+    let quick = args.iter().any(|a| a == "--quick");
+    let picked: Vec<&str> = args.iter().map(String::as_str).filter(|a| *a != "--quick").collect();
+    let run_all = picked.is_empty() || picked.contains(&"all");
 
     let mut failures = 0;
-    for name in EXPERIMENTS {
-        if !wants(name) {
+    for (name, run) in EXPERIMENTS {
+        if !run_all && !picked.contains(name) {
             continue;
         }
         println!("\n════════ {name} ════════");
-        let result = match *name {
-            "table1" => table1(),
-            "table2" => ne_table(AccessMode::Basic, quick),
-            "table3" => ne_table(AccessMode::RtsCts, quick),
-            "fig2" => figure(AccessMode::Basic),
-            "fig3" => figure(AccessMode::RtsCts),
-            "multihop" => multihop(quick),
-            "shortsighted" => shortsighted(),
-            "malicious" => malicious(),
-            "search" => search(quick),
-            "ne-interval" => ne_interval(),
-            "convergence" => convergence(),
-            "delay" => delay(),
-            "edca" => edca(quick),
-            "detect" => detect(quick),
-            "ratecontrol" => ratecontrol(),
-            "tournament" => tournament(),
-            "validate" => validate(quick),
-            "myopia" => myopia(),
-            "bench-solver" => bench_solver(quick),
-            "bench-serve" => bench_serve(quick),
-            "conformance" => conformance(quick),
-            "profile" => profile(quick),
-            "robustness" => robustness(quick),
-            "lint" => lint(),
-            _ => unreachable!(), // PANIC-POLICY: unreachable: experiment names are validated against EXPERIMENTS above
-        };
-        if let Err(e) = result {
+        if let Err(e) = run(quick) {
             eprintln!("experiment {name} failed: {e}");
             failures += 1;
         }
@@ -663,458 +636,6 @@ fn validate(quick: bool) -> Result<(), BenchError> {
     );
     let path = write_artifact("validate", &rows_out)?;
     println!("artifact: {}", path.display());
-    Ok(())
-}
-
-/// Machine-readable solver benchmark: the Table II NE-interval scan at
-/// n = 10, timed as the original serial cold damped iteration versus the
-/// parallel + warm-chained + accelerated scan, plus the canonicalizing
-/// cache on a revisit, plus an n-scaling section showing the class-based
-/// solver's per-solve cost staying flat from n = 10² to n = 10⁶ while the
-/// dense node-level reference grows linearly (and is skipped beyond
-/// n = 10⁴). Emits `artifacts/BENCH_solver.json`.
-fn bench_solver(quick: bool) -> Result<(), BenchError> {
-    use macgame_core::deviation::symmetric_stage;
-    use macgame_core::equilibrium::{ne_interval, scan_ne_interval, DEFAULT_NE_EPSILON};
-    use macgame_core::GameConfig;
-    use macgame_dcf::cache::SolveCache;
-    use macgame_dcf::fixedpoint::{solve, SolveOptions};
-    use macgame_dcf::parallel::{resolve_threads, solve_sweep_cached};
-    use macgame_dcf::utility::all_utilities;
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    #[derive(serde::Serialize)]
-    struct SolverBench {
-        n: usize,
-        scan_lo: u32,
-        scan_hi: u32,
-        threads: usize,
-        deviation_profiles: usize,
-        serial_cold_ms: f64,
-        serial_cold_sweeps: usize,
-        scan_ms: f64,
-        speedup: f64,
-        ne_count: usize,
-        hot_cache_ms: f64,
-        cache_hits: u64,
-        cache_entries: usize,
-    }
-
-    let n = 10usize;
-    let game = GameConfig::builder(n).build()?;
-    let interval = ne_interval(&game)?;
-    let (lo, hi) = (interval.lower, interval.upper);
-    let threads = resolve_threads(0);
-    println!("NE-interval scan, n = {n}, windows [{lo}, {hi}], {threads} worker(s)");
-
-    // Baseline: the per-window check exactly as the original code priced it
-    // — every deviation profile solved cold with the plain damped
-    // iteration, every symmetric stage re-bisected per (window, deviation)
-    // pair — serially.
-    let damped = SolveOptions { accelerate: false, ..SolveOptions::default() };
-    let mut serial_cold_sweeps = 0usize;
-    let mut deviation_profiles = 0usize;
-    let t0 = Instant::now();
-    for w in lo..=hi {
-        let at_w = symmetric_stage(&game, w)?;
-        if at_w < 0.0 {
-            continue;
-        }
-        for w_s in 1..w {
-            let mut profile = vec![w; n];
-            profile[0] = w_s;
-            let eq = solve(&profile, game.params(), damped)?;
-            serial_cold_sweeps += eq.iterations;
-            deviation_profiles += 1;
-            black_box(all_utilities(&eq.taus, &eq.collision_probs, game.params(), game.utility()));
-            black_box(symmetric_stage(&game, w_s)?);
-        }
-        for w_dev in [w + 1, w.saturating_mul(2), game.w_max()] {
-            if w_dev > w && w_dev <= game.w_max() {
-                let mut profile = vec![w; n];
-                profile[0] = w_dev;
-                let eq = solve(&profile, game.params(), damped)?;
-                serial_cold_sweeps += eq.iterations;
-                black_box(all_utilities(
-                    &eq.taus,
-                    &eq.collision_probs,
-                    game.params(),
-                    game.utility(),
-                ));
-            }
-        }
-    }
-    let serial_cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Current path: memoized symmetric stages, warm-chained accelerated
-    // deviation sweeps, windows fanned over the worker pool.
-    let t1 = Instant::now();
-    let checks = scan_ne_interval(&game, lo, hi, 1, DEFAULT_NE_EPSILON, 0)?;
-    let scan_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let ne_count = checks.iter().filter(|c| c.is_ne).count();
-
-    // The cache on a revisit of the scan's heterogeneous profiles: repeated
-    // scans, tournaments and payoff tables hit this path.
-    let profiles: Vec<Vec<u32>> = (lo..=hi)
-        .flat_map(|w| {
-            (1..w).map(move |w_s| {
-                let mut p = vec![w; n];
-                p[0] = w_s;
-                p
-            })
-        })
-        .collect();
-    let cache = SolveCache::new(*game.params(), SolveOptions::default());
-    solve_sweep_cached(&profiles, &cache, 0)?;
-    let t2 = Instant::now();
-    solve_sweep_cached(&profiles, &cache, 0)?;
-    let hot_cache_ms = t2.elapsed().as_secs_f64() * 1e3;
-
-    let speedup = serial_cold_ms / scan_ms;
-    let body = vec![
-        vec!["serial cold (damped, unmemoized)".into(), format!("{serial_cold_ms:.1}")],
-        vec!["parallel + warm + memoized scan".into(), format!("{scan_ms:.1}")],
-        vec!["hot-cache revisit of all profiles".into(), format!("{hot_cache_ms:.1}")],
-    ];
-    println!("{}", text_table(&["configuration", "wall ms"], &body));
-    println!(
-        "speedup {speedup:.1}×; {deviation_profiles} deviation profiles; \
-         {ne_count} NE confirmed; cache {} hits / {} entries",
-        cache.hits(),
-        cache.len()
-    );
-    let ne_scan = SolverBench {
-        n,
-        scan_lo: lo,
-        scan_hi: hi,
-        threads,
-        deviation_profiles,
-        serial_cold_ms,
-        serial_cold_sweeps,
-        scan_ms,
-        speedup,
-        ne_count,
-        hot_cache_ms,
-        cache_hits: cache.hits(),
-        cache_entries: cache.len(),
-    };
-
-    // ── n-scaling: class aggregation makes the solve cost independent of
-    // the population size ──────────────────────────────────────────────
-    //
-    // Every profile below has k ≤ 3 distinct windows, so the class solver
-    // iterates at most 3 (τ_c, p_c) pairs no matter how large n grows. The
-    // dense node-level reference (`solve_dense`) prices the same profiles
-    // at O(n) per sweep and is only run up to n = 10⁴, where the class
-    // path must already be ≥ 100× faster.
-    use macgame_dcf::classes::{class_slot_stats, class_utilities, ClassProfile};
-    use macgame_dcf::fixedpoint::{solve_classes, solve_dense};
-    use macgame_dcf::parallel::solve_class_sweep;
-
-    #[derive(serde::Serialize)]
-    struct ScaleRow {
-        n: usize,
-        field_window: u32,
-        band_windows: usize,
-        band_us_per_solve: f64,
-        deviant_profiles: usize,
-        deviant_us_per_solve: f64,
-        three_class_us: f64,
-        dense_profiles: Option<usize>,
-        dense_us_per_solve: Option<f64>,
-        class_vs_dense_speedup: Option<f64>,
-    }
-
-    const MAX_CW: u32 = 1 << 20;
-    const DENSE_CUTOFF: usize = 10_000;
-    let populations: &[usize] = if quick {
-        &[100, 1_000, 10_000]
-    } else {
-        &[100, 1_000, 10_000, 100_000, 1_000_000]
-    };
-    // Near-degenerate extremes (a W = 1 deviant against a huge field) floor
-    // around 1e-11 in double precision; 1e-10 is ample for utility-level
-    // comparisons and is applied to the class and dense paths alike.
-    let options = SolveOptions { tolerance: 1e-10, ..SolveOptions::default() };
-    let mut scaling: Vec<ScaleRow> = Vec::new();
-    for &pop in populations {
-        // A field window that grows with the population (the NE-style
-        // operating point scales roughly linearly in n), clamped to the
-        // largest window the model accepts.
-        let field_w = 16u64.saturating_mul(pop as u64).min(u64::from(MAX_CW)) as u32;
-
-        // Homogeneous band scan: 32 windows bracketing the field window,
-        // each a k = 1 profile, warm-chained across the band.
-        let step = (field_w / 63).max(1);
-        let band: Vec<ClassProfile> = (0..32u32)
-            .map(|i| {
-                let w = (field_w / 2 + i * step).clamp(1, MAX_CW);
-                ClassProfile::new(vec![w], vec![pop])
-            })
-            .collect::<Result<_, _>>()?;
-        let t = Instant::now();
-        let band_eqs = solve_class_sweep(&band, game.params(), options, 0, None)?;
-        let band_us_per_solve = t.elapsed().as_secs_f64() * 1e6 / band.len() as f64;
-        for (profile, eq) in band.iter().zip(&band_eqs) {
-            black_box(class_slot_stats(profile, &eq.taus, game.params()));
-        }
-
-        // 1-deviant-vs-field: log-spaced deviant windows from 1 to the
-        // field window, each a 2-class profile (1 deviant, n−1 field
-        // nodes), warm-chained in deviant-window order.
-        let mut deviant_windows: Vec<u32> = (0..32u32)
-            .map(|i| {
-                let frac = f64::from(i) / 31.0;
-                (frac * f64::from(field_w).ln()).exp().round().clamp(1.0, f64::from(MAX_CW))
-                    as u32
-            })
-            .collect();
-        deviant_windows.dedup();
-        deviant_windows.retain(|&w| w != field_w);
-        let deviants: Vec<ClassProfile> = deviant_windows
-            .iter()
-            .map(|&w| ClassProfile::new(vec![w, field_w], vec![1, pop - 1]))
-            .collect::<Result<_, _>>()?;
-        let t = Instant::now();
-        let dev_eqs = solve_class_sweep(&deviants, game.params(), options, 0, None)?;
-        let deviant_us_per_solve = t.elapsed().as_secs_f64() * 1e6 / deviants.len() as f64;
-        for (profile, eq) in deviants.iter().zip(&dev_eqs) {
-            black_box(class_utilities(
-                profile,
-                &eq.taus,
-                &eq.collision_probs,
-                game.params(),
-                game.utility(),
-            ));
-        }
-
-        // One 3-class profile: thirds of the population at a quarter, one
-        // and four times the field window (clamps may merge classes at the
-        // top of the window range; `ClassProfile::new` handles that).
-        let third = pop / 3;
-        let three = ClassProfile::new(
-            vec![(field_w / 4).max(1), field_w, field_w.saturating_mul(4).min(MAX_CW)],
-            vec![third, third, pop - 2 * third],
-        )?;
-        let t = Instant::now();
-        let eq3 = solve_classes(&three, game.params(), options)?;
-        let three_class_us = t.elapsed().as_secs_f64() * 1e6;
-        black_box(class_slot_stats(&three, &eq3.taus, game.params()));
-
-        // Dense node-level reference on a handful of the 2-class profiles,
-        // feasible only at small n.
-        let (dense_profiles, dense_us_per_solve, class_vs_dense_speedup) =
-            if pop <= DENSE_CUTOFF {
-                let sample: Vec<Vec<u32>> =
-                    deviants.iter().take(4).map(ClassProfile::expand_windows).collect();
-                let t = Instant::now();
-                for windows in &sample {
-                    black_box(solve_dense(windows, game.params(), options)?);
-                }
-                let us = t.elapsed().as_secs_f64() * 1e6 / sample.len() as f64;
-                (Some(sample.len()), Some(us), Some(us / deviant_us_per_solve))
-            } else {
-                (None, None, None)
-            };
-
-        scaling.push(ScaleRow {
-            n: pop,
-            field_window: field_w,
-            band_windows: band.len(),
-            band_us_per_solve,
-            deviant_profiles: deviants.len(),
-            deviant_us_per_solve,
-            three_class_us,
-            dense_profiles,
-            dense_us_per_solve,
-            class_vs_dense_speedup,
-        });
-    }
-
-    let body: Vec<Vec<String>> = scaling
-        .iter()
-        .map(|r| {
-            vec![
-                r.n.to_string(),
-                r.field_window.to_string(),
-                format!("{:.1}", r.band_us_per_solve),
-                format!("{:.1}", r.deviant_us_per_solve),
-                format!("{:.1}", r.three_class_us),
-                r.dense_us_per_solve.map_or_else(|| "skipped".into(), |v| format!("{v:.1}")),
-                r.class_vs_dense_speedup.map_or_else(|| "-".into(), |v| format!("{v:.0}×")),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        text_table(
-            &[
-                "n",
-                "W_field",
-                "k=1 µs/solve",
-                "k=2 µs/solve",
-                "k=3 µs",
-                "dense µs/solve",
-                "speedup",
-            ],
-            &body
-        )
-    );
-
-    #[derive(serde::Serialize)]
-    struct SolverBenchArtifact {
-        ne_scan: SolverBench,
-        scaling: Vec<ScaleRow>,
-    }
-
-    let payload = SolverBenchArtifact { ne_scan, scaling };
-    let path = write_artifact("BENCH_solver", &payload)?;
-    println!("artifact: {}", path.display());
-    Ok(())
-}
-
-/// Machine-readable serve benchmark: the NE-as-a-service engine driven
-/// through the full wire path (encode → frame → parse → evaluate →
-/// re-frame) by the in-process `ServeHarness`. Reports hot- and
-/// cold-cache batch throughput, single-query round-trip latency
-/// percentiles, and re-checks reply-byte thread invariance at 1/2/8
-/// workers. Emits `artifacts/BENCH_serve.json`.
-fn bench_serve(quick: bool) -> Result<(), BenchError> {
-    use macgame_core::queries::Query;
-    use macgame_serve::{EngineConfig, ServeHarness};
-    use std::time::Instant;
-
-    #[derive(serde::Serialize)]
-    struct ServeBench {
-        unique_queries: usize,
-        batch_size: usize,
-        hot_batches: usize,
-        cold_ms: f64,
-        cold_qps: f64,
-        hot_ms: f64,
-        hot_qps: f64,
-        latency_roundtrips: usize,
-        p50_us: f64,
-        p99_us: f64,
-        thread_invariant: bool,
-        reply_cache_hits: u64,
-        reply_cache_misses: u64,
-        solve_cache_hits: u64,
-        solve_cache_misses: u64,
-    }
-
-    // A pool of distinct deviation-pricing queries (the cache-heavy query
-    // type), repeated to batch size: every hot lookup is a reply-cache
-    // hit, every cold one a class solve.
-    let unique = if quick { 64usize } else { 256 };
-    let pool: Vec<Query> = (0..unique)
-        .map(|i| Query::DeviationPayoff {
-            players: 5,
-            mode: if i % 2 == 0 { AccessMode::Basic } else { AccessMode::RtsCts },
-            w_star: 79,
-            w_dev: 1 + (i as u32 % 64),
-            reaction_stages: 1 + (i as u32 / 64),
-            delta_s: 0.5,
-        })
-        .collect();
-    let batch_size = 4 * unique;
-    let batch: Vec<Query> = (0..batch_size).map(|i| pool[i % unique].clone()).collect();
-    let hot_batches = if quick { 25 } else { 100 };
-
-    let harness = ServeHarness::new()?;
-    println!(
-        "wire-path batches: {batch_size} queries/batch over {unique} unique deviation \
-         pricings, {hot_batches} hot batches"
-    );
-
-    // Cold pass: every unique query is a reply-cache miss and solves
-    // through the class solver.
-    let t0 = Instant::now();
-    let cold_bytes = harness.reply_bytes(&batch)?;
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let cold_qps = batch_size as f64 / (cold_ms / 1e3);
-
-    // Hot passes: all hits; this is the throughput the service sustains
-    // on a steady query mix.
-    let t1 = Instant::now();
-    for _ in 0..hot_batches {
-        let bytes = harness.reply_bytes(&batch)?;
-        debug_assert_eq!(bytes, cold_bytes);
-    }
-    let hot_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let hot_qps = (hot_batches * batch_size) as f64 / (hot_ms / 1e3);
-
-    // Single-query round-trip latency on the hot cache.
-    let latency_roundtrips = if quick { 500 } else { 2000 };
-    let mut samples_us = Vec::with_capacity(latency_roundtrips);
-    for i in 0..latency_roundtrips {
-        let single = std::slice::from_ref(&pool[i % unique]);
-        let t = Instant::now();
-        let bytes = harness.reply_bytes(single)?;
-        samples_us.push(t.elapsed().as_secs_f64() * 1e6);
-        debug_assert!(!bytes.is_empty());
-    }
-    samples_us.sort_by(f64::total_cmp);
-    let percentile = |p: f64| samples_us[((samples_us.len() - 1) as f64 * p) as usize];
-    let p50_us = percentile(0.50);
-    let p99_us = percentile(0.99);
-
-    // Reply bytes must be identical under 1/2/8 workers (fresh engines,
-    // cold caches — the strongest form of the claim).
-    let mut streams = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let h = ServeHarness::with_config(EngineConfig { threads, ..EngineConfig::default() })?;
-        streams.push(h.reply_bytes(&batch)?);
-    }
-    let thread_invariant = streams.iter().all(|s| s == &streams[0]) && streams[0] == cold_bytes;
-
-    let (solve_hits, solve_misses, _) = harness.engine().solve_caches().counters();
-    let payload = ServeBench {
-        unique_queries: unique,
-        batch_size,
-        hot_batches,
-        cold_ms,
-        cold_qps,
-        hot_ms,
-        hot_qps,
-        latency_roundtrips,
-        p50_us,
-        p99_us,
-        thread_invariant,
-        reply_cache_hits: harness.engine().reply_cache().hits(),
-        reply_cache_misses: harness.engine().reply_cache().misses(),
-        solve_cache_hits: solve_hits,
-        solve_cache_misses: solve_misses,
-    };
-
-    let body = vec![
-        vec!["cold batch (all misses)".into(), format!("{cold_ms:.1} ms"), format!("{cold_qps:.0} q/s")],
-        vec![
-            format!("{hot_batches} hot batches (all hits)"),
-            format!("{hot_ms:.1} ms"),
-            format!("{hot_qps:.0} q/s"),
-        ],
-        vec![
-            format!("{latency_roundtrips} single-query round-trips"),
-            format!("p50 {p50_us:.0} µs"),
-            format!("p99 {p99_us:.0} µs"),
-        ],
-    ];
-    println!("{}", text_table(&["configuration", "wall", "rate"], &body));
-    println!(
-        "reply bytes at threads 1/2/8: {}; reply cache {} hits / {} misses",
-        if thread_invariant { "identical" } else { "DIVERGED" },
-        payload.reply_cache_hits,
-        payload.reply_cache_misses
-    );
-    let path = write_artifact("BENCH_serve", &payload)?;
-    println!("artifact: {}", path.display());
-    if !thread_invariant {
-        return Err(BenchError::Serve(macgame_serve::ServeError::Protocol(
-            "reply byte streams diverged across MACGAME_THREADS settings".into(),
-        )));
-    }
     Ok(())
 }
 

@@ -1,5 +1,5 @@
 //! Experiment harness: the code behind every table and figure of the
-//! paper, shared by the Criterion benches and the `repro` binary.
+//! paper, driven by the `repro` binary.
 //!
 //! Run `cargo run --release -p macgame-bench --bin repro -- all` to
 //! regenerate everything (add `--quick` for a fast pass); each experiment
@@ -45,8 +45,6 @@ pub enum BenchError {
     Faults(macgame_faults::FaultError),
     /// Static-analysis harness error (I/O or workspace-shape trouble).
     Lint(macgame_lint::LintError),
-    /// Serve-layer error (engine construction, wire round-trips).
-    Serve(macgame_serve::ServeError),
     /// The workspace lint pass found unwaived violations.
     LintFindings(usize),
 }
@@ -63,7 +61,6 @@ impl fmt::Display for BenchError {
             BenchError::Conformance(e) => write!(f, "conformance error: {e}"),
             BenchError::Faults(e) => write!(f, "fault-injection error: {e}"),
             BenchError::Lint(e) => write!(f, "lint error: {e}"),
-            BenchError::Serve(e) => write!(f, "serve error: {e}"),
             BenchError::LintFindings(n) => {
                 write!(f, "lint: {n} unwaived finding(s); fix or waive in lint-allow.toml")
             }
@@ -83,7 +80,6 @@ impl std::error::Error for BenchError {
             BenchError::Conformance(e) => Some(e),
             BenchError::Faults(e) => Some(e),
             BenchError::Lint(e) => Some(e),
-            BenchError::Serve(e) => Some(e),
             BenchError::LintFindings(_) => None,
         }
     }
@@ -140,11 +136,5 @@ impl From<macgame_faults::FaultError> for BenchError {
 impl From<macgame_lint::LintError> for BenchError {
     fn from(e: macgame_lint::LintError) -> Self {
         BenchError::Lint(e)
-    }
-}
-
-impl From<macgame_serve::ServeError> for BenchError {
-    fn from(e: macgame_serve::ServeError) -> Self {
-        BenchError::Serve(e)
     }
 }

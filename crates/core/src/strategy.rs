@@ -107,20 +107,6 @@ impl GenerousTft {
         }
         Ok(GenerousTft { initial, window_count: r0, tolerance: beta })
     }
-
-    /// Panicking variant of [`GenerousTft::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r0 == 0` or `β` is outside `(0, 1]`.
-    #[deprecated(since = "0.1.0", note = "panics on invalid r0/β; use `GenerousTft::try_new`")]
-    #[must_use]
-    pub fn new(initial: u32, r0: usize, beta: f64) -> Self {
-        match Self::try_new(initial, r0, beta) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"), // PANIC-POLICY: deprecated panicking shim; documented panic, callers should migrate to try_new
-        }
-    }
 }
 
 impl Strategy for GenerousTft {
@@ -310,20 +296,6 @@ impl HillClimb {
         }
         Ok(HillClimb { initial, step, direction: 1, last_utility: None })
     }
-
-    /// Panicking variant of [`HillClimb::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step == 0`.
-    #[deprecated(since = "0.1.0", note = "panics on step == 0; use `HillClimb::try_new`")]
-    #[must_use]
-    pub fn new(initial: u32, step: u32) -> Self {
-        match Self::try_new(initial, step) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"), // PANIC-POLICY: deprecated panicking shim; documented panic, callers should migrate to try_new
-        }
-    }
 }
 
 impl Strategy for HillClimb {
@@ -430,13 +402,6 @@ mod tests {
         h.push(record(vec![100, 110]));
         h.push(record(vec![100, 70]));
         assert_eq!(gtft.next_window(0, &g, &h).unwrap(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "memory")]
-    #[allow(deprecated)]
-    fn gtft_rejects_zero_memory() {
-        let _ = GenerousTft::new(100, 0, 0.9);
     }
 
     #[test]
@@ -556,13 +521,6 @@ mod tests {
             last > 1.05 * first,
             "hill climb failed to improve: {first} → {last}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "step")]
-    #[allow(deprecated)]
-    fn hill_climb_rejects_zero_step() {
-        let _ = HillClimb::new(10, 0);
     }
 
     #[test]

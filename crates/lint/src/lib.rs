@@ -27,7 +27,6 @@
 //! | `determinism/entropy-rng` | no `thread_rng`/`from_entropy` — randomness comes from seeded ChaCha8 streams |
 //! | `panic-policy/unmarked-panic` | `unwrap`/`expect`/`panic!`/`assert!`-family calls in non-test library code need a `// PANIC-POLICY:` contract marker |
 //! | `panic-policy/empty-marker` | a marker must carry a rationale |
-//! | `api/deprecated-constructor` | no calls to `GenerousTft::new`/`HillClimb::new` (use `try_new`) |
 //! | `api/relaxed-ordering` | no `Ordering::Relaxed` outside the telemetry allowlist |
 //! | `manifest/workspace-field` | crates inherit `version`/`edition`/`license` from the workspace |
 //! | `manifest/external-dependency` | only workspace-inherited or in-tree path dependencies |

@@ -11,10 +11,8 @@
 //!   outside `#[cfg(test)]` regions is held to every contract.
 //! * **Test regions** (`#[cfg(test)]` modules/items, `#[test]` functions)
 //!   and **dev code** (top-level `tests/`, `benches/`, `examples/` files)
-//!   are exempt from the determinism and panic-policy rules — tests may
-//!   hash, time, and unwrap freely — but *not* from the deprecated-API
-//!   rule: new code should not spread deprecated constructors even in
-//!   tests (waive the sites that deliberately pin deprecated behavior).
+//!   are exempt from every code rule — tests may hash, time, and unwrap
+//!   freely.
 //! * Vendored shims under `vendor/` are never code-linted (they *implement*
 //!   the APIs these rules police); their manifests are still checked.
 
@@ -52,8 +50,6 @@ pub const RULE_ENTROPY: &str = "determinism/entropy-rng";
 pub const RULE_PANIC: &str = "panic-policy/unmarked-panic";
 /// Rule id: a `// PANIC-POLICY:` marker with no rationale text.
 pub const RULE_EMPTY_MARKER: &str = "panic-policy/empty-marker";
-/// Rule id: call to a deprecated panicking constructor.
-pub const RULE_DEPRECATED: &str = "api/deprecated-constructor";
 /// Rule id: `Ordering::Relaxed` outside the telemetry allowlist.
 pub const RULE_RELAXED: &str = "api/relaxed-ordering";
 
@@ -89,12 +85,12 @@ pub(crate) const PANIC_MACROS: &[&str] =
 /// Methods whose call panics (checked as `.name(`).
 pub(crate) const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 
-/// Deprecated panicking constructors: `Type::method` call paths.
-const DEPRECATED_CTORS: &[(&str, &str)] = &[("GenerousTft", "new"), ("HillClimb", "new")];
-
 /// Runs every code rule over one file's source.
 #[must_use]
 pub fn check_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
+    if ctx.kind == FileKind::Dev {
+        return Vec::new();
+    }
     let lexed = lex(source);
     let lines: Vec<&str> = source.lines().collect();
     let tokens = &lexed.tokens;
@@ -123,7 +119,6 @@ pub fn check_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
 
     let wall_clock_quarantined = ctx.wall_clock_allow.iter().any(|p| p == ctx.rel_path);
     let relaxed_allowed = ctx.relaxed_allow.iter().any(|p| ctx.rel_path.starts_with(p.as_str()));
-    let is_dev = ctx.kind == FileKind::Dev;
 
     // --- test-region tracking ---------------------------------------------
     let mut brace_depth: i64 = 0;
@@ -201,27 +196,7 @@ pub fn check_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
         }
         let in_test = file_is_test || pending_test || !test_regions.is_empty();
 
-        // --- deprecated constructors: everywhere, tests included ----------
-        if let Some(head) = ident(i) {
-            for (ty, method) in DEPRECATED_CTORS {
-                if head == *ty
-                    && punct(i + 1, ':')
-                    && punct(i + 2, ':')
-                    && ident(i + 3) == Some(method)
-                {
-                    push(
-                        RULE_DEPRECATED,
-                        line,
-                        format!(
-                            "`{ty}::{method}` is a deprecated panicking constructor; \
-                             call `{ty}::try_new` and handle the error"
-                        ),
-                    );
-                }
-            }
-        }
-
-        if is_dev || in_test {
+        if in_test {
             i += 1;
             continue;
         }
@@ -386,24 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_ctor_fires_even_in_tests() {
-        let src = "
-            #[cfg(test)]
-            mod tests {
-                #[test]
-                fn t() { let _ = GenerousTft::new(100, 2, 0.9); }
-            }
-        ";
-        assert_eq!(rules_of(&check_source(&lib_ctx(), src)), vec![RULE_DEPRECATED]);
-    }
-
-    #[test]
-    fn try_new_is_fine() {
-        let src = "fn f() { let _ = GenerousTft::try_new(100, 2, 0.9); }\n";
-        assert!(check_source(&lib_ctx(), src).is_empty());
-    }
-
-    #[test]
     fn wall_clock_quarantine_and_relaxed_allowlist() {
         let src = "fn f() { let _ = Instant::now(); ENABLED.load(Ordering::Relaxed); }\n";
         let allowed = FileContext {
@@ -421,15 +378,15 @@ mod tests {
     }
 
     #[test]
-    fn dev_files_only_get_deprecated_rule() {
-        let src = "fn main() { let _ = Instant::now(); let _ = HillClimb::new(1, 1); }\n";
+    fn dev_files_are_exempt() {
+        let src = "fn main() { let _ = Instant::now(); let _ = Some(1).unwrap(); }\n";
         let ctx = FileContext {
             rel_path: "crates/x/tests/it.rs",
             kind: FileKind::Dev,
             wall_clock_allow: &[],
             relaxed_allow: &[],
         };
-        assert_eq!(rules_of(&check_source(&ctx, src)), vec![RULE_DEPRECATED]);
+        assert!(check_source(&ctx, src).is_empty());
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "determinism/wall-clock"          # required: exact rule id
-//! path = "crates/bench/src/bin/repro.rs"   # required: workspace-relative
-//! line = 527                                # optional: omit = whole file
-//! reason = "bench-solver measures wall-clock speedups on purpose"
+//! rule = "determinism/hash-container"      # required: exact rule id
+//! path = "crates/dcf/src/cache.rs"         # required: workspace-relative
+//! line = 37                                 # optional: omit = whole file
+//! reason = "keyed lookup only, never iterated; order cannot reach artifacts"
 //! ```
 //!
 //! Every entry must carry a non-empty `reason`; a waiver that matches no

@@ -129,6 +129,19 @@ fn real_workspace_is_analysis_clean_with_rationales_and_witnesses() {
             );
         }
     }
+    // `repro`'s artifacts are deterministic by construction, not by
+    // waiver: no determinism finding, waived or not, lies in the bench
+    // crate.
+    let bench_determinism: Vec<String> = workspace
+        .lint
+        .findings
+        .iter()
+        .chain(&workspace.analysis.findings)
+        .filter(|f| f.rule.starts_with("determinism/") || f.rule == RULE_TAINT)
+        .filter(|f| f.path.starts_with("crates/bench/"))
+        .map(|f| format!("{} {}:{}", f.rule, f.path, f.line))
+        .collect();
+    assert!(bench_determinism.is_empty(), "determinism findings in crates/bench: {bench_determinism:#?}");
     // The graph actually covered the workspace.
     assert!(workspace.analysis.stats.functions > 500);
     assert!(workspace.analysis.stats.edges > workspace.analysis.stats.functions);

@@ -9,8 +9,8 @@ use std::path::Path;
 
 use macgame_lint::manifest::{check_manifest, RULE_EXTERNAL_DEP, RULE_WORKSPACE_FIELD};
 use macgame_lint::rules::{
-    check_source, RULE_DEPRECATED, RULE_EMPTY_MARKER, RULE_ENTROPY, RULE_HASH, RULE_PANIC,
-    RULE_RELAXED, RULE_WALL_CLOCK,
+    check_source, RULE_EMPTY_MARKER, RULE_ENTROPY, RULE_HASH, RULE_PANIC, RULE_RELAXED,
+    RULE_WALL_CLOCK,
 };
 use macgame_lint::{FileContext, FileKind, Finding};
 
@@ -90,15 +90,13 @@ fn panic_policy_skips_dev_code_entirely() {
 fn api_rules_fire_on_positive_fixture() {
     let findings = lint_fixture("api_positive.rs", FileKind::Library);
     let rules = rules_of(&findings);
-    assert_eq!(rules.iter().filter(|r| **r == RULE_DEPRECATED).count(), 2, "{findings:?}");
     assert_eq!(rules.iter().filter(|r| **r == RULE_RELAXED).count(), 2, "{findings:?}");
 }
 
 #[test]
-fn deprecated_constructors_are_flagged_even_in_dev_code() {
+fn api_rules_skip_dev_code() {
     let findings = lint_fixture("api_positive.rs", FileKind::Dev);
     let rules = rules_of(&findings);
-    assert_eq!(rules.iter().filter(|r| **r == RULE_DEPRECATED).count(), 2, "{findings:?}");
     // Dev code is exempt from the ordering rule.
     assert!(!rules.contains(&RULE_RELAXED), "{findings:?}");
 }
@@ -121,7 +119,6 @@ fn relaxed_ordering_allowlist_is_a_prefix_match() {
     };
     let findings = check_source(&ctx, &source);
     assert!(findings.iter().all(|f| f.rule != RULE_RELAXED), "{findings:?}");
-    assert!(findings.iter().any(|f| f.rule == RULE_DEPRECATED));
 }
 
 #[test]

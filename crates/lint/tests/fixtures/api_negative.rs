@@ -1,13 +1,6 @@
 // Lint fixture: no API-discipline rule should fire on this file.
 use std::sync::atomic::{AtomicU64, Ordering};
 
-fn fallible_constructors() -> Result<(), String> {
-    let g = GenerousTft::try_new(3, 0.9).map_err(|e| e.to_string())?;
-    let h = HillClimb::try_new(1, 8).map_err(|e| e.to_string())?;
-    let _ = (g, h);
-    Ok(())
-}
-
 fn strongly_ordered(counter: &AtomicU64) -> u64 {
     counter.fetch_add(1, Ordering::SeqCst);
     counter.load(Ordering::Acquire)

@@ -1,12 +1,6 @@
 // Lint fixture: the API-discipline rules should fire on every site below.
 use std::sync::atomic::{AtomicU64, Ordering};
 
-fn deprecated_constructors() {
-    let g = GenerousTft::new(3, 0.9);
-    let h = HillClimb::new(1, 8);
-    let _ = (g, h);
-}
-
 fn relaxed(counter: &AtomicU64) -> u64 {
     counter.fetch_add(1, Ordering::Relaxed);
     counter.load(Ordering::Relaxed)

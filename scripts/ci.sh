@@ -23,41 +23,21 @@ cargo run --release -p macgame-bench --bin repro -- conformance --quick
 echo "==> telemetry profile (repro -- profile --quick)"
 cargo run --release -p macgame-bench --bin repro -- profile --quick
 
-echo "==> robustness plane (repro -- robustness --quick, thread-invariance check)"
-MACGAME_THREADS=1 cargo run --release -p macgame-bench --bin repro -- robustness --quick
-cp artifacts/ROBUSTNESS.json artifacts/ROBUSTNESS.threads1.json
-MACGAME_THREADS=2 cargo run --release -p macgame-bench --bin repro -- robustness --quick
-cmp artifacts/ROBUSTNESS.threads1.json artifacts/ROBUSTNESS.json
-rm artifacts/ROBUSTNESS.threads1.json
-
-echo "==> EDCA strategy space (repro -- edca --quick, thread-invariance check)"
-MACGAME_THREADS=1 cargo run --release -p macgame-bench --bin repro -- edca --quick
-cp artifacts/EDCA.json artifacts/EDCA.threads1.json
-MACGAME_THREADS=2 cargo run --release -p macgame-bench --bin repro -- edca --quick
-cmp artifacts/EDCA.threads1.json artifacts/EDCA.json
-rm artifacts/EDCA.threads1.json
-
-echo "==> detection plane (repro -- detect --quick, thread-invariance check)"
-MACGAME_THREADS=1 cargo run --release -p macgame-bench --bin repro -- detect --quick
-cp artifacts/DETECT.json artifacts/DETECT.threads1.json
-MACGAME_THREADS=2 cargo run --release -p macgame-bench --bin repro -- detect --quick
-cmp artifacts/DETECT.threads1.json artifacts/DETECT.json
-rm artifacts/DETECT.threads1.json
-
-echo "==> solver benchmark trajectory (repro -- bench-solver --quick)"
-cargo run --release -p macgame-bench --bin repro -- bench-solver --quick
-
-echo "==> serve benchmark (repro -- bench-serve --quick, wire-path qps + thread invariance)"
-cargo run --release -p macgame-bench --bin repro -- bench-serve --quick
-
-echo "==> workspace invariant lints + call-graph analysis (repro -- lint, byte-stability check)"
-MACGAME_THREADS=1 cargo run --release -p macgame-bench --bin repro -- lint
-cp artifacts/ANALYSIS.json artifacts/ANALYSIS.threads1.json
-cp artifacts/LINT.json artifacts/LINT.threads1.json
-MACGAME_THREADS=2 cargo run --release -p macgame-bench --bin repro -- lint
-cmp artifacts/ANALYSIS.threads1.json artifacts/ANALYSIS.json
-cmp artifacts/LINT.threads1.json artifacts/LINT.json
-rm artifacts/ANALYSIS.threads1.json artifacts/LINT.threads1.json
+# Thread invariance: each experiment runs at MACGAME_THREADS=1 and 2 and
+# every artifact it writes must be byte-identical across the two runs.
+for spec in "robustness --quick:ROBUSTNESS" "edca --quick:EDCA" "detect --quick:DETECT" \
+    "lint:LINT ANALYSIS"; do
+  args=${spec%%:*}
+  names=${spec#*:}
+  echo "==> repro -- $args (thread-invariance check of $names)"
+  MACGAME_THREADS=1 cargo run --release -p macgame-bench --bin repro -- $args
+  for name in $names; do cp "artifacts/$name.json" "artifacts/$name.threads1.json"; done
+  MACGAME_THREADS=2 cargo run --release -p macgame-bench --bin repro -- $args
+  for name in $names; do
+    cmp "artifacts/$name.threads1.json" "artifacts/$name.json"
+    rm "artifacts/$name.threads1.json"
+  done
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
