@@ -11,8 +11,8 @@
 //! 1 and 2 workers.
 
 use macgame_core::edca::{
-    edca_axis_sweep, edca_best_response, edca_plane_ne, EdcaAxis, EdcaBestResponse, EdcaGainRow,
-    EdcaLattice, EdcaPlaneCell, EdcaStageMemo,
+    edca_axis_sweep, edca_best_response, edca_plane_ne, edca_stage_memo, EdcaAxis,
+    EdcaBestResponse, EdcaGainRow, EdcaLattice, EdcaPlaneCell,
 };
 use macgame_core::equilibrium::efficient_ne;
 use macgame_core::queries::{evaluate_query, Query, QueryResult, SolveCaches};
@@ -165,7 +165,7 @@ pub fn run_edca(settings: &EdcaSettings) -> Result<EdcaPayload, BenchError> {
     let params = *game.params();
     let m = params.max_backoff_stage();
     let w_star = efficient_ne(&game)?.window;
-    let mut memo = EdcaStageMemo::new();
+    let memo = edca_stage_memo();
 
     // ── Per-knob cheating-gain surface (Banchs-style) ──────────────────
     let baseline = EdcaTuple::new(w_star, m, 1, 1)?;
@@ -181,7 +181,7 @@ pub fn run_edca(settings: &EdcaSettings) -> Result<EdcaPayload, BenchError> {
     for (axis, values) in &axes {
         gain_surface.push(AxisSurface {
             axis: axis.name().to_string(),
-            rows: edca_axis_sweep(&game, baseline, *axis, values, &mut memo)?,
+            rows: edca_axis_sweep(&game, baseline, *axis, values, &memo)?,
         });
     }
 
@@ -192,7 +192,7 @@ pub fn run_edca(settings: &EdcaSettings) -> Result<EdcaPayload, BenchError> {
         aifs: vec![0, 1],
         txops: vec![1, 4, 8],
     };
-    let best_response = edca_best_response(&game, baseline, &lattice, &mut memo)?;
+    let best_response = edca_best_response(&game, baseline, &lattice, &memo)?;
 
     // ── Degenerate tuples must reproduce the scalar Table II scan ──────
     let caches = SolveCaches::with_capacity(1024)?;
@@ -238,7 +238,7 @@ pub fn run_edca(settings: &EdcaSettings) -> Result<EdcaPayload, BenchError> {
     let mut plane = Vec::new();
     for &(delta_s, reaction_stages) in &[(0.0f64, 1u32), (0.99, 1)] {
         let cells =
-            edca_plane_ne(&game, sym, &cw_mins, &txops, reaction_stages, delta_s, &mut memo)?;
+            edca_plane_ne(&game, sym, &cw_mins, &txops, reaction_stages, delta_s, &memo)?;
         let profitable_cells = cells.iter().filter(|c| c.profitable).count();
         plane.push(PlaneSection { delta_s, reaction_stages, cells, profitable_cells });
     }

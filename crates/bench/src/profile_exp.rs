@@ -127,7 +127,7 @@ fn run_workload(settings: ProfileSettings) -> Result<(), BenchError> {
         let cache = SolveCache::new(params, SolveOptions::default());
         solve_sweep_cached(&profiles, &cache, settings.threads)?;
         solve_sweep_cached(&profiles, &cache, settings.threads)?;
-        telemetry::gauge("profile.cache.entries", cache.len() as f64);
+        telemetry::gauge("profile.cache.entries", cache.memo().len() as f64);
     }
 
     // Phase 3 — evaluator cache: serial repeated evaluation (driver-side,

@@ -15,7 +15,7 @@ use macgame_core::deviation::{
     malicious_impact, optimal_shortsighted_deviation, shortsighted_deviation, DeviationOutcome,
     MaliciousImpact,
 };
-use macgame_core::edca::{edca_axis_sweep, EdcaAxis, EdcaGainRow, EdcaStageMemo};
+use macgame_core::edca::{edca_axis_sweep, edca_stage_memo, EdcaAxis, EdcaGainRow};
 use macgame_core::search::{run_search, AnalyticProbe, SearchOutcome};
 use macgame_core::strategy::Constant;
 use macgame_core::tournament::Entrant;
@@ -364,7 +364,7 @@ pub fn edca_golden() -> Result<EdcaGolden, ConformanceError> {
     }
 
     let sym = EdcaTuple::new(w_star, m, 1, 1)?;
-    let mut memo = EdcaStageMemo::new();
+    let memo = edca_stage_memo();
     let sweeps = [
         (EdcaAxis::CwMin, vec![w_star / 4, w_star / 2, w_star]),
         (EdcaAxis::Aifs, vec![0, 1, 2]),
@@ -372,7 +372,7 @@ pub fn edca_golden() -> Result<EdcaGolden, ConformanceError> {
     ];
     let mut gains = Vec::new();
     for (axis, values) in sweeps {
-        let rows = edca_axis_sweep(&game, sym, axis, &values, &mut memo)?;
+        let rows = edca_axis_sweep(&game, sym, axis, &values, &memo)?;
         gains.push(EdcaGainCase { axis: axis.name().to_string(), rows });
     }
     Ok(EdcaGolden { w_star, cases, gains })

@@ -15,9 +15,9 @@
 //! efficient NE.
 
 use macgame_dcf::cache::SolveCache;
-use macgame_dcf::classes::{class_utilities, ClassProfile, SymmetricMemo};
+use macgame_dcf::classes::{class_utilities, ClassProfile};
 use macgame_dcf::fixedpoint::{solve, solve_symmetric, SolveOptions};
-use macgame_dcf::parallel::{resolve_threads, solve_sweep_seeded};
+use macgame_dcf::parallel::{resolve_threads, solve_sweep};
 use macgame_dcf::utility::{all_utilities, symmetric_node_utility};
 use serde::{Deserialize, Serialize};
 
@@ -146,7 +146,7 @@ pub fn symmetric_stage_cached(
 
 /// Stage utility rates for every window in `1..=hi`, indexed by window
 /// (slot 0 is `NaN`, never read). [`crate::equilibrium::scan_ne_interval`]
-/// threads this memo through its checks so each window's bisection runs
+/// threads this table through its checks so each window's bisection runs
 /// once per scan instead of once per (window, deviation) pair — without
 /// it the symmetric stages dominate the scan's cost.
 ///
@@ -158,69 +158,11 @@ pub fn symmetric_stage_table(
     hi: u32,
     threads: usize,
 ) -> Result<Vec<f64>, GameError> {
-    Ok(stage_memo(game, hi, threads)?.stages)
-}
-
-/// Scan-scoped memo bundling the symmetric stage table with the
-/// [`SymmetricMemo`] of bisection roots it was computed from. Threading it
-/// through [`deviation_sweep`]'s internals lets the per-candidate sweeps
-/// reuse the same roots for their homogeneous cold starts instead of
-/// re-bisecting. Memoized values are exactly what the direct computations
-/// would produce, so every consumer is bitwise-identical with and without
-/// the memo.
-#[derive(Debug)]
-pub struct StageMemo {
-    pub(crate) stages: Vec<f64>,
-    pub(crate) roots: SymmetricMemo,
-}
-
-impl StageMemo {
-    /// Stage utility rates indexed by window (slot 0 is `NaN`, never read).
-    #[must_use]
-    pub fn stages(&self) -> &[f64] {
-        &self.stages
-    }
-
-    /// The memoized bisection roots the stages were computed from.
-    #[must_use]
-    pub fn roots(&self) -> &SymmetricMemo {
-        &self.roots
-    }
-}
-
-/// Builds a [`StageMemo`] covering windows `1..=hi`. Every `(n, w)` root
-/// bisects exactly once — during this build — so scans that consult the
-/// memo afterwards only ever hit it.
-///
-/// # Errors
-///
-/// Propagates solver failures.
-pub fn stage_memo(game: &GameConfig, hi: u32, threads: usize) -> Result<StageMemo, GameError> {
-    let roots = SymmetricMemo::new(*game.params());
     let windows: Vec<u32> = (1..=hi).collect();
-    let stages: Vec<Result<f64, GameError>> =
-        rayon::map_in_order(windows, resolve_threads(threads), |w| {
-            symmetric_stage_rooted(game, w, &roots)
-        });
-    let mut table = Vec::with_capacity(hi as usize + 1);
-    table.push(f64::NAN);
-    for stage in stages {
-        table.push(stage?);
-    }
-    Ok(StageMemo { stages: table, roots })
-}
-
-/// [`symmetric_stage`] through a shared root memo — bitwise-identical to
-/// the direct computation, since a memo hit returns the exact bisection
-/// root.
-fn symmetric_stage_rooted(
-    game: &GameConfig,
-    w: u32,
-    roots: &SymmetricMemo,
-) -> Result<f64, GameError> {
-    let n = game.player_count();
-    let sym = roots.solve(n, w)?;
-    Ok(symmetric_node_utility(&sym, game.params(), game.utility()))
+    let stages = rayon::map_in_order(windows, resolve_threads(threads), |w| {
+        symmetric_stage(game, w)
+    });
+    std::iter::once(Ok(f64::NAN)).chain(stages).collect()
 }
 
 /// Full accounting of a short-sighted deviation.
@@ -381,20 +323,20 @@ pub fn deviation_sweep(
     delta_s: f64,
     threads: usize,
 ) -> Result<Vec<DeviationOutcome>, GameError> {
-    deviation_sweep_memo(game, w_star, reaction_stages, delta_s, threads, None)
+    deviation_sweep_staged(game, w_star, reaction_stages, delta_s, threads, None)
 }
 
-/// [`deviation_sweep`] with an optional precomputed [`StageMemo`] (from
-/// [`stage_memo`], covering at least `1..=w_star`). The memoized stages
-/// and roots are the exact values the direct computations would return,
-/// so results are bitwise-identical with and without the memo.
-pub(crate) fn deviation_sweep_memo(
+/// [`deviation_sweep`] with an optional precomputed stage table (from
+/// [`symmetric_stage_table`], covering at least `1..=w_star`). The table
+/// holds the exact values the direct computations would return, so
+/// results are bitwise-identical with and without it.
+pub(crate) fn deviation_sweep_staged(
     game: &GameConfig,
     w_star: u32,
     reaction_stages: u32,
     delta_s: f64,
     threads: usize,
-    memo: Option<&StageMemo>,
+    stages: Option<&[f64]>,
 ) -> Result<Vec<DeviationOutcome>, GameError> {
     if reaction_stages == 0 {
         return Err(GameError::InvalidConfig("TFT reaction takes at least one stage".into()));
@@ -410,18 +352,24 @@ pub(crate) fn deviation_sweep_memo(
         return Err(GameError::InvalidConfig("deviation needs at least two players".into()));
     }
     let t = game.stage_duration().value();
-    let at_star = match memo {
-        Some(m) => m.stages[w_star as usize],
-        None => symmetric_stage(game, w_star)?,
+    // Compliant and post-punishment stages: everyone on one window
+    // (bisection, cheap), from the caller's table when it scans many
+    // crowd windows.
+    let owned;
+    let stages = match stages {
+        Some(table) => table,
+        None => {
+            owned = symmetric_stage_table(game, w_star, threads)?;
+            &owned
+        }
     };
+    let at_star = stages[w_star as usize];
     let m = reaction_stages as i32;
     let head = (1.0 - delta_s.powi(m)) / (1.0 - delta_s);
     let tail = delta_s.powi(m) / (1.0 - delta_s);
     let compliant_payoff = t * at_star / (1.0 - delta_s);
 
     // One deviator against the W* crowd, for every w_s: warm-chained.
-    // The memo's roots seed the homogeneous w_s == w_star profile when it
-    // leads a chunk, sparing its bisection.
     let profiles: Vec<Vec<u32>> = (1..=w_star)
         .map(|w_s| {
             let mut p = vec![w_star; n];
@@ -429,30 +377,10 @@ pub(crate) fn deviation_sweep_memo(
             p
         })
         .collect();
-    let eqs = solve_sweep_seeded(
-        &profiles,
-        game.params(),
-        SolveOptions::default(),
-        threads,
-        memo.map(StageMemo::roots),
-    )?;
-
-    // Post-punishment stages: everyone at w_s (bisection, cheap) — served
-    // from the memo when the caller scans many crowd windows.
-    let afters: Vec<f64> = match memo {
-        Some(m) => (1..=w_star).map(|w_s| m.stages[w_s as usize]).collect(),
-        None => {
-            let windows: Vec<u32> = (1..=w_star).collect();
-            rayon::map_in_order(windows, resolve_threads(threads), |w_s| {
-                symmetric_stage(game, w_s)
-            })
-            .into_iter()
-            .collect::<Result<Vec<f64>, GameError>>()?
-        }
-    };
+    let eqs = solve_sweep(&profiles, game.params(), SolveOptions::default(), threads)?;
 
     let mut out = Vec::with_capacity(w_star as usize);
-    for ((w_s, eq), after) in (1..=w_star).zip(&eqs).zip(afters) {
+    for ((w_s, eq), &after) in (1..=w_star).zip(&eqs).zip(&stages[1..]) {
         let us = all_utilities(&eq.taus, &eq.collision_probs, game.params(), game.utility());
         let during = DeviatorStage { deviator: us[0], compliant: us[1] };
         out.push(DeviationOutcome {

@@ -17,8 +17,7 @@
 //! classes, so lattice and plane scans pay `O(k)` per distinct profile
 //! regardless of the player count.
 
-use std::collections::HashMap;
-
+use macgame_dcf::cache::Memo;
 use macgame_dcf::fixedpoint::SolveOptions;
 use macgame_dcf::{edca_utilities, solve_edca, EdcaProfile, EdcaTuple};
 use serde::{Deserialize, Serialize};
@@ -70,52 +69,29 @@ impl EdcaAxis {
 }
 
 /// Memo of class-level EDCA stage solves keyed on the canonical tuple
-/// profile: the product-space analog of [`crate::deviation::StageMemo`].
-/// Lattice and plane scans revisit the same one-deviator profiles many
-/// times; each distinct profile is solved exactly once.
-#[derive(Debug, Default)]
-pub struct EdcaStageMemo {
-    rates: HashMap<EdcaProfile, Vec<f64>>,
-    hits: u64,
-    misses: u64,
+/// profile, holding each class's stage utility rate (per µs). Lattice and
+/// plane scans revisit the same one-deviator profiles many times; each
+/// distinct profile is solved once per memo.
+pub type EdcaStageMemo = Memo<EdcaProfile, Vec<f64>>;
+
+/// An empty, unbounded [`EdcaStageMemo`] counting on the
+/// `core.edca.memo.*` telemetry counters.
+#[must_use]
+pub fn edca_stage_memo() -> EdcaStageMemo {
+    Memo::new(None, "core.edca.memo.hits", "core.edca.memo.misses", "core.edca.memo.evictions")
 }
 
-impl EdcaStageMemo {
-    /// An empty memo.
-    #[must_use]
-    pub fn new() -> Self {
-        EdcaStageMemo::default()
-    }
-
-    /// Number of lookups answered from the memo.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that required a fresh solve.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Per-class stage utility rates (per µs) of `profile`, solved once
-    /// and memoized.
-    fn class_rates(
-        &mut self,
-        game: &GameConfig,
-        profile: &EdcaProfile,
-    ) -> Result<Vec<f64>, GameError> {
-        if let Some(rates) = self.rates.get(profile) {
-            self.hits += 1;
-            return Ok(rates.clone());
-        }
-        self.misses += 1;
+/// Per-class stage utility rates (per µs) of `profile`, solved once per
+/// memo.
+fn class_rates(
+    game: &GameConfig,
+    profile: &EdcaProfile,
+    memo: &EdcaStageMemo,
+) -> Result<Vec<f64>, GameError> {
+    memo.get_or_try_insert_with(profile, || {
         let eq = solve_edca(profile, game.params(), SolveOptions::default())?;
-        let rates = edca_utilities(profile, &eq, game.params(), game.utility());
-        self.rates.insert(profile.clone(), rates.clone());
-        Ok(rates)
-    }
+        Ok(edca_utilities(profile, &eq, game.params(), game.utility()))
+    })
 }
 
 /// Stage utility rate (per µs) when all `n` players sit on `tuple` — the
@@ -127,10 +103,10 @@ impl EdcaStageMemo {
 pub fn edca_symmetric_stage(
     game: &GameConfig,
     tuple: EdcaTuple,
-    memo: &mut EdcaStageMemo,
+    memo: &EdcaStageMemo,
 ) -> Result<f64, GameError> {
     let profile = EdcaProfile::new(vec![tuple], vec![game.player_count()])?;
-    let rates = memo.class_rates(game, &profile)?;
+    let rates = class_rates(game, &profile, memo)?;
     Ok(rates[0])
 }
 
@@ -145,7 +121,7 @@ pub fn edca_deviator_stage(
     game: &GameConfig,
     sym: EdcaTuple,
     dev: EdcaTuple,
-    memo: &mut EdcaStageMemo,
+    memo: &EdcaStageMemo,
 ) -> Result<DeviatorStage, GameError> {
     let n = game.player_count();
     if n < 2 {
@@ -156,7 +132,7 @@ pub fn edca_deviator_stage(
         return Ok(DeviatorStage { deviator: rate, compliant: rate });
     }
     let profile = EdcaProfile::new(vec![dev, sym], vec![1, n - 1])?;
-    let rates = memo.class_rates(game, &profile)?;
+    let rates = class_rates(game, &profile, memo)?;
     // Classes are in canonical tuple order; locate the deviator's class.
     let dev_class = profile
         .tuples()
@@ -180,7 +156,7 @@ pub fn edca_cheating_gain(
     game: &GameConfig,
     sym: EdcaTuple,
     dev: EdcaTuple,
-    memo: &mut EdcaStageMemo,
+    memo: &EdcaStageMemo,
 ) -> Result<f64, GameError> {
     let baseline = edca_symmetric_stage(game, sym, memo)?;
     if baseline <= 0.0 {
@@ -219,7 +195,7 @@ pub fn edca_axis_sweep(
     sym: EdcaTuple,
     axis: EdcaAxis,
     values: &[u32],
-    memo: &mut EdcaStageMemo,
+    memo: &EdcaStageMemo,
 ) -> Result<Vec<EdcaGainRow>, GameError> {
     let baseline = edca_symmetric_stage(game, sym, memo)?;
     if baseline <= 0.0 {
@@ -311,7 +287,7 @@ pub fn edca_best_response(
     game: &GameConfig,
     sym: EdcaTuple,
     lattice: &EdcaLattice,
-    memo: &mut EdcaStageMemo,
+    memo: &EdcaStageMemo,
 ) -> Result<EdcaBestResponse, GameError> {
     let baseline = edca_symmetric_stage(game, sym, memo)?;
     if baseline <= 0.0 {
@@ -355,23 +331,23 @@ pub fn edca_best_response(
 pub fn edca_wc_star(
     game: &GameConfig,
     txop: u32,
-    memo: &mut EdcaStageMemo,
+    memo: &EdcaStageMemo,
 ) -> Result<(u32, f64), GameError> {
     let m = game.params().max_backoff_stage();
     let w_max = game.w_max();
-    let u_at = |w: u32, memo: &mut EdcaStageMemo| -> Result<f64, GameError> {
+    let u_at = |w: u32| -> Result<f64, GameError> {
         edca_symmetric_stage(game, EdcaTuple::new(w, m, 0, txop)?, memo)
     };
     if game.player_count() < 2 {
         // A lone node maximizes by transmitting as often as possible.
-        let u = u_at(1, memo)?;
+        let u = u_at(1)?;
         return Ok((1, u));
     }
     // Exponential bracketing: find where the utility stops improving.
     let mut hi = 2u32;
-    let mut prev = u_at(1, memo)?;
+    let mut prev = u_at(1)?;
     while hi <= w_max {
-        let cur = u_at(hi, memo)?;
+        let cur = u_at(hi)?;
         if cur < prev {
             break;
         }
@@ -383,7 +359,7 @@ pub fn edca_wc_star(
     while hi - lo > 8 {
         let m1 = lo + (hi - lo) / 3;
         let m2 = hi - (hi - lo) / 3;
-        if u_at(m1, memo)? < u_at(m2, memo)? {
+        if u_at(m1)? < u_at(m2)? {
             lo = m1 + 1;
         } else {
             hi = m2 - 1;
@@ -394,7 +370,7 @@ pub fn edca_wc_star(
     let sweep_hi = (hi + 8).min(w_max);
     let mut best = (sweep_lo, f64::NEG_INFINITY);
     for w in sweep_lo..=sweep_hi {
-        let u = u_at(w, memo)?;
+        let u = u_at(w)?;
         if u > best.1 {
             best = (w, u);
         }
@@ -444,7 +420,7 @@ pub fn edca_plane_ne(
     txops: &[u32],
     reaction_stages: u32,
     delta_s: f64,
-    memo: &mut EdcaStageMemo,
+    memo: &EdcaStageMemo,
 ) -> Result<Vec<EdcaPlaneCell>, GameError> {
     if reaction_stages == 0 {
         return Err(GameError::InvalidConfig("TFT reaction takes at least one stage".into()));
@@ -501,13 +477,13 @@ mod tests {
     #[test]
     fn degenerate_stages_match_the_scalar_stage_game() {
         let g = game(5);
-        let mut memo = EdcaStageMemo::new();
+        let memo = edca_stage_memo();
         let sym = legacy(76, &g);
         let dev = legacy(20, &g);
-        let edca_sym = edca_symmetric_stage(&g, sym, &mut memo).unwrap();
+        let edca_sym = edca_symmetric_stage(&g, sym, &memo).unwrap();
         let scalar_sym = symmetric_stage(&g, 76).unwrap();
         assert!(rel(edca_sym, scalar_sym) < 1e-9, "{edca_sym} vs {scalar_sym}");
-        let edca_dev = edca_deviator_stage(&g, sym, dev, &mut memo).unwrap();
+        let edca_dev = edca_deviator_stage(&g, sym, dev, &memo).unwrap();
         let scalar_dev = deviator_stage(&g, 76, 20).unwrap();
         assert!(rel(edca_dev.deviator, scalar_dev.deviator) < 1e-9);
         assert!(rel(edca_dev.compliant, scalar_dev.compliant) < 1e-9);
@@ -516,26 +492,26 @@ mod tests {
     #[test]
     fn every_knob_pays_selfish_ward() {
         let g = game(5);
-        let mut memo = EdcaStageMemo::new();
+        let memo = edca_stage_memo();
         let sym = EdcaTuple::new(76, g.params().max_backoff_stage(), 1, 1).unwrap();
         // Lower CWmin, lower AIFS, higher TXOP: each alone must gain.
-        let cw = edca_cheating_gain(&g, sym, EdcaAxis::CwMin.apply(sym, 16), &mut memo).unwrap();
+        let cw = edca_cheating_gain(&g, sym, EdcaAxis::CwMin.apply(sym, 16), &memo).unwrap();
         assert!(cw > 1.0, "CWmin gain {cw}");
-        let aifs = edca_cheating_gain(&g, sym, EdcaAxis::Aifs.apply(sym, 0), &mut memo).unwrap();
+        let aifs = edca_cheating_gain(&g, sym, EdcaAxis::Aifs.apply(sym, 0), &memo).unwrap();
         assert!(aifs > 1.0, "AIFS gain {aifs}");
-        let txop = edca_cheating_gain(&g, sym, EdcaAxis::Txop.apply(sym, 8), &mut memo).unwrap();
+        let txop = edca_cheating_gain(&g, sym, EdcaAxis::Txop.apply(sym, 8), &memo).unwrap();
         assert!(txop > 1.0, "TXOP gain {txop}");
         // And the no-op deviation gains exactly 1.
-        let noop = edca_cheating_gain(&g, sym, sym, &mut memo).unwrap();
+        let noop = edca_cheating_gain(&g, sym, sym, &memo).unwrap();
         assert!((noop - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn axis_sweep_rows_are_consistent() {
         let g = game(5);
-        let mut memo = EdcaStageMemo::new();
+        let memo = edca_stage_memo();
         let sym = legacy(76, &g);
-        let rows = edca_axis_sweep(&g, sym, EdcaAxis::Txop, &[1, 2, 4, 8], &mut memo).unwrap();
+        let rows = edca_axis_sweep(&g, sym, EdcaAxis::Txop, &[1, 2, 4, 8], &memo).unwrap();
         assert_eq!(rows.len(), 4);
         for pair in rows.windows(2) {
             assert!(
@@ -554,13 +530,13 @@ mod tests {
     #[test]
     fn memo_deduplicates_profiles() {
         let g = game(5);
-        let mut memo = EdcaStageMemo::new();
+        let memo = edca_stage_memo();
         let sym = legacy(76, &g);
         let dev = legacy(20, &g);
-        edca_deviator_stage(&g, sym, dev, &mut memo).unwrap();
+        edca_deviator_stage(&g, sym, dev, &memo).unwrap();
         let misses = memo.misses();
-        edca_deviator_stage(&g, sym, dev, &mut memo).unwrap();
-        edca_cheating_gain(&g, sym, dev, &mut memo).unwrap();
+        edca_deviator_stage(&g, sym, dev, &memo).unwrap();
+        edca_cheating_gain(&g, sym, dev, &memo).unwrap();
         assert_eq!(memo.misses(), misses + 1, "only the symmetric baseline is new");
         assert!(memo.hits() >= 2);
     }
@@ -568,7 +544,7 @@ mod tests {
     #[test]
     fn best_response_picks_the_most_selfish_corner() {
         let g = game(5);
-        let mut memo = EdcaStageMemo::new();
+        let memo = edca_stage_memo();
         let m = g.params().max_backoff_stage();
         let sym = EdcaTuple::new(76, m, 1, 1).unwrap();
         let lattice = EdcaLattice {
@@ -577,7 +553,7 @@ mod tests {
             aifs: vec![0, 1],
             txops: vec![1, 4],
         };
-        let br = edca_best_response(&g, sym, &lattice, &mut memo).unwrap();
+        let br = edca_best_response(&g, sym, &lattice, &memo).unwrap();
         assert_eq!(br.tuple, EdcaTuple::new(16, m, 0, 4).unwrap());
         assert!(br.gain > 1.0);
         // Solves are shared across the 8 candidates and the baseline.
@@ -587,20 +563,20 @@ mod tests {
     #[test]
     fn plane_ne_prices_patience_like_the_scalar_model() {
         let g = game(5);
-        let mut memo = EdcaStageMemo::new();
+        let memo = edca_stage_memo();
         let sym = legacy(79, &g);
         let cw_mins = [20u32, 79];
         let txops = [1u32, 4];
         // A fully myopic deviator profits somewhere on the plane…
         let myopic =
-            edca_plane_ne(&g, sym, &cw_mins, &txops, 1, 0.0, &mut memo).unwrap();
+            edca_plane_ne(&g, sym, &cw_mins, &txops, 1, 0.0, &memo).unwrap();
         assert_eq!(myopic.len(), 4);
         assert!(myopic.iter().any(|c| c.profitable), "myopic cheating must pay");
         // …a long-sighted one does not (TFT retaliation eats the gain on
         // the CW axis, and matching bursts keep TXOP from strictly
         // helping a patient deviator).
         let patient =
-            edca_plane_ne(&g, sym, &[20], &[1], 1, 0.999, &mut memo).unwrap();
+            edca_plane_ne(&g, sym, &[20], &[1], 1, 0.999, &memo).unwrap();
         assert!(!patient[0].profitable, "patient CW undercut must not pay");
         // The compliant corner (sym itself) never strictly profits.
         let corner = myopic.iter().find(|c| c.cw_min == 79 && c.txop == 1).unwrap();
@@ -610,8 +586,8 @@ mod tests {
     #[test]
     fn wc_star_search_matches_scalar_and_improves_with_bursts() {
         let g = game(5);
-        let mut memo = EdcaStageMemo::new();
-        let (w1, u1) = edca_wc_star(&g, 1, &mut memo).unwrap();
+        let memo = edca_stage_memo();
+        let (w1, u1) = edca_wc_star(&g, 1, &memo).unwrap();
         let scalar = crate::equilibrium::efficient_ne(&g).unwrap();
         // Class-level and dense utilities agree to solver tolerance, so on
         // the near-flat top the argmax can land a step or two away.
@@ -623,28 +599,28 @@ mod tests {
         assert!(rel(u1, scalar.utility) < 1e-6);
         // Bursts amortize contention overhead: the crowd-optimal utility
         // strictly improves with TXOP.
-        let (w4, u4) = edca_wc_star(&g, 4, &mut memo).unwrap();
+        let (w4, u4) = edca_wc_star(&g, 4, &memo).unwrap();
         assert!(u4 > u1, "{u4} vs {u1}");
         assert!(w4 >= 1);
-        assert!(edca_wc_star(&g, 0, &mut memo).is_err());
+        assert!(edca_wc_star(&g, 0, &memo).is_err());
     }
 
     #[test]
     fn invalid_inputs_surface_errors() {
         let g = game(5);
-        let mut memo = EdcaStageMemo::new();
+        let memo = edca_stage_memo();
         let sym = legacy(76, &g);
-        assert!(edca_plane_ne(&g, sym, &[20], &[1], 0, 0.0, &mut memo).is_err());
-        assert!(edca_plane_ne(&g, sym, &[20], &[1], 1, 1.0, &mut memo).is_err());
-        assert!(edca_plane_ne(&g, sym, &[], &[1], 1, 0.0, &mut memo).is_err());
+        assert!(edca_plane_ne(&g, sym, &[20], &[1], 0, 0.0, &memo).is_err());
+        assert!(edca_plane_ne(&g, sym, &[20], &[1], 1, 1.0, &memo).is_err());
+        assert!(edca_plane_ne(&g, sym, &[], &[1], 1, 0.0, &memo).is_err());
         let empty = EdcaLattice {
             cw_mins: vec![],
             stage_caps: vec![5],
             aifs: vec![0],
             txops: vec![1],
         };
-        assert!(edca_best_response(&g, sym, &empty, &mut memo).is_err());
+        assert!(edca_best_response(&g, sym, &empty, &memo).is_err());
         let single = game(1);
-        assert!(edca_deviator_stage(&single, sym, sym, &mut memo).is_err());
+        assert!(edca_deviator_stage(&single, sym, sym, &memo).is_err());
     }
 }

@@ -13,7 +13,7 @@ use macgame_dcf::parallel::resolve_threads;
 use serde::{Deserialize, Serialize};
 
 use crate::deviation::{
-    deviation_sweep_memo, deviator_stage, stage_memo, symmetric_stage, StageMemo,
+    deviation_sweep_staged, deviator_stage, symmetric_stage, symmetric_stage_table,
 };
 use crate::error::GameError;
 use crate::game::GameConfig;
@@ -94,19 +94,19 @@ pub fn check_symmetric_ne(
     reaction_stages: u32,
     epsilon: f64,
 ) -> Result<NeCheck, GameError> {
-    check_symmetric_ne_memo(game, w, reaction_stages, epsilon, None)
+    check_symmetric_ne_staged(game, w, reaction_stages, epsilon, None)
 }
 
-/// [`check_symmetric_ne`] with an optional [`StageMemo`] (from
-/// [`crate::deviation::stage_memo`], covering at least `1..=w`).
-/// Memoized stages and bisection roots equal what the direct computations
-/// return, so the check is bitwise-identical with and without the memo.
-fn check_symmetric_ne_memo(
+/// [`check_symmetric_ne`] with an optional stage table (from
+/// [`crate::deviation::symmetric_stage_table`], covering at least
+/// `1..=w`). The table holds what the direct computations return, so the
+/// check is bitwise-identical with and without it.
+fn check_symmetric_ne_staged(
     game: &GameConfig,
     w: u32,
     reaction_stages: u32,
     epsilon: f64,
-    memo: Option<&StageMemo>,
+    stages: Option<&[f64]>,
 ) -> Result<NeCheck, GameError> {
     if epsilon < 0.0 {
         return Err(GameError::InvalidConfig("epsilon must be non-negative".into()));
@@ -119,8 +119,8 @@ fn check_symmetric_ne_memo(
     }
     // A NE candidate must first be individually rational (non-negative
     // payoff; Theorem 2 excludes W_c < W_c⁰).
-    let at_w = match memo {
-        Some(m) => m.stages()[w as usize],
+    let at_w = match stages {
+        Some(table) => table[w as usize],
         None => symmetric_stage(game, w)?,
     };
     if at_w < 0.0 {
@@ -138,7 +138,7 @@ fn check_symmetric_ne_memo(
     // The sweep covers w_s ∈ [1, w]; w_s = w is compliance, not a
     // deviation, so it is skipped.
     if w > 1 {
-        for outcome in deviation_sweep_memo(game, w, reaction_stages, delta, 1, memo)? {
+        for outcome in deviation_sweep_staged(game, w, reaction_stages, delta, 1, stages)? {
             if outcome.w_s >= w {
                 continue;
             }
@@ -191,14 +191,12 @@ pub fn scan_ne_interval(
         )));
     }
     // One bisection per window for the whole scan; every check then reads
-    // its compliant and post-punishment stages from the shared memo, and
-    // the per-check deviation sweeps reuse the memoized bisection roots
-    // for their homogeneous cold starts.
-    let memo = stage_memo(game, hi, threads)?;
+    // its compliant and post-punishment stages from the shared table.
+    let stages = symmetric_stage_table(game, hi, threads)?;
     let windows: Vec<u32> = (lo..=hi).collect();
     let checks: Vec<Result<NeCheck, GameError>> =
         rayon::map_in_order(windows, resolve_threads(threads), |w| {
-            check_symmetric_ne_memo(game, w, reaction_stages, epsilon, Some(&memo))
+            check_symmetric_ne_staged(game, w, reaction_stages, epsilon, Some(&stages))
         });
     checks.into_iter().collect()
 }

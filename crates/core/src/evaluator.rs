@@ -10,12 +10,9 @@
 //!   and returns *measured* payoffs and *estimated* peer windows, i.e. the
 //!   noisy regime the GTFT tolerance parameters exist for (Section VII).
 
-use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-use macgame_dcf::cache::canonicalize;
-use macgame_telemetry as telemetry;
+use macgame_dcf::cache::{canonicalize, Memo};
 use macgame_dcf::fixedpoint::{solve_robust, SolveOptions};
 use macgame_dcf::utility::all_utilities;
 use macgame_faults::{ObservationChannel, ObservationFaults};
@@ -229,22 +226,22 @@ impl<E: StageEvaluator> StageEvaluator for NoisyObservationEvaluator<E> {
 /// tournaments and best-response dynamics revisit the same profiles
 /// constantly, and the analytic outcome of a profile never changes.
 ///
-/// The cache is **shared and thread-safe**: cloning a `CachingEvaluator`
-/// yields a handle onto the same underlying map and counters, so parallel
-/// drivers can hand each worker its own clone and every worker benefits
-/// from profiles the others already evaluated.
+/// The cache is an unbounded [`Memo`] counting on the
+/// `core.evaluator.*` telemetry counters. It is **shared and
+/// thread-safe**: cloning a `CachingEvaluator` yields a handle onto the
+/// same store and counters, so parallel drivers can hand each worker its
+/// own clone and every worker benefits from profiles the others already
+/// evaluated.
 ///
-/// By default lookups are **permutation-canonicalizing**: the profile is
-/// sorted, the inner evaluator runs on the sorted profile, and the outcome
-/// is remapped through the inverse permutation. Both the hit and the miss
-/// path remap the same stored canonical outcome, so a hit is
-/// bitwise-identical to a fresh evaluation of the same profile. This
-/// requires the inner evaluator to be *permutation-equivariant* (relabeling
-/// players relabels the outcome the same way) — true of
-/// [`AnalyticalEvaluator`], whose utilities depend only on each player's
-/// own window and the multiset of others. For a deterministic evaluator
-/// that treats player identity specially, disable it with
-/// [`CachingEvaluator::without_canonicalization`].
+/// Lookups are **permutation-canonicalizing**: the profile is sorted, the
+/// inner evaluator runs on the sorted profile, and the outcome is remapped
+/// through the inverse permutation. Both the hit and the miss path remap
+/// the same stored canonical outcome, so a hit is bitwise-identical to a
+/// fresh evaluation of the same profile. This requires the inner
+/// evaluator to be *permutation-equivariant* (relabeling players relabels
+/// the outcome the same way) — true of [`AnalyticalEvaluator`], whose
+/// utilities depend only on each player's own window and the multiset of
+/// others.
 ///
 /// Do **not** wrap [`SimulatedEvaluator`]: its outcomes are noisy samples
 /// and its engine state advances per call — caching would freeze one
@@ -252,58 +249,33 @@ impl<E: StageEvaluator> StageEvaluator for NoisyObservationEvaluator<E> {
 #[derive(Debug)]
 pub struct CachingEvaluator<E> {
     inner: E,
-    cache: Arc<RwLock<std::collections::HashMap<Vec<u32>, Arc<StageOutcome>>>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-    canonical: bool,
+    cache: Arc<Memo<Vec<u32>, Arc<StageOutcome>>>,
 }
 
 impl<E: Clone> Clone for CachingEvaluator<E> {
     /// Clones the inner evaluator but **shares** the cache and counters.
     fn clone(&self) -> Self {
-        CachingEvaluator {
-            inner: self.inner.clone(),
-            cache: Arc::clone(&self.cache),
-            hits: Arc::clone(&self.hits),
-            misses: Arc::clone(&self.misses),
-            canonical: self.canonical,
-        }
+        CachingEvaluator { inner: self.inner.clone(), cache: Arc::clone(&self.cache) }
     }
 }
 
 impl<E: StageEvaluator> CachingEvaluator<E> {
-    /// Wraps `inner` with permutation canonicalization enabled.
+    /// Wraps `inner` with an empty cache.
     #[must_use]
     pub fn new(inner: E) -> Self {
-        CachingEvaluator {
-            inner,
-            cache: Arc::new(RwLock::new(std::collections::HashMap::new())),
-            hits: Arc::new(AtomicU64::new(0)),
-            misses: Arc::new(AtomicU64::new(0)),
-            canonical: true,
-        }
+        let cache = Memo::new(
+            None,
+            "core.evaluator.hits",
+            "core.evaluator.misses",
+            "core.evaluator.evictions",
+        );
+        CachingEvaluator { inner, cache: Arc::new(cache) }
     }
 
-    /// Disables permutation canonicalization: profiles are cached verbatim
-    /// and the inner evaluator sees them in player order. Use for
-    /// deterministic evaluators that are not permutation-equivariant.
+    /// The shared store, for its counters and occupancy.
     #[must_use]
-    pub fn without_canonicalization(mut self) -> Self {
-        self.canonical = false;
-        self
-    }
-
-    /// Cache hits served (shared across clones).
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses, i.e. inner evaluations performed (shared across
-    /// clones).
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+    pub fn memo(&self) -> &Memo<Vec<u32>, Arc<StageOutcome>> {
+        &self.cache
     }
 
     /// Remaps an outcome of the canonical (sorted) profile back onto the
@@ -323,47 +295,11 @@ impl<E: StageEvaluator> CachingEvaluator<E> {
 
 impl<E: StageEvaluator> StageEvaluator for CachingEvaluator<E> {
     fn evaluate(&mut self, windows: &[u32]) -> Result<StageOutcome, GameError> {
-        let (key, perm) = if self.canonical {
-            let (sorted, perm) = canonicalize(windows);
-            (sorted, Some(perm))
-        } else {
-            (windows.to_vec(), None)
-        };
-        let stored = {
-            let hit = self.cache.read().expect("cache lock poisoned").get(&key).cloned(); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            match hit {
-                Some(outcome) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("core.evaluator.hits", 1);
-                    outcome
-                }
-                None => {
-                    // Evaluate outside the write lock: concurrent misses on
-                    // the same key may duplicate work, but never block each
-                    // other, and the first insert wins so every caller
-                    // observes one canonical outcome.
-                    let outcome = Arc::new(self.inner.evaluate(&key)?);
-                    let mut map = self.cache.write().expect("cache lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-                    match map.entry(key) {
-                        Entry::Occupied(existing) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter("core.evaluator.hits", 1);
-                            Arc::clone(existing.get())
-                        }
-                        Entry::Vacant(slot) => {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter("core.evaluator.misses", 1);
-                            slot.insert(Arc::clone(&outcome));
-                            outcome
-                        }
-                    }
-                }
-            }
-        };
-        Ok(match perm {
-            Some(perm) => Self::remap(&stored, &perm),
-            None => (*stored).clone(),
-        })
+        let (key, perm) = canonicalize(windows);
+        let inner = &mut self.inner;
+        let stored =
+            self.cache.get_or_try_insert_with(&key, || inner.evaluate(&key).map(Arc::new))?;
+        Ok(Self::remap(&stored, &perm))
     }
 }
 
@@ -507,10 +443,10 @@ mod tests {
         let a = cached.evaluate(&[76, 76, 76]).unwrap();
         let b = cached.evaluate(&[76, 76, 76]).unwrap();
         assert_eq!(a, b);
-        assert_eq!(cached.hits(), 1);
-        assert_eq!(cached.misses(), 1);
+        assert_eq!(cached.memo().hits(), 1);
+        assert_eq!(cached.memo().misses(), 1);
         let _ = cached.evaluate(&[10, 76, 76]).unwrap();
-        assert_eq!(cached.misses(), 2);
+        assert_eq!(cached.memo().misses(), 2);
     }
 
     #[test]
@@ -520,7 +456,7 @@ mod tests {
         let profile = [256u32, 16, 64, 16];
         let fresh = cached.evaluate(&profile).unwrap();
         let hit = cached.evaluate(&profile).unwrap();
-        assert_eq!(cached.hits(), 1);
+        assert_eq!(cached.memo().hits(), 1);
         assert_eq!(fresh.utilities, hit.utilities);
         assert_eq!(fresh.observed_windows, hit.observed_windows);
     }
@@ -531,8 +467,8 @@ mod tests {
         let mut cached = CachingEvaluator::new(AnalyticalEvaluator::new(g.clone()));
         let a = cached.evaluate(&[16, 64, 256]).unwrap();
         let b = cached.evaluate(&[256, 16, 64]).unwrap();
-        assert_eq!(cached.misses(), 1);
-        assert_eq!(cached.hits(), 1);
+        assert_eq!(cached.memo().misses(), 1);
+        assert_eq!(cached.memo().hits(), 1);
         // The player on window 16 gets the same utility in both orderings,
         // bitwise, because both paths remap the same canonical outcome.
         assert_eq!(a.utilities[0], b.utilities[1]);
@@ -545,17 +481,6 @@ mod tests {
         for i in 0..3 {
             assert!((b.utilities[i] - direct.utilities[i]).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn caching_evaluator_without_canonicalization_caches_verbatim() {
-        let g = game(3);
-        let mut cached =
-            CachingEvaluator::new(AnalyticalEvaluator::new(g)).without_canonicalization();
-        let _ = cached.evaluate(&[16, 64, 256]).unwrap();
-        let _ = cached.evaluate(&[256, 16, 64]).unwrap();
-        assert_eq!(cached.misses(), 2);
-        assert_eq!(cached.hits(), 0);
     }
 
     #[test]
@@ -590,10 +515,10 @@ mod tests {
             };
             assert_eq!(out.utilities[idx16], expect.utilities[0]);
         }
-        assert_eq!(base.hits() + base.misses(), 9);
+        assert_eq!(base.memo().hits() + base.memo().misses(), 9);
         // All three permutations share one canonical entry, so at most a
         // few racing first-misses ever ran the inner evaluator.
-        assert!(base.misses() <= 3, "misses {}", base.misses());
+        assert!(base.memo().misses() <= 3, "misses {}", base.memo().misses());
     }
 
     #[test]

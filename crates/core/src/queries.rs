@@ -14,9 +14,12 @@
 //! promise byte-identical reply streams under any thread count.
 //!
 //! Heterogeneous and homogeneous stage solves route through a per-mode
-//! [`SolveCache`] ([`SolveCaches`]) — one sharded, capacity-bounded cache
-//! per [`AccessMode`], because cached solutions are only valid for the
-//! parameter set they were computed under.
+//! [`SolveCache`] ([`SolveCaches`]) — one capacity-bounded cache per
+//! [`AccessMode`], because cached solutions are only valid for the
+//! parameter set they were computed under. An EDCA `WcStar` query
+//! memoizes its stage solves in a fresh [`crate::edca::EdcaStageMemo`].
+//! All of them are the one sharded cache type,
+//! [`macgame_dcf::cache::Memo`].
 
 use macgame_dcf::cache::SolveCache;
 use macgame_dcf::fixedpoint::SolveOptions;
@@ -24,7 +27,7 @@ use macgame_dcf::{AccessMode, DcfParams, EdcaTuple};
 use serde::{Deserialize, Serialize};
 
 use crate::deviation::{shortsighted_deviation_cached, symmetric_stage_cached};
-use crate::edca::{edca_wc_star, EdcaStageMemo};
+use crate::edca::{edca_stage_memo, edca_wc_star};
 use crate::equilibrium::{check_symmetric_ne, efficient_ne, ne_interval};
 use crate::error::GameError;
 use crate::game::GameConfig;
@@ -214,9 +217,9 @@ impl SolveCaches {
     #[must_use]
     pub fn counters(&self) -> (u64, u64, u64) {
         (
-            self.basic.hits() + self.rtscts.hits(),
-            self.basic.misses() + self.rtscts.misses(),
-            self.basic.evictions() + self.rtscts.evictions(),
+            self.basic.memo().hits() + self.rtscts.memo().hits(),
+            self.basic.memo().misses() + self.rtscts.memo().misses(),
+            self.basic.memo().evictions() + self.rtscts.memo().evictions(),
         )
     }
 }
@@ -266,8 +269,8 @@ pub fn evaluate_query(query: &Query, caches: &SolveCaches) -> Result<QueryResult
                     txop,
                 });
             }
-            let mut memo = EdcaStageMemo::new();
-            let (window, utility) = edca_wc_star(&game, txop, &mut memo)?;
+            let memo = edca_stage_memo();
+            let (window, utility) = edca_wc_star(&game, txop, &memo)?;
             Ok(QueryResult::EdcaWcStar { window, utility, txop })
         }
         Query::NeInterval { players, mode, w_max } => {

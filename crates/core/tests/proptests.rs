@@ -2,7 +2,7 @@
 //! random profiles, TFT dynamics, and deviation pricing.
 
 use macgame_core::deviation::shortsighted_deviation;
-use macgame_core::edca::{edca_cheating_gain, EdcaAxis, EdcaStageMemo};
+use macgame_core::edca::{edca_cheating_gain, edca_stage_memo, EdcaAxis, EdcaStageMemo};
 use macgame_core::generalized::FiniteGame;
 use macgame_core::population::{replicator, PopulationState};
 use macgame_core::tournament::TournamentResult;
@@ -235,7 +235,7 @@ fn knob_gain(
     sym: macgame_dcf::EdcaTuple,
     axis: EdcaAxis,
     value: u32,
-    memo: &mut EdcaStageMemo,
+    memo: &EdcaStageMemo,
 ) -> f64 {
     edca_cheating_gain(g, sym, axis.apply(sym, value), memo).unwrap()
 }
@@ -259,9 +259,9 @@ proptest! {
         let g = game(n);
         let m = g.params().max_backoff_stage();
         let sym = macgame_dcf::EdcaTuple::new(w_sym, m, 1, 1).unwrap();
-        let mut memo = EdcaStageMemo::new();
-        let g_lo = knob_gain(&g, sym, EdcaAxis::CwMin, lo, &mut memo);
-        let g_hi = knob_gain(&g, sym, EdcaAxis::CwMin, lo + step, &mut memo);
+        let memo = edca_stage_memo();
+        let g_lo = knob_gain(&g, sym, EdcaAxis::CwMin, lo, &memo);
+        let g_hi = knob_gain(&g, sym, EdcaAxis::CwMin, lo + step, &memo);
         prop_assert!(
             g_lo >= g_hi - 1e-9,
             "CWmin {lo} gains {g_lo} < CWmin {} gains {g_hi}", lo + step
@@ -279,9 +279,9 @@ proptest! {
         let g = game(n);
         let m = g.params().max_backoff_stage();
         let sym = macgame_dcf::EdcaTuple::new(w_sym, m, sym_aifs, 1).unwrap();
-        let mut memo = EdcaStageMemo::new();
-        let g_lo = knob_gain(&g, sym, EdcaAxis::Aifs, a_lo, &mut memo);
-        let g_hi = knob_gain(&g, sym, EdcaAxis::Aifs, a_lo + extra, &mut memo);
+        let memo = edca_stage_memo();
+        let g_lo = knob_gain(&g, sym, EdcaAxis::Aifs, a_lo, &memo);
+        let g_hi = knob_gain(&g, sym, EdcaAxis::Aifs, a_lo + extra, &memo);
         prop_assert!(
             g_lo >= g_hi - 1e-9,
             "AIFS {a_lo} gains {g_lo} < AIFS {} gains {g_hi}", a_lo + extra
@@ -298,9 +298,9 @@ proptest! {
         let g = game(n);
         let m = g.params().max_backoff_stage();
         let sym = macgame_dcf::EdcaTuple::new(w_sym, m, 1, 1).unwrap();
-        let mut memo = EdcaStageMemo::new();
-        let g_lo = knob_gain(&g, sym, EdcaAxis::Txop, k_lo, &mut memo);
-        let g_hi = knob_gain(&g, sym, EdcaAxis::Txop, k_lo + extra, &mut memo);
+        let memo = edca_stage_memo();
+        let g_lo = knob_gain(&g, sym, EdcaAxis::Txop, k_lo, &memo);
+        let g_hi = knob_gain(&g, sym, EdcaAxis::Txop, k_lo + extra, &memo);
         prop_assert!(
             g_hi >= g_lo - 1e-9,
             "TXOP {} gains {g_hi} < TXOP {k_lo} gains {g_lo}", k_lo + extra

@@ -1,40 +1,42 @@
-//! Thread-safe, permutation-canonicalizing cache of fixed-point solutions.
+//! Thread-safe memoization: the generic sharded FIFO [`Memo`] and the
+//! permutation-canonicalizing [`SolveCache`] of fixed-point solutions
+//! built on it.
+//!
+//! # The memo
+//!
+//! [`Memo`] is the one cache container in the workspace. The store is
+//! split into up to 16 independently locked shards, each an `RwLock` over
+//! a `BTreeMap` plus a FIFO queue of insertion order, so concurrent
+//! lookups from a batch-serving front end contend on a sixteenth of the
+//! key space instead of one global lock. A key's shard is picked by
+//! FNV-1a over its `Hash` output: deterministic across runs on one
+//! platform (unlike `std`'s seeded hasher), so shard assignment, and
+//! therefore per-shard eviction order, is reproducible. The first insert
+//! of a key wins, so every caller observes one value per key; values are
+//! pure functions of their keys, so a hit is the value a fresh
+//! computation would return.
+//!
+//! # The solve cache
 //!
 //! The coupled `(τ, p)` system is symmetric under player relabeling: if
 //! `σ` permutes the window profile, the solution permutes the same way.
 //! Scans, payoff-table builds and tournaments therefore revisit the same
 //! *multiset* of windows under many orderings. [`SolveCache`] keys on the
-//! canonical [`ClassProfile`] of that multiset — multiplicity merge
-//! subsumes the old sorted-profile canonicalization — and stores the
-//! class-level solution, expanding it onto the caller's player order on
-//! every lookup.
+//! canonical [`ClassProfile`] of that multiset and stores the class-level
+//! solution, expanding it onto the caller's player order on every lookup.
 //!
 //! Hit and miss both expand the **same** stored class solution, and the
 //! class solve is exactly what [`crate::fixedpoint::solve`] runs
 //! internally, so a cache lookup is bitwise-identical to a fresh
-//! [`crate::fixedpoint::solve`] of the same profile — there is no
-//! numerical penalty for going through the cache. The same holds across
+//! [`crate::fixedpoint::solve`] of the same profile. The same holds across
 //! eviction: an evicted key re-solves through the identical deterministic
-//! path, so the replacement entry is bitwise-identical to the original.
-//!
-//! Profiles that arrive already sorted (the common case in scans) skip
-//! the clone-and-argsort canonicalization entirely and collapse by
-//! run-length encoding in one pass.
-//!
-//! # Sharding and eviction
-//!
-//! The store is split into up to [`MAX_SHARDS`] independently locked
-//! shards (selected by an FNV-1a hash of the canonical class structure,
-//! stable across runs and platforms), so concurrent lookups from a
-//! batch-serving front end contend on `1/MAX_SHARDS` of the key space
-//! instead of one global lock. [`SolveCache::new`] builds an unbounded
-//! cache (the historical behavior); [`SolveCache::with_capacity`] bounds
-//! the resident entries, evicting per shard in FIFO insertion order and
-//! counting evictions in [`SolveCache::evictions`] and the
-//! `dcf.cache.evictions` telemetry counter.
+//! path. Profiles that arrive already sorted (the common case in scans)
+//! skip the clone-and-argsort canonicalization and collapse by run-length
+//! encoding in one pass.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -45,10 +47,204 @@ use crate::error::DcfError;
 use crate::fixedpoint::{solve_classes, Equilibrium, SolveOptions};
 use crate::params::DcfParams;
 
-/// Maximum number of independently locked shards in a [`SolveCache`].
-/// Bounded caches with fewer than `MAX_SHARDS` entries use one shard per
-/// entry so the configured capacity is exact.
-pub const MAX_SHARDS: usize = 16;
+/// Maximum number of independently locked shards in a [`Memo`]. Bounded
+/// memos with fewer than `MAX_SHARDS` entries use one shard per entry so
+/// the configured capacity is exact.
+const MAX_SHARDS: usize = 16;
+
+/// Indices of the three counters in `Memo::counts` and `Memo::names`.
+const HITS: usize = 0;
+const MISSES: usize = 1;
+const EVICTIONS: usize = 2;
+
+/// FNV-1a as a [`Hasher`]: seedless, so a key hashes the same in every
+/// run and shard placement is reproducible.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+/// One lock's worth of a [`Memo`]: the key → value map plus the FIFO
+/// insertion queue that drives eviction (empty and unmaintained when the
+/// memo is unbounded).
+#[derive(Debug)]
+struct Shard<K, V> {
+    map: BTreeMap<K, V>,
+    order: VecDeque<K>,
+}
+
+/// A thread-safe, sharded key → value cache with an optional FIFO
+/// capacity bound and hit/miss/eviction counters mirrored to telemetry.
+/// Share by reference or [`Arc`]; all methods take `&self`.
+#[derive(Debug)]
+pub struct Memo<K, V> {
+    shards: Vec<RwLock<Shard<K, V>>>,
+    /// `None`: unbounded. `Some(k)` with `k > 0`: at most `k` entries per
+    /// shard. `Some(0)`: the no-op cache, nothing is ever stored.
+    per_shard: Option<usize>,
+    /// Telemetry counter names for hits, misses and evictions.
+    names: [&'static str; 3],
+    counts: [AtomicU64; 3],
+}
+
+impl<K: Ord + Hash + Clone, V: Clone> Memo<K, V> {
+    /// Creates an empty memo holding at most `capacity` entries, counting
+    /// on the telemetry counters `hits`, `misses` and `evictions`.
+    ///
+    /// `None` is unbounded: entries are never evicted. `Some(c)` enforces
+    /// the bound per shard in FIFO insertion order, with the shard count
+    /// chosen so the total never exceeds `c`; a hot shard may evict while
+    /// colder shards still have room, so the resident count can sit below
+    /// `c`, never above it. `Some(0)` is the documented **no-op cache**:
+    /// every lookup misses, nothing is stored and nothing is evicted.
+    #[must_use]
+    pub fn new(
+        capacity: Option<usize>,
+        hits: &'static str,
+        misses: &'static str,
+        evictions: &'static str,
+    ) -> Self {
+        // Bounded memos smaller than MAX_SHARDS get one single-entry shard
+        // per slot so the capacity is exact; larger ones split it evenly,
+        // rounding down so the total never exceeds the request.
+        let (shard_count, per_shard) = match capacity {
+            None => (MAX_SHARDS, None),
+            Some(0) => (1, Some(0)),
+            Some(c) if c < MAX_SHARDS => (c, Some(1)),
+            Some(c) => (MAX_SHARDS, Some(c / MAX_SHARDS)),
+        };
+        let shards = (0..shard_count)
+            .map(|_| RwLock::new(Shard { map: BTreeMap::new(), order: VecDeque::new() }))
+            .collect();
+        Memo {
+            shards,
+            per_shard,
+            names: [hits, misses, evictions],
+            counts: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+        }
+    }
+
+    fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
+        let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
+        key.hash(&mut hasher);
+        &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
+    }
+
+    /// Looks `key` up, counting one hit or one miss.
+    #[must_use]
+    pub fn get(&self, key: &K) -> Option<V> {
+        let found = if self.per_shard == Some(0) {
+            None
+        } else {
+            self.shard(key).read().expect("memo lock poisoned").map.get(key).cloned() // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+        };
+        self.bump(if found.is_some() { HITS } else { MISSES });
+        found
+    }
+
+    /// Stores `value` under `key` unless the key is already resident, and
+    /// returns the resident value: the first insert wins. Evicts the
+    /// shard's oldest entry when the insert overflows its bound.
+    pub fn insert(&self, key: K, value: V) -> V {
+        if self.per_shard == Some(0) {
+            return value;
+        }
+        let mut guard = self.shard(&key).write().expect("memo lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+        let Shard { map, order } = &mut *guard;
+        match map.entry(key) {
+            Entry::Occupied(resident) => return resident.get().clone(),
+            Entry::Vacant(slot) => {
+                if self.per_shard.is_some() {
+                    order.push_back(slot.key().clone());
+                }
+                slot.insert(value.clone());
+            }
+        }
+        // The queue holds exactly the resident keys in insertion order, so
+        // one insert overflows by at most one entry.
+        if self.per_shard.is_some_and(|bound| map.len() > bound) {
+            if let Some(victim) = order.pop_front() {
+                map.remove(&victim);
+                self.bump(EVICTIONS);
+            }
+        }
+        value
+    }
+
+    /// [`Memo::get`], and on a miss `make()` inserted through
+    /// [`Memo::insert`]. `make` runs outside every lock: racing misses on
+    /// one key may each compute (and each count a miss), but all of them
+    /// return the first value inserted.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `make`'s error; nothing is stored then.
+    pub fn get_or_try_insert_with<E>(
+        &self,
+        key: &K,
+        make: impl FnOnce() -> Result<V, E>,
+    ) -> Result<V, E> {
+        if let Some(hit) = self.get(key) {
+            return Ok(hit);
+        }
+        Ok(self.insert(key.clone(), make()?))
+    }
+
+    /// Lookups served from the memo.
+    #[must_use]
+    pub fn hits(&self) -> u64 {
+        self.read(HITS)
+    }
+
+    /// Lookups that found nothing.
+    #[must_use]
+    pub fn misses(&self) -> u64 {
+        self.read(MISSES)
+    }
+
+    /// Entries dropped to stay under the capacity bound. Always zero for
+    /// unbounded and no-op memos.
+    #[must_use]
+    pub fn evictions(&self) -> u64 {
+        self.read(EVICTIONS)
+    }
+
+    /// Entries currently resident.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.read().expect("memo lock poisoned").map.len()) // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+            .sum()
+    }
+
+    /// Whether no entry is resident.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The counters are monotonic diagnostics: they order no other memory
+    /// access, so these two helpers are the only relaxed atomics.
+    fn bump(&self, counter: usize) {
+        self.counts[counter].fetch_add(1, Ordering::Relaxed);
+        telemetry::counter(self.names[counter], 1);
+    }
+
+    fn read(&self, counter: usize) -> u64 {
+        self.counts[counter].load(Ordering::Relaxed)
+    }
+}
 
 /// Stable argsort of a window profile: returns the sorted profile and the
 /// permutation `perm` with `sorted[k] == windows[perm[k]]`.
@@ -74,51 +270,14 @@ pub fn remap(canonical: &Equilibrium, perm: &[usize]) -> Equilibrium {
     Equilibrium { taus, collision_probs, iterations: canonical.iterations }
 }
 
-/// FNV-1a over the canonical class structure: deterministic across runs
-/// and platforms (unlike `std`'s seeded hasher), so shard assignment —
-/// and therefore per-shard eviction order — is reproducible.
-fn fnv1a_profile(profile: &ClassProfile) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for &w in profile.windows() {
-        for byte in w.to_le_bytes() {
-            eat(byte);
-        }
-    }
-    for &c in profile.counts() {
-        for byte in (c as u64).to_le_bytes() {
-            eat(byte);
-        }
-    }
-    h
-}
-
-/// One lock's worth of the cache: the key → solution map plus the FIFO
-/// insertion queue that drives eviction in bounded caches (empty and
-/// unmaintained when the cache is unbounded).
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<ClassProfile, Arc<ClassEquilibrium>>,
-    order: VecDeque<ClassProfile>,
-}
-
 /// Shared profile → class-solution cache for one `(params, options)`
-/// pair. Wrap in an [`Arc`] to share across threads; all methods take
-/// `&self`.
+/// pair, counting on the `dcf.cache.*` telemetry counters. Wrap in an
+/// [`Arc`] to share across threads; all methods take `&self`.
 #[derive(Debug)]
 pub struct SolveCache {
     params: DcfParams,
     options: SolveOptions,
-    shards: Vec<RwLock<Shard>>,
-    /// `None` — unbounded. `Some(k)` with `k > 0` — at most `k` entries
-    /// per shard. `Some(0)` — the no-op cache: nothing is ever stored.
-    per_shard: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    memo: Memo<ClassProfile, Arc<ClassEquilibrium>>,
 }
 
 impl SolveCache {
@@ -129,46 +288,19 @@ impl SolveCache {
         Self::build(params, options, None)
     }
 
-    /// Creates a cache holding at most `capacity` resident solutions.
-    ///
-    /// The bound is enforced per shard (FIFO insertion order), with the
-    /// shard count chosen so the aggregate never exceeds `capacity`: a
-    /// hot shard may evict while colder shards still have room, so the
-    /// resident count can sit below `capacity` under skewed workloads,
-    /// but never above it.
-    ///
-    /// `with_capacity(0)` is the documented **no-op cache**: every lookup
-    /// is a miss that solves afresh, nothing is ever stored, and the
-    /// eviction counter stays at zero (no eviction churn). It is useful
-    /// for measuring cold-path cost and for callers that want the
-    /// canonicalization and telemetry of the cache API without retaining
-    /// memory.
+    /// Creates a cache holding at most `capacity` resident solutions,
+    /// with the bound semantics of [`Memo::new`]: `with_capacity(0)` is
+    /// the no-op cache, where every lookup solves afresh. It measures the
+    /// cold path while keeping the canonicalization and telemetry of the
+    /// cache API.
     #[must_use]
     pub fn with_capacity(params: DcfParams, options: SolveOptions, capacity: usize) -> Self {
         Self::build(params, options, Some(capacity))
     }
 
     fn build(params: DcfParams, options: SolveOptions, capacity: Option<usize>) -> Self {
-        // Bounded caches smaller than MAX_SHARDS get one single-entry
-        // shard per slot so the configured capacity is exact; larger ones
-        // split capacity evenly, rounding down so the total never exceeds
-        // the request.
-        let (shard_count, per_shard) = match capacity {
-            None => (MAX_SHARDS, None),
-            Some(0) => (1, Some(0)),
-            Some(c) if c < MAX_SHARDS => (c, Some(1)),
-            Some(c) => (MAX_SHARDS, Some(c / MAX_SHARDS)),
-        };
-        let shards = (0..shard_count).map(|_| RwLock::new(Shard::default())).collect();
-        SolveCache {
-            params,
-            options,
-            shards,
-            per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        let memo = Memo::new(capacity, "dcf.cache.hits", "dcf.cache.misses", "dcf.cache.evictions");
+        SolveCache { params, options, memo }
     }
 
     /// The DCF parameters every cached solution was computed under.
@@ -183,9 +315,10 @@ impl SolveCache {
         self.options
     }
 
-    fn shard_for(&self, profile: &ClassProfile) -> &RwLock<Shard> {
-        let idx = (fnv1a_profile(profile) % self.shards.len() as u64) as usize;
-        &self.shards[idx]
+    /// The underlying store, for its counters and occupancy.
+    #[must_use]
+    pub fn memo(&self) -> &Memo<ClassProfile, Arc<ClassEquilibrium>> {
+        &self.memo
     }
 
     /// Solves `windows`, serving permutations (and multiplicity
@@ -193,10 +326,6 @@ impl SolveCache {
     /// result is bitwise-identical to [`crate::fixedpoint::solve`] on the
     /// same profile, whether it was a hit, a miss, or a re-solve of an
     /// evicted key.
-    ///
-    /// Already-sorted profiles — the common case in scans — skip the
-    /// clone-and-argsort canonicalization and collapse by run-length
-    /// encoding directly.
     ///
     /// # Errors
     ///
@@ -224,97 +353,9 @@ impl SolveCache {
         &self,
         profile: &ClassProfile,
     ) -> Result<Arc<ClassEquilibrium>, DcfError> {
-        if self.per_shard == Some(0) {
-            // No-op cache: always a fresh solve, nothing retained.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("dcf.cache.misses", 1);
-            return Ok(Arc::new(solve_classes(profile, &self.params, self.options)?));
-        }
-        let shard = self.shard_for(profile);
-        if let Some(hit) = shard.read().expect("cache lock poisoned").map.get(profile) { // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("dcf.cache.hits", 1);
-            return Ok(Arc::clone(hit));
-        }
-        // Solve outside the write lock: concurrent misses on the same key
-        // may duplicate work, but never block each other, and the first
-        // insert wins so every caller observes one canonical solution.
-        // The key is only cloned here, on the miss path.
-        let solved = Arc::new(solve_classes(profile, &self.params, self.options)?);
-        let mut guard = shard.write().expect("cache lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-        match guard.map.entry(profile.clone()) {
-            Entry::Occupied(existing) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("dcf.cache.hits", 1);
-                return Ok(Arc::clone(existing.get()));
-            }
-            Entry::Vacant(slot) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("dcf.cache.misses", 1);
-                slot.insert(Arc::clone(&solved));
-            }
-        }
-        if let Some(bound) = self.per_shard {
-            guard.order.push_back(profile.clone());
-            while guard.map.len() > bound {
-                // The queue only ever holds live keys: hits never re-push,
-                // and eviction removes from both sides in lockstep.
-                if let Some(victim) = guard.order.pop_front() {
-                    guard.map.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("dcf.cache.evictions", 1);
-                } else {
-                    break;
-                }
-            }
-        }
-        Ok(solved)
-    }
-
-    /// Number of lookups served from the cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that required a fresh solve.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached solutions dropped to stay under the capacity
-    /// bound. Always zero for unbounded and zero-capacity caches.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct canonical profiles currently resident.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache lock poisoned").map.len()) // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            .sum()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all cached solutions and resets the counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut guard = shard.write().expect("cache lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            guard.map.clear();
-            guard.order.clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.memo.get_or_try_insert_with(profile, || {
+            solve_classes(profile, &self.params, self.options).map(Arc::new)
+        })
     }
 }
 
@@ -322,6 +363,7 @@ impl SolveCache {
 mod tests {
     use super::*;
     use crate::fixedpoint::solve;
+    use proptest::prelude::*;
 
     fn cache() -> SolveCache {
         SolveCache::new(DcfParams::default(), SolveOptions::default())
@@ -331,9 +373,118 @@ mod tests {
         SolveCache::with_capacity(DcfParams::default(), SolveOptions::default(), capacity)
     }
 
-    /// `count` distinct canonical profiles (distinct window multisets).
-    fn distinct_profiles(count: u32) -> Vec<Vec<u32>> {
-        (0..count).map(|i| vec![16 + i, 64 + 2 * i, 256]).collect()
+    fn memo(capacity: Option<usize>) -> Memo<u32, u32> {
+        Memo::new(capacity, "test.memo.hits", "test.memo.misses", "test.memo.evictions")
+    }
+
+    /// Capacities covering every shard layout: unbounded, no-op, one
+    /// shard, fewer entries than shards, exactly 16 one-entry shards,
+    /// 16 one-entry shards under a capacity of 17, and multi-entry shards.
+    const CAPACITIES: [Option<usize>; 7] =
+        [None, Some(0), Some(1), Some(3), Some(16), Some(17), Some(64)];
+
+    proptest! {
+        #[test]
+        fn memo_counters_and_bound_hold_under_random_traffic(
+            capacity in 0usize..CAPACITIES.len(),
+            ops in prop::collection::vec((0u32..2, 0u32..48), 0..300),
+        ) {
+            let capacity = CAPACITIES[capacity];
+            let m = memo(capacity);
+            // The value each key got when it was last newly stored:
+            // every insert offers a fresh value (its op index), so an
+            // insert that returns its own value is exactly a new store.
+            let mut stored: BTreeMap<u32, u32> = BTreeMap::new();
+            let (mut gets, mut new_stores) = (0u64, 0u64);
+            for (i, &(op, key)) in ops.iter().enumerate() {
+                let value = i as u32;
+                if op == 0 {
+                    gets += 1;
+                    if let Some(hit) = m.get(&key) {
+                        prop_assert_eq!(Some(&hit), stored.get(&key), "hit is the first insert");
+                    }
+                } else {
+                    let resident = m.insert(key, value);
+                    if capacity == Some(0) {
+                        prop_assert_eq!(resident, value);
+                    } else if resident == value {
+                        new_stores += 1;
+                        stored.insert(key, value);
+                    } else {
+                        prop_assert_eq!(Some(&resident), stored.get(&key), "first insert wins");
+                    }
+                }
+                if let Some(c) = capacity {
+                    prop_assert!(m.len() <= c, "len {} > capacity {c}", m.len());
+                }
+            }
+            prop_assert_eq!(m.hits() + m.misses(), gets);
+            prop_assert_eq!(m.evictions(), new_stores - m.len() as u64);
+            if capacity.is_none() {
+                prop_assert_eq!(m.evictions(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_cache_evicts_past_capacity() {
+        let m = memo(Some(4));
+        for key in 0..12 {
+            m.insert(key, key);
+        }
+        assert!(m.len() <= 4 && !m.is_empty(), "resident {}", m.len());
+        // Per-shard FIFO: the aggregate eviction count is exactly the
+        // overflow past the resident set.
+        assert_eq!(m.evictions(), 12 - m.len() as u64);
+        // One shard is a strict global FIFO: the oldest key leaves first.
+        let single = memo(Some(1));
+        single.insert(1, 10);
+        single.insert(2, 20);
+        assert_eq!((single.get(&1), single.get(&2)), (None, Some(20)));
+    }
+
+    #[test]
+    fn zero_capacity_is_a_noop_cache() {
+        let m = memo(Some(0));
+        assert_eq!(m.insert(7, 1), 1);
+        assert_eq!(m.get(&7), None);
+        let made: Result<u32, ()> = m.get_or_try_insert_with(&7, || Ok(2));
+        assert_eq!(made, Ok(2));
+        // Every lookup misses; nothing is stored, nothing is evicted.
+        assert_eq!((m.hits(), m.misses(), m.evictions()), (0, 2, 0));
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn first_insert_wins_on_duplicate_keys() {
+        let m = memo(Some(8));
+        assert_eq!(m.insert(3, 1), 1);
+        assert_eq!(m.insert(3, 2), 1, "the resident value comes back");
+        let made: Result<u32, ()> = m.get_or_try_insert_with(&3, || Ok(9));
+        assert_eq!(made, Ok(1));
+        assert_eq!(m.len(), 1);
+        // A failed computation stores nothing.
+        assert_eq!(m.get_or_try_insert_with(&4, || Err("boom")), Err("boom"));
+        assert_eq!(m.get(&4), None);
+    }
+
+    #[test]
+    fn shared_across_threads() {
+        let m = Arc::new(memo(None));
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let m = Arc::clone(&m);
+                scope.spawn(move || {
+                    for key in 0..64u32 {
+                        let v: Result<u32, ()> = m.get_or_try_insert_with(&key, || Ok(key * 2));
+                        assert_eq!(v, Ok(key * 2));
+                    }
+                });
+            }
+        });
+        assert_eq!(m.len(), 64);
+        assert_eq!(m.hits() + m.misses(), 4 * 64);
+        assert!(m.misses() >= 64, "every key missed at least once");
     }
 
     #[test]
@@ -349,9 +500,9 @@ mod tests {
         let c = cache();
         let profile = [256u32, 16, 64, 16];
         let fresh = c.solve(&profile).unwrap();
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.memo().misses(), 1);
         let hit = c.solve(&profile).unwrap();
-        assert_eq!(c.hits(), 1);
+        assert_eq!(c.memo().hits(), 1);
         assert_eq!(fresh.taus, hit.taus);
         assert_eq!(fresh.collision_probs, hit.collision_probs);
     }
@@ -361,9 +512,7 @@ mod tests {
         let c = cache();
         let a = c.solve(&[16, 64, 256]).unwrap();
         let b = c.solve(&[256, 16, 64]).unwrap();
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.len(), 1);
+        assert_eq!((c.memo().hits(), c.memo().misses(), c.memo().len()), (1, 1, 1));
         // Player with window 16 gets the same τ in both orderings — and
         // bitwise so, because both paths remap the same canonical solve.
         assert_eq!(a.taus[0], b.taus[1]);
@@ -374,13 +523,16 @@ mod tests {
 
     #[test]
     fn matches_direct_solver_bitwise() {
-        // Both sorted (fast path) and unsorted lookups reproduce the
-        // public solver exactly — it runs the same collapse internally.
-        let c = cache();
-        for profile in [vec![128u32, 8, 32], vec![8u32, 32, 128], vec![76u32; 5]] {
-            let cached = c.solve(&profile).unwrap();
-            let direct = solve(&profile, &DcfParams::default(), SolveOptions::default()).unwrap();
-            assert_eq!(cached, direct, "profile {profile:?}");
+        // Sorted (fast path) and unsorted lookups, through a retaining
+        // and through the no-op cache, all reproduce the public solver
+        // exactly — it runs the same collapse internally.
+        for c in [cache(), bounded(0)] {
+            for profile in [vec![128u32, 8, 32], vec![8u32, 32, 128], vec![76u32; 5]] {
+                let cached = c.solve(&profile).unwrap();
+                let direct =
+                    solve(&profile, &DcfParams::default(), SolveOptions::default()).unwrap();
+                assert_eq!(cached, direct, "profile {profile:?}");
+            }
         }
     }
 
@@ -390,19 +542,20 @@ mod tests {
         // lookup, a repeated sorted lookup (hit), and a permuted lookup of
         // the same multiset must all agree bitwise on each player's values.
         let c = cache();
+        let counts = |c: &SolveCache| (c.memo().hits(), c.memo().misses());
         let sorted = [16u32, 16, 64, 256];
         let first = c.solve(&sorted).unwrap();
-        assert_eq!((c.hits(), c.misses()), (0, 1));
+        assert_eq!(counts(&c), (0, 1));
         let hit = c.solve(&sorted).unwrap();
-        assert_eq!((c.hits(), c.misses()), (1, 1));
+        assert_eq!(counts(&c), (1, 1));
         assert_eq!(first, hit);
         let permuted = c.solve(&[256u32, 16, 64, 16]).unwrap();
-        assert_eq!((c.hits(), c.misses()), (2, 1));
+        assert_eq!(counts(&c), (2, 1));
         assert_eq!(permuted.taus[0], first.taus[3]);
         assert_eq!(permuted.taus[1], first.taus[0]);
         assert_eq!(permuted.taus[2], first.taus[2]);
         assert_eq!(permuted.taus[3], first.taus[1]);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.memo().len(), 1);
     }
 
     #[test]
@@ -410,9 +563,9 @@ mod tests {
         let c = cache();
         let profile = ClassProfile::new(vec![16, 64], vec![2, 3]).unwrap();
         let class_solved = c.solve_class_profile(&profile).unwrap();
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.memo().misses(), 1);
         let node_solved = c.solve(&[16, 16, 64, 64, 64]).unwrap();
-        assert_eq!(c.hits(), 1);
+        assert_eq!(c.memo().hits(), 1);
         assert_eq!(class_solved.expand_sorted(&profile), node_solved);
     }
 
@@ -421,67 +574,7 @@ mod tests {
         let c = cache();
         assert!(c.solve(&[]).is_err());
         assert!(c.solve(&[0, 4]).is_err());
-        assert_eq!(c.misses(), 0);
-    }
-
-    #[test]
-    fn shared_across_threads() {
-        let c = Arc::new(cache());
-        let profiles: Vec<Vec<u32>> = (0..16u32)
-            .map(|i| vec![16 + i % 4, 64, 128 + (i / 4) * 8])
-            .collect();
-        let expect: Vec<_> = profiles.iter().map(|p| c.solve(p).unwrap()).collect();
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = profiles
-                .iter()
-                .map(|p| {
-                    let c = Arc::clone(&c);
-                    scope.spawn(move || c.solve(p).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-        });
-        for (got, want) in results.iter().zip(&expect) {
-            assert_eq!(got.taus, want.taus);
-        }
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let c = bounded(1);
-        c.solve(&[8, 16]).unwrap();
-        c.solve(&[8, 16]).unwrap();
-        c.solve(&[8, 32]).unwrap(); // evicts [8, 16]
-        assert!(c.hits() > 0 && !c.is_empty() && c.evictions() > 0);
-        c.clear();
-        assert_eq!((c.hits(), c.misses(), c.evictions(), c.len()), (0, 0, 0, 0));
-    }
-
-    #[test]
-    fn unbounded_cache_never_evicts() {
-        let c = cache();
-        let profiles = distinct_profiles(40);
-        for p in &profiles {
-            c.solve(p).unwrap();
-        }
-        assert_eq!(c.len(), profiles.len());
-        assert_eq!(c.evictions(), 0);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_past_capacity() {
-        let capacity = 4;
-        let c = bounded(capacity);
-        let profiles = distinct_profiles(12);
-        for p in &profiles {
-            c.solve(p).unwrap();
-        }
-        assert!(c.len() <= capacity, "resident {} > capacity {capacity}", c.len());
-        assert!(!c.is_empty());
-        assert_eq!(c.misses(), 12);
-        // Per-shard FIFO: the aggregate eviction count is exactly the
-        // overflow past the resident set.
-        assert_eq!(c.evictions(), 12 - c.len() as u64);
+        assert_eq!(c.memo().misses(), 0);
     }
 
     #[test]
@@ -492,41 +585,11 @@ mod tests {
         let second = ClassProfile::new(vec![32, 128], vec![1, 4]).unwrap();
         let original = c.solve_class_profile(&first).unwrap();
         c.solve_class_profile(&second).unwrap(); // evicts `first`
-        assert_eq!(c.evictions(), 1);
-        assert_eq!(c.len(), 1);
+        assert_eq!((c.memo().evictions(), c.memo().len()), (1, 1));
         let resolved = c.solve_class_profile(&first).unwrap();
-        assert_eq!(c.misses(), 3, "evicted key must re-solve, not hit");
+        assert_eq!(c.memo().misses(), 3, "evicted key must re-solve, not hit");
         // The re-solve runs the same deterministic class solver, so the
         // replacement entry is bitwise-identical to the evicted one.
         assert_eq!(*original, *resolved);
-    }
-
-    #[test]
-    fn large_capacity_splits_across_shards_without_exceeding_bound() {
-        let capacity = 64;
-        let c = bounded(capacity);
-        let profiles = distinct_profiles(200);
-        for p in &profiles {
-            c.solve(p).unwrap();
-        }
-        assert!(c.len() <= capacity);
-        assert_eq!(c.misses() - c.evictions(), c.len() as u64);
-    }
-
-    #[test]
-    fn zero_capacity_is_a_noop_cache() {
-        let c = bounded(0);
-        let profile = ClassProfile::new(vec![16, 64], vec![2, 3]).unwrap();
-        let a = c.solve_class_profile(&profile).unwrap();
-        let b = c.solve_class_profile(&profile).unwrap();
-        // Every lookup is a miss; nothing is stored, nothing is evicted.
-        assert_eq!((c.hits(), c.misses(), c.evictions()), (0, 2, 0));
-        assert!(c.is_empty());
-        assert_eq!(*a, *b, "fresh solves of the same profile are deterministic");
-        // And the node-level entry point agrees with the direct solver.
-        let via_cache = c.solve(&[16, 16, 64, 64, 64]).unwrap();
-        let direct =
-            solve(&[16, 16, 64, 64, 64], &DcfParams::default(), SolveOptions::default()).unwrap();
-        assert_eq!(via_cache, direct);
     }
 }

@@ -22,19 +22,13 @@
 //! to O(k), making population-scale workloads (`n = 10^6`, `k ≤ 3`)
 //! as cheap as the paper's `n = 10` tables.
 //!
-//! The module also hosts [`SymmetricMemo`] — a per-scan memo of the
-//! [`solve_symmetric`] bisection roots used to seed homogeneous solves —
-//! and class-level slot/utility helpers that keep payoff evaluation O(k)
-//! as well.
+//! The module also hosts class-level slot/utility helpers that keep
+//! payoff evaluation O(k) as well.
 
-use std::collections::BTreeMap;
-use std::sync::RwLock;
-
-use macgame_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::error::DcfError;
-use crate::fixedpoint::{solve_symmetric, Equilibrium, SymmetricPoint};
+use crate::fixedpoint::Equilibrium;
 use crate::markov::transmission_probability;
 use crate::params::DcfParams;
 use crate::throughput::SlotStats;
@@ -45,7 +39,7 @@ use crate::utility::UtilityParams;
 /// of a window *multiset* — two node-level profiles collapse to the same
 /// `ClassProfile` iff they are permutations of each other, so it doubles
 /// as the cache key that subsumes permutation canonicalization.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ClassProfile {
     /// Distinct windows, strictly increasing.
     windows: Vec<u32>,
@@ -292,68 +286,6 @@ impl ClassEquilibrium {
     }
 }
 
-/// Per-scan memo of [`solve_symmetric`] bisection roots, keyed by
-/// `(n, W)` and bound to one [`DcfParams`]. Homogeneous cold starts in the
-/// class solver re-derive the same roots over and over inside a scan
-/// (every crowd window of `scan_ne_interval`, every post-punishment stage
-/// of a deviation sweep); sharing one memo across the scan runs each
-/// bisection at most once. A memo hit returns exactly what
-/// [`solve_symmetric`] would, so results are bitwise-identical with and
-/// without the memo — only the cost changes. Hits are counted on the
-/// `dcf.solver.symmetric_seed_hits` telemetry counter.
-///
-/// Thread-safe: share by reference across workers (`&self` methods only).
-#[derive(Debug)]
-pub struct SymmetricMemo {
-    params: DcfParams,
-    map: RwLock<BTreeMap<(usize, u32), SymmetricPoint>>,
-}
-
-impl SymmetricMemo {
-    /// Creates an empty memo bound to `params`.
-    #[must_use]
-    pub fn new(params: DcfParams) -> Self {
-        SymmetricMemo { params, map: RwLock::new(BTreeMap::new()) }
-    }
-
-    /// The DCF parameters every memoized root was computed under.
-    #[must_use]
-    pub fn params(&self) -> &DcfParams {
-        &self.params
-    }
-
-    /// [`solve_symmetric`] through the memo: bisection on a miss, a stored
-    /// root (bitwise-identical) on a hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`solve_symmetric`] errors (`n == 0` or `w == 0`).
-    pub fn solve(&self, n: usize, w: u32) -> Result<SymmetricPoint, DcfError> {
-        if let Some(hit) = self.map.read().expect("memo lock poisoned").get(&(n, w)) { // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            telemetry::counter("dcf.solver.symmetric_seed_hits", 1);
-            return Ok(*hit);
-        }
-        // Bisect outside the write lock: concurrent misses on the same key
-        // may duplicate work but compute the identical root, so whichever
-        // insert lands first the stored value is the same.
-        let point = solve_symmetric(n, w, &self.params)?;
-        self.map.write().expect("memo lock poisoned").entry((n, w)).or_insert(point); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-        Ok(point)
-    }
-
-    /// Number of distinct `(n, W)` roots stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.read().expect("memo lock poisoned").len() // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-    }
-
-    /// Whether the memo is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// [`crate::throughput::slot_stats`] computed from class data in O(k):
 /// `Π_i (1−τ_i)` becomes `exp(Σ_c n_c·ln(1−τ_c))` and the single-success
 /// probability weights each class's contribution by its multiplicity.
@@ -487,21 +419,6 @@ mod tests {
         assert_eq!(eq.iterations, 3);
         let sorted = ceq.expand_sorted(&profile);
         assert_eq!(sorted.taus, vec![0.5, 0.25, 0.25]);
-    }
-
-    #[test]
-    fn symmetric_memo_hits_are_bitwise_identical() {
-        let params = DcfParams::default();
-        let memo = SymmetricMemo::new(params);
-        let fresh = memo.solve(5, 76).unwrap();
-        let direct = solve_symmetric(5, 76, &params).unwrap();
-        assert_eq!(fresh, direct);
-        let hit = memo.solve(5, 76).unwrap();
-        assert_eq!(hit, fresh);
-        assert_eq!(memo.len(), 1);
-        memo.solve(5, 77).unwrap();
-        assert_eq!(memo.len(), 2);
-        assert!(memo.solve(0, 4).is_err());
     }
 
     #[test]

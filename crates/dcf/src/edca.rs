@@ -135,7 +135,7 @@ impl EdcaTuple {
 /// multiplicities, the tuple-space analog of [`ClassProfile`]. Two node
 /// populations that are permutations of each other collapse to the same
 /// profile, which is what keys million-node solves at O(k).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct EdcaProfile {
     /// Strictly increasing (lexicographic) distinct tuples.
     tuples: Vec<EdcaTuple>,

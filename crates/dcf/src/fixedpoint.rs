@@ -27,7 +27,7 @@
 use macgame_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
-use crate::classes::{ClassEquilibrium, ClassProfile, SymmetricMemo};
+use crate::classes::{ClassEquilibrium, ClassProfile};
 use crate::error::{DcfError, SolveAttempt, SolveRung};
 use crate::markov::transmission_probability;
 use crate::params::DcfParams;
@@ -180,27 +180,6 @@ pub fn solve_with_guess(
     options: SolveOptions,
     guess: Option<&[f64]>,
 ) -> Result<Equilibrium, DcfError> {
-    solve_seeded(windows, params, options, guess, None)
-}
-
-/// Like [`solve_with_guess`], with an optional [`SymmetricMemo`] consulted
-/// for the bisection root that seeds homogeneous cold starts — scans that
-/// revisit the same `(n, W)` field many times share one memo so each root
-/// bisects at most once. The memo must have been built with the same
-/// `params` (a mismatched memo is ignored, not trusted); since a memo hit
-/// returns exactly the [`solve_symmetric`] root, results are
-/// bitwise-identical with and without a memo.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_with_guess`].
-pub fn solve_seeded(
-    windows: &[u32],
-    params: &DcfParams,
-    options: SolveOptions,
-    guess: Option<&[f64]>,
-    roots: Option<&SymmetricMemo>,
-) -> Result<Equilibrium, DcfError> {
     validate_windows(windows)?;
     let n = windows.len();
     if let Some(seed) = guess {
@@ -226,7 +205,7 @@ pub fn solve_seeded(
         }
         cg
     });
-    let ceq = solve_classes_seeded(&profile, params, options, class_guess.as_deref(), roots)?;
+    let ceq = solve_classes_with_guess(&profile, params, options, class_guess.as_deref())?;
     Ok(ceq.expand(&assignment))
 }
 
@@ -245,7 +224,7 @@ pub fn solve_classes(
     params: &DcfParams,
     options: SolveOptions,
 ) -> Result<ClassEquilibrium, DcfError> {
-    solve_classes_seeded(profile, params, options, None, None)
+    solve_classes_with_guess(profile, params, options, None)
 }
 
 /// Like [`solve_classes`], seeded with one `τ` guess entry per class
@@ -261,23 +240,6 @@ pub fn solve_classes_with_guess(
     params: &DcfParams,
     options: SolveOptions,
     guess: Option<&[f64]>,
-) -> Result<ClassEquilibrium, DcfError> {
-    solve_classes_seeded(profile, params, options, guess, None)
-}
-
-/// The full-control class solver: optional per-class guess, optional
-/// [`SymmetricMemo`] for the homogeneous cold-start root. All node-level
-/// entry points funnel through here.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_classes_with_guess`].
-pub fn solve_classes_seeded(
-    profile: &ClassProfile,
-    params: &DcfParams,
-    options: SolveOptions,
-    guess: Option<&[f64]>,
-    roots: Option<&SymmetricMemo>,
 ) -> Result<ClassEquilibrium, DcfError> {
     if !(0.0..=1.0).contains(&options.damping) || options.damping == 0.0 {
         return Err(DcfError::invalid("damping", "must be in (0, 1]"));
@@ -297,13 +259,7 @@ pub fn solve_classes_seeded(
             // Homogeneous: the bisection root is the fixed point; seeding
             // from it lets the damped iteration confirm convergence in a
             // single sweep while keeping `iterations` an honest count.
-            let n = profile.total_nodes();
-            let w = profile.windows()[0];
-            let sym = match roots {
-                Some(memo) if memo.params() == params => memo.solve(n, w)?,
-                _ => solve_symmetric(n, w, params)?,
-            };
-            vec![sym.tau]
+            vec![solve_symmetric(profile.total_nodes(), profile.windows()[0], params)?.tau]
         }
         None => profile.windows().iter().map(|&w| 2.0 / (f64::from(w) + 1.0)).collect(),
     };
@@ -1011,21 +967,6 @@ mod tests {
             let ceq = solve_classes(&profile, &p, options).unwrap();
             assert_eq!(ceq.expand(&assignment), eq, "windows {windows:?}");
         }
-    }
-
-    #[test]
-    fn symmetric_memo_never_changes_results() {
-        let p = params();
-        let options = SolveOptions::default();
-        let memo = SymmetricMemo::new(p);
-        for _ in 0..2 {
-            // Cold miss on the first pass, memo hit on the second: both
-            // bitwise-identical to the memo-free solve.
-            let seeded = solve_seeded(&[76; 5], &p, options, None, Some(&memo)).unwrap();
-            let plain = solve(&[76; 5], &p, options).unwrap();
-            assert_eq!(seeded, plain);
-        }
-        assert_eq!(memo.len(), 1);
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   class-level `(τ_c, p_c)` pairs instead of `2n` node-level ones
 //!   (exactly — nodes sharing a window are exchangeable), making the
 //!   per-sweep cost independent of the population size;
-//! * [`cache`] — thread-safe, permutation-canonicalizing memoization of
-//!   fixed-point solutions keyed by canonical class profiles (a hit is
-//!   bitwise-identical to a fresh solve);
+//! * [`cache`] — the workspace's one cache container, the sharded FIFO
+//!   [`Memo`], and the permutation-canonicalizing memoization of
+//!   fixed-point solutions keyed by canonical class profiles built on it
+//!   (a hit is bitwise-identical to a fresh solve);
 //! * [`parallel`] — warm-chained, chunk-parallel profile sweeps and the
 //!   workspace-wide `threads` knob (`0` = auto via `MACGAME_THREADS`);
 //! * [`throughput`] — slot statistics and normalized saturation throughput;
@@ -76,23 +77,18 @@ pub mod throughput;
 pub mod units;
 pub mod utility;
 
-pub use cache::SolveCache;
-pub use classes::{
-    class_slot_stats, class_utilities, ClassEquilibrium, ClassProfile, SymmetricMemo,
-};
+pub use cache::{Memo, SolveCache};
+pub use classes::{class_slot_stats, class_utilities, ClassEquilibrium, ClassProfile};
 pub use edca::{
     edca_slot_stats, edca_throughput, edca_utilities, solve_edca, solve_edca_dense,
     EdcaEquilibrium, EdcaProfile, EdcaSlotStats, EdcaTuple,
 };
 pub use error::{DcfError, SolveAttempt, SolveRung};
 pub use fixedpoint::{
-    solve, solve_classes, solve_classes_seeded, solve_classes_with_guess, solve_dense,
-    solve_robust, solve_seeded, solve_symmetric, solve_with_guess, Equilibrium, RobustSolve,
-    SolveOptions, SymmetricPoint,
+    solve, solve_classes, solve_classes_with_guess, solve_dense, solve_robust, solve_symmetric,
+    solve_with_guess, Equilibrium, RobustSolve, SolveOptions, SymmetricPoint,
 };
-pub use parallel::{
-    resolve_threads, solve_class_sweep, solve_sweep, solve_sweep_cached, solve_sweep_seeded,
-};
+pub use parallel::{resolve_threads, solve_sweep, solve_sweep_cached};
 pub use optimal::{efficient_cw, ne_interval, optimal_tau, EfficientNe, NeInterval};
 pub use params::{AccessMode, DcfParams, DcfParamsBuilder, FrameParams, FrameTimings, PhyParams};
 pub use record::SolutionRecord;

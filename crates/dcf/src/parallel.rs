@@ -22,9 +22,8 @@
 use macgame_telemetry as telemetry;
 
 use crate::cache::SolveCache;
-use crate::classes::{ClassEquilibrium, ClassProfile, SymmetricMemo};
 use crate::error::DcfError;
-use crate::fixedpoint::{solve_classes_seeded, solve_seeded, Equilibrium, SolveOptions};
+use crate::fixedpoint::{solve_with_guess, Equilibrium, SolveOptions};
 use crate::params::DcfParams;
 
 /// Number of profiles per warm-chained chunk in [`solve_sweep`].
@@ -58,25 +57,6 @@ pub fn solve_sweep(
     options: SolveOptions,
     threads: usize,
 ) -> Result<Vec<Equilibrium>, DcfError> {
-    solve_sweep_seeded(profiles, params, options, threads, None)
-}
-
-/// Like [`solve_sweep`], with an optional [`SymmetricMemo`] consulted for
-/// the bisection roots that seed homogeneous cold starts (the first
-/// profile of a chunk, when homogeneous, is the common case in NE-interval
-/// scans). A memo hit is bitwise-identical to the bisection it replaces,
-/// so results match [`solve_sweep`] exactly, memo or not.
-///
-/// # Errors
-///
-/// Returns the first solver error in profile order.
-pub fn solve_sweep_seeded(
-    profiles: &[Vec<u32>],
-    params: &DcfParams,
-    options: SolveOptions,
-    threads: usize,
-    roots: Option<&SymmetricMemo>,
-) -> Result<Vec<Equilibrium>, DcfError> {
     let threads = resolve_threads(threads);
     telemetry::counter("dcf.sweep.profiles", profiles.len() as u64);
     let _span = telemetry::span("dcf.sweep.solve");
@@ -90,50 +70,9 @@ pub fn solve_sweep_seeded(
                 // Warm-start only when the profile length matches the
                 // previous solution (sweeps normally keep n fixed).
                 let guess = seed.as_deref().filter(|s| s.len() == profile.len());
-                let eq = solve_seeded(profile, params, options, guess, roots)?;
+                let eq = solve_with_guess(profile, params, options, guess)?;
                 seed = Some(eq.taus.clone());
                 out.push(eq);
-            }
-            Ok(out)
-        });
-    let mut all = Vec::with_capacity(profiles.len());
-    for chunk in solved {
-        all.extend(chunk?);
-    }
-    Ok(all)
-}
-
-/// Warm-chained, chunk-parallel sweep over [`ClassProfile`]s — the
-/// population-scale counterpart of [`solve_sweep`], staying O(k) per sweep
-/// regardless of `n`. Within a chunk each solve is warm-started from the
-/// previous class solution when the class count matches; chunk boundaries
-/// are fixed ([`SWEEP_CHUNK`]) so results are bitwise-identical for every
-/// `threads` value.
-///
-/// # Errors
-///
-/// Returns the first solver error in profile order.
-pub fn solve_class_sweep(
-    profiles: &[ClassProfile],
-    params: &DcfParams,
-    options: SolveOptions,
-    threads: usize,
-    roots: Option<&SymmetricMemo>,
-) -> Result<Vec<ClassEquilibrium>, DcfError> {
-    let threads = resolve_threads(threads);
-    telemetry::counter("dcf.sweep.profiles", profiles.len() as u64);
-    let _span = telemetry::span("dcf.sweep.solve_classes");
-    let chunks: Vec<&[ClassProfile]> = profiles.chunks(SWEEP_CHUNK).collect();
-    telemetry::counter("dcf.sweep.chunks", chunks.len() as u64);
-    let solved: Vec<Result<Vec<ClassEquilibrium>, DcfError>> =
-        rayon::map_in_order(chunks, threads, |chunk| {
-            let mut out = Vec::with_capacity(chunk.len());
-            let mut seed: Option<Vec<f64>> = None;
-            for profile in chunk {
-                let guess = seed.as_deref().filter(|s| s.len() == profile.num_classes());
-                let ceq = solve_classes_seeded(profile, params, options, guess, roots)?;
-                seed = Some(ceq.taus.clone());
-                out.push(ceq);
             }
             Ok(out)
         });
@@ -274,59 +213,13 @@ mod tests {
 
         let serial_cache = SolveCache::new(params, options);
         let serial = solve_sweep_cached(&profiles, &serial_cache, 1).unwrap();
-        assert!(serial_cache.hits() >= profiles.len() as u64 / 2);
+        assert!(serial_cache.memo().hits() >= profiles.len() as u64 / 2);
 
         for threads in [2, 5] {
             let cache = SolveCache::new(params, options);
             let parallel = solve_sweep_cached(&profiles, &cache, threads).unwrap();
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.taus, b.taus, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_sweep_matches_plain_sweep_bitwise() {
-        let params = DcfParams::default();
-        let options = SolveOptions::default();
-        // Lead with a homogeneous profile: chunk-leading profiles start
-        // cold, which is where the memo-seeded bisection root kicks in
-        // (mid-chunk profiles are warm-started and never consult it).
-        let mut profiles = vec![vec![76u32; 6]];
-        profiles.extend(deviation_profiles());
-        let plain = solve_sweep(&profiles, &params, options, 1).unwrap();
-        let memo = SymmetricMemo::new(params);
-        let seeded = solve_sweep_seeded(&profiles, &params, options, 1, Some(&memo)).unwrap();
-        assert_eq!(plain, seeded);
-        assert!(!memo.is_empty(), "homogeneous cold starts should populate the memo");
-    }
-
-    #[test]
-    fn class_sweep_is_thread_count_invariant_and_matches_node_level() {
-        let params = DcfParams::default();
-        let options = SolveOptions::default();
-        let node_profiles = deviation_profiles();
-        let class_profiles: Vec<ClassProfile> = node_profiles
-            .iter()
-            .map(|p| ClassProfile::from_windows(p).unwrap().0)
-            .collect();
-        let serial = solve_class_sweep(&class_profiles, &params, options, 1, None).unwrap();
-        for threads in [2, 3, 7] {
-            let parallel =
-                solve_class_sweep(&class_profiles, &params, options, threads, None).unwrap();
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-        // Expanding the class sweep reproduces the node-level solutions of
-        // the same (sorted) profiles.
-        for (profile, ceq) in class_profiles.iter().zip(&serial) {
-            let sorted = profile.expand_windows();
-            let direct = solve(&sorted, &params, options).unwrap();
-            let expanded = ceq.expand_sorted(profile);
-            for i in 0..sorted.len() {
-                assert!(
-                    (expanded.taus[i] - direct.taus[i]).abs() < 10.0 * options.tolerance,
-                    "profile {sorted:?} node {i}"
-                );
             }
         }
     }

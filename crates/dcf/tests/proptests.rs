@@ -185,14 +185,14 @@ proptest! {
         let options = SolveOptions::default();
         let cache = SolveCache::new(p, options);
         cache.solve(&windows).unwrap();
-        prop_assert_eq!(cache.misses(), 1);
+        prop_assert_eq!(cache.memo().misses(), 1);
 
         let k = rotation % windows.len();
         let rotated: Vec<u32> =
             windows.iter().skip(k).chain(windows.iter().take(k)).copied().collect();
         let hit = cache.solve(&rotated).unwrap();
-        prop_assert_eq!(cache.misses(), 1, "a permutation must not re-solve");
-        prop_assert_eq!(cache.hits(), 1);
+        prop_assert_eq!(cache.memo().misses(), 1, "a permutation must not re-solve");
+        prop_assert_eq!(cache.memo().hits(), 1);
 
         let (sorted, perm) = canonicalize(&rotated);
         let fresh = remap(&solve(&sorted, &p, options).unwrap(), &perm);

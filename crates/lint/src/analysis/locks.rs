@@ -1,5 +1,5 @@
 //! The lock-order pass: a static consistent-ordering check over lock
-//! acquisitions, so the sharded `SolveCache`/`ReplyCache` and the
+//! acquisitions, so the sharded `dcf::cache::Memo` and the
 //! telemetry recorder cannot grow a deadlock unnoticed.
 //!
 //! An *acquisition* is a zero-argument `.lock()` / `.read()` / `.write()`

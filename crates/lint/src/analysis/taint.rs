@@ -16,8 +16,8 @@
 //!   under-approximates (a field typed in another file is invisible);
 //!   both directions are documented in DESIGN.md §18.
 //!
-//! Test fns are never roots and never report sinks; dev files never enter
-//! the graph at all.
+//! Test fns are never roots and never report sinks; top-level `tests/`,
+//! `benches/` and `examples/` files are never read.
 
 use crate::parser::Event;
 use crate::rules::Finding;

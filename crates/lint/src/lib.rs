@@ -61,7 +61,7 @@ use std::path::{Path, PathBuf};
 
 pub use analysis::{AnalysisConfig, AnalysisReport};
 pub use report::LintReport;
-pub use rules::{FileContext, FileKind, Finding};
+pub use rules::{FileContext, Finding};
 pub use waivers::WAIVER_FILE;
 
 /// Configuration for one lint run.
@@ -199,28 +199,6 @@ fn rust_files_recursive(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintEr
     Ok(())
 }
 
-/// Collects the *compiled* top-level `*.rs` files of `dir` (integration
-/// tests, benches, examples): Cargo only builds direct children, so files
-/// in subdirectories — e.g. lint rule fixtures under `tests/fixtures/` —
-/// are data, not code, and are not scanned.
-fn rust_files_top_level(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
-    let mut out = Vec::new();
-    if !dir.is_dir() {
-        return Ok(out);
-    }
-    let entries =
-        fs::read_dir(dir).map_err(|source| LintError::Io { path: dir.to_path_buf(), source })?;
-    for entry in entries {
-        let entry = entry.map_err(|source| LintError::Io { path: dir.to_path_buf(), source })?;
-        let path = entry.path();
-        if path.is_file() && path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
 /// Combined outcome of the token lint and the call-graph analyses over
 /// one workspace, with waivers applied across the union (an
 /// `analysis/*` waiver is not "stale" to the token pass and vice versa).
@@ -337,32 +315,22 @@ pub fn run_workspace_with(
             // crates, not the shims themselves.
             continue;
         }
-        // Library sources: everything under src/, recursively (bins included).
+        // Library sources: everything under src/, recursively (bins
+        // included). Tests, benches and examples never ship, so no code
+        // rule applies to them and they are not read.
         let mut lib_files = Vec::new();
         rust_files_recursive(&pkg_dir.join("src"), &mut lib_files)?;
-        // Dev sources: compiled top-level tests/benches/examples files.
-        let mut dev_files = Vec::new();
-        for sub in ["tests", "benches", "examples"] {
-            dev_files.extend(rust_files_top_level(&pkg_dir.join(sub))?);
-        }
-        for (files, kind) in [(lib_files, FileKind::Library), (dev_files, FileKind::Dev)] {
-            for file in files {
-                let rel = rel_str(root, &file);
-                let ctx = FileContext {
-                    rel_path: &rel,
-                    kind,
-                    wall_clock_allow: &config.wall_clock_allow,
-                    relaxed_allow: &config.relaxed_allow,
-                };
-                let source = read(&file)?;
-                findings.extend(rules::check_source(&ctx, &source));
-                files_scanned += 1;
-                // Library files of workspace crates also feed the call
-                // graph (dev files never ship, so they stay out of it).
-                if kind == FileKind::Library {
-                    analysis_sources.push((rel, source));
-                }
-            }
+        for file in lib_files {
+            let rel = rel_str(root, &file);
+            let ctx = FileContext {
+                rel_path: &rel,
+                wall_clock_allow: &config.wall_clock_allow,
+                relaxed_allow: &config.relaxed_allow,
+            };
+            let source = read(&file)?;
+            findings.extend(rules::check_source(&ctx, &source));
+            files_scanned += 1;
+            analysis_sources.push((rel, source));
         }
     }
 

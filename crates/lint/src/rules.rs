@@ -10,9 +10,9 @@
 //! * **Library code** (`src/**` of a workspace crate, including binaries)
 //!   outside `#[cfg(test)]` regions is held to every contract.
 //! * **Test regions** (`#[cfg(test)]` modules/items, `#[test]` functions)
-//!   and **dev code** (top-level `tests/`, `benches/`, `examples/` files)
 //!   are exempt from every code rule — tests may hash, time, and unwrap
-//!   freely.
+//!   freely. Top-level `tests/`, `benches/` and `examples/` files are not
+//!   read at all.
 //! * Vendored shims under `vendor/` are never code-linted (they *implement*
 //!   the APIs these rules police); their manifests are still checked.
 
@@ -53,22 +53,11 @@ pub const RULE_EMPTY_MARKER: &str = "panic-policy/empty-marker";
 /// Rule id: `Ordering::Relaxed` outside the telemetry allowlist.
 pub const RULE_RELAXED: &str = "api/relaxed-ordering";
 
-/// How a source file participates in the build, which decides rule scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// `src/**` of a workspace crate (libraries *and* binaries).
-    Library,
-    /// Top-level `tests/`, `benches/`, or `examples/` compilation units.
-    Dev,
-}
-
 /// Per-file context handed to [`check_source`].
 #[derive(Debug, Clone)]
 pub struct FileContext<'a> {
     /// Workspace-relative path with `/` separators.
     pub rel_path: &'a str,
-    /// Library or dev code.
-    pub kind: FileKind,
     /// Exact relative paths allowed to call `Instant::now`/`SystemTime::now`
     /// (the telemetry wall-clock quarantine).
     pub wall_clock_allow: &'a [String],
@@ -88,9 +77,6 @@ pub(crate) const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 /// Runs every code rule over one file's source.
 #[must_use]
 pub fn check_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
-    if ctx.kind == FileKind::Dev {
-        return Vec::new();
-    }
     let lexed = lex(source);
     let lines: Vec<&str> = source.lines().collect();
     let tokens = &lexed.tokens;
@@ -305,7 +291,6 @@ mod tests {
     fn lib_ctx<'a>() -> FileContext<'a> {
         FileContext {
             rel_path: "crates/x/src/lib.rs",
-            kind: FileKind::Library,
             wall_clock_allow: &[],
             relaxed_allow: &[],
         }
@@ -365,7 +350,6 @@ mod tests {
         let src = "fn f() { let _ = Instant::now(); ENABLED.load(Ordering::Relaxed); }\n";
         let allowed = FileContext {
             rel_path: "crates/telemetry/src/global.rs",
-            kind: FileKind::Library,
             wall_clock_allow: &["crates/telemetry/src/global.rs".to_string()],
             relaxed_allow: &["crates/telemetry/src/".to_string()],
         };
@@ -375,18 +359,6 @@ mod tests {
             rules_of(&check_source(&denied, src)),
             vec![RULE_WALL_CLOCK, RULE_RELAXED]
         );
-    }
-
-    #[test]
-    fn dev_files_are_exempt() {
-        let src = "fn main() { let _ = Instant::now(); let _ = Some(1).unwrap(); }\n";
-        let ctx = FileContext {
-            rel_path: "crates/x/tests/it.rs",
-            kind: FileKind::Dev,
-            wall_clock_allow: &[],
-            relaxed_allow: &[],
-        };
-        assert!(check_source(&ctx, src).is_empty());
     }
 
     #[test]

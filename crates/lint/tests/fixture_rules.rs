@@ -12,16 +12,16 @@ use macgame_lint::rules::{
     check_source, RULE_EMPTY_MARKER, RULE_ENTROPY, RULE_HASH, RULE_PANIC, RULE_RELAXED,
     RULE_WALL_CLOCK,
 };
-use macgame_lint::{FileContext, FileKind, Finding};
+use macgame_lint::{FileContext, Finding};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-fn lint_fixture(name: &str, kind: FileKind) -> Vec<Finding> {
+fn lint_fixture(name: &str) -> Vec<Finding> {
     let rel = format!("crates/demo/src/{name}");
-    let ctx = FileContext { rel_path: &rel, kind, wall_clock_allow: &[], relaxed_allow: &[] };
+    let ctx = FileContext { rel_path: &rel, wall_clock_allow: &[], relaxed_allow: &[] };
     check_source(&ctx, &fixture(name))
 }
 
@@ -31,7 +31,7 @@ fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
 
 #[test]
 fn determinism_rules_fire_on_positive_fixture() {
-    let findings = lint_fixture("determinism_positive.rs", FileKind::Library);
+    let findings = lint_fixture("determinism_positive.rs");
     let rules = rules_of(&findings);
     assert_eq!(rules.iter().filter(|r| **r == RULE_WALL_CLOCK).count(), 2, "{findings:?}");
     assert!(rules.iter().filter(|r| **r == RULE_HASH).count() >= 4, "{findings:?}");
@@ -43,7 +43,7 @@ fn determinism_rules_fire_on_positive_fixture() {
 
 #[test]
 fn determinism_rules_stay_silent_on_negative_fixture() {
-    let findings = lint_fixture("determinism_negative.rs", FileKind::Library);
+    let findings = lint_fixture("determinism_negative.rs");
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -53,7 +53,6 @@ fn wall_clock_quarantine_allowlists_exact_paths() {
     let allow = vec!["crates/demo/src/determinism_positive.rs".to_string()];
     let ctx = FileContext {
         rel_path: "crates/demo/src/determinism_positive.rs",
-        kind: FileKind::Library,
         wall_clock_allow: &allow,
         relaxed_allow: &[],
     };
@@ -65,7 +64,7 @@ fn wall_clock_quarantine_allowlists_exact_paths() {
 
 #[test]
 fn panic_policy_fires_on_every_unmarked_site() {
-    let findings = lint_fixture("panic_positive.rs", FileKind::Library);
+    let findings = lint_fixture("panic_positive.rs");
     let unmarked: Vec<u32> =
         findings.iter().filter(|f| f.rule == RULE_PANIC).map(|f| f.line).collect();
     assert_eq!(unmarked, vec![3, 4, 5, 6, 8, 11], "{findings:?}");
@@ -76,34 +75,20 @@ fn panic_policy_fires_on_every_unmarked_site() {
 
 #[test]
 fn panic_policy_accepts_markers_and_test_code() {
-    let findings = lint_fixture("panic_negative.rs", FileKind::Library);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn panic_policy_skips_dev_code_entirely() {
-    let findings = lint_fixture("panic_positive.rs", FileKind::Dev);
+    let findings = lint_fixture("panic_negative.rs");
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
 fn api_rules_fire_on_positive_fixture() {
-    let findings = lint_fixture("api_positive.rs", FileKind::Library);
+    let findings = lint_fixture("api_positive.rs");
     let rules = rules_of(&findings);
     assert_eq!(rules.iter().filter(|r| **r == RULE_RELAXED).count(), 2, "{findings:?}");
 }
 
 #[test]
-fn api_rules_skip_dev_code() {
-    let findings = lint_fixture("api_positive.rs", FileKind::Dev);
-    let rules = rules_of(&findings);
-    // Dev code is exempt from the ordering rule.
-    assert!(!rules.contains(&RULE_RELAXED), "{findings:?}");
-}
-
-#[test]
 fn api_rules_stay_silent_on_negative_fixture() {
-    let findings = lint_fixture("api_negative.rs", FileKind::Library);
+    let findings = lint_fixture("api_negative.rs");
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -113,7 +98,6 @@ fn relaxed_ordering_allowlist_is_a_prefix_match() {
     let allow = vec!["crates/demo/src/".to_string()];
     let ctx = FileContext {
         rel_path: "crates/demo/src/api_positive.rs",
-        kind: FileKind::Library,
         wall_clock_allow: &[],
         relaxed_allow: &allow,
     };

@@ -6,7 +6,8 @@
 //! 1. **Key** every request by its query's canonical JSON.
 //! 2. **Coalesce**: duplicate keys collapse to one unit of work in
 //!    first-appearance order; every occurrence still gets its own reply.
-//! 3. **Route**: each unique key checks the [`ReplyCache`]; misses are
+//! 3. **Route**: each unique key checks the reply cache, a [`Memo`]
+//!    counting on the `serve.cache.*` telemetry counters; misses are
 //!    evaluated through [`macgame_core::queries::evaluate_query`] (class
 //!    solves go through the per-mode sharded `SolveCache`) with the
 //!    fixed-chunk executor, then inserted into the reply cache
@@ -27,9 +28,9 @@ use std::sync::Arc;
 
 use macgame_core::queries::{evaluate_query, Query, QueryResult, SolveCaches};
 use macgame_core::GameError;
+use macgame_dcf::cache::Memo;
 use macgame_telemetry as telemetry;
 
-use crate::cache::ReplyCache;
 use crate::executor::map_chunked;
 use crate::protocol::{BatchRequest, ErrorKind, ErrorReply, Reply, Request};
 use crate::ServeError;
@@ -59,7 +60,7 @@ impl Default for EngineConfig {
 pub struct Engine {
     threads: usize,
     solve_caches: SolveCaches,
-    replies: ReplyCache,
+    replies: Memo<String, Arc<QueryResult>>,
 }
 
 impl Engine {
@@ -72,13 +73,19 @@ impl Engine {
         Ok(Engine {
             threads: config.threads,
             solve_caches: SolveCaches::with_capacity(config.solve_cache_capacity)?,
-            replies: ReplyCache::with_capacity(config.reply_cache_capacity),
+            replies: Memo::new(
+                Some(config.reply_cache_capacity),
+                "serve.cache.hits",
+                "serve.cache.misses",
+                "serve.cache.evictions",
+            ),
         })
     }
 
-    /// The reply cache, exposed for telemetry and tests.
+    /// The query → result reply cache, keyed by canonical query JSON and
+    /// exposed for telemetry and tests.
     #[must_use]
-    pub fn reply_cache(&self) -> &ReplyCache {
+    pub fn reply_cache(&self) -> &Memo<String, Arc<QueryResult>> {
         &self.replies
     }
 
@@ -130,7 +137,7 @@ impl Engine {
         for (&i, outcome) in miss_indices.iter().zip(evaluated) {
             let outcome = outcome.map(Arc::new);
             if let Ok(value) = &outcome {
-                self.replies.insert(&unique[i].0, value);
+                self.replies.insert(unique[i].0.clone(), Arc::clone(value));
             }
             resolved[i] = Some(outcome);
         }

@@ -18,9 +18,9 @@
 //! * [`protocol`] — request/reply envelopes over
 //!   [`macgame_core::queries::Query`] / `QueryResult`.
 //! * [`executor`] — fixed-chunk fan-out (the `dcf::parallel` discipline).
-//! * [`cache`] — the sharded query → result reply cache (`serve.*`
-//!   telemetry).
-//! * [`engine`] — coalescing, routing, deterministic reply assembly.
+//! * [`engine`] — coalescing, the query → result reply cache (a
+//!   `dcf::cache::Memo` keyed by canonical query JSON, `serve.cache.*`
+//!   telemetry), routing, deterministic reply assembly.
 //! * [`transport`] — connection loops: any `Read + Write`, stdio, TCP.
 //! * [`harness`] — the in-process `ServeHarness` client every test,
 //!   conformance claim, and benchmark drives the engine through.
@@ -38,7 +38,6 @@
 
 use core::fmt;
 
-pub mod cache;
 pub mod engine;
 pub mod executor;
 pub mod frame;
@@ -46,7 +45,6 @@ pub mod harness;
 pub mod protocol;
 pub mod transport;
 
-pub use cache::ReplyCache;
 pub use engine::{Engine, EngineConfig};
 pub use harness::ServeHarness;
 pub use protocol::{BatchRequest, ErrorKind, ErrorReply, Reply, Request};
