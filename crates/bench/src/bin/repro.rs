@@ -764,8 +764,8 @@ fn lint() -> Result<(), BenchError> {
     println!(
         "workspace invariant checks: determinism (hash containers, wall \
          clocks, entropy RNGs), panic policy, API discipline, manifests, \
-         plus call-graph analyses (determinism taint, panic reachability, \
-         lock order)"
+         plus call-graph analyses (thread identity and raw threads reachable \
+         from artifact roots, lock order)"
     );
     let workspace = macgame_lint::run_workspace(&root)?;
     let report = &workspace.lint;
@@ -778,8 +778,8 @@ fn lint() -> Result<(), BenchError> {
     let waived = report.findings.len() - report.unwaived().len();
     println!(
         "{} file(s), {} manifest(s) scanned: {} finding(s), {} waived, {} unwaived",
-        report.files_scanned,
-        report.manifests_checked,
+        report.stats.files_scanned,
+        report.stats.manifests_checked,
         report.findings.len(),
         waived,
         report.unwaived().len()
@@ -787,12 +787,10 @@ fn lint() -> Result<(), BenchError> {
 
     let analysis = &workspace.analysis;
     println!(
-        "\ncall graph: {} fn(s), {} edge(s); {} taint root(s), {} public \
-         root(s), {} lock site(s)",
+        "\ncall graph: {} fn(s), {} edge(s); {} taint root(s), {} lock site(s)",
         analysis.stats.functions,
         analysis.stats.edges,
         analysis.stats.taint_roots,
-        analysis.stats.public_roots,
         analysis.stats.lock_sites,
     );
     let rows = analysis.table_rows();

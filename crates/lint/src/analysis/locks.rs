@@ -20,7 +20,7 @@
 //! reported once, anchored at the first edge's acquisition site, with
 //! every edge of the cycle spelled out in the witness.
 //!
-//! Unlike the taint and panic passes, lock propagation follows only
+//! Unlike the taint pass, lock propagation follows only
 //! *precisely resolved* calls: path calls, bare calls, and `self.`
 //! method calls. Non-`self` method calls resolve by name to every
 //! same-named workspace method, and under that over-approximation every
@@ -289,28 +289,23 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
 
 #[cfg(test)]
 mod tests {
-    use crate::analysis::{analyze, AnalysisConfig, RULE_LOCK_ORDER};
+    use crate::analysis::{analyze, AnalysisConfig, AnalysisReport, RULE_LOCK_ORDER};
+    use crate::parser::parse;
 
-    fn config() -> AnalysisConfig {
-        AnalysisConfig {
-            taint_roots: vec![],
-            wall_clock_allow: vec![],
-            panic_api_prefixes: vec![],
-        }
+    fn analyze_one(src: &str) -> AnalysisReport {
+        let files = vec![("crates/app/src/lib.rs".to_string(), parse(src))];
+        analyze(&files, &AnalysisConfig { taint_roots: vec![] })
     }
 
     #[test]
     fn opposite_intra_fn_orders_cycle() {
-        let files = vec![(
-            "crates/app/src/lib.rs".to_string(),
+        let report = analyze_one(
             "struct S;\n\
              impl S {\n\
              fn ab(&self) { let _a = self.alpha.lock(); let _b = self.beta.lock(); }\n\
              fn ba(&self) { let _b = self.beta.lock(); let _a = self.alpha.lock(); }\n\
-             }\n"
-                .to_string(),
-        )];
-        let report = analyze(&files, &config());
+             }\n",
+        );
         let cycles: Vec<&crate::rules::Finding> =
             report.findings.iter().filter(|f| f.rule == RULE_LOCK_ORDER).collect();
         assert_eq!(cycles.len(), 1, "{:?}", report.findings);
@@ -322,8 +317,7 @@ mod tests {
 
     #[test]
     fn consistent_order_and_sharded_same_label_stay_silent() {
-        let files = vec![(
-            "crates/app/src/lib.rs".to_string(),
+        let report = analyze_one(
             "struct S;\n\
              impl S {\n\
              fn ab(&self) { let _a = self.alpha.lock(); let _b = self.beta.lock(); }\n\
@@ -331,27 +325,22 @@ mod tests {
              fn tail(&self) { let _b = self.beta.lock(); }\n\
              fn shards(&self) { for s in &self.shard { let _g = s.read(); } \
              let _h = self.shard.read(); }\n\
-             }\n"
-                .to_string(),
-        )];
-        let report = analyze(&files, &config());
+             }\n",
+        );
         assert!(report.is_clean(), "{:?}", report.findings);
     }
 
     #[test]
     fn interprocedural_opposite_order_is_caught() {
-        let files = vec![(
-            "crates/app/src/lib.rs".to_string(),
+        let report = analyze_one(
             "struct S;\n\
              impl S {\n\
              fn front(&self) { let _a = self.alpha.lock(); self.back_b(); }\n\
              fn back_b(&self) { let _b = self.beta.lock(); }\n\
              fn rev(&self) { let _b = self.beta.lock(); self.back_a(); }\n\
              fn back_a(&self) { let _a = self.alpha.lock(); }\n\
-             }\n"
-                .to_string(),
-        )];
-        let report = analyze(&files, &config());
+             }\n",
+        );
         assert_eq!(
             report.findings.iter().filter(|f| f.rule == RULE_LOCK_ORDER).count(),
             1,

@@ -1,25 +1,24 @@
 //! Call-graph reachability analyses over the workspace (`lint` v2).
 //!
 //! Where [`crate::rules`] checks *sites* (a token stream in one file),
-//! this module checks *paths*: it parses every library file
-//! ([`crate::parser`]), stitches the results into a workspace call graph
-//! ([`crate::graph`]), and runs three analyses:
+//! this module checks *paths*: it stitches every parsed library file
+//! ([`crate::parser`]) into a workspace call graph ([`crate::graph`]) and
+//! runs the two analyses whose contract depends on a path, not a site:
 //!
 //! * [`taint`] — `analysis/determinism-taint`: functions reachable from
 //!   the artifact-writing roots (the `repro` experiment driver, serve
-//!   reply encoding, conformance claim evaluation) must not reach a
-//!   nondeterminism source (wall-clock reads outside the telemetry
-//!   quarantine, entropy-seeded RNG, thread-identity reads, raw
-//!   `thread::spawn`, hash-container iteration).
-//! * [`panics`] — `analysis/panic-path`: panic sites (`panic!` family,
-//!   `.unwrap()`, `.expect()`) reachable from public library APIs must
-//!   carry a `// PANIC-POLICY:` marker or a waiver; findings carry the
-//!   caller-to-site path.
+//!   reply encoding, conformance claim evaluation) must not read thread
+//!   identity or spawn raw threads. Every other nondeterminism source
+//!   (wall clocks, entropy RNGs, hash containers) is a site contract the
+//!   token rules already enforce everywhere in library code.
 //! * [`locks`] — `analysis/lock-order`: zero-argument `.lock()` /
 //!   `.read()` / `.write()` acquisitions are labeled by owner and
 //!   receiver; an inconsistent acquisition order (a cycle in the
 //!   may-precede relation, intra- or inter-procedural) is reported as a
 //!   potential deadlock.
+//!
+//! Panic sites are a site contract too: `panic-policy/unmarked-panic`
+//! flags every unmarked one, reachable or not, so no graph pass repeats it.
 //!
 //! Every finding includes a concrete root → … → sink witness so waivers
 //! can be reviewed against an actual path, and the rendered
@@ -27,20 +26,17 @@
 //! every container in between are deterministic (DESIGN.md §18).
 
 pub mod locks;
-pub mod panics;
 pub mod taint;
 
 use std::collections::BTreeMap;
 
 use crate::graph::CallGraph;
-use crate::parser::{parse, ParsedFile};
-use crate::report::json_string;
+use crate::parser::ParsedFile;
+use crate::report::{Report, Summary};
 use crate::rules::Finding;
 
-/// Rule id: nondeterminism source reachable from an artifact root.
+/// Rule id: thread identity or raw threads reachable from an artifact root.
 pub const RULE_TAINT: &str = "analysis/determinism-taint";
-/// Rule id: unmarked panic site reachable from a public library API.
-pub const RULE_PANIC_PATH: &str = "analysis/panic-path";
 /// Rule id: inconsistent lock-acquisition order (potential deadlock).
 pub const RULE_LOCK_ORDER: &str = "analysis/lock-order";
 
@@ -74,12 +70,6 @@ impl RootSpec {
 pub struct AnalysisConfig {
     /// Artifact-writing roots for the determinism-taint pass.
     pub taint_roots: Vec<RootSpec>,
-    /// Exact workspace-relative paths whose wall-clock reads are
-    /// quarantined (mirrors [`crate::LintConfig::wall_clock_allow`]).
-    pub wall_clock_allow: Vec<String>,
-    /// Path prefixes whose `pub fn`s count as public library API for the
-    /// panic-path pass.
-    pub panic_api_prefixes: Vec<String>,
 }
 
 impl Default for AnalysisConfig {
@@ -94,8 +84,6 @@ impl Default for AnalysisConfig {
                 RootSpec::fn_in("crates/serve/src/", "handle_payload"),
                 RootSpec::fn_in("crates/conformance/src/", "run_conformance"),
             ],
-            wall_clock_allow: vec!["crates/telemetry/src/global.rs".to_string()],
-            panic_api_prefixes: vec!["crates/".to_string()],
         }
     }
 }
@@ -111,47 +99,36 @@ pub struct AnalysisStats {
     pub edges: usize,
     /// Determinism-taint roots matched by the config.
     pub taint_roots: usize,
-    /// Public-API roots of the panic-path pass.
-    pub public_roots: usize,
     /// Lock-acquisition sites labeled by the lock-order pass.
     pub lock_sites: usize,
 }
 
-/// The outcome of analyzing a workspace: findings plus graph-shape stats.
-#[derive(Debug)]
-pub struct AnalysisReport {
-    /// Every finding, waived or not, sorted by `(path, line, rule)`.
-    pub findings: Vec<Finding>,
-    /// Graph-shape counters.
-    pub stats: AnalysisStats,
+impl Summary for AnalysisStats {
+    const SCHEMA: &'static str = "macgame-analysis/2";
+    const WITNESS: bool = true;
+    fn counters(&self) -> Vec<(&'static str, usize)> {
+        vec![
+            ("files", self.files),
+            ("functions", self.functions),
+            ("edges", self.edges),
+            ("taint_roots", self.taint_roots),
+            ("lock_sites", self.lock_sites),
+        ]
+    }
 }
 
-/// Shared per-run context handed to the three passes.
+/// The outcome of analyzing a workspace: findings plus graph-shape stats.
+pub type AnalysisReport = Report<AnalysisStats>;
+
+/// Shared per-run context handed to both passes.
 pub(crate) struct Ctx<'a> {
     pub graph: &'a CallGraph,
     pub config: &'a AnalysisConfig,
-    /// path → (line → rationale) `PANIC-POLICY` markers.
-    pub markers: &'a BTreeMap<String, BTreeMap<u32, String>>,
-    /// path → source lines, for snippets.
-    pub lines: &'a BTreeMap<String, Vec<String>>,
+    /// path → parsed file, for snippets.
+    pub files: BTreeMap<&'a str, &'a ParsedFile>,
 }
 
 impl Ctx<'_> {
-    /// The trimmed, truncated source line at `path:line` (same shape as
-    /// the token rules' snippets).
-    fn snippet(&self, path: &str, line: u32) -> String {
-        let text = self
-            .lines
-            .get(path)
-            .and_then(|ls| ls.get(line as usize - 1))
-            .map_or("", |l| l.trim());
-        let mut s: String = text.chars().take(96).collect();
-        if text.chars().count() > 96 {
-            s.push('…');
-        }
-        s
-    }
-
     /// Assembles a finding with its witness path.
     pub(crate) fn finding(
         &self,
@@ -166,7 +143,7 @@ impl Ctx<'_> {
             path: path.to_string(),
             line,
             message,
-            snippet: self.snippet(path, line),
+            snippet: self.files.get(path).map_or_else(String::new, |f| f.snippet(line)),
             waived: false,
             reason: None,
             witness,
@@ -174,189 +151,42 @@ impl Ctx<'_> {
     }
 }
 
-/// Runs all three analyses over `(workspace-relative path, source)` pairs.
+/// Runs both analyses over `(workspace-relative path, parsed file)` pairs.
 /// Pure: no filesystem access, and the output — findings, witnesses, JSON
 /// bytes — is invariant under the input order.
 #[must_use]
-pub fn analyze(files: &[(String, String)], config: &AnalysisConfig) -> AnalysisReport {
-    let parsed: Vec<(String, ParsedFile)> =
-        files.iter().map(|(p, s)| (p.clone(), parse(s))).collect();
-    let graph = CallGraph::build(&parsed);
-    let markers: BTreeMap<String, BTreeMap<u32, String>> =
-        parsed.iter().map(|(p, f)| (p.clone(), f.markers.clone())).collect();
-    let lines: BTreeMap<String, Vec<String>> = files
-        .iter()
-        .map(|(p, s)| (p.clone(), s.lines().map(str::to_string).collect()))
-        .collect();
-    let ctx = Ctx { graph: &graph, config, markers: &markers, lines: &lines };
-
-    let mut stats = AnalysisStats {
+pub fn analyze(files: &[(String, ParsedFile)], config: &AnalysisConfig) -> AnalysisReport {
+    let graph = CallGraph::build(files);
+    let ctx = Ctx {
+        graph: &graph,
+        config,
+        files: files.iter().map(|(p, f)| (p.as_str(), f)).collect(),
+    };
+    let (mut findings, taint_roots) = taint::run(&ctx);
+    let (mut cycles, lock_sites) = locks::run(&ctx);
+    findings.append(&mut cycles);
+    let stats = AnalysisStats {
         files: files.len(),
         functions: graph.fns.len(),
         edges: graph.edges,
-        ..AnalysisStats::default()
+        taint_roots,
+        lock_sites,
     };
-    let mut findings = Vec::new();
-    let (mut f, n) = taint::run(&ctx);
-    stats.taint_roots = n;
-    findings.append(&mut f);
-    let (mut f, n) = panics::run(&ctx);
-    stats.public_roots = n;
-    findings.append(&mut f);
-    let (mut f, n) = locks::run(&ctx);
-    stats.lock_sites = n;
-    findings.append(&mut f);
-
-    let mut report = AnalysisReport { findings, stats };
-    report.sort();
-    report
-        .findings
-        .dedup_by(|a, b| a.rule == b.rule && a.path == b.path && a.line == b.line);
-    report
-}
-
-impl AnalysisReport {
-    /// Sorts findings into their canonical artifact order.
-    pub fn sort(&mut self) {
-        self.findings.sort_by(|a, b| {
-            (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
-        });
-    }
-
-    /// Findings not covered by a waiver — the CI-failing set.
-    #[must_use]
-    pub fn unwaived(&self) -> Vec<&Finding> {
-        self.findings.iter().filter(|f| !f.waived).collect()
-    }
-
-    /// Whether the workspace passes (every finding waived with rationale).
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.findings.iter().all(|f| f.waived)
-    }
-
-    /// Per-rule `(total, waived)` counts, sorted by rule id.
-    #[must_use]
-    pub fn rule_counts(&self) -> BTreeMap<&'static str, (usize, usize)> {
-        let mut counts: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
-        for f in &self.findings {
-            let entry = counts.entry(f.rule).or_default();
-            entry.0 += 1;
-            if f.waived {
-                entry.1 += 1;
-            }
-        }
-        counts
-    }
-
-    /// Renders the deterministic `ANALYSIS.json` bytes: sorted findings
-    /// with their full witness paths, no timestamps, no absolute paths.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        out.push_str("{\n  \"schema\": \"macgame-analysis/1\",\n");
-        out.push_str("  \"summary\": {\n");
-        out.push_str(&format!("    \"files\": {},\n", self.stats.files));
-        out.push_str(&format!("    \"functions\": {},\n", self.stats.functions));
-        out.push_str(&format!("    \"edges\": {},\n", self.stats.edges));
-        out.push_str(&format!("    \"taint_roots\": {},\n", self.stats.taint_roots));
-        out.push_str(&format!("    \"public_roots\": {},\n", self.stats.public_roots));
-        out.push_str(&format!("    \"lock_sites\": {},\n", self.stats.lock_sites));
-        out.push_str(&format!("    \"findings\": {},\n", self.findings.len()));
-        out.push_str(&format!(
-            "    \"waived\": {},\n",
-            self.findings.iter().filter(|f| f.waived).count()
-        ));
-        out.push_str(&format!("    \"unwaived\": {},\n", self.unwaived().len()));
-        out.push_str("    \"rules\": {");
-        let counts = self.rule_counts();
-        let mut first = true;
-        for (rule, (total, waived)) in &counts {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n      {}: {{\"total\": {total}, \"waived\": {waived}}}",
-                json_string(rule)
-            ));
-        }
-        if !counts.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("}\n  },\n");
-        out.push_str("  \"findings\": [");
-        let mut first = true;
-        for f in &self.findings {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    {");
-            out.push_str(&format!("\"rule\": {}, ", json_string(f.rule)));
-            out.push_str(&format!("\"path\": {}, ", json_string(&f.path)));
-            out.push_str(&format!("\"line\": {}, ", f.line));
-            out.push_str(&format!("\"waived\": {}, ", f.waived));
-            match &f.reason {
-                Some(r) => out.push_str(&format!("\"reason\": {}, ", json_string(r))),
-                None => out.push_str("\"reason\": null, "),
-            }
-            out.push_str(&format!("\"message\": {}, ", json_string(&f.message)));
-            out.push_str(&format!("\"snippet\": {}, ", json_string(&f.snippet)));
-            out.push_str("\"witness\": [");
-            let mut first_step = true;
-            for step in &f.witness {
-                if !first_step {
-                    out.push_str(", ");
-                }
-                first_step = false;
-                out.push_str(&json_string(step));
-            }
-            out.push_str("]}");
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
-    }
-
-    /// Rows for a `rule | location | status | detail` table, unwaived
-    /// first; the detail column carries the witness depth so the table
-    /// stays narrow (full paths live in the JSON).
-    #[must_use]
-    pub fn table_rows(&self) -> Vec<Vec<String>> {
-        let mut rows = Vec::new();
-        for pass in [false, true] {
-            for f in self.findings.iter().filter(|f| f.waived == pass) {
-                let detail = if f.waived {
-                    format!("waived: {}", f.reason.as_deref().unwrap_or(""))
-                } else {
-                    f.message.clone()
-                };
-                rows.push(vec![
-                    f.rule.to_string(),
-                    format!("{}:{}", f.path, f.line),
-                    if f.waived { "allow".to_string() } else { "FAIL".to_string() },
-                    detail,
-                ]);
-            }
-        }
-        rows
-    }
+    Report::new(findings, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse;
 
-    fn src(files: &[(&str, &str)]) -> Vec<(String, String)> {
-        files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect()
+    fn parsed(files: &[(&str, &str)]) -> Vec<(String, ParsedFile)> {
+        files.iter().map(|(p, s)| (p.to_string(), parse(s))).collect()
     }
 
     #[test]
     fn clean_workspace_produces_empty_stable_report() {
-        let files = src(&[(
+        let files = parsed(&[(
             "crates/a/src/lib.rs",
             "pub fn api() -> u32 { helper() }\nfn helper() -> u32 { 1 }\n",
         )]);
@@ -368,15 +198,13 @@ mod tests {
 
     #[test]
     fn json_bytes_are_input_order_invariant() {
-        let a = ("crates/a/src/lib.rs", "pub fn api() { b_entry(); }\n");
-        let b = (
-            "crates/a/src/other.rs",
-            "pub fn b_entry() { let x: Option<u32> = None; let _ = x.unwrap(); }\n",
-        );
-        let config = AnalysisConfig::default();
-        let one = analyze(&src(&[a, b]), &config).to_json();
-        let two = analyze(&src(&[b, a]), &config).to_json();
+        let a = ("crates/a/src/lib.rs", "pub fn emit() { b_entry(); }\n");
+        let b =
+            ("crates/a/src/other.rs", "pub fn b_entry() { let _t = std::thread::current(); }\n");
+        let config = AnalysisConfig { taint_roots: vec![RootSpec::fn_in("crates/a/", "emit")] };
+        let one = analyze(&parsed(&[a, b]), &config).to_json();
+        let two = analyze(&parsed(&[b, a]), &config).to_json();
         assert_eq!(one, two);
-        assert!(one.contains("analysis/panic-path"), "{one}");
+        assert!(one.contains("analysis/determinism-taint"), "{one}");
     }
 }

@@ -1,20 +1,18 @@
-//! The determinism-taint pass: nondeterminism sources reachable from
-//! artifact-writing roots.
+//! The determinism-taint pass: thread identity and raw threads reachable
+//! from artifact-writing roots.
 //!
-//! Sources (each a site inside a reachable fn):
+//! Sources (each a path call inside a reachable fn):
 //!
-//! * `Instant::now` / `SystemTime::now` path calls outside the
-//!   `wall_clock_allow` quarantine;
-//! * `thread_rng` / `from_entropy` (entropy-seeded RNG);
 //! * `std::thread::current` (thread-identity reads — shard selection or
 //!   branching on `ThreadId` makes bytes depend on scheduling);
 //! * `std::thread::spawn` / `std::thread::scope` (raw parallelism outside
-//!   the order-preserving `map_in_order` shim);
-//! * hash-container iteration, by co-occurrence: a fn that both mentions
-//!   `HashMap`/`HashSet` *and* calls an iteration-family method. This
-//!   over-approximates (the iterated collection may be a `Vec`) and
-//!   under-approximates (a field typed in another file is invisible);
-//!   both directions are documented in DESIGN.md §18.
+//!   the order-preserving `map_in_order` shim).
+//!
+//! Both are legitimate in library code that never reaches an artifact
+//! (the telemetry shards, the vendored thread pool), so unlike the token
+//! rules' sources they are only a defect on a path from a root. Wall
+//! clocks, entropy RNGs and hash containers are banned at every site by
+//! the token rules, which subsume any path to them (DESIGN.md §18).
 //!
 //! Test fns are never roots and never report sinks; top-level `tests/`,
 //! `benches/` and `examples/` files are never read.
@@ -24,24 +22,9 @@ use crate::rules::Finding;
 
 use super::{Ctx, RULE_TAINT};
 
-/// Iteration-family methods whose call on a hash container leaks memory
-/// order.
-const ITER_METHODS: &[&str] = &[
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "iter",
-    "iter_mut",
-    "keys",
-    "retain",
-    "values",
-    "values_mut",
-];
-
 /// One classified nondeterminism source.
 struct Source {
-    /// What the site calls, for the message (`Instant::now`).
+    /// What the site calls, for the message (`thread::current`).
     what: String,
     /// Why it is nondeterministic.
     why: &'static str,
@@ -50,54 +33,23 @@ struct Source {
 }
 
 /// Classifies one event as a nondeterminism source, if it is one.
-fn classify(ev: &Event, file: &str, ctx: &Ctx<'_>) -> Option<Source> {
-    match ev {
-        Event::PathCall { segments, line } => {
-            let [.., prev, last] = segments.as_slice() else {
-                return None;
-            };
-            if (prev == "Instant" || prev == "SystemTime") && last == "now" {
-                if ctx.config.wall_clock_allow.iter().any(|p| p == file) {
-                    return None;
-                }
-                return Some(Source {
-                    what: format!("{prev}::now"),
-                    why: "a wall-clock read outside the telemetry timings quarantine",
-                    line: *line,
-                });
-            }
-            if last == "thread_rng" || last == "from_entropy" {
-                return Some(Source {
-                    what: last.clone(),
-                    why: "an entropy-seeded RNG; randomness must come from seeded ChaCha8",
-                    line: *line,
-                });
-            }
-            if prev == "thread" && last == "current" {
-                return Some(Source {
-                    what: "thread::current".to_string(),
-                    why: "a thread-identity read; bytes must not depend on which thread runs",
-                    line: *line,
-                });
-            }
-            if prev == "thread" && (last == "spawn" || last == "scope") {
-                return Some(Source {
-                    what: format!("thread::{last}"),
-                    why: "raw parallelism outside the order-preserving map_in_order shim",
-                    line: *line,
-                });
-            }
-            None
+fn classify(ev: &Event) -> Option<Source> {
+    let Event::PathCall { segments, line } = ev else {
+        return None;
+    };
+    let [.., prev, last] = segments.as_slice() else {
+        return None;
+    };
+    let why = match (prev.as_str(), last.as_str()) {
+        ("thread", "current") => {
+            "a thread-identity read; bytes must not depend on which thread runs"
         }
-        Event::BareCall { name, line } if name == "thread_rng" || name == "from_entropy" => {
-            Some(Source {
-                what: name.clone(),
-                why: "an entropy-seeded RNG; randomness must come from seeded ChaCha8",
-                line: *line,
-            })
+        ("thread", "spawn" | "scope") => {
+            "raw parallelism outside the order-preserving map_in_order shim"
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    Some(Source { what: format!("thread::{last}"), why, line: *line })
 }
 
 /// Runs the pass; returns findings and the number of roots matched.
@@ -119,27 +71,7 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
         if node.def.is_test {
             continue;
         }
-        let mut sources: Vec<Source> = node
-            .def
-            .events
-            .iter()
-            .filter_map(|ev| classify(ev, &node.file, ctx))
-            .collect();
-        // Hash-iteration co-occurrence heuristic.
-        if node.def.mentions.contains("HashMap") || node.def.mentions.contains("HashSet") {
-            for ev in &node.def.events {
-                if let Event::MethodCall { name, line, .. } = ev {
-                    if ITER_METHODS.contains(&name.as_str()) {
-                        sources.push(Source {
-                            what: format!(".{name}()"),
-                            why: "iteration co-located with a hash container; memory order \
-                                  can leak into bytes",
-                            line: *line,
-                        });
-                    }
-                }
-            }
-        }
+        let sources: Vec<Source> = node.def.events.iter().filter_map(classify).collect();
         if sources.is_empty() {
             continue;
         }
@@ -172,26 +104,21 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
 #[cfg(test)]
 mod tests {
     use crate::analysis::{analyze, AnalysisConfig, RootSpec, RULE_TAINT};
+    use crate::parser::{parse, ParsedFile};
 
-    fn config() -> AnalysisConfig {
-        AnalysisConfig {
-            taint_roots: vec![RootSpec::fn_in("crates/app/src/", "emit")],
-            wall_clock_allow: vec!["crates/app/src/quarantine.rs".to_string()],
-            panic_api_prefixes: vec![],
-        }
+    fn analyze_one(src: &str) -> crate::analysis::AnalysisReport {
+        let files: Vec<(String, ParsedFile)> =
+            vec![("crates/app/src/lib.rs".to_string(), parse(src))];
+        let config = AnalysisConfig { taint_roots: vec![RootSpec::fn_in("crates/app/src/", "emit")] };
+        analyze(&files, &config)
     }
 
     #[test]
-    fn wall_clock_three_calls_deep_is_found_with_witness() {
-        let files = vec![
-            (
-                "crates/app/src/lib.rs".to_string(),
-                "pub fn emit() { mid(); }\nfn mid() { leaf(); }\nfn leaf() { \
-                 let _ = std::time::Instant::now(); }\n"
-                    .to_string(),
-            ),
-        ];
-        let report = analyze(&files, &config());
+    fn thread_identity_three_calls_deep_is_found_with_witness() {
+        let report = analyze_one(
+            "pub fn emit() { mid(); }\nfn mid() { leaf(); }\nfn leaf() { \
+             let _ = std::thread::current(); }\n",
+        );
         let f = &report.findings[0];
         assert_eq!(f.rule, RULE_TAINT);
         assert_eq!((f.path.as_str(), f.line), ("crates/app/src/lib.rs", 3));
@@ -201,46 +128,40 @@ mod tests {
                 "emit (crates/app/src/lib.rs:1)",
                 "mid (crates/app/src/lib.rs:2)",
                 "leaf (crates/app/src/lib.rs:3)",
-                "Instant::now (crates/app/src/lib.rs:3)",
+                "thread::current (crates/app/src/lib.rs:3)",
             ]
         );
         assert!(f.message.contains("artifact root `emit`"), "{}", f.message);
     }
 
     #[test]
-    fn unreachable_and_quarantined_sources_stay_silent() {
-        let files = vec![
-            (
-                "crates/app/src/lib.rs".to_string(),
-                "pub fn emit() { crate::quarantine::span(); }\npub fn island() { \
-                 let _ = std::time::Instant::now(); }\n"
-                    .to_string(),
-            ),
-            (
-                "crates/app/src/quarantine.rs".to_string(),
-                "pub fn span() { let _ = std::time::Instant::now(); }\n".to_string(),
-            ),
-        ];
-        let report = analyze(&files, &config());
+    fn unreachable_sources_stay_silent() {
+        let report = analyze_one(
+            "pub fn emit() -> u32 { 1 }\npub fn island() { let _ = std::thread::current(); }\n",
+        );
         assert!(report.is_clean(), "{:?}", report.findings);
     }
 
     #[test]
-    fn hash_iteration_and_thread_identity_are_sources() {
-        let files = vec![(
-            "crates/app/src/lib.rs".to_string(),
+    fn raw_threads_are_sources_and_site_contracts_are_not() {
+        let report = analyze_one(
             "pub fn emit() {\n\
-             let m: std::collections::HashMap<u32, u32> = make();\n\
-             for (_k, _v) in m.iter() {}\n\
-             let _t = std::thread::current();\n\
-             }\nfn make() -> std::collections::HashMap<u32, u32> { todo()
-             }\nfn todo() -> std::collections::HashMap<u32, u32> { loop {} }\n"
-                .to_string(),
-        )];
-        let report = analyze(&files, &config());
-        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec![RULE_TAINT, RULE_TAINT], "{:?}", report.findings);
-        assert!(report.findings.iter().any(|f| f.message.contains("thread::current")));
-        assert!(report.findings.iter().any(|f| f.message.contains(".iter()")));
+             std::thread::scope(|_s| {});\n\
+             let _h = std::thread::spawn(|| {});\n\
+             let _t = std::time::Instant::now();\n\
+             let _m = std::collections::HashMap::<u32, u32>::new();\n\
+             }\n",
+        );
+        let sites: Vec<(u32, &str)> =
+            report.findings.iter().map(|f| (f.line, f.witness.last().unwrap().as_str())).collect();
+        assert_eq!(
+            sites,
+            vec![
+                (2, "thread::scope (crates/app/src/lib.rs:2)"),
+                (3, "thread::spawn (crates/app/src/lib.rs:3)"),
+            ],
+            "{:?}",
+            report.findings
+        );
     }
 }

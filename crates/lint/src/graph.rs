@@ -18,7 +18,7 @@
 //!   uses.
 //!
 //! Unresolved names (std, vendored shims) produce no edge; the analyses
-//! instead pattern-match such sites directly (e.g. `Instant::now`).
+//! instead pattern-match such sites directly (e.g. `thread::current`).
 //!
 //! Determinism: functions are numbered in sorted-file, source order;
 //! callee sets are `BTreeSet`s; BFS visits in id order — so witnesses and

@@ -12,13 +12,19 @@
 //! rather than by inspection.
 //!
 //! It is dependency-free by design (no `syn` in the vendored tree): a
-//! hand-rolled token-level lexer ([`lexer`]) feeds the rule catalog
-//! ([`rules`]), a minimal TOML subset parser ([`toml`]) reads both crate
-//! manifests ([`manifest`]) and the `lint-allow.toml` waiver file
-//! ([`waivers`]), and [`report`] renders a human table plus deterministic
-//! `artifacts/LINT.json` bytes.
+//! hand-rolled lexer ([`lexer`]) and item parser ([`parser`]) read each
+//! library file once, marking its test regions once; the token rules
+//! ([`rules`]) and the call-graph passes ([`analysis`], over [`graph`])
+//! both consume that one parse. A minimal TOML subset parser ([`toml`])
+//! reads the crate manifests ([`manifest`]) and the `lint-allow.toml`
+//! waiver file ([`waivers`]), and [`report`] renders the human table plus
+//! deterministic `artifacts/LINT.json` and `artifacts/ANALYSIS.json`
+//! bytes.
 //!
 //! # Rule catalog
+//!
+//! Each contract has exactly one enforcer: the token rules own every
+//! contract about a *site*, the graph passes only those about a *path*.
 //!
 //! | rule | contract |
 //! |------|----------|
@@ -28,6 +34,8 @@
 //! | `panic-policy/unmarked-panic` | `unwrap`/`expect`/`panic!`/`assert!`-family calls in non-test library code need a `// PANIC-POLICY:` contract marker |
 //! | `panic-policy/empty-marker` | a marker must carry a rationale |
 //! | `api/relaxed-ordering` | no `Ordering::Relaxed` outside the telemetry allowlist |
+//! | `analysis/determinism-taint` | no thread-identity read or raw thread reachable from an artifact root |
+//! | `analysis/lock-order` | no cycle in the lock-acquisition order |
 //! | `manifest/workspace-field` | crates inherit `version`/`edition`/`license` from the workspace |
 //! | `manifest/external-dependency` | only workspace-inherited or in-tree path dependencies |
 //! | `waiver/stale`, `waiver/invalid` | the waiver file itself must stay honest |
@@ -35,7 +43,6 @@
 //! # Usage
 //!
 //! ```text
-//! cargo run -p macgame-lint             # lint the enclosing workspace
 //! cargo run --release -p macgame-bench --bin repro -- lint
 //! ```
 //!
@@ -60,34 +67,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use analysis::{AnalysisConfig, AnalysisReport};
+use report::LintStats;
 pub use report::LintReport;
 pub use rules::{FileContext, Finding};
 pub use waivers::WAIVER_FILE;
-
-/// Configuration for one lint run.
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Exact workspace-relative paths allowed to read the wall clock
-    /// (the telemetry `timings` quarantine).
-    pub wall_clock_allow: Vec<String>,
-    /// Workspace-relative path prefixes allowed to use `Ordering::Relaxed`
-    /// (the telemetry fast-path allowlist).
-    pub relaxed_allow: Vec<String>,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            // `telemetry::global::span` is *the* wall-clock quarantine: its
-            // measurements land in the `timings` section that
-            // `Snapshot::deterministic_json()` omits.
-            wall_clock_allow: vec!["crates/telemetry/src/global.rs".to_string()],
-            // The telemetry fast path is the one sanctioned Relaxed user:
-            // its counters merge by commutative sums, never by read order.
-            relaxed_allow: vec!["crates/telemetry/src/".to_string()],
-        }
-    }
-}
 
 /// Errors a lint run can hit. The linter itself never panics.
 #[derive(Debug)]
@@ -224,49 +207,29 @@ impl WorkspaceReport {
     }
 }
 
-/// Lints the workspace rooted at `root` with the default configuration.
+/// Runs the token lint and the call-graph analyses with the default
+/// taint roots.
 ///
 /// # Errors
 ///
 /// Returns [`LintError`] on filesystem failures or when `root` is not a
 /// workspace root. Findings — including malformed waivers — are *not*
-/// errors; they are reported in the [`LintReport`].
-pub fn run_lint(root: &Path) -> Result<LintReport, LintError> {
-    run_lint_with(root, &LintConfig::default())
-}
-
-/// Lints the workspace rooted at `root` with an explicit configuration.
-/// The call-graph analyses still run (waiver staleness is judged over the
-/// union); only the token-level report is returned.
-///
-/// # Errors
-///
-/// See [`run_lint`].
-pub fn run_lint_with(root: &Path, config: &LintConfig) -> Result<LintReport, LintError> {
-    run_workspace_with(root, config, &AnalysisConfig::default()).map(|w| w.lint)
-}
-
-/// Runs the token lint *and* the call-graph analyses with the default
-/// configurations.
-///
-/// # Errors
-///
-/// See [`run_lint`].
+/// errors; they are reported in the [`WorkspaceReport`].
 pub fn run_workspace(root: &Path) -> Result<WorkspaceReport, LintError> {
-    run_workspace_with(root, &LintConfig::default(), &AnalysisConfig::default())
+    run_workspace_with(root, &AnalysisConfig::default())
 }
 
-/// Runs the token lint and the call-graph analyses with explicit
-/// configurations. `lint-allow.toml` waivers apply to findings from
-/// either pass, and stale-waiver detection runs once over the union.
+/// Runs the token lint and the call-graph analyses with explicit taint
+/// roots. Each library file is read and parsed once; both passes consume
+/// the parse. `lint-allow.toml` waivers apply to findings from either
+/// pass, and stale-waiver detection runs once over the union.
 ///
 /// # Errors
 ///
-/// See [`run_lint`].
+/// See [`run_workspace`].
 pub fn run_workspace_with(
     root: &Path,
-    config: &LintConfig,
-    aconfig: &AnalysisConfig,
+    config: &AnalysisConfig,
 ) -> Result<WorkspaceReport, LintError> {
     let root_manifest_path = root.join("Cargo.toml");
     let root_manifest = read(&root_manifest_path)?;
@@ -275,8 +238,7 @@ pub fn run_workspace_with(
     }
 
     let mut findings: Vec<Finding> = Vec::new();
-    let mut analysis_sources: Vec<(String, String)> = Vec::new();
-    let mut files_scanned = 0usize;
+    let mut parsed_files: Vec<(String, parser::ParsedFile)> = Vec::new();
     let mut manifests_checked = 0usize;
 
     // Waivers first: malformed entries are findings too.
@@ -322,33 +284,23 @@ pub fn run_workspace_with(
         rust_files_recursive(&pkg_dir.join("src"), &mut lib_files)?;
         for file in lib_files {
             let rel = rel_str(root, &file);
-            let ctx = FileContext {
-                rel_path: &rel,
-                wall_clock_allow: &config.wall_clock_allow,
-                relaxed_allow: &config.relaxed_allow,
-            };
-            let source = read(&file)?;
-            findings.extend(rules::check_source(&ctx, &source));
-            files_scanned += 1;
-            analysis_sources.push((rel, source));
+            let parsed = parser::parse(&read(&file)?);
+            findings.extend(rules::check_source(&FileContext { rel_path: &rel }, &parsed));
+            parsed_files.push((rel, parsed));
         }
     }
 
-    // Call-graph analyses over the library sources.
-    let analyzed = analysis::analyze(&analysis_sources, aconfig);
+    // Call-graph analyses over the same parsed library files.
+    let stats = LintStats { files_scanned: parsed_files.len(), manifests_checked };
+    let analyzed = analysis::analyze(&parsed_files, config);
     findings.extend(analyzed.findings);
 
     // Waivers apply across the union so stale detection sees both passes.
     waivers::apply_waivers(&mut findings, &waiver_set.waivers);
     let (analysis_findings, lint_findings): (Vec<Finding>, Vec<Finding>) =
         findings.into_iter().partition(|f| f.rule.starts_with("analysis/"));
-
-    let mut lint = LintReport { findings: lint_findings, files_scanned, manifests_checked };
-    lint.sort();
-    // Two hits of the same rule on one line (e.g. `HashMap::<_,_>::new()`
-    // naming the type twice) are one violation.
-    lint.findings.dedup_by(|a, b| a.rule == b.rule && a.path == b.path && a.line == b.line);
-    let mut analysis = AnalysisReport { findings: analysis_findings, stats: analyzed.stats };
-    analysis.sort();
-    Ok(WorkspaceReport { lint, analysis })
+    Ok(WorkspaceReport {
+        lint: LintReport::new(lint_findings, stats),
+        analysis: AnalysisReport::new(analysis_findings, analyzed.stats),
+    })
 }

@@ -14,14 +14,28 @@
 //!   zero-argument flag), and macro invocations (`name!(…)`);
 //! * per-file `use` imports (leaf name → full path) so bare calls to
 //!   imported functions resolve across crates;
-//! * the `// PANIC-POLICY:` marker map, forwarded from the lexer.
+//! * the token stream itself, with an `in_test` flag per token, and the
+//!   `// PANIC-POLICY:` marker map, both forwarded from the lexer so the
+//!   token rules ([`crate::rules`]) read the same test scoping as the
+//!   call graph instead of tracking it a second time.
+//!
+//! # Test regions
+//!
+//! A test-gating attribute (`#[test]`, or `#[cfg(…)]` naming `test`
+//! without `not`) marks the item it precedes: the item's header and, when
+//! it has one, its brace-delimited body. The pending mark ends at the
+//! body's `{`, or without a body at the `;`, `,` or enclosing `}` that
+//! ends the item — so a gated field, variant or `use` never leaks onto
+//! the next item. A `,` or `;` nested in the item's header (`S<A, B>`,
+//! `[u8; 4]`) does not end it. An inner `#![cfg(test)]` marks the whole
+//! file.
 //!
 //! What it deliberately does **not** do (see DESIGN.md §18): type
 //! inference, trait dispatch, macro expansion, or shadowing-aware name
 //! resolution. Callers over-approximate on top of this output; the
 //! analyses document where that over- or under-approximates.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::lexer::{lex, Token, TokenKind};
 
@@ -100,9 +114,6 @@ pub struct FnDef {
     pub is_test: bool,
     /// Body events in source order.
     pub events: Vec<Event>,
-    /// Identifiers of interest mentioned anywhere in the body (currently
-    /// the hash-container types), for co-occurrence heuristics.
-    pub mentions: BTreeSet<String>,
 }
 
 impl FnDef {
@@ -116,12 +127,16 @@ impl FnDef {
     }
 }
 
-/// Identifier mentions the parser records per function body.
-const INTERESTING_MENTIONS: &[&str] = &["HashMap", "HashSet", "ThreadId"];
-
 /// Result of parsing one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
+    /// The lexed token stream, comments and literals' contents stripped.
+    pub tokens: Vec<Token>,
+    /// Parallel to `tokens`: whether each token lies in a test region
+    /// (see the module docs).
+    pub in_test: Vec<bool>,
+    /// The source lines, for finding snippets.
+    pub lines: Vec<String>,
     /// Every fn definition in the file, in source order.
     pub fns: Vec<FnDef>,
     /// `use` imports: leaf name → full path segments. `use a::b::c` maps
@@ -131,6 +146,23 @@ pub struct ParsedFile {
     pub imports: BTreeMap<String, Vec<String>>,
     /// `line → rationale` for `// PANIC-POLICY:` markers (from the lexer).
     pub markers: BTreeMap<u32, String>,
+}
+
+impl ParsedFile {
+    /// The trimmed source line at 1-based `line`, truncated to 96 chars
+    /// so artifact rows stay stable and narrow; empty past the file.
+    #[must_use]
+    pub fn snippet(&self, line: u32) -> String {
+        let text = line
+            .checked_sub(1)
+            .and_then(|l| self.lines.get(l as usize))
+            .map_or("", |l| l.trim());
+        let mut s: String = text.chars().take(96).collect();
+        if text.chars().count() > 96 {
+            s.push('…');
+        }
+        s
+    }
 }
 
 /// Scope kinds the parser tracks while walking the token stream.
@@ -145,7 +177,8 @@ enum Scope {
     Block,
 }
 
-/// Parses one file's source into its fn definitions and imports.
+/// Parses one file's source into its tokens, test regions, fn
+/// definitions and imports.
 ///
 /// The parser is resilient by construction: it walks the token stream
 /// with bounded lookahead and treats anything it does not recognize as
@@ -156,15 +189,27 @@ pub fn parse(source: &str) -> ParsedFile {
     let lexed = lex(source);
     let toks = &lexed.tokens;
     let n = toks.len();
-    let mut out = ParsedFile { markers: lexed.panic_markers.clone(), ..ParsedFile::default() };
+    let mut out = ParsedFile {
+        in_test: Vec::with_capacity(n),
+        lines: source.lines().map(str::to_string).collect(),
+        markers: lexed.panic_markers,
+        ..ParsedFile::default()
+    };
 
     // Scope stack entries: (scope, brace depth at which the scope closes).
     let mut scopes: Vec<(Scope, i64)> = Vec::new();
     let mut depth: i64 = 0;
-    // Test-region tracking (same discipline as `rules::check_source`).
+    // Test-region tracking: brace depths of open test bodies, a gating
+    // attribute whose item has not started its body yet, and an inner
+    // `#![cfg(test)]`.
     let mut test_depths: Vec<i64> = Vec::new();
     let mut pending_test = false;
     let mut file_is_test = false;
+    // Delimiters opened in the pending item's header, so a separator
+    // nested in it (`S<A, B>`, `[u8; 4]`) does not end the item.
+    let mut header_open: Vec<char> = Vec::new();
+    // The test flag of the step that consumed the tokens up to `i`.
+    let mut step_in_test = false;
     // Pending visibility for the next item.
     let mut pending_pub = false;
 
@@ -221,6 +266,11 @@ pub fn parse(source: &str) -> ParsedFile {
 
     let mut i = 0usize;
     while i < n {
+        // Every step consumes `toks[i..next]` under one test flag: a step
+        // that skips ahead (signatures, `use` trees, impl headers, call
+        // paths) never crosses a region boundary before its last token.
+        out.in_test.resize(i, step_in_test);
+        step_in_test = file_is_test || pending_test || !test_depths.is_empty();
         match &toks[i].kind {
             // ---- attributes ------------------------------------------------
             TokenKind::Punct('#') => {
@@ -251,10 +301,28 @@ pub fn parse(source: &str) -> ParsedFile {
                             file_is_test = true;
                         } else {
                             pending_test = true;
+                            header_open.clear();
                         }
                     }
                     i = j;
                     continue;
+                }
+                i += 1;
+            }
+            TokenKind::Punct(c @ ('(' | '[' | '<')) if pending_test => {
+                header_open.push(*c);
+                i += 1;
+            }
+            TokenKind::Punct(c @ (')' | ']' | '>')) if pending_test => {
+                let opener = match c {
+                    ')' => '(',
+                    ']' => '[',
+                    _ => '<',
+                };
+                // The `>` of `->` closes nothing.
+                let arrow = *c == '>' && i > 0 && punct(i - 1, '-');
+                if !arrow && header_open.last() == Some(&opener) {
+                    header_open.pop();
                 }
                 i += 1;
             }
@@ -277,13 +345,25 @@ pub fn parse(source: &str) -> ParsedFile {
                 }
                 depth -= 1;
                 pending_pub = false;
+                // A gated last field or variant (`#[cfg(test)] b: u32 }`)
+                // ends with its enclosing brace.
+                pending_test = false;
                 i += 1;
             }
-            TokenKind::Punct(';') | TokenKind::Punct(',') => {
+            TokenKind::Punct(sep @ (';' | ',')) => {
                 // `,` also ends struct-field visibility (`pub a: usize,`),
                 // which must not leak onto the next item.
                 pending_pub = false;
-                pending_test = false;
+                // A gated field, variant or body-less item ends here,
+                // unless the separator is nested in its header.
+                let nested = if *sep == ',' {
+                    !header_open.is_empty()
+                } else {
+                    header_open.contains(&'[')
+                };
+                if !nested {
+                    pending_test = false;
+                }
                 i += 1;
             }
             TokenKind::Ident(word) => {
@@ -446,7 +526,6 @@ pub fn parse(source: &str) -> ParsedFile {
                                 is_pub: pending_pub,
                                 is_test,
                                 events: Vec::new(),
-                                mentions: BTreeSet::new(),
                             });
                             depth += 1;
                             scopes.push((Scope::Fn(out.fns.len() - 1), depth));
@@ -489,6 +568,8 @@ pub fn parse(source: &str) -> ParsedFile {
             }
         }
     }
+    out.in_test.resize(n, step_in_test);
+    out.tokens = lexed.tokens;
     out
 }
 
@@ -567,8 +648,8 @@ fn parse_use(
     i
 }
 
-/// Records a path/bare call, macro invocation, or interesting mention
-/// starting at the identifier at `i`. Returns the index to resume from.
+/// Records a path/bare call or macro invocation starting at the
+/// identifier at `i`. Returns the index to resume from.
 fn record_event(
     toks: &[Token],
     i: usize,
@@ -586,9 +667,6 @@ fn record_event(
     while let Some(TokenKind::Ident(s)) = toks.get(j).map(|t| &t.kind) {
         segments.push(s.clone());
         last_line = toks[j].line;
-        if INTERESTING_MENTIONS.contains(&s.as_str()) {
-            fun.mentions.insert(s.clone());
-        }
         j += 1;
         if punct(j, ':') && punct(j + 1, ':') {
             j += 2;
@@ -647,9 +725,6 @@ fn record_method(
         return i + 1;
     };
     let name = name.clone();
-    if INTERESTING_MENTIONS.contains(&name.as_str()) {
-        fun.mentions.insert(name.clone());
-    }
     let line = toks[i + 1].line;
     let mut j = i + 2;
     if punct(j, ':') && punct(j + 1, ':') && punct(j + 2, '<') {
@@ -833,6 +908,32 @@ mod tests {
     }
 
     #[test]
+    fn in_test_flags_cover_tokens_the_parser_skips() {
+        let src = "
+            #[cfg(test)]
+            use std::collections::HashMap;
+            #[cfg(test)]
+            fn sig(m: HashMap<u8, u8>) -> HashMap<u8, u8> { m }
+            #[cfg(test)]
+            impl Probe for HashMap<u8, u8> {}
+            fn prod() -> HashMap<u8, u8> { HashMap::new() }
+        ";
+        let parsed = parse(src);
+        let flags: Vec<(u32, bool)> = parsed
+            .tokens
+            .iter()
+            .zip(&parsed.in_test)
+            .filter(|(t, _)| matches!(&t.kind, TokenKind::Ident(s) if s == "HashMap"))
+            .map(|(t, &flag)| (t.line, flag))
+            .collect();
+        assert_eq!(
+            flags,
+            vec![(3, true), (5, true), (5, true), (7, true), (8, false), (8, false)]
+        );
+        assert_eq!(parsed.in_test.len(), parsed.tokens.len());
+    }
+
+    #[test]
     fn nested_modules_and_nested_fns_attribute_events_to_the_innermost_fn() {
         let src = "
             mod outer {
@@ -893,13 +994,6 @@ mod tests {
             "{:?}",
             parsed.imports
         );
-    }
-
-    #[test]
-    fn mentions_track_hash_containers() {
-        let src = "fn f() { let m: HashMap<u32, u32> = HashMap::new(); for (k, v) in m.iter() {} }";
-        let fns = parse_fns(src);
-        assert!(fns[0].mentions.contains("HashMap"));
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Report assembly: deterministic `LINT.json` bytes and the human table.
+//! Report assembly, shared by both lint passes: canonical finding order,
+//! the waiver verdict, the human table rows, and deterministic
+//! `artifacts/LINT.json` / `artifacts/ANALYSIS.json` bytes.
 //!
 //! The JSON is hand-rolled (the crate is dependency-free) with sorted
 //! findings, sorted rule counts, and no timestamps or absolute paths, so
@@ -9,23 +11,58 @@ use std::collections::BTreeMap;
 
 use crate::rules::Finding;
 
-/// The outcome of linting a workspace.
-#[derive(Debug)]
-pub struct LintReport {
-    /// Every finding, waived or not, sorted by `(path, line, rule)`.
-    pub findings: Vec<Finding>,
+/// The artifact-specific part of a [`Report`]: its schema id and the
+/// counters that open its JSON summary.
+pub trait Summary {
+    /// The `schema` field of the rendered JSON.
+    const SCHEMA: &'static str;
+    /// Whether each JSON finding carries its call-path `witness` array.
+    const WITNESS: bool;
+    /// `(key, value)` counters, in rendering order, ahead of the shared
+    /// finding tallies.
+    fn counters(&self) -> Vec<(&'static str, usize)>;
+}
+
+/// Counters of the token pass (`LINT.json`).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LintStats {
     /// Number of source files scanned.
     pub files_scanned: usize,
     /// Number of manifests checked.
     pub manifests_checked: usize,
 }
 
-impl LintReport {
-    /// Sorts findings into their canonical artifact order.
-    pub fn sort(&mut self) {
-        self.findings.sort_by(|a, b| {
+impl Summary for LintStats {
+    const SCHEMA: &'static str = "macgame-lint/1";
+    const WITNESS: bool = false;
+    fn counters(&self) -> Vec<(&'static str, usize)> {
+        vec![("files_scanned", self.files_scanned), ("manifests_checked", self.manifests_checked)]
+    }
+}
+
+/// The outcome of one lint pass: findings plus the pass's counters.
+#[derive(Debug)]
+pub struct Report<S> {
+    /// Every finding, waived or not, sorted by `(path, line, rule)`.
+    pub findings: Vec<Finding>,
+    /// Pass-specific counters.
+    pub stats: S,
+}
+
+/// The outcome of the token pass.
+pub type LintReport = Report<LintStats>;
+
+impl<S> Report<S> {
+    /// Builds a report in canonical artifact order: findings sorted by
+    /// `(path, line, rule)`, and two hits of one rule on one line (e.g.
+    /// `HashMap::<_,_>::new()` naming the type twice) kept as one.
+    #[must_use]
+    pub fn new(mut findings: Vec<Finding>, stats: S) -> Self {
+        findings.sort_by(|a, b| {
             (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
         });
+        findings.dedup_by(|a, b| a.rule == b.rule && a.path == b.path && a.line == b.line);
+        Report { findings, stats }
     }
 
     /// Findings not covered by a waiver — the CI-failing set.
@@ -54,20 +91,48 @@ impl LintReport {
         counts
     }
 
-    /// Renders the deterministic `LINT.json` bytes.
+    /// Rows for a `rule | location | status | detail` table: unwaived
+    /// findings first (they are what the reader must act on), then waived
+    /// grants with their rationale. Witnesses stay out of the table (full
+    /// paths live in the JSON).
+    #[must_use]
+    pub fn table_rows(&self) -> Vec<Vec<String>> {
+        let mut rows = Vec::new();
+        for pass in [false, true] {
+            for f in self.findings.iter().filter(|f| f.waived == pass) {
+                let detail = if f.waived {
+                    format!("waived: {}", f.reason.as_deref().unwrap_or(""))
+                } else {
+                    f.message.clone()
+                };
+                rows.push(vec![
+                    f.rule.to_string(),
+                    format!("{}:{}", f.path, f.line),
+                    if f.waived { "allow".to_string() } else { "FAIL".to_string() },
+                    detail,
+                ]);
+            }
+        }
+        rows
+    }
+}
+
+impl<S: Summary> Report<S> {
+    /// Renders the deterministic artifact bytes.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"macgame-lint/1\",\n");
+        out.push_str(&format!("{{\n  \"schema\": {},\n", json_string(S::SCHEMA)));
         out.push_str("  \"summary\": {\n");
-        out.push_str(&format!("    \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("    \"manifests_checked\": {},\n", self.manifests_checked));
-        out.push_str(&format!("    \"findings\": {},\n", self.findings.len()));
-        out.push_str(&format!(
-            "    \"waived\": {},\n",
-            self.findings.iter().filter(|f| f.waived).count()
-        ));
-        out.push_str(&format!("    \"unwaived\": {},\n", self.unwaived().len()));
+        let waived = self.findings.iter().filter(|f| f.waived).count();
+        let tallies = [
+            ("findings", self.findings.len()),
+            ("waived", waived),
+            ("unwaived", self.findings.len() - waived),
+        ];
+        for (key, value) in self.stats.counters().into_iter().chain(tallies) {
+            out.push_str(&format!("    \"{key}\": {value},\n"));
+        }
         out.push_str("    \"rules\": {");
         let counts = self.rule_counts();
         let mut first = true;
@@ -102,81 +167,17 @@ impl LintReport {
                 None => out.push_str("\"reason\": null, "),
             }
             out.push_str(&format!("\"message\": {}, ", json_string(&f.message)));
-            out.push_str(&format!("\"snippet\": {}}}", json_string(&f.snippet)));
+            out.push_str(&format!("\"snippet\": {}", json_string(&f.snippet)));
+            if S::WITNESS {
+                let steps: Vec<String> = f.witness.iter().map(|s| json_string(s)).collect();
+                out.push_str(&format!(", \"witness\": [{}]", steps.join(", ")));
+            }
+            out.push('}');
         }
         if !self.findings.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("]\n}\n");
-        out
-    }
-
-    /// Rows for a `rule | location | status | detail` table: unwaived
-    /// findings first (they are what the reader must act on), then waived
-    /// grants with their rationale.
-    #[must_use]
-    pub fn table_rows(&self) -> Vec<Vec<String>> {
-        let mut rows = Vec::new();
-        for pass in [false, true] {
-            for f in self.findings.iter().filter(|f| f.waived == pass) {
-                let detail = if f.waived {
-                    format!("waived: {}", f.reason.as_deref().unwrap_or(""))
-                } else {
-                    f.message.clone()
-                };
-                rows.push(vec![
-                    f.rule.to_string(),
-                    format!("{}:{}", f.path, f.line),
-                    if f.waived { "allow".to_string() } else { "FAIL".to_string() },
-                    detail,
-                ]);
-            }
-        }
-        rows
-    }
-
-    /// Renders the report as aligned plain text (used by the standalone
-    /// binary; `repro -- lint` uses its own table renderer on
-    /// [`Self::table_rows`]).
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let headers = ["rule", "location", "status", "detail"];
-        let rows = self.table_rows();
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-        for row in &rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.chars().count());
-            }
-        }
-        let mut out = String::new();
-        let render_row = |cells: &[&str], out: &mut String| {
-            for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(cell);
-                for _ in cell.chars().count()..*w {
-                    out.push(' ');
-                }
-            }
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-        };
-        render_row(&headers, &mut out);
-        for row in &rows {
-            let cells: Vec<&str> = row.iter().map(String::as_str).collect();
-            render_row(&cells, &mut out);
-        }
-        out.push_str(&format!(
-            "\n{} file(s), {} manifest(s) scanned: {} finding(s), {} waived, {} unwaived\n",
-            self.files_scanned,
-            self.manifests_checked,
-            self.findings.len(),
-            self.findings.iter().filter(|f| f.waived).count(),
-            self.unwaived().len(),
-        ));
         out
     }
 }
@@ -220,16 +221,14 @@ mod tests {
 
     #[test]
     fn json_is_sorted_and_stable() {
-        let mut report = LintReport {
-            findings: vec![
+        let report = LintReport::new(
+            vec![
                 finding("b/rule", "z.rs", 9, false),
                 finding("a/rule", "a.rs", 3, true),
                 finding("a/rule", "a.rs", 1, false),
             ],
-            files_scanned: 3,
-            manifests_checked: 1,
-        };
-        report.sort();
+            LintStats { files_scanned: 3, manifests_checked: 1 },
+        );
         let one = report.to_json();
         let two = report.to_json();
         assert_eq!(one, two);
@@ -247,7 +246,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_clean_and_valid() {
-        let report = LintReport { findings: vec![], files_scanned: 0, manifests_checked: 0 };
+        let report = LintReport::new(vec![], LintStats::default());
         assert!(report.is_clean());
         let json = report.to_json();
         assert!(json.contains("\"findings\": []"));
@@ -256,15 +255,10 @@ mod tests {
 
     #[test]
     fn table_lists_unwaived_first() {
-        let mut report = LintReport {
-            findings: vec![
-                finding("a/rule", "a.rs", 1, true),
-                finding("b/rule", "b.rs", 2, false),
-            ],
-            files_scanned: 2,
-            manifests_checked: 0,
-        };
-        report.sort();
+        let report = LintReport::new(
+            vec![finding("a/rule", "a.rs", 1, true), finding("b/rule", "b.rs", 2, false)],
+            LintStats { files_scanned: 2, manifests_checked: 0 },
+        );
         let rows = report.table_rows();
         assert_eq!(rows[0][2], "FAIL");
         assert_eq!(rows[1][2], "allow");

@@ -11,12 +11,15 @@
 //!   outside `#[cfg(test)]` regions is held to every contract.
 //! * **Test regions** (`#[cfg(test)]` modules/items, `#[test]` functions)
 //!   are exempt from every code rule — tests may hash, time, and unwrap
-//!   freely. Top-level `tests/`, `benches/` and `examples/` files are not
-//!   read at all.
+//!   freely. The rules do not track regions themselves: they read the
+//!   per-token flag [`crate::parser::parse`] computes once per file for
+//!   both lint passes. Top-level `tests/`, `benches/` and `examples/`
+//!   files are not read at all.
 //! * Vendored shims under `vendor/` are never code-linted (they *implement*
 //!   the APIs these rules police); their manifests are still checked.
 
-use crate::lexer::{lex, TokenKind};
+use crate::lexer::TokenKind;
+use crate::parser::ParsedFile;
 
 /// A single rule violation (or waived ex-violation) at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,64 +56,54 @@ pub const RULE_EMPTY_MARKER: &str = "panic-policy/empty-marker";
 /// Rule id: `Ordering::Relaxed` outside the telemetry allowlist.
 pub const RULE_RELAXED: &str = "api/relaxed-ordering";
 
+/// Exact workspace-relative paths allowed to call `Instant::now` /
+/// `SystemTime::now`: `telemetry::global::span` is *the* wall-clock
+/// quarantine, whose measurements land in the `timings` section that
+/// `Snapshot::deterministic_json()` omits.
+const WALL_CLOCK_ALLOW: &[&str] = &["crates/telemetry/src/global.rs"];
+
+/// Workspace-relative path prefixes allowed to use `Ordering::Relaxed`:
+/// the telemetry fast path, whose counters merge by commutative sums,
+/// never by read order.
+const RELAXED_ALLOW: &[&str] = &["crates/telemetry/src/"];
+
 /// Per-file context handed to [`check_source`].
 #[derive(Debug, Clone)]
 pub struct FileContext<'a> {
     /// Workspace-relative path with `/` separators.
     pub rel_path: &'a str,
-    /// Exact relative paths allowed to call `Instant::now`/`SystemTime::now`
-    /// (the telemetry wall-clock quarantine).
-    pub wall_clock_allow: &'a [String],
-    /// Relative-path prefixes allowed to use `Ordering::Relaxed`.
-    pub relaxed_allow: &'a [String],
 }
 
 /// Macro names whose invocation panics (checked with a trailing `!`).
 /// `debug_assert*` is deliberately absent: it is compiled out of the
 /// release builds that produce artifacts.
-pub(crate) const PANIC_MACROS: &[&str] =
+const PANIC_MACROS: &[&str] =
     &["panic", "assert", "assert_eq", "assert_ne", "unreachable", "todo", "unimplemented"];
 
 /// Methods whose call panics (checked as `.name(`).
-pub(crate) const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
+const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 
-/// Runs every code rule over one file's source.
+/// Runs every code rule over one parsed file, skipping the tokens the
+/// parser marked as test code.
 #[must_use]
-pub fn check_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
-    let lexed = lex(source);
-    let lines: Vec<&str> = source.lines().collect();
-    let tokens = &lexed.tokens;
+pub fn check_source(ctx: &FileContext<'_>, file: &ParsedFile) -> Vec<Finding> {
+    let tokens = &file.tokens;
     let mut findings = Vec::new();
-
-    let snippet = |line: u32| -> String {
-        let text = lines.get(line as usize - 1).map_or("", |l| l.trim());
-        let mut s: String = text.chars().take(96).collect();
-        if text.chars().count() > 96 {
-            s.push('…');
-        }
-        s
-    };
     let mut push = |rule: &'static str, line: u32, message: String| {
         findings.push(Finding {
             rule,
             path: ctx.rel_path.to_string(),
             line,
             message,
-            snippet: snippet(line),
+            snippet: file.snippet(line),
             waived: false,
             reason: None,
             witness: Vec::new(),
         });
     };
 
-    let wall_clock_quarantined = ctx.wall_clock_allow.iter().any(|p| p == ctx.rel_path);
-    let relaxed_allowed = ctx.relaxed_allow.iter().any(|p| ctx.rel_path.starts_with(p.as_str()));
-
-    // --- test-region tracking ---------------------------------------------
-    let mut brace_depth: i64 = 0;
-    let mut test_regions: Vec<i64> = Vec::new(); // brace depths of open test bodies
-    let mut pending_test = false; // saw a test-gating attribute, body not yet entered
-    let mut file_is_test = false; // inner `#![cfg(test)]`
+    let wall_clock_quarantined = WALL_CLOCK_ALLOW.contains(&ctx.rel_path);
+    let relaxed_allowed = RELAXED_ALLOW.iter().any(|p| ctx.rel_path.starts_with(p));
 
     let ident = |idx: usize| -> Option<&str> {
         match tokens.get(idx).map(|t| &t.kind) {
@@ -122,70 +115,11 @@ pub fn check_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
         matches!(tokens.get(idx).map(|t| &t.kind), Some(TokenKind::Punct(p)) if *p == c)
     };
 
-    let mut i = 0usize;
-    while i < tokens.len() {
-        let line = tokens[i].line;
-        match &tokens[i].kind {
-            TokenKind::Punct('#') => {
-                // Attribute: `#[…]` or inner `#![…]`; collect its idents.
-                let mut j = i + 1;
-                let inner = punct(j, '!');
-                if inner {
-                    j += 1;
-                }
-                if punct(j, '[') {
-                    let mut depth = 1i64;
-                    j += 1;
-                    let mut ids: Vec<&str> = Vec::new();
-                    while j < tokens.len() && depth > 0 {
-                        match &tokens[j].kind {
-                            TokenKind::Punct('[') => depth += 1,
-                            TokenKind::Punct(']') => depth -= 1,
-                            TokenKind::Ident(s) => ids.push(s.as_str()),
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    let gating = (ids.first() == Some(&"cfg")
-                        && ids.contains(&"test")
-                        && !ids.contains(&"not"))
-                        || ids == ["test"];
-                    if gating {
-                        if inner {
-                            file_is_test = true;
-                        } else {
-                            pending_test = true;
-                        }
-                    }
-                    i = j;
-                    continue;
-                }
-            }
-            TokenKind::Punct('{') => {
-                brace_depth += 1;
-                if pending_test {
-                    test_regions.push(brace_depth);
-                    pending_test = false;
-                }
-            }
-            TokenKind::Punct('}') => {
-                if test_regions.last() == Some(&brace_depth) {
-                    test_regions.pop();
-                }
-                brace_depth -= 1;
-            }
-            TokenKind::Punct(';') => {
-                // `#[cfg(test)] use …;` — a body-less test item ends here.
-                pending_test = false;
-            }
-            _ => {}
-        }
-        let in_test = file_is_test || pending_test || !test_regions.is_empty();
-
+    for (i, (token, &in_test)) in tokens.iter().zip(&file.in_test).enumerate() {
         if in_test {
-            i += 1;
             continue;
         }
+        let line = token.line;
 
         // --- determinism: hash containers ---------------------------------
         if let Some(name) = ident(i) {
@@ -256,10 +190,10 @@ pub fn check_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
             _ => None,
         };
         if let Some(what) = panic_hit {
-            let marker = lexed
-                .panic_markers
+            let marker = file
+                .markers
                 .get(&line)
-                .or_else(|| line.checked_sub(1).and_then(|l| lexed.panic_markers.get(&l)));
+                .or_else(|| line.checked_sub(1).and_then(|l| file.markers.get(&l)));
             match marker {
                 None => push(
                     RULE_PANIC,
@@ -278,8 +212,6 @@ pub fn check_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
                 Some(_) => {}
             }
         }
-
-        i += 1;
     }
     findings
 }
@@ -287,13 +219,14 @@ pub fn check_source(ctx: &FileContext<'_>, source: &str) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse;
 
-    fn lib_ctx<'a>() -> FileContext<'a> {
-        FileContext {
-            rel_path: "crates/x/src/lib.rs",
-            wall_clock_allow: &[],
-            relaxed_allow: &[],
-        }
+    fn check_at(rel_path: &str, src: &str) -> Vec<Finding> {
+        check_source(&FileContext { rel_path }, &parse(src))
+    }
+
+    fn check(src: &str) -> Vec<Finding> {
+        check_at("crates/x/src/lib.rs", src)
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
@@ -311,13 +244,83 @@ mod tests {
                 fn t() { let _ = HashMap::<u32, u32>::new(); assert!(true); }
             }
         ";
-        assert!(check_source(&lib_ctx(), src).is_empty());
+        assert!(check(src).is_empty());
     }
 
     #[test]
     fn cfg_not_test_is_not_exempt() {
         let src = "#[cfg(not(test))]\nfn f() { let x: Option<u32> = None; x.unwrap(); }\n";
-        assert_eq!(rules_of(&check_source(&lib_ctx(), src)), vec![RULE_PANIC]);
+        assert_eq!(rules_of(&check(src)), vec![RULE_PANIC]);
+    }
+
+    #[test]
+    fn test_gated_struct_field_does_not_exempt_the_next_impl() {
+        let src = "
+            struct S {
+                #[cfg(test)]
+                x: u32,
+                y: u32,
+            }
+            impl S {
+                fn f(v: Option<u32>) -> u32 { v.unwrap() }
+            }
+        ";
+        let findings = check(src);
+        assert_eq!(rules_of(&findings), vec![RULE_PANIC], "{findings:?}");
+        assert_eq!(findings[0].line, 8);
+    }
+
+    #[test]
+    fn test_gated_enum_variant_does_not_exempt_the_next_fn() {
+        let src = "
+            enum E {
+                A,
+                #[cfg(test)]
+                B,
+            }
+            fn f(v: Option<u32>) -> u32 { v.unwrap() }
+        ";
+        assert_eq!(rules_of(&check(src)), vec![RULE_PANIC]);
+    }
+
+    #[test]
+    fn test_fn_returning_an_array_stays_exempt() {
+        let src = "
+            #[cfg(test)]
+            fn f() -> [u8; 4] {
+                let _m = std::collections::HashMap::<u8, u8>::new();
+                [0; 4]
+            }
+        ";
+        let findings = check(src);
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn test_gated_last_field_without_comma_ends_at_the_brace() {
+        let src = "
+            struct S {
+                y: u32,
+                #[cfg(test)]
+                x: u32
+            }
+            impl S {
+                fn f(v: Option<u32>) -> u32 { v.unwrap() }
+            }
+        ";
+        assert_eq!(rules_of(&check(src)), vec![RULE_PANIC]);
+    }
+
+    #[test]
+    fn separators_nested_in_a_test_item_header_keep_it_exempt() {
+        let src = "
+            #[cfg(test)]
+            struct Fixture<A, B> { m: std::collections::HashMap<A, B> }
+            #[cfg(test)]
+            const TABLE: [u8; 2] = { let _ = std::time::Instant::now(); [1, 2] };
+        ";
+        let findings = check(src);
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
@@ -330,41 +333,32 @@ mod tests {
                 a + b
             }
         ";
-        assert!(check_source(&lib_ctx(), src).is_empty());
+        assert!(check(src).is_empty());
     }
 
     #[test]
     fn empty_marker_is_reported() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() } // PANIC-POLICY:\n";
-        assert_eq!(rules_of(&check_source(&lib_ctx(), src)), vec![RULE_EMPTY_MARKER]);
+        assert_eq!(rules_of(&check(src)), vec![RULE_EMPTY_MARKER]);
     }
 
     #[test]
     fn unwrap_or_variants_do_not_trigger() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) + x.unwrap_or_default() }\n";
-        assert!(check_source(&lib_ctx(), src).is_empty());
+        assert!(check(src).is_empty());
     }
 
     #[test]
     fn wall_clock_quarantine_and_relaxed_allowlist() {
         let src = "fn f() { let _ = Instant::now(); ENABLED.load(Ordering::Relaxed); }\n";
-        let allowed = FileContext {
-            rel_path: "crates/telemetry/src/global.rs",
-            wall_clock_allow: &["crates/telemetry/src/global.rs".to_string()],
-            relaxed_allow: &["crates/telemetry/src/".to_string()],
-        };
-        assert!(check_source(&allowed, src).is_empty());
-        let denied = lib_ctx();
-        assert_eq!(
-            rules_of(&check_source(&denied, src)),
-            vec![RULE_WALL_CLOCK, RULE_RELAXED]
-        );
+        assert!(check_at("crates/telemetry/src/global.rs", src).is_empty());
+        assert_eq!(rules_of(&check(src)), vec![RULE_WALL_CLOCK, RULE_RELAXED]);
     }
 
     #[test]
     fn entropy_rng_flagged_outside_tests() {
         let src = "fn f() { let mut rng = rand::thread_rng(); }\n";
-        assert_eq!(rules_of(&check_source(&lib_ctx(), src)), vec![RULE_ENTROPY]);
+        assert_eq!(rules_of(&check(src)), vec![RULE_ENTROPY]);
     }
 
     #[test]
@@ -373,13 +367,13 @@ mod tests {
             /// Docs mentioning HashMap, Instant::now() and .unwrap().
             fn f() -> &'static str { \"HashMap thread_rng panic!\" }
         ";
-        assert!(check_source(&lib_ctx(), src).is_empty());
+        assert!(check(src).is_empty());
     }
 
     #[test]
     fn findings_carry_location_and_snippet() {
         let src = "fn f() {\n    let m = std::collections::HashMap::<u32, u32>::new();\n}\n";
-        let f = &check_source(&lib_ctx(), src)[0];
+        let f = &check(src)[0];
         assert_eq!((f.rule, f.line), (RULE_HASH, 2));
         assert!(f.snippet.contains("HashMap"));
         assert_eq!(f.path, "crates/x/src/lib.rs");

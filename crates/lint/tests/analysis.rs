@@ -7,12 +7,11 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use macgame_lint::analysis::{
-    analyze, AnalysisConfig, RootSpec, RULE_LOCK_ORDER, RULE_PANIC_PATH, RULE_TAINT,
-};
+use macgame_lint::analysis::{analyze, AnalysisConfig, RootSpec, RULE_LOCK_ORDER, RULE_TAINT};
+use macgame_lint::parser::{parse, ParsedFile};
 use macgame_lint::rules::{RULE_HASH, RULE_RELAXED};
 use macgame_lint::waivers::parse_waivers;
-use macgame_lint::{run_workspace, run_workspace_with, LintConfig, WAIVER_FILE};
+use macgame_lint::{run_workspace, run_workspace_with, WAIVER_FILE};
 use proptest::prelude::*;
 
 fn real_root() -> PathBuf {
@@ -24,20 +23,13 @@ fn fixture_root(name: &str) -> PathBuf {
 }
 
 /// The analysis config every fixture workspace is written against:
-/// `emit` fns are artifact roots, no wall-clock quarantine, all crates
-/// are public API.
+/// `emit` fns are artifact roots.
 fn fixture_config() -> AnalysisConfig {
-    AnalysisConfig {
-        taint_roots: vec![RootSpec::fn_in("crates/", "emit")],
-        wall_clock_allow: vec![],
-        panic_api_prefixes: vec!["crates/".to_string()],
-    }
+    AnalysisConfig { taint_roots: vec![RootSpec::fn_in("crates/", "emit")] }
 }
 
 fn fixture_analysis(name: &str) -> macgame_lint::AnalysisReport {
-    run_workspace_with(&fixture_root(name), &LintConfig::default(), &fixture_config())
-        .unwrap()
-        .analysis
+    run_workspace_with(&fixture_root(name), &fixture_config()).unwrap().analysis
 }
 
 #[test]
@@ -53,7 +45,7 @@ fn taint_fixture_reports_the_rooted_path_and_only_it() {
     let report = fixture_analysis("ws_taint");
     let taints: Vec<_> =
         report.findings.iter().filter(|f| f.rule == RULE_TAINT).collect();
-    assert_eq!(taints.len(), 1, "island's clock is unrooted: {:?}", report.findings);
+    assert_eq!(taints.len(), 1, "island's thread read is unrooted: {:?}", report.findings);
     let f = taints[0];
     assert_eq!((f.path.as_str(), f.line), ("crates/app/src/lib.rs", 15));
     assert_eq!(
@@ -62,27 +54,9 @@ fn taint_fixture_reports_the_rooted_path_and_only_it() {
             "emit (crates/app/src/lib.rs:6)",
             "mid (crates/app/src/lib.rs:10)",
             "leaf (crates/app/src/lib.rs:14)",
-            "Instant::now (crates/app/src/lib.rs:15)",
+            "thread::current (crates/app/src/lib.rs:15)",
         ],
         "witness must spell out the root → … → sink path"
-    );
-}
-
-#[test]
-fn panic_fixture_reports_the_unmarked_path_and_only_it() {
-    let report = fixture_analysis("ws_panic");
-    let panics: Vec<_> =
-        report.findings.iter().filter(|f| f.rule == RULE_PANIC_PATH).collect();
-    assert_eq!(panics.len(), 1, "{:?}", report.findings);
-    let f = panics[0];
-    assert_eq!(f.line, 11, "the unmarked unwrap inside helper");
-    assert_eq!(
-        f.witness,
-        vec![
-            "api (crates/app/src/lib.rs:6)",
-            "helper (crates/app/src/lib.rs:10)",
-            ".unwrap() (crates/app/src/lib.rs:11)",
-        ]
     );
 }
 
@@ -178,13 +152,13 @@ fn analysis_artifact_is_byte_stable_across_runs() {
     let first = run_workspace(&root).unwrap().analysis.to_json();
     let second = run_workspace(&root).unwrap().analysis.to_json();
     assert_eq!(first, second);
-    assert!(first.contains("\"schema\": \"macgame-analysis/1\""));
+    assert!(first.contains("\"schema\": \"macgame-analysis/2\""));
     assert!(first.contains("\"witness\": ["));
 }
 
-/// An `analysis/*` waiver in a workspace whose *token* lint is also
-/// running must be applied to the analysis finding and must NOT be
-/// reported stale by the token pass — waivers match over the union.
+/// An `analysis/*` waiver and a token-rule waiver in one workspace must
+/// each be applied to its own finding, and neither may be reported stale
+/// by the other pass — waivers match over the union.
 #[test]
 fn analysis_waivers_apply_across_the_union_without_going_stale() {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("analysis-union");
@@ -206,33 +180,31 @@ fn analysis_waivers_apply_across_the_union_without_going_stale() {
     .unwrap();
     fs::write(
         root.join("crates/app/src/lib.rs"),
-        "pub fn api(x: Option<u32>) -> u32 { helper(x) }\n\
-         fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        "pub fn emit() -> String { shard() }\n\
+         fn shard() -> String { format!(\"{:?}\", std::thread::current().id()) }\n\
+         pub fn first(v: &[u32]) -> u32 { *v.first().unwrap() }\n",
     )
     .unwrap();
     fs::write(
         root.join("lint-allow.toml"),
-        "[[allow]]\nrule = \"analysis/panic-path\"\npath = \"crates/app/src/lib.rs\"\n\
-         line = 2\nreason = \"fixture: callers validate Some\"\n\n\
+        "[[allow]]\nrule = \"analysis/determinism-taint\"\npath = \"crates/app/src/lib.rs\"\n\
+         line = 2\nreason = \"fixture: the thread id never reaches the bytes\"\n\n\
          [[allow]]\nrule = \"panic-policy/unmarked-panic\"\npath = \"crates/app/src/lib.rs\"\n\
-         line = 2\nreason = \"fixture: callers validate Some\"\n",
+         line = 3\nreason = \"fixture: callers pass a non-empty slice\"\n",
     )
     .unwrap();
-    let workspace = run_workspace_with(
-        &root,
-        &LintConfig::default(),
-        &AnalysisConfig {
-            taint_roots: vec![],
-            wall_clock_allow: vec![],
-            panic_api_prefixes: vec!["crates/".to_string()],
-        },
-    )
-    .unwrap();
+    let workspace = run_workspace_with(&root, &fixture_config()).unwrap();
     assert!(workspace.is_clean(), "lint: {:?}\nanalysis: {:?}",
         workspace.lint.unwaived(), workspace.analysis.unwaived());
     assert!(
-        workspace.analysis.findings.iter().any(|f| f.waived),
-        "the panic-path finding must exist and be waived"
+        workspace.analysis.findings.iter().any(|f| f.rule == RULE_TAINT && f.waived),
+        "the taint finding must exist and be waived: {:?}",
+        workspace.analysis.findings
+    );
+    assert!(
+        workspace.lint.findings.iter().any(|f| f.rule == "panic-policy/unmarked-panic" && f.waived),
+        "the panic finding must exist and be waived: {:?}",
+        workspace.lint.findings
     );
     assert!(
         !workspace.lint.findings.iter().any(|f| f.rule == "waiver/stale"),
@@ -242,13 +214,13 @@ fn analysis_waivers_apply_across_the_union_without_going_stale() {
 }
 
 /// All fixture sources combined into one synthetic workspace, with paths
-/// remapped so the four `app` crates stay distinct.
-fn combined_fixture_sources() -> Vec<(String, String)> {
+/// remapped so the three `app` crates stay distinct.
+fn combined_fixture_sources() -> Vec<(String, ParsedFile)> {
     let mut files = Vec::new();
-    for ws in ["ws_clean", "ws_taint", "ws_panic", "ws_lockcycle"] {
+    for ws in ["ws_clean", "ws_taint", "ws_lockcycle"] {
         let lib = fixture_root(ws).join("crates/app/src/lib.rs");
         let source = fs::read_to_string(&lib).unwrap();
-        files.push((format!("crates/{ws}/src/lib.rs"), source));
+        files.push((format!("crates/{ws}/src/lib.rs"), parse(&source)));
     }
     files
 }
@@ -273,7 +245,6 @@ proptest! {
         prop_assert_eq!(&baseline, &shuffled);
         // The dirty fixtures stay visible whatever the order.
         prop_assert!(shuffled.contains("analysis/determinism-taint"));
-        prop_assert!(shuffled.contains("analysis/panic-path"));
         prop_assert!(shuffled.contains("analysis/lock-order"));
     }
 }

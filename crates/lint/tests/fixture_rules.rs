@@ -8,6 +8,7 @@
 use std::path::Path;
 
 use macgame_lint::manifest::{check_manifest, RULE_EXTERNAL_DEP, RULE_WORKSPACE_FIELD};
+use macgame_lint::parser::parse;
 use macgame_lint::rules::{
     check_source, RULE_EMPTY_MARKER, RULE_ENTROPY, RULE_HASH, RULE_PANIC, RULE_RELAXED,
     RULE_WALL_CLOCK,
@@ -19,10 +20,13 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
+/// Lints fixture `name` as if it lived at workspace path `rel_path`.
+fn lint_fixture_at(name: &str, rel_path: &str) -> Vec<Finding> {
+    check_source(&FileContext { rel_path }, &parse(&fixture(name)))
+}
+
 fn lint_fixture(name: &str) -> Vec<Finding> {
-    let rel = format!("crates/demo/src/{name}");
-    let ctx = FileContext { rel_path: &rel, wall_clock_allow: &[], relaxed_allow: &[] };
-    check_source(&ctx, &fixture(name))
+    lint_fixture_at(name, &format!("crates/demo/src/{name}"))
 }
 
 fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
@@ -49,17 +53,13 @@ fn determinism_rules_stay_silent_on_negative_fixture() {
 
 #[test]
 fn wall_clock_quarantine_allowlists_exact_paths() {
-    let source = fixture("determinism_positive.rs");
-    let allow = vec!["crates/demo/src/determinism_positive.rs".to_string()];
-    let ctx = FileContext {
-        rel_path: "crates/demo/src/determinism_positive.rs",
-        wall_clock_allow: &allow,
-        relaxed_allow: &[],
-    };
-    let findings = check_source(&ctx, &source);
+    let findings = lint_fixture_at("determinism_positive.rs", "crates/telemetry/src/global.rs");
     assert!(findings.iter().all(|f| f.rule != RULE_WALL_CLOCK), "{findings:?}");
     // The other determinism rules are unaffected by the quarantine.
     assert!(findings.iter().any(|f| f.rule == RULE_HASH));
+    // The quarantine is one exact file, not its directory.
+    let sibling = lint_fixture_at("determinism_positive.rs", "crates/telemetry/src/global2.rs");
+    assert_eq!(sibling.iter().filter(|f| f.rule == RULE_WALL_CLOCK).count(), 2, "{sibling:?}");
 }
 
 #[test]
@@ -94,14 +94,7 @@ fn api_rules_stay_silent_on_negative_fixture() {
 
 #[test]
 fn relaxed_ordering_allowlist_is_a_prefix_match() {
-    let source = fixture("api_positive.rs");
-    let allow = vec!["crates/demo/src/".to_string()];
-    let ctx = FileContext {
-        rel_path: "crates/demo/src/api_positive.rs",
-        wall_clock_allow: &[],
-        relaxed_allow: &allow,
-    };
-    let findings = check_source(&ctx, &source);
+    let findings = lint_fixture_at("api_positive.rs", "crates/telemetry/src/nested/api.rs");
     assert!(findings.iter().all(|f| f.rule != RULE_RELAXED), "{findings:?}");
 }
 

@@ -1,23 +1,23 @@
-//! Dirty fixture: the artifact root `emit` reaches a wall-clock read two
-//! calls down. `island` holds a nondeterminism source too, but nothing
-//! roots it, so the taint pass must stay silent about it.
+//! Dirty fixture: the artifact root `emit` reaches a thread-identity read
+//! two calls down. `island` reads thread identity too, but nothing roots
+//! it, so the taint pass must stay silent about it.
 
-/// Artifact root: the timing leaks into the "artifact" value.
-pub fn emit() -> u128 {
+/// Artifact root: the thread identity leaks into the "artifact" value.
+pub fn emit() -> String {
     mid()
 }
 
-fn mid() -> u128 {
+fn mid() -> String {
     leaf()
 }
 
-fn leaf() -> u128 {
-    let t = std::time::Instant::now();
-    t.elapsed().as_nanos()
+fn leaf() -> String {
+    let t = std::thread::current();
+    format!("{:?}", t.id())
 }
 
 /// Not a root and unreachable from `emit`.
-pub fn island() -> u128 {
-    let t = std::time::Instant::now();
-    t.elapsed().as_nanos()
+pub fn island() -> String {
+    let t = std::thread::current();
+    format!("{:?}", t.id())
 }

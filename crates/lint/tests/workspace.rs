@@ -7,15 +7,20 @@ use std::path::{Path, PathBuf};
 
 use macgame_lint::rules::{RULE_PANIC, RULE_WALL_CLOCK};
 use macgame_lint::waivers::{RULE_INVALID_WAIVER, RULE_STALE_WAIVER};
-use macgame_lint::{find_workspace_root, run_lint};
+use macgame_lint::{find_workspace_root, run_workspace, LintReport};
 
 fn real_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
 }
 
+/// The token-pass report of the workspace at `root`.
+fn lint_report(root: &Path) -> LintReport {
+    run_workspace(root).unwrap().lint
+}
+
 #[test]
 fn real_workspace_is_lint_clean() {
-    let report = run_lint(&real_root()).unwrap();
+    let report = lint_report(&real_root());
     let unwaived: Vec<String> = report
         .unwaived()
         .iter()
@@ -30,8 +35,8 @@ fn real_workspace_is_lint_clean() {
 #[test]
 fn lint_artifact_is_byte_stable_across_runs() {
     let root = real_root();
-    let first = run_lint(&root).unwrap().to_json();
-    let second = run_lint(&root).unwrap().to_json();
+    let first = lint_report(&root).to_json();
+    let second = lint_report(&root).to_json();
     assert_eq!(first, second);
     assert!(first.contains("\"schema\": \"macgame-lint/1\""));
 }
@@ -92,7 +97,7 @@ pub fn first(v: &[u32]) -> u32 {
 #[test]
 fn seeded_violations_surface_with_file_and_line() {
     let root = scratch_workspace("lint-seeded", SEEDED, None);
-    let report = run_lint(&root).unwrap();
+    let report = lint_report(&root);
     let unwaived = report.unwaived();
     assert_eq!(unwaived.len(), 2, "{unwaived:?}");
     assert!(unwaived
@@ -103,8 +108,8 @@ fn seeded_violations_surface_with_file_and_line() {
         .any(|f| f.rule == RULE_PANIC && f.path == "crates/demo/src/lib.rs" && f.line == 7));
     assert!(!report.is_clean());
     // Both locations are visible in the human table and the artifact.
-    let text = report.render_text();
-    assert!(text.contains("crates/demo/src/lib.rs:2"), "{text}");
+    let rows = report.table_rows();
+    assert!(rows.iter().any(|r| r[1] == "crates/demo/src/lib.rs:2"), "{rows:?}");
     assert!(report.to_json().contains("\"line\": 7"));
 }
 
@@ -123,7 +128,7 @@ path = \"crates/demo/src/lib.rs\"
 reason = \"scratch: whole-file grant\"
 ";
     let root = scratch_workspace("lint-waived", SEEDED, Some(waivers));
-    let report = run_lint(&root).unwrap();
+    let report = lint_report(&root);
     assert!(report.is_clean(), "{:?}", report.unwaived());
     assert_eq!(report.findings.iter().filter(|f| f.waived).count(), 2);
     assert!(report
@@ -147,7 +152,7 @@ path = \"crates/demo/src/lib.rs\"
 reason = \"\"
 ";
     let root = scratch_workspace("lint-stale", SEEDED, Some(waivers));
-    let report = run_lint(&root).unwrap();
+    let report = lint_report(&root);
     let rules: Vec<&str> = report.unwaived().iter().map(|f| f.rule).collect();
     assert!(rules.contains(&RULE_STALE_WAIVER), "{rules:?}");
     assert!(rules.contains(&RULE_INVALID_WAIVER), "{rules:?}");

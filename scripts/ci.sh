@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate: release build, tier-1 tests, full workspace tests, lints.
-# Run from the repository root: ./scripts/ci.sh
+# This script is the one definition of the gate: the GitHub workflow runs
+# it as a single step. Run it from anywhere: ./scripts/ci.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -13,6 +14,9 @@ cargo test -q
 
 echo "==> cargo test -q --release --workspace"
 cargo test -q --release --workspace
+
+echo "==> determinism tests on the serial path (MACGAME_THREADS=1)"
+MACGAME_THREADS=1 cargo test -q --release -p macgame-core --test determinism
 
 echo "==> benchmark exact-repeat tests (macbench, traced counters)"
 cargo test --release --offline --manifest-path macbench/Cargo.toml
