@@ -765,7 +765,8 @@ fn lint() -> Result<(), BenchError> {
         "workspace invariant checks: determinism (hash containers, wall \
          clocks, entropy RNGs), panic policy, API discipline, manifests, \
          plus call-graph analyses (thread identity and raw threads reachable \
-         from artifact roots, lock order)"
+         from artifact roots, lock order, library pub fns no production root \
+         reaches)"
     );
     let workspace = macgame_lint::run_workspace(&root)?;
     let report = &workspace.lint;
@@ -792,6 +793,16 @@ fn lint() -> Result<(), BenchError> {
         analysis.stats.edges,
         analysis.stats.taint_roots,
         analysis.stats.lock_sites,
+    );
+    let (test_only, waived) = analysis
+        .rule_counts()
+        .get(macgame_lint::analysis::RULE_TEST_ONLY)
+        .copied()
+        .unwrap_or_default();
+    println!(
+        "test-only pub: {} library pub fn(s) checked from {} production root(s): \
+         {test_only} reached only by tests ({waived} of them waived as reference oracles)",
+        analysis.stats.public_fns, analysis.stats.production_roots,
     );
     let rows = analysis.table_rows();
     if !rows.is_empty() {

@@ -118,20 +118,14 @@ pub struct ConformanceReport {
 }
 
 impl ConformanceReport {
-    /// Whether every claim passed.
-    #[must_use]
-    pub fn all_pass(&self) -> bool {
-        self.claims.iter().all(|c| c.pass)
-    }
-
     /// Names of the failing claims.
     #[must_use]
     pub fn failed(&self) -> Vec<String> {
         self.claims.iter().filter(|c| !c.pass).map(|c| c.name.clone()).collect()
     }
 
-    /// Errors with [`ConformanceError::ClaimsFailed`] unless
-    /// [`Self::all_pass`].
+    /// Errors with [`ConformanceError::ClaimsFailed`] unless every claim
+    /// passed.
     ///
     /// # Errors
     ///
@@ -888,7 +882,6 @@ mod tests {
                 Claim::boolean("b", false, String::new()),
             ],
         };
-        assert!(!report.all_pass());
         assert_eq!(report.failed(), vec!["b".to_string()]);
         let err = report.require_pass().unwrap_err();
         assert!(err.to_string().contains('b'));

@@ -9,8 +9,8 @@
 //!   threshold `h` is flagged. This is the classical sequential test for
 //!   a persistent upward shift in transmission rate and works directly
 //!   on [`macgame_sim::NodeStats`] counters — no window inversion needed.
-//! * [`WindowedDetector`] — a windowed threshold rule over
-//!   [`macgame_sim::estimate_windows_partial`] output: keep the last
+//! * [`WindowedDetector`] — a windowed threshold rule over observed
+//!   contention windows: keep the last
 //!   `memory` observed windows per node and flag when their mean drops
 //!   below `threshold × w_ref`. The statistic reported is the ratio
 //!   `mean(Ŵ)/w_ref`, so thresholds are scale-free in `(0, 1]`.
@@ -22,7 +22,7 @@
 //! positive. ROC sweeps therefore measure the cost of noise, not of the
 //! rule itself.
 
-use macgame_sim::{NodeStats, WindowEstimate};
+use macgame_sim::NodeStats;
 use serde::{Deserialize, Serialize};
 
 use crate::error::GameError;
@@ -94,8 +94,8 @@ impl CusumDetector {
 
     /// Feeds one observed stage of per-node counters measured over
     /// `slots` channel slots; returns the verdicts that fired this
-    /// stage (a node already above threshold keeps firing until
-    /// [`reset`](Self::reset)).
+    /// stage (a node already above threshold keeps firing on every
+    /// later stage).
     ///
     /// A zero-slot stage carries no information and leaves every score
     /// untouched.
@@ -140,20 +140,6 @@ impl CusumDetector {
     #[must_use]
     pub fn statistic(&self, node: usize) -> Option<f64> {
         self.scores.get(node).copied()
-    }
-
-    /// The decision threshold.
-    #[must_use]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Clears `node`'s accumulated score (e.g. after punishment).
-    /// Out-of-range indices are ignored.
-    pub fn reset(&mut self, node: usize) {
-        if let Some(s) = self.scores.get_mut(node) {
-            *s = 0.0;
-        }
     }
 }
 
@@ -228,33 +214,6 @@ impl WindowedDetector {
         Ok(self.ingest(&values, slots))
     }
 
-    /// Feeds one stage of per-node window estimates from
-    /// [`macgame_sim::estimate_windows_partial`]. A `None` (starved or
-    /// fully-dropped peer) contributes no new observation for that node;
-    /// its ring keeps its previous content. Saturated estimates are used
-    /// as-is: a low-side clamp already means "at least this aggressive".
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GameError::InvalidConfig`] if `estimates` does not
-    /// match the detector's node count.
-    pub fn observe_estimates(
-        &mut self,
-        estimates: &[Option<WindowEstimate>],
-        slots: u64,
-    ) -> Result<Vec<Verdict>, GameError> {
-        if estimates.len() != self.recent.len() {
-            return Err(GameError::InvalidConfig(format!(
-                "{} estimates observed, detector tracks {}",
-                estimates.len(),
-                self.recent.len()
-            )));
-        }
-        let values: Vec<Option<f64>> =
-            estimates.iter().map(|e| e.map(|e| f64::from(e.window))).collect();
-        Ok(self.ingest(&values, slots))
-    }
-
     fn ingest(&mut self, values: &[Option<f64>], slots: u64) -> Vec<Verdict> {
         self.slots += slots;
         let mut verdicts = Vec::new();
@@ -309,12 +268,6 @@ impl WindowedDetector {
         Some(ring.iter().sum::<f64>() / ring.len() as f64)
     }
 
-    /// The decision threshold (a window ratio in `(0, 1]`).
-    #[must_use]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// The number of nodes this detector tracks.
     #[must_use]
     pub fn node_count(&self) -> usize {
@@ -325,14 +278,6 @@ impl WindowedDetector {
     #[must_use]
     pub fn warmed_up(&self, node: usize) -> bool {
         self.recent.get(node).is_some_and(|r| r.len() == self.memory)
-    }
-
-    /// Clears `node`'s observation ring. Out-of-range indices are
-    /// ignored.
-    pub fn reset(&mut self, node: usize) {
-        if let Some(r) = self.recent.get_mut(node) {
-            r.clear();
-        }
     }
 
     /// Clears every node's observation ring (e.g. when a punishment
@@ -388,15 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn cusum_reset_clears_score() {
-        let mut det = CusumDetector::try_new(1, 0.05, 0.0, 0.5).unwrap();
-        det.observe_stage(&stats(&[300]), 1000).unwrap();
-        assert!(det.statistic(0).unwrap() > 0.0);
-        det.reset(0);
-        assert_eq!(det.statistic(0), Some(0.0));
-    }
-
-    #[test]
     fn cusum_zero_slot_stage_is_inert() {
         let mut det = CusumDetector::try_new(2, 0.05, 0.0, 0.5).unwrap();
         let v = det.observe_stage(&stats(&[0, 0]), 0).unwrap();
@@ -444,19 +380,6 @@ mod tests {
                 assert_eq!(v[0].slots_observed, 400);
             }
         }
-    }
-
-    #[test]
-    fn windowed_none_estimates_do_not_advance_the_ring() {
-        let mut det = WindowedDetector::try_new(2, 64, 2, 0.5).unwrap();
-        let est = |w: u32| -> Option<WindowEstimate> {
-            Some(WindowEstimate { window: w, tau_hat: 0.05, p_hat: 0.1, saturated: false })
-        };
-        det.observe_estimates(&[est(16), None], 100).unwrap();
-        det.observe_estimates(&[est(16), None], 100).unwrap();
-        assert!(det.warmed_up(0));
-        assert!(!det.warmed_up(1), "unobserved node must not warm up");
-        assert_eq!(det.statistic(1), None);
     }
 
     #[test]

@@ -142,32 +142,6 @@ pub fn edca_deviator_stage(
     Ok(DeviatorStage { deviator: rates[dev_class], compliant: rates[1 - dev_class] })
 }
 
-/// The Banchs-style multiplicative *cheating gain*: the deviator's stage
-/// rate on `dev` divided by its rate when everyone (itself included)
-/// complies with `sym`. A gain above 1 means the knob setting pays while
-/// the crowd has not yet reacted.
-///
-/// # Errors
-///
-/// Returns [`GameError::InvalidConfig`] if the compliant baseline rate is
-/// not strictly positive (the ratio would be meaningless); propagates
-/// solver failures.
-pub fn edca_cheating_gain(
-    game: &GameConfig,
-    sym: EdcaTuple,
-    dev: EdcaTuple,
-    memo: &EdcaStageMemo,
-) -> Result<f64, GameError> {
-    let baseline = edca_symmetric_stage(game, sym, memo)?;
-    if baseline <= 0.0 {
-        return Err(GameError::InvalidConfig(
-            "cheating gain needs a positive compliant baseline".into(),
-        ));
-    }
-    let during = edca_deviator_stage(game, sym, dev, memo)?;
-    Ok(during.deviator / baseline)
-}
-
 /// One row of a per-knob cheating-gain sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EdcaGainRow {
@@ -185,11 +159,14 @@ pub struct EdcaGainRow {
 
 /// Sweeps one knob of the deviator's tuple over `values`, holding the
 /// crowd at `sym` and the deviator's other knobs at `sym`'s — one slice
-/// of the Banchs cheating-gain surface.
+/// of the Banchs cheating-gain surface. Each row's gain is the
+/// deviator's stage rate divided by its rate when everyone complies.
 ///
 /// # Errors
 ///
-/// Same conditions as [`edca_cheating_gain`].
+/// Returns [`GameError::InvalidConfig`] if the compliant baseline rate is
+/// not strictly positive (the ratio would be meaningless); propagates
+/// solver failures.
 pub fn edca_axis_sweep(
     game: &GameConfig,
     sym: EdcaTuple,
@@ -282,7 +259,7 @@ pub struct EdcaBestResponse {
 ///
 /// # Errors
 ///
-/// Same conditions as [`edca_cheating_gain`] plus lattice validation.
+/// Same conditions as [`edca_axis_sweep`] plus lattice validation.
 pub fn edca_best_response(
     game: &GameConfig,
     sym: EdcaTuple,
@@ -494,15 +471,18 @@ mod tests {
         let g = game(5);
         let memo = edca_stage_memo();
         let sym = EdcaTuple::new(76, g.params().max_backoff_stage(), 1, 1).unwrap();
+        let gain = |axis: EdcaAxis, value: u32| {
+            edca_axis_sweep(&g, sym, axis, &[value], &memo).unwrap()[0].gain
+        };
         // Lower CWmin, lower AIFS, higher TXOP: each alone must gain.
-        let cw = edca_cheating_gain(&g, sym, EdcaAxis::CwMin.apply(sym, 16), &memo).unwrap();
+        let cw = gain(EdcaAxis::CwMin, 16);
         assert!(cw > 1.0, "CWmin gain {cw}");
-        let aifs = edca_cheating_gain(&g, sym, EdcaAxis::Aifs.apply(sym, 0), &memo).unwrap();
+        let aifs = gain(EdcaAxis::Aifs, 0);
         assert!(aifs > 1.0, "AIFS gain {aifs}");
-        let txop = edca_cheating_gain(&g, sym, EdcaAxis::Txop.apply(sym, 8), &memo).unwrap();
+        let txop = gain(EdcaAxis::Txop, 8);
         assert!(txop > 1.0, "TXOP gain {txop}");
         // And the no-op deviation gains exactly 1.
-        let noop = edca_cheating_gain(&g, sym, sym, &memo).unwrap();
+        let noop = gain(EdcaAxis::CwMin, 76);
         assert!((noop - 1.0).abs() < 1e-12);
     }
 
@@ -536,7 +516,7 @@ mod tests {
         edca_deviator_stage(&g, sym, dev, &memo).unwrap();
         let misses = memo.misses();
         edca_deviator_stage(&g, sym, dev, &memo).unwrap();
-        edca_cheating_gain(&g, sym, dev, &memo).unwrap();
+        edca_axis_sweep(&g, sym, EdcaAxis::CwMin, &[dev.cw_min], &memo).unwrap();
         assert_eq!(memo.misses(), misses + 1, "only the symmetric baseline is new");
         assert!(memo.hits() >= 2);
     }

@@ -30,16 +30,6 @@ pub fn efficient_ne(game: &GameConfig) -> Result<EfficientNe, GameError> {
     Ok(optimal::efficient_cw(game.player_count(), game.params(), game.utility(), game.w_max())?)
 }
 
-/// The paper's variant of `W_c*`: inverted from the continuous `τ_c*`
-/// under `g ≫ e` (see `macgame_dcf::optimal::efficient_cw_from_tau_star`).
-///
-/// # Errors
-///
-/// Propagates [`GameError::Model`] from the underlying optimizer.
-pub fn efficient_ne_tau_star(game: &GameConfig) -> Result<EfficientNe, GameError> {
-    Ok(optimal::efficient_cw_from_tau_star(game.player_count(), game.params(), game.w_max())?)
-}
-
 /// The Theorem 2 interval `[W_c⁰, W_c*]` of symmetric NE.
 ///
 /// # Errors
@@ -439,7 +429,9 @@ mod tests {
     fn tau_star_variant_close_to_exact() {
         let g = game(5);
         let exact = efficient_ne(&g).unwrap().window;
-        let variant = efficient_ne_tau_star(&g).unwrap().window;
+        let variant = optimal::efficient_cw_from_tau_star(g.player_count(), g.params(), g.w_max())
+            .unwrap()
+            .window;
         assert!(exact.abs_diff(variant) <= 6, "exact {exact} vs τ*-inversion {variant}");
     }
 

@@ -58,13 +58,6 @@ impl AnalyticalEvaluator {
     pub fn new(game: GameConfig) -> Self {
         AnalyticalEvaluator { game, options: SolveOptions::default() }
     }
-
-    /// Overrides the fixed-point solver options.
-    #[must_use]
-    pub fn with_options(mut self, options: SolveOptions) -> Self {
-        self.options = options;
-        self
-    }
 }
 
 impl StageEvaluator for AnalyticalEvaluator {
@@ -203,11 +196,6 @@ impl<E: StageEvaluator> NoisyObservationEvaluator<E> {
     #[must_use]
     pub fn faults(&self) -> &ObservationFaults {
         self.channel.faults()
-    }
-
-    /// Consumes the wrapper, returning the inner evaluator.
-    pub fn into_inner(self) -> E {
-        self.inner
     }
 }
 

@@ -94,12 +94,6 @@ impl GameConfig {
     pub fn stage_utility(&self, per_microsec: f64) -> f64 {
         macgame_dcf::utility::stage_utility(per_microsec, self.stage_duration)
     }
-
-    /// Total discounted utility of repeating `per_microsec` forever.
-    #[must_use]
-    pub fn discounted_forever(&self, per_microsec: f64) -> f64 {
-        macgame_dcf::utility::discounted_total(self.stage_utility(per_microsec), self.discount)
-    }
 }
 
 /// Builder for [`GameConfig`].
@@ -178,11 +172,10 @@ mod tests {
     }
 
     #[test]
-    fn stage_and_discounted_helpers() {
+    fn stage_utility_helper() {
         let g = GameConfig::builder(5).build().unwrap();
         let u = 1e-5;
         assert!((g.stage_utility(u) - 100.0).abs() < 1e-9);
-        assert!((g.discounted_forever(u) - 100.0 / (1.0 - 0.9999)).abs() < 1e-6);
     }
 
     #[test]

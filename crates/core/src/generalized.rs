@@ -9,7 +9,6 @@
 
 use core::fmt;
 
-use macgame_dcf::parallel::resolve_threads;
 
 use crate::error::GameError;
 
@@ -200,40 +199,6 @@ impl<A> FiniteGame<A> {
             .filter(|profile| self.is_pure_nash(profile))
             .collect()
     }
-
-    /// Builds the full payoff table — every profile with every player's
-    /// utility, in profile-code order (player 0's action varies fastest) —
-    /// fanning the independent evaluations over `threads` workers (`0` =
-    /// auto from `MACGAME_THREADS`). Utilities are pure functions of the
-    /// profile, so the table is identical for every thread count.
-    ///
-    /// Exponential in the player count, like [`Self::enumerate_pure_nash`]
-    /// — which is exactly why the fan-out pays: for the MAC instantiation
-    /// each cell costs a fixed-point solve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile space overflows `usize`.
-    #[must_use]
-    pub fn payoff_table(&self, threads: usize) -> Vec<(Vec<usize>, Vec<f64>)> {
-        let a = self.actions.len();
-        let players = self.players;
-        let total = a.checked_pow(players as u32).expect("profile space too large"); // PANIC-POLICY: documented # Panics contract: profile-space overflow guard
-        let codes: Vec<usize> = (0..total).collect();
-        // Capture only the utility closure, not `self`, so the action type
-        // `A` needs no `Sync` bound.
-        let utility = &self.utility;
-        rayon::map_in_order(codes, resolve_threads(threads), move |code| {
-            let mut profile = vec![0usize; players];
-            let mut c = code;
-            for slot in profile.iter_mut() {
-                *slot = c % a;
-                c /= a;
-            }
-            let utilities = (0..players).map(|i| utility(i, &profile)).collect();
-            (profile, utilities)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -296,33 +261,6 @@ mod tests {
         assert!(out.converged);
         assert_eq!(out.profile, vec![2, 0, 1]);
         assert_eq!(out.rounds, 1);
-    }
-
-    #[test]
-    fn payoff_table_covers_every_profile() {
-        let g = prisoners_dilemma();
-        let table = g.payoff_table(1);
-        assert_eq!(table.len(), 4);
-        // Code order: player 0 varies fastest.
-        assert_eq!(table[0].0, vec![0, 0]);
-        assert_eq!(table[1].0, vec![1, 0]);
-        for (profile, us) in &table {
-            for (i, &u) in us.iter().enumerate() {
-                assert_eq!(u, g.utility_of(i, profile));
-            }
-        }
-    }
-
-    #[test]
-    fn payoff_table_is_thread_count_invariant() {
-        let g = FiniteGame::new(3, vec![0u8, 1, 2], |i, p| {
-            (p[i] as f64) - 0.25 * p.iter().sum::<usize>() as f64
-        })
-        .unwrap();
-        let serial = g.payoff_table(1);
-        for threads in [2, 4] {
-            assert_eq!(serial, g.payoff_table(threads), "threads = {threads}");
-        }
     }
 
     #[test]

@@ -81,43 +81,6 @@ impl History {
     }
 
 
-    /// Player `i`'s window trajectory over the recorded stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `player` is out of range for any recorded stage.
-    #[must_use]
-    pub fn window_trajectory(&self, player: usize) -> Vec<u32> {
-        self.stages.iter().map(|s| s.windows[player]).collect()
-    }
-
-    /// Player `i`'s stage-utility trajectory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `player` is out of range for any recorded stage.
-    #[must_use]
-    pub fn utility_trajectory(&self, player: usize) -> Vec<f64> {
-        self.stages.iter().map(|s| s.utilities[player]).collect()
-    }
-
-    /// Per-stage Jain fairness index of the utilities (stages where any
-    /// utility is negative yield `None` — fairness of losses is
-    /// ill-defined).
-    #[must_use]
-    pub fn fairness_trajectory(&self) -> Vec<Option<f64>> {
-        self.stages
-            .iter()
-            .map(|s| {
-                if s.utilities.iter().all(|&u| u >= 0.0) {
-                    Some(macgame_dcf::fairness::jain_index(&s.utilities))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
     /// First stage index from which every stage's profile is constant and
     /// uniform (all players on one window), i.e. the convergence point of
     /// TFT play. `None` if play never converged.
@@ -211,28 +174,5 @@ mod tests {
         assert_eq!(h.convergence_stage(), None);
         assert_eq!(h.last(), None);
         assert_eq!(h.discounted_utility(0, 0.9), 0.0);
-    }
-
-    #[test]
-    fn trajectories_extract_columns() {
-        let mut h = History::new();
-        h.push(stage(vec![50, 60], 2.0));
-        h.push(stage(vec![50, 50], 3.0));
-        assert_eq!(h.window_trajectory(1), vec![60, 50]);
-        assert_eq!(h.utility_trajectory(0), vec![2.0, 3.0]);
-        let fairness = h.fairness_trajectory();
-        assert_eq!(fairness.len(), 2);
-        assert!((fairness[0].unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fairness_undefined_for_negative_utilities() {
-        let mut h = History::new();
-        h.push(StageRecord {
-            windows: vec![4, 4],
-            observed: vec![4, 4],
-            utilities: vec![-1.0, 2.0],
-        });
-        assert_eq!(h.fairness_trajectory(), vec![None]);
     }
 }

@@ -6,8 +6,10 @@
 //!   downward deviation ranks `U_others < U_sym < U_dev` and upward
 //!   deviation ranks `U_dev < U_sym < U_others`.
 //!
-//! These checkers back the property-test suite and let experiments assert
-//! the orderings on every profile they touch.
+//! These checkers are reference oracles: no production path calls them.
+//! The property tests `lemma1_holds_on_random_profiles` and
+//! `lemma4_ordering_on_random_deviations` run the production solver
+//! through them on random profiles.
 
 use macgame_dcf::fixedpoint::{solve, SolveOptions};
 use macgame_dcf::utility::all_utilities;

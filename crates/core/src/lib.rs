@@ -76,7 +76,7 @@ pub mod strategy;
 pub mod tournament;
 
 pub use edca::{
-    edca_axis_sweep, edca_best_response, edca_cheating_gain, edca_deviator_stage, edca_plane_ne,
+    edca_axis_sweep, edca_best_response, edca_deviator_stage, edca_plane_ne,
     edca_stage_memo, edca_symmetric_stage, edca_wc_star, EdcaAxis, EdcaBestResponse, EdcaGainRow,
     EdcaLattice, EdcaPlaneCell, EdcaStageMemo,
 };
@@ -91,4 +91,4 @@ pub use queries::{evaluate_query, Query, QueryResult, SolveCaches};
 pub use history::{History, StageRecord};
 pub use repeated::{ConvergenceReport, RepeatedGame};
 pub use search::{run_search, AnalyticProbe, SearchOutcome, SimulatedProbe};
-pub use strategy::{BestResponse, Constant, GenerousTft, HillClimb, Strategy, Tft};
+pub use strategy::{BestResponse, Constant, GenerousTft, Strategy, Tft};

@@ -40,16 +40,6 @@ impl PopulationState {
         PopulationState { shares: vec![1.0 / k as f64; k] }
     }
 
-    /// Share of strategy `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn share(&self, i: usize) -> f64 {
-        self.shares[i]
-    }
-
     /// Index of the most common strategy.
     ///
     /// # Panics
@@ -209,7 +199,7 @@ mod tests {
         let start = PopulationState { shares: vec![0.3, 0.7] };
         let trace = replicator(&t, &start, 20).unwrap();
         for state in &trace.generations {
-            assert!((state.share(0) - 0.3).abs() < 1e-9);
+            assert!((state.shares[0] - 0.3).abs() < 1e-9);
         }
     }
 
@@ -239,7 +229,7 @@ mod tests {
         let tournament = round_robin(&field, &template, 25).unwrap();
         let trace = replicator(&tournament, &PopulationState::uniform(3), 500).unwrap();
         let agg_idx = trace.names.iter().position(|n| n == "aggressor").unwrap();
-        let final_share = trace.final_state().share(agg_idx);
+        let final_share = trace.final_state().shares[agg_idx];
         let initial_share = 1.0 / 3.0;
         assert!(
             final_share < initial_share,

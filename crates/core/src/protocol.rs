@@ -161,14 +161,6 @@ pub struct ProtocolOutcome {
     pub deliveries_dropped: u64,
 }
 
-impl ProtocolOutcome {
-    /// Whether every actor ended on the leader's committed window.
-    #[must_use]
-    pub fn synchronized(&self) -> bool {
-        self.final_windows.iter().all(|&w| w == self.w_m)
-    }
-}
-
 /// Runs the distributed search: the leader (actor 0) hill-climbs exactly
 /// as in Section V.C, each move broadcast as `Ready` over `bus`; follower
 /// windows track the messages they actually receive. `probe` measures the
@@ -284,7 +276,7 @@ mod tests {
         let outcome =
             run_protocol(&mut probe, &g, &mut nodes, &mut bus, w_star - 10, 0.0).unwrap();
         assert_eq!(outcome.w_m, w_star);
-        assert!(outcome.synchronized());
+        assert!(outcome.final_windows.iter().all(|&w| w == outcome.w_m));
         assert!(nodes.iter().all(SearchActor::committed));
         assert_eq!(outcome.deliveries_dropped, 0);
         // One Start + one Ready per move + one Broadcast.

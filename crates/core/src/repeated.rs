@@ -85,12 +85,6 @@ impl RepeatedGame {
         Ok(RepeatedGame { game, strategies, evaluator, history: History::new() })
     }
 
-    /// The game configuration.
-    #[must_use]
-    pub fn game(&self) -> &GameConfig {
-        &self.game
-    }
-
     /// The history so far.
     #[must_use]
     pub fn history(&self) -> &History {

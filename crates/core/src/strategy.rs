@@ -158,12 +158,6 @@ impl Constant {
     pub fn new(window: u32) -> Self {
         Constant { window }
     }
-
-    /// The Section V.E malicious player: maximum aggression, `W = 1`.
-    #[must_use]
-    pub fn malicious() -> Self {
-        Constant { window: 1 }
-    }
 }
 
 impl Strategy for Constant {
@@ -270,73 +264,6 @@ impl Strategy for BestResponse {
     }
 }
 
-
-/// Measurement-driven hill climbing: adjust the window by `step` in the
-/// current direction while one's *own measured payoff* improves, reverse
-/// and halve the step otherwise. Needs no model knowledge and no
-/// observation of others — the weakest-information selfish adapter, and
-/// the in-game analogue of the Section V.C search's probe-and-move loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HillClimb {
-    initial: u32,
-    step: u32,
-    direction: i64,
-    last_utility: Option<f64>,
-}
-
-impl HillClimb {
-    /// Starts at `initial`, probing with the given initial `step`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GameError::InvalidConfig`] if `step == 0`.
-    pub fn try_new(initial: u32, step: u32) -> Result<Self, GameError> {
-        if step == 0 {
-            return Err(GameError::InvalidConfig("step must be at least 1".into()));
-        }
-        Ok(HillClimb { initial, step, direction: 1, last_utility: None })
-    }
-}
-
-impl Strategy for HillClimb {
-    fn initial_window(&self, _player: usize, game: &GameConfig) -> u32 {
-        self.initial.clamp(1, game.w_max())
-    }
-
-    fn next_window(
-        &mut self,
-        player: usize,
-        game: &GameConfig,
-        history: &History,
-    ) -> Result<u32, GameError> {
-        let last = history
-            .last()
-            .ok_or_else(|| GameError::InvalidConfig("next_window before stage 0".into()))?;
-        let current = i64::from(last.windows[player]);
-        let utility = last.utilities[player];
-        match self.last_utility {
-            None => {
-                // First observation: probe in the current direction.
-                self.last_utility = Some(utility);
-            }
-            Some(previous) => {
-                if utility < previous {
-                    // Worse: turn around and refine.
-                    self.direction = -self.direction;
-                    self.step = (self.step / 2).max(1);
-                }
-                self.last_utility = Some(utility);
-            }
-        }
-        let next = current + self.direction * i64::from(self.step);
-        Ok(u32::try_from(next.max(1)).unwrap_or(1).clamp(1, game.w_max()))
-    }
-
-    fn name(&self) -> &'static str {
-        "hill-climb"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,7 +347,6 @@ mod tests {
         let mut h = History::new();
         h.push(record(vec![7, 1]));
         assert_eq!(c.next_window(0, &g, &h).unwrap(), 7);
-        assert_eq!(Constant::malicious().initial_window(0, &g), 1);
     }
 
     #[test]
@@ -469,63 +395,5 @@ mod tests {
         assert_eq!(GenerousTft::try_new(1, 1, 0.5).unwrap().name(), "generous-tft");
         assert_eq!(Constant::new(1).name(), "constant");
         assert_eq!(BestResponse::new(1).name(), "best-response");
-    }
-
-    #[test]
-    fn hill_climb_probes_then_turns() {
-        let g = game(2);
-        let mut hc = HillClimb::try_new(50, 8).unwrap();
-        assert_eq!(hc.initial_window(0, &g), 50);
-        let mut h = History::new();
-        // Stage 0: utility observed, probe upward.
-        h.push(StageRecord {
-            windows: vec![50, 50],
-            observed: vec![50, 50],
-            utilities: vec![1.0, 1.0],
-        });
-        assert_eq!(hc.next_window(0, &g, &h).unwrap(), 58);
-        // Improvement: keep climbing.
-        h.push(StageRecord {
-            windows: vec![58, 50],
-            observed: vec![58, 50],
-            utilities: vec![1.2, 1.0],
-        });
-        assert_eq!(hc.next_window(0, &g, &h).unwrap(), 66);
-        // Regression: reverse with half the step.
-        h.push(StageRecord {
-            windows: vec![66, 50],
-            observed: vec![66, 50],
-            utilities: vec![0.9, 1.0],
-        });
-        assert_eq!(hc.next_window(0, &g, &h).unwrap(), 62);
-    }
-
-    #[test]
-    fn hill_climb_improves_its_own_payoff_in_the_game() {
-        // One adapter against a pinned crowd, exact stage evaluation: after
-        // a couple dozen stages its payoff must beat its starting payoff.
-        use crate::evaluator::AnalyticalEvaluator;
-        use crate::repeated::RepeatedGame;
-        let g = game(5);
-        let mut players: Vec<Box<dyn Strategy>> = vec![Box::new(HillClimb::try_new(400, 32).unwrap())];
-        for _ in 1..5 {
-            players.push(Box::new(Constant::new(79)));
-        }
-        let evaluator = Box::new(AnalyticalEvaluator::new(g.clone()));
-        let mut rg = RepeatedGame::new(g, players, evaluator).unwrap();
-        rg.play(25).unwrap();
-        let stages = rg.history().stages();
-        let first = stages[0].utilities[0];
-        let last = stages.last().unwrap().utilities[0];
-        assert!(
-            last > 1.05 * first,
-            "hill climb failed to improve: {first} → {last}"
-        );
-    }
-
-    #[test]
-    fn hill_climb_try_new_rejects_zero_step() {
-        assert!(HillClimb::try_new(10, 0).is_err());
-        assert!(HillClimb::try_new(10, 1).is_ok());
     }
 }

@@ -144,35 +144,6 @@ pub fn round_robin(
     })
 }
 
-/// Plays one mixed-population repeated game (entrant `k` controls player
-/// `k`) and returns each entrant's discounted payoff.
-///
-/// # Errors
-///
-/// Propagates engine failures.
-pub fn population_match(
-    entrants: &[Entrant],
-    template: &GameConfig,
-    stages: usize,
-) -> Result<Vec<(String, f64)>, GameError> {
-    let game = GameConfig::builder(entrants.len())
-        .params(*template.params())
-        .utility(*template.utility())
-        .stage_duration(template.stage_duration())
-        .discount(template.discount())
-        .w_max(template.w_max())
-        .build()?;
-    let players: Vec<Box<dyn Strategy>> = entrants.iter().map(|e| (e.factory)()).collect();
-    let evaluator = Box::new(AnalyticalEvaluator::new(game.clone()));
-    let mut rg = RepeatedGame::new(game, players, evaluator)?;
-    rg.play(stages)?;
-    Ok(entrants
-        .iter()
-        .map(|e| e.name.clone())
-        .zip(rg.discounted_payoffs())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,16 +232,6 @@ mod tests {
         let agg = idx("aggressor");
         let comp = idx("compliant");
         assert!(result.scores[agg][comp] > result.scores[comp][agg]);
-    }
-
-    #[test]
-    fn population_match_reports_everyone() {
-        let t = template();
-        let two = GameConfig::builder(2).build().unwrap();
-        let w_star = efficient_ne(&two).unwrap().window;
-        let result = population_match(&field(w_star), &t, 10).unwrap();
-        assert_eq!(result.len(), 4);
-        assert!(result.iter().all(|(_, p)| p.is_finite()));
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use macgame_core::deviation::deviation_sweep;
 use macgame_core::equilibrium::{scan_ne_interval, DEFAULT_NE_EPSILON};
-use macgame_core::generalized::FiniteGame;
 use macgame_core::GameConfig;
 
 #[test]
@@ -26,17 +25,5 @@ fn deviation_sweep_is_identical_across_thread_counts() {
     for threads in [2, 5, 16] {
         let parallel = deviation_sweep(&game, 100, 2, 0.7, threads).unwrap();
         assert_eq!(serial, parallel, "threads = {threads}");
-    }
-}
-
-#[test]
-fn payoff_table_is_identical_across_thread_counts() {
-    let g = FiniteGame::new(4, vec![0u8, 1, 2], |i, p| {
-        (p[i] as f64 + 1.0).recip() - 0.1 * p.iter().sum::<usize>() as f64
-    })
-    .unwrap();
-    let serial = g.payoff_table(1);
-    for threads in [2, 7] {
-        assert_eq!(serial, g.payoff_table(threads), "threads = {threads}");
     }
 }

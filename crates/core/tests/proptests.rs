@@ -2,7 +2,7 @@
 //! random profiles, TFT dynamics, and deviation pricing.
 
 use macgame_core::deviation::shortsighted_deviation;
-use macgame_core::edca::{edca_cheating_gain, edca_stage_memo, EdcaAxis, EdcaStageMemo};
+use macgame_core::edca::{edca_axis_sweep, edca_stage_memo, EdcaAxis, EdcaStageMemo};
 use macgame_core::generalized::FiniteGame;
 use macgame_core::population::{replicator, PopulationState};
 use macgame_core::tournament::TournamentResult;
@@ -223,7 +223,7 @@ proptest! {
             stages: 1,
         };
         let trace = replicator(&t, &PopulationState::uniform(2), 300).unwrap();
-        prop_assert!(trace.final_state().share(0) < 0.5);
+        prop_assert!(trace.final_state().shares[0] < 0.5);
         prop_assert_eq!(trace.final_state().dominant(), 1);
     }
 }
@@ -237,7 +237,7 @@ fn knob_gain(
     value: u32,
     memo: &EdcaStageMemo,
 ) -> f64 {
-    edca_cheating_gain(g, sym, axis.apply(sym, value), memo).unwrap()
+    edca_axis_sweep(g, sym, axis, &[value], memo).unwrap()[0].gain
 }
 
 proptest! {

@@ -256,20 +256,6 @@ pub fn canonicalize(windows: &[u32]) -> (Vec<u32>, Vec<usize>) {
     (sorted, perm)
 }
 
-/// Maps a solution of the sorted profile back onto the original player
-/// order: output index `perm[k]` receives canonical index `k`.
-#[must_use]
-pub fn remap(canonical: &Equilibrium, perm: &[usize]) -> Equilibrium {
-    let n = perm.len();
-    let mut taus = vec![0.0; n];
-    let mut collision_probs = vec![0.0; n];
-    for (k, &original) in perm.iter().enumerate() {
-        taus[original] = canonical.taus[k];
-        collision_probs[original] = canonical.collision_probs[k];
-    }
-    Equilibrium { taus, collision_probs, iterations: canonical.iterations }
-}
-
 /// Shared profile → class-solution cache for one `(params, options)`
 /// pair, counting on the `dcf.cache.*` telemetry counters. Wrap in an
 /// [`Arc`] to share across threads; all methods take `&self`.
@@ -307,12 +293,6 @@ impl SolveCache {
     #[must_use]
     pub fn params(&self) -> &DcfParams {
         &self.params
-    }
-
-    /// The solver options every cached solution was computed under.
-    #[must_use]
-    pub fn options(&self) -> SolveOptions {
-        self.options
     }
 
     /// The underlying store, for its counters and occupancy.

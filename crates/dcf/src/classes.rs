@@ -192,18 +192,6 @@ impl ClassProfile {
     pub fn is_homogeneous(&self) -> bool {
         self.windows.len() == 1
     }
-
-    /// Expands back to the sorted node-level profile (class order, each
-    /// window repeated by its multiplicity). Allocates O(n) — intended for
-    /// small `n` interop, not for synthetic populations.
-    #[must_use]
-    pub fn expand_windows(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.total_nodes());
-        for (&w, &c) in self.windows.iter().zip(&self.counts) {
-            out.extend(std::iter::repeat(w).take(c));
-        }
-        out
-    }
 }
 
 /// Solution of the coupled system in class form: one `(τ_c, p_c)` pair per
@@ -376,7 +364,6 @@ mod tests {
         let (profile, assignment) = ClassProfile::from_windows(&[8, 8, 32, 32, 32]).unwrap();
         assert_eq!(profile, ClassProfile::from_sorted(&[8, 8, 32, 32, 32]).unwrap());
         assert_eq!(assignment, vec![0, 0, 1, 1, 1]);
-        assert_eq!(profile.expand_windows(), vec![8, 8, 32, 32, 32]);
     }
 
     #[test]

@@ -885,7 +885,7 @@ mod tests {
         let deg_stats = edca_slot_stats(&deg, &deg_eq, &p);
         let classes = ClassProfile::from_windows(&windows).unwrap().0;
         let scalar = crate::classes::class_slot_stats(&classes, &deg_eq.taus, &p);
-        assert!((deg_stats.idle_rate - scalar.idle_rate()).abs() < 1e-15);
+        assert!((deg_stats.idle_rate - (1.0 - scalar.p_transmit)).abs() < 1e-15);
         assert!((deg_stats.success_rate() - scalar.success_rate()).abs() < 1e-15);
         assert!(
             (deg_stats.mean_slot.value() - scalar.mean_slot.value()).abs()

@@ -7,10 +7,9 @@
 //! ICDCS 2007). It extends Bianchi's saturation model to nodes that each
 //! pick their own initial contention window `W_i`:
 //!
-//! * [`markov`] — the per-node backoff Markov chain and its closed-form
-//!   stationary distribution (`τ_i` as a function of `W_i` and the
-//!   conditional collision probability `p_i`, paper Eq. (2)), plus an
-//!   explicit-matrix solver used for cross-validation;
+//! * [`markov`] — the per-node backoff Markov chain in closed form (`τ_i`
+//!   as a function of `W_i` and the conditional collision probability
+//!   `p_i`, paper Eq. (2));
 //! * [`fixedpoint`] — the coupled `2n`-equation system linking all nodes
 //!   (paper Eq. (3)), with a guaranteed bisection path for symmetric
 //!   profiles, a damped, warm-startable iteration for arbitrary ones, and
@@ -33,14 +32,13 @@
 //!   stage/discounted sums and the Figure-2/3 `U/C` normalization;
 //! * [`delay`] — head-of-line access-delay analysis and the delay-aware
 //!   utility extension the paper's Discussion calls for;
-//! * [`fairness`] — Jain index / min-max ratio, quantifying the fairness
-//!   the TFT dynamics are credited with;
 //! * [`optimal`] — the symmetric optimum: the `Q(τ)` characterization of
 //!   `τ_c*` (Lemma 3), the efficient window `W_c*`, the break-even window
 //!   `W_c⁰` and the Nash-equilibrium interval of Theorem 2;
-//! * [`params`] / [`units`] / [`presets`] — IEEE 802.11 timing with the
-//!   paper's Table I defaults (plus 802.11b and 802.11a/g presets), in
-//!   unit-safe newtypes.
+//! * [`params`] / [`units`] — IEEE 802.11 timing with the paper's Table I
+//!   defaults, in unit-safe newtypes;
+//! * [`reference`](mod@reference) — slow reference oracles (the explicit backoff chain,
+//!   the exhaustive `W_c*` scan) that tests check the fast paths against.
 //!
 //! # Quick start
 //!
@@ -65,14 +63,13 @@ pub mod classes;
 pub mod delay;
 pub mod edca;
 pub mod error;
-pub mod fairness;
 pub mod fixedpoint;
 pub mod markov;
 pub mod parallel;
 pub mod optimal;
 pub mod params;
-pub mod presets;
 pub mod record;
+pub mod reference;
 pub mod throughput;
 pub mod units;
 pub mod utility;

@@ -8,13 +8,8 @@
 //! distribution yields the node's per-slot transmission probability `τ_i`
 //! (paper Eq. (2)).
 //!
-//! Two independent implementations are provided:
-//!
-//! * [`transmission_probability`] / [`BackoffChain`] — the closed form;
-//! * [`ExplicitChain`] — the raw transition structure solved by power
-//!   iteration, used to cross-validate the closed form in tests.
-
-use serde::{Deserialize, Serialize};
+//! [`transmission_probability`] is the closed form; the raw transition
+//! structure it is checked against lives in [`crate::reference`].
 
 use crate::error::DcfError;
 
@@ -24,7 +19,7 @@ use crate::error::DcfError;
 /// bounds what the *model* accepts so that `2^m · W` cannot overflow.
 pub const MAX_CW: u32 = 1 << 20;
 
-fn validate(w: u32, p: f64) -> Result<(), DcfError> {
+pub(crate) fn validate(w: u32, p: f64) -> Result<(), DcfError> {
     if w == 0 || w > MAX_CW {
         return Err(DcfError::invalid("w", format!("contention window must be in [1, {MAX_CW}]")));
     }
@@ -71,272 +66,9 @@ pub fn transmission_probability(w: u32, p: f64, m: u32) -> Result<f64, DcfError>
     Ok(2.0 / (1.0 + w + p * w * geom))
 }
 
-/// Closed-form stationary distribution of the backoff chain.
-///
-/// Constructed from `(W, p, m)`; exposes the stationary probabilities
-/// `q(j, k)` and derived quantities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BackoffChain {
-    w: u32,
-    p: f64,
-    m: u32,
-    /// Stationary probability of state (0, 0).
-    q00: f64,
-}
-
-impl BackoffChain {
-    /// Builds the chain for initial window `w`, collision probability `p`
-    /// and maximum backoff stage `m`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DcfError::InvalidParameter`] under the same conditions as
-    /// [`transmission_probability`], and additionally when `p = 1` (the
-    /// stage-`m` states then absorb all mass and no stationary distribution
-    /// with positive `q(0,0)` exists).
-    pub fn new(w: u32, p: f64, m: u32) -> Result<Self, DcfError> {
-        validate(w, p)?;
-        if p >= 1.0 {
-            return Err(DcfError::invalid("p", "must be strictly below 1 for a stationary chain"));
-        }
-        // Normalisation: Σ_{j,k} q(j,k) = 1 with
-        //   q(j,0) = p^j·q00 (j < m),  q(m,0) = p^m/(1−p)·q00,
-        //   q(j,k) = (Wj − k)/Wj · q(j,0),  Wj = 2^j·W,
-        // so Σ_k q(j,k) = q(j,0)·(Wj + 1)/2.
-        let mut inv_q00 = 0.0;
-        let mut pj = 1.0;
-        for j in 0..=m {
-            let wj = f64::from(w) * f64::from(1u32 << j);
-            let stage_visits = if j < m { pj } else { pj / (1.0 - p) };
-            inv_q00 += stage_visits * (wj + 1.0) / 2.0;
-            pj *= p;
-        }
-        Ok(BackoffChain { w, p, m, q00: 1.0 / inv_q00 })
-    }
-
-    /// The initial contention window `W`.
-    #[must_use]
-    pub fn window(&self) -> u32 {
-        self.w
-    }
-
-    /// The conditional collision probability `p`.
-    #[must_use]
-    pub fn collision_probability(&self) -> f64 {
-        self.p
-    }
-
-    /// The maximum backoff stage `m`.
-    #[must_use]
-    pub fn max_stage(&self) -> u32 {
-        self.m
-    }
-
-    /// Contention window size `2^j·W` at stage `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage > m`.
-    #[must_use]
-    pub fn stage_window(&self, stage: u32) -> u32 {
-        assert!(stage <= self.m, "stage {stage} exceeds maximum backoff stage {}", self.m); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-        self.w << stage
-    }
-
-    /// Stationary probability `q(j, k)` of backoff stage `j` with residual
-    /// counter `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage > m` or `k ≥ 2^j·W`.
-    #[must_use]
-    pub fn stationary(&self, stage: u32, k: u32) -> f64 {
-        let wj = self.stage_window(stage);
-        assert!(k < wj, "counter {k} out of range for stage window {wj}"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-        let visits = if stage < self.m {
-            self.p.powi(stage as i32)
-        } else {
-            self.p.powi(self.m as i32) / (1.0 - self.p)
-        };
-        visits * self.q00 * f64::from(wj - k) / f64::from(wj)
-    }
-
-    /// Per-slot transmission probability `τ = Σ_j q(j, 0) = q(0,0)/(1−p)`.
-    #[must_use]
-    pub fn tau(&self) -> f64 {
-        self.q00 / (1.0 - self.p)
-    }
-
-    /// Total stationary mass in stage `j` (useful for diagnosing how deep in
-    /// backoff a configuration pushes a node).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage > m`.
-    #[must_use]
-    pub fn stage_mass(&self, stage: u32) -> f64 {
-        let wj = f64::from(self.stage_window(stage));
-        let visits = if stage < self.m {
-            self.p.powi(stage as i32)
-        } else {
-            self.p.powi(self.m as i32) / (1.0 - self.p)
-        };
-        visits * self.q00 * (wj + 1.0) / 2.0
-    }
-
-    /// Mean residual backoff counter observed in a random slot.
-    #[must_use]
-    pub fn mean_backoff(&self) -> f64 {
-        let mut acc = 0.0;
-        for j in 0..=self.m {
-            let wj = self.stage_window(j);
-            for k in 0..wj {
-                acc += f64::from(k) * self.stationary(j, k);
-            }
-        }
-        acc
-    }
-}
-
-/// The raw backoff chain as an explicit sparse transition structure,
-/// solved by power iteration.
-///
-/// Exists to *cross-validate* the closed form: tests assert the two agree to
-/// tight tolerance. State indexing is row-major by stage: all of stage 0's
-/// `W` states, then stage 1's `2W`, etc.
-#[derive(Debug, Clone)]
-pub struct ExplicitChain {
-    w: u32,
-    p: f64,
-    m: u32,
-    stage_offsets: Vec<usize>,
-    n_states: usize,
-}
-
-impl ExplicitChain {
-    /// Builds the explicit chain.
-    ///
-    /// # Errors
-    ///
-    /// Same domain as [`BackoffChain::new`]; additionally rejects
-    /// configurations with more than 2^22 states.
-    pub fn new(w: u32, p: f64, m: u32) -> Result<Self, DcfError> {
-        validate(w, p)?;
-        if p >= 1.0 {
-            return Err(DcfError::invalid("p", "must be strictly below 1 for a stationary chain"));
-        }
-        let mut stage_offsets = Vec::with_capacity(m as usize + 2);
-        let mut total = 0usize;
-        for j in 0..=m {
-            stage_offsets.push(total);
-            total += (w as usize) << j;
-        }
-        stage_offsets.push(total);
-        if total > 1 << 22 {
-            return Err(DcfError::invalid("w", "explicit chain too large; use the closed form"));
-        }
-        Ok(ExplicitChain { w, p, m, stage_offsets, n_states: total })
-    }
-
-    /// Number of states `(j, k)` in the chain.
-    #[must_use]
-    pub fn state_count(&self) -> usize {
-        self.n_states
-    }
-
-    fn index(&self, stage: u32, k: u32) -> usize {
-        self.stage_offsets[stage as usize] + k as usize
-    }
-
-    /// One application of the transposed transition operator:
-    /// `out[s'] = Σ_s in[s]·P(s → s')`.
-    fn step(&self, x: &[f64], out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        for j in 0..=self.m {
-            let wj = self.w << j;
-            // Countdown: (j, k) → (j, k−1).
-            for k in 1..wj {
-                out[self.index(j, k - 1)] += x[self.index(j, k)];
-            }
-            // Transmission from (j, 0).
-            let mass = x[self.index(j, 0)];
-            if mass == 0.0 {
-                continue;
-            }
-            // Success: uniform over stage 0.
-            let succ_share = mass * (1.0 - self.p) / f64::from(self.w);
-            for k in 0..self.w {
-                out[self.index(0, k)] += succ_share;
-            }
-            // Collision: uniform over the next stage (stage m retries at m).
-            let next = if j < self.m { j + 1 } else { self.m };
-            let wn = self.w << next;
-            let coll_share = mass * self.p / f64::from(wn);
-            for k in 0..wn {
-                out[self.index(next, k)] += coll_share;
-            }
-        }
-    }
-
-    /// Stationary distribution by power iteration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DcfError::SolveDidNotConverge`] if the L1 change between
-    /// sweeps is still above `tol` after `max_iters` sweeps.
-    pub fn stationary_distribution(
-        &self,
-        max_iters: usize,
-        tol: f64,
-    ) -> Result<Vec<f64>, DcfError> {
-        let mut x = vec![1.0 / self.n_states as f64; self.n_states];
-        let mut next = vec![0.0; self.n_states];
-        for _ in 0..max_iters {
-            self.step(&x, &mut next);
-            let diff: f64 = x.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut x, &mut next);
-            if diff < tol {
-                let norm: f64 = x.iter().sum();
-                x.iter_mut().for_each(|v| *v /= norm);
-                return Ok(x);
-            }
-        }
-        let diff: f64 = x.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-        Err(DcfError::did_not_converge(max_iters, diff))
-    }
-
-    /// `τ` computed from the explicit stationary distribution: total mass of
-    /// the `(j, 0)` states.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-convergence from [`Self::stationary_distribution`].
-    pub fn tau(&self, max_iters: usize, tol: f64) -> Result<f64, DcfError> {
-        let dist = self.stationary_distribution(max_iters, tol)?;
-        Ok((0..=self.m).map(|j| dist[self.index(j, 0)]).sum())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tau_closed_forms_agree() {
-        // Geometric-sum form vs. the BackoffChain normalisation route.
-        for &w in &[1u32, 2, 8, 32, 128, 1024] {
-            for &p in &[0.0, 0.1, 0.3, 0.5, 0.7, 0.95] {
-                for &m in &[0u32, 1, 3, 5, 7] {
-                    let a = transmission_probability(w, p, m).unwrap();
-                    let b = BackoffChain::new(w, p, m).unwrap().tau();
-                    assert!(
-                        (a - b).abs() < 1e-12,
-                        "w={w} p={p} m={m}: sum form {a} vs chain form {b}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn tau_no_collisions() {
@@ -376,72 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn stationary_distribution_sums_to_one() {
-        let chain = BackoffChain::new(8, 0.3, 4).unwrap();
-        let mut total = 0.0;
-        for j in 0..=4 {
-            for k in 0..chain.stage_window(j) {
-                total += chain.stationary(j, k);
-            }
-        }
-        assert!((total - 1.0).abs() < 1e-12, "total mass {total}");
-    }
-
-    #[test]
-    fn stage_mass_matches_per_state_sum() {
-        let chain = BackoffChain::new(4, 0.4, 3).unwrap();
-        for j in 0..=3 {
-            let by_state: f64 = (0..chain.stage_window(j)).map(|k| chain.stationary(j, k)).sum();
-            assert!((chain.stage_mass(j) - by_state).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn explicit_chain_matches_closed_form() {
-        for &(w, p, m) in &[(4u32, 0.25, 3u32), (8, 0.5, 2), (2, 0.7, 4), (16, 0.1, 3)] {
-            let explicit = ExplicitChain::new(w, p, m).unwrap();
-            let tau_explicit = explicit.tau(200_000, 1e-13).unwrap();
-            let tau_closed = transmission_probability(w, p, m).unwrap();
-            assert!(
-                (tau_explicit - tau_closed).abs() < 1e-8,
-                "w={w} p={p} m={m}: explicit {tau_explicit} vs closed {tau_closed}"
-            );
-        }
-    }
-
-    #[test]
-    fn explicit_chain_full_distribution_matches_closed_form() {
-        let (w, p, m) = (4u32, 0.35, 3u32);
-        let explicit = ExplicitChain::new(w, p, m).unwrap();
-        let dist = explicit.stationary_distribution(200_000, 1e-13).unwrap();
-        let closed = BackoffChain::new(w, p, m).unwrap();
-        for j in 0..=m {
-            for k in 0..closed.stage_window(j) {
-                let idx = explicit.index(j, k);
-                assert!(
-                    (dist[idx] - closed.stationary(j, k)).abs() < 1e-8,
-                    "q({j},{k}): explicit {} vs closed {}",
-                    dist[idx],
-                    closed.stationary(j, k)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn chain_rejects_bad_inputs() {
         assert!(transmission_probability(0, 0.1, 5).is_err());
         assert!(transmission_probability(8, -0.1, 5).is_err());
         assert!(transmission_probability(8, 1.5, 5).is_err());
-        assert!(BackoffChain::new(8, 1.0, 5).is_err());
-        assert!(ExplicitChain::new(8, 1.0, 5).is_err());
-    }
-
-    #[test]
-    fn mean_backoff_grows_with_collisions() {
-        let calm = BackoffChain::new(16, 0.05, 5).unwrap().mean_backoff();
-        let busy = BackoffChain::new(16, 0.6, 5).unwrap().mean_backoff();
-        assert!(busy > calm);
     }
 
     #[test]
@@ -451,12 +121,5 @@ mod tests {
             let tau = transmission_probability(9, p, 0).unwrap();
             assert!((tau - 0.2).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn state_count_is_geometric() {
-        let chain = ExplicitChain::new(3, 0.2, 4).unwrap();
-        // 3·(1+2+4+8+16) = 93.
-        assert_eq!(chain.state_count(), 93);
     }
 }

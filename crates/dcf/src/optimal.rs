@@ -116,43 +116,16 @@ pub struct EfficientNe {
     pub tau_star: f64,
 }
 
-/// Finds `W_c*` by exhaustive scan over `{1, …, w_max}`.
-///
-/// This is the ground-truth method, at `w_max` symmetric solves;
-/// [`efficient_cw`] is the bracketed search that large sweeps should use.
-///
-/// # Errors
-///
-/// Returns [`DcfError::InvalidParameter`] if `n < 2` or `w_max == 0`;
-/// propagates solver errors.
-pub fn efficient_cw_scan(
-    n: usize,
-    params: &DcfParams,
-    utility: &UtilityParams,
-    w_max: u32,
-) -> Result<EfficientNe, DcfError> {
-    if w_max == 0 {
-        return Err(DcfError::invalid("w_max", "strategy space must be non-empty"));
-    }
-    let mut best_w = 1;
-    let mut best_u = f64::NEG_INFINITY;
-    for w in 1..=w_max {
-        let u = symmetric_utility(n, w, params, utility)?;
-        if u > best_u {
-            best_u = u;
-            best_w = w;
-        }
-    }
-    finish_efficient(n, best_w, best_u, params)
-}
-
 /// Finds `W_c*` by exponential bracketing plus ternary search, exploiting
 /// the unimodality of the symmetric utility in `W` (paper Section V.A),
 /// with a local exhaustive sweep at the end to absorb numerical plateaus.
+/// Tests check it against the exhaustive scan
+/// [`crate::reference::efficient_cw_scan`].
 ///
 /// # Errors
 ///
-/// Same conditions as [`efficient_cw_scan`].
+/// Returns [`DcfError::InvalidParameter`] if `w_max == 0`; propagates
+/// solver errors.
 pub fn efficient_cw(
     n: usize,
     params: &DcfParams,
@@ -206,7 +179,7 @@ pub fn efficient_cw(
     finish_efficient(n, best_w, best_u, params)
 }
 
-fn finish_efficient(
+pub(crate) fn finish_efficient(
     n: usize,
     window: u32,
     utility: f64,
@@ -363,38 +336,6 @@ pub fn cw_for_tau(
     Ok(if (tl - target_tau).abs() <= (th - target_tau).abs() { lo } else { hi })
 }
 
-
-/// Sensitivity of the efficient window to the maximum backoff stage `m`
-/// (which the paper never states): `(m, W_c*)` pairs over `m_range`.
-///
-/// Basic mode is nearly insensitive (collision feedback barely reaches the
-/// deep stages at the optimum); RTS/CTS moves by a few windows.
-///
-/// # Errors
-///
-/// Propagates [`DcfError`] from the optimizer; rejects stages above 16
-/// like [`crate::params::DcfParamsBuilder::build`].
-pub fn sensitivity_to_max_stage(
-    n: usize,
-    base: &DcfParams,
-    utility: &UtilityParams,
-    w_max: u32,
-    m_range: core::ops::RangeInclusive<u32>,
-) -> Result<Vec<(u32, u32)>, DcfError> {
-    let mut out = Vec::new();
-    for m in m_range {
-        let params = crate::params::DcfParams::builder()
-            .phy(*base.phy())
-            .frames(*base.frames())
-            .access_mode(base.access_mode())
-            .max_backoff_stage(m)
-            .build()?;
-        let ne = efficient_cw(n, &params, utility, w_max)?;
-        out.push((m, ne.window));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,17 +390,6 @@ mod tests {
         let t_basic = optimal_tau(5, &basic()).unwrap();
         let t_rtscts = optimal_tau(5, &rtscts()).unwrap();
         assert!(t_rtscts > 3.0 * t_basic, "basic {t_basic}, rts/cts {t_rtscts}");
-    }
-
-    #[test]
-    fn efficient_cw_matches_exhaustive_scan() {
-        let p = basic();
-        let u = UtilityParams::default();
-        for n in [2usize, 5, 8] {
-            let fast = efficient_cw(n, &p, &u, 512).unwrap();
-            let slow = efficient_cw_scan(n, &p, &u, 512).unwrap();
-            assert_eq!(fast.window, slow.window, "n = {n}");
-        }
     }
 
     #[test]
@@ -588,32 +518,5 @@ mod tests {
         assert!(optimal_tau(1, &p).is_err());
         assert!(efficient_cw(5, &p, &u, 0).is_err());
         assert!(cw_for_tau(0.5, 5, &p, 0).is_err());
-    }
-
-    #[test]
-    fn m_sensitivity_is_mild() {
-        let rows = sensitivity_to_max_stage(
-            5,
-            &basic(),
-            &UtilityParams::default(),
-            1024,
-            3..=7,
-        )
-        .unwrap();
-        assert_eq!(rows.len(), 5);
-        let min = rows.iter().map(|&(_, w)| w).min().unwrap();
-        let max = rows.iter().map(|&(_, w)| w).max().unwrap();
-        assert!(max - min <= 3, "basic-mode W* moved {min}..{max} across m");
-        let rows = sensitivity_to_max_stage(
-            5,
-            &rtscts(),
-            &UtilityParams::default(),
-            1024,
-            3..=7,
-        )
-        .unwrap();
-        let min = rows.iter().map(|&(_, w)| w).min().unwrap();
-        let max = rows.iter().map(|&(_, w)| w).max().unwrap();
-        assert!(max - min <= 8, "RTS/CTS W* moved {min}..{max} across m");
     }
 }

@@ -190,12 +190,6 @@ impl BitRate {
         BitRate(mbps)
     }
 
-    /// Returns the rate in megabits per second.
-    #[must_use]
-    pub fn mbps(self) -> f64 {
-        self.0
-    }
-
     /// Returns the rate in bits per microsecond (numerically equal to Mbit/s).
     #[must_use]
     pub fn bits_per_microsec(self) -> f64 {

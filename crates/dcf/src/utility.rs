@@ -124,32 +124,6 @@ pub fn stage_utility(per_microsec: f64, stage_duration: MicroSecs) -> f64 {
     per_microsec * stage_duration.value()
 }
 
-/// Total discounted utility `Σ_{k≥0} δ^k·U^s = U^s / (1 − δ)` of repeating
-/// the same stage utility forever.
-///
-/// # Panics
-///
-/// Panics unless `0 ≤ δ < 1`.
-#[must_use]
-pub fn discounted_total(stage_utility: f64, delta: f64) -> f64 {
-    assert!((0.0..1.0).contains(&delta), "discount factor must be in [0, 1)"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-    stage_utility / (1.0 - delta)
-}
-
-/// Finite discounted sum `Σ_{k=0}^{stages−1} δ^k·U^s`.
-///
-/// # Panics
-///
-/// Panics unless `0 ≤ δ ≤ 1`.
-#[must_use]
-pub fn discounted_partial(stage_utility: f64, delta: f64, stages: u32) -> f64 {
-    assert!((0.0..=1.0).contains(&delta), "discount factor must be in [0, 1]"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-    if (delta - 1.0).abs() < f64::EPSILON {
-        return stage_utility * f64::from(stages);
-    }
-    stage_utility * (1.0 - delta.powi(stages as i32)) / (1.0 - delta)
-}
-
 /// The paper's Figure 2/3 normalization: global payoff divided by
 /// `C = g·T / (σ·(1−δ))`. Algebraically `U/C = σ·Σ_i u_i / g`, independent
 /// of `T` and `δ` — exactly why the paper plots it.
@@ -167,44 +141,6 @@ pub fn normalized_global_payoff(
     social_welfare(taus, collision_probs, params, utility) * params.sigma().value() / utility.gain
 }
 
-
-/// Utility of node `i` with **per-node** gain/cost parameters — the
-/// general form the paper simplifies away ("we assume that `g_i` and
-/// `e_i` are the same for all `i`"). Useful for energy-heterogeneous
-/// networks where battery-poor nodes price attempts higher.
-///
-/// # Panics
-///
-/// Same conditions as [`node_utility`], plus `utilities` must have one
-/// entry per node.
-#[must_use]
-pub fn node_utility_hetero(
-    node: usize,
-    taus: &[f64],
-    collision_probs: &[f64],
-    params: &DcfParams,
-    utilities: &[UtilityParams],
-) -> f64 {
-    assert_eq!(taus.len(), utilities.len(), "need one UtilityParams per node"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-    node_utility(node, taus, collision_probs, params, &utilities[node])
-}
-
-/// Per-node utilities under per-node gain/cost parameters.
-///
-/// # Panics
-///
-/// Same conditions as [`node_utility_hetero`].
-#[must_use]
-pub fn all_utilities_hetero(
-    taus: &[f64],
-    collision_probs: &[f64],
-    params: &DcfParams,
-    utilities: &[UtilityParams],
-) -> Vec<f64> {
-    (0..taus.len())
-        .map(|i| node_utility_hetero(i, taus, collision_probs, params, utilities))
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -259,18 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn stage_and_discounted_sums() {
+    fn stage_utility_scales_by_duration() {
         let u = 3.0e-5; // per µs
         let t = MicroSecs::from_seconds(10.0);
-        let stage = stage_utility(u, t);
-        assert!((stage - 300.0).abs() < 1e-9);
-        let total = discounted_total(stage, 0.9999);
-        assert!((total - stage / 0.0001).abs() < 1e-3);
-        // Partial sums converge to the total.
-        let partial = discounted_partial(stage, 0.9999, 2_000_000);
-        assert!((partial - total).abs() / total < 1e-6);
-        // δ = 1 degenerates to a plain sum.
-        assert_eq!(discounted_partial(2.0, 1.0, 10), 20.0);
+        assert!((stage_utility(u, t) - 300.0).abs() < 1e-9);
     }
 
     #[test]
@@ -295,39 +223,5 @@ mod tests {
         let success_rate_per_us =
             taus[0] * (1.0 - ps[0]) / stats.mean_slot.value();
         assert!((u - success_rate_per_us).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "discount factor")]
-    fn discount_of_one_rejected_for_infinite_sum() {
-        let _ = discounted_total(1.0, 1.0);
-    }
-
-    #[test]
-    fn hetero_matches_homogeneous_when_equal() {
-        let (taus, ps) = sym_profile(4, 64);
-        let per_node = vec![UtilityParams::default(); 4];
-        let hetero = all_utilities_hetero(&taus, &ps, &params(), &per_node);
-        let homo = all_utilities(&taus, &ps, &params(), &UtilityParams::default());
-        assert_eq!(hetero, homo);
-    }
-
-    #[test]
-    fn hetero_prices_energy_poor_nodes() {
-        // A battery-poor node (10× cost) can be in the red while its peers
-        // profit, at the very same operating point.
-        let (taus, ps) = sym_profile(5, 4);
-        let mut per_node = vec![UtilityParams::default(); 5];
-        per_node[0] = UtilityParams { gain: 1.0, cost: 0.5 };
-        let us = all_utilities_hetero(&taus, &ps, &params(), &per_node);
-        assert!(us[0] < us[1], "poor node should earn less: {us:?}");
-        assert!(us[1] > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one UtilityParams per node")]
-    fn hetero_length_checked() {
-        let (taus, ps) = sym_profile(3, 16);
-        let _ = all_utilities_hetero(&taus, &ps, &params(), &[UtilityParams::default()]);
     }
 }

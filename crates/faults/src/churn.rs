@@ -76,12 +76,6 @@ impl ChurnSchedule {
         Ok(ChurnSchedule { events })
     }
 
-    /// An empty schedule (no churn).
-    #[must_use]
-    pub fn none() -> Self {
-        ChurnSchedule::default()
-    }
-
     /// A deterministic random schedule: over `rounds` rounds, each round
     /// fires an event with probability `rate`, alternating leave /
     /// rejoin / reset pressure across the `nodes` population. Windows for
@@ -150,11 +144,6 @@ impl ChurnSchedule {
     pub fn last_round(&self) -> Option<usize> {
         self.events.last().map(|e| e.round)
     }
-
-    /// Events scheduled exactly at `round`, in schedule order.
-    pub fn events_at(&self, round: usize) -> impl Iterator<Item = &ChurnEvent> {
-        self.events.iter().filter(move |e| e.round == round)
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +169,6 @@ mod tests {
         let schedule = ChurnSchedule::new(events, 2).unwrap();
         assert_eq!(schedule.events()[0].round, 2);
         assert_eq!(schedule.last_round(), Some(5));
-        assert_eq!(schedule.events_at(5).count(), 1);
     }
 
     #[test]

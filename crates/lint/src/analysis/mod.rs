@@ -3,7 +3,7 @@
 //! Where [`crate::rules`] checks *sites* (a token stream in one file),
 //! this module checks *paths*: it stitches every parsed library file
 //! ([`crate::parser`]) into a workspace call graph ([`crate::graph`]) and
-//! runs the two analyses whose contract depends on a path, not a site:
+//! runs the three analyses whose contract depends on a path, not a site:
 //!
 //! * [`taint`] — `analysis/determinism-taint`: functions reachable from
 //!   the artifact-writing roots (the `repro` experiment driver, serve
@@ -16,6 +16,9 @@
 //!   receiver; an inconsistent acquisition order (a cycle in the
 //!   may-precede relation, intra- or inter-procedural) is reported as a
 //!   potential deadlock.
+//! * [`test_only`] — `analysis/test-only-pub`: a library `pub fn` must be
+//!   reachable from a production root (a binary, an example, `macbench`,
+//!   a trait impl or an artifact root); one only tests reach is dead API.
 //!
 //! Panic sites are a site contract too: `panic-policy/unmarked-panic`
 //! flags every unmarked one, reachable or not, so no graph pass repeats it.
@@ -27,6 +30,7 @@
 
 pub mod locks;
 pub mod taint;
+pub mod test_only;
 
 use std::collections::BTreeMap;
 
@@ -39,6 +43,13 @@ use crate::rules::Finding;
 pub const RULE_TAINT: &str = "analysis/determinism-taint";
 /// Rule id: inconsistent lock-acquisition order (potential deadlock).
 pub const RULE_LOCK_ORDER: &str = "analysis/lock-order";
+/// Rule id: a library `pub fn` that no production root reaches.
+pub const RULE_TEST_ONLY: &str = "analysis/test-only-pub";
+
+/// Workspace-relative directories parsed into the call graph only: their
+/// fns are production roots of `analysis/test-only-pub`, and no token
+/// rule runs on them.
+pub const GRAPH_ONLY_DIRS: &[&str] = &["examples/", "macbench/src/"];
 
 /// Selects taint-analysis roots: functions in files with a given prefix,
 /// optionally narrowed to one function name.
@@ -68,7 +79,8 @@ impl RootSpec {
 /// Configuration for one analysis run.
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
-    /// Artifact-writing roots for the determinism-taint pass.
+    /// Artifact-writing roots for the determinism-taint pass (also
+    /// production roots of the test-only-pub pass).
     pub taint_roots: Vec<RootSpec>,
 }
 
@@ -91,7 +103,8 @@ impl Default for AnalysisConfig {
 /// Workspace-shape counters surfaced in the `ANALYSIS.json` summary.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalysisStats {
-    /// Library files parsed into the graph.
+    /// Files parsed into the graph: library files plus the graph-only
+    /// inputs.
     pub files: usize,
     /// Function nodes in the graph.
     pub functions: usize,
@@ -101,10 +114,14 @@ pub struct AnalysisStats {
     pub taint_roots: usize,
     /// Lock-acquisition sites labeled by the lock-order pass.
     pub lock_sites: usize,
+    /// Production roots of the test-only-pub pass.
+    pub production_roots: usize,
+    /// Library `pub fn`s the test-only-pub pass checked.
+    pub public_fns: usize,
 }
 
 impl Summary for AnalysisStats {
-    const SCHEMA: &'static str = "macgame-analysis/2";
+    const SCHEMA: &'static str = "macgame-analysis/3";
     const WITNESS: bool = true;
     fn counters(&self) -> Vec<(&'static str, usize)> {
         vec![
@@ -113,6 +130,8 @@ impl Summary for AnalysisStats {
             ("edges", self.edges),
             ("taint_roots", self.taint_roots),
             ("lock_sites", self.lock_sites),
+            ("production_roots", self.production_roots),
+            ("public_fns", self.public_fns),
         ]
     }
 }
@@ -120,7 +139,7 @@ impl Summary for AnalysisStats {
 /// The outcome of analyzing a workspace: findings plus graph-shape stats.
 pub type AnalysisReport = Report<AnalysisStats>;
 
-/// Shared per-run context handed to both passes.
+/// Shared per-run context handed to every pass.
 pub(crate) struct Ctx<'a> {
     pub graph: &'a CallGraph,
     pub config: &'a AnalysisConfig,
@@ -129,6 +148,17 @@ pub(crate) struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
+    /// The non-test fns the config names as determinism-taint roots.
+    pub(crate) fn taint_roots(&self) -> Vec<usize> {
+        self.graph.select(|n| {
+            !n.def.is_test
+                && self.config.taint_roots.iter().any(|r| {
+                    n.file.starts_with(r.file_prefix.as_str())
+                        && r.fn_name.as_deref().map_or(true, |f| f == n.def.name)
+                })
+        })
+    }
+
     /// Assembles a finding with its witness path.
     pub(crate) fn finding(
         &self,
@@ -151,7 +181,8 @@ impl Ctx<'_> {
     }
 }
 
-/// Runs both analyses over `(workspace-relative path, parsed file)` pairs.
+/// Runs the three analyses over `(workspace-relative path, parsed file)`
+/// pairs.
 /// Pure: no filesystem access, and the output — findings, witnesses, JSON
 /// bytes — is invariant under the input order.
 #[must_use]
@@ -165,12 +196,16 @@ pub fn analyze(files: &[(String, ParsedFile)], config: &AnalysisConfig) -> Analy
     let (mut findings, taint_roots) = taint::run(&ctx);
     let (mut cycles, lock_sites) = locks::run(&ctx);
     findings.append(&mut cycles);
+    let (mut dead, production_roots, public_fns) = test_only::run(&ctx);
+    findings.append(&mut dead);
     let stats = AnalysisStats {
         files: files.len(),
         functions: graph.fns.len(),
         edges: graph.edges,
         taint_roots,
         lock_sites,
+        production_roots,
+        public_fns,
     };
     Report::new(findings, stats)
 }
@@ -190,7 +225,9 @@ mod tests {
             "crates/a/src/lib.rs",
             "pub fn api() -> u32 { helper() }\nfn helper() -> u32 { 1 }\n",
         )]);
-        let report = analyze(&files, &AnalysisConfig::default());
+        // `api` is an artifact root, so it is reached and not test-only.
+        let config = AnalysisConfig { taint_roots: vec![RootSpec::fn_in("crates/a/", "api")] };
+        let report = analyze(&files, &config);
         assert!(report.is_clean(), "{:?}", report.findings);
         assert_eq!(report.stats.functions, 2);
         assert_eq!(report.to_json(), report.to_json());

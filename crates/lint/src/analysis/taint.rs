@@ -14,8 +14,8 @@
 //! clocks, entropy RNGs and hash containers are banned at every site by
 //! the token rules, which subsume any path to them (DESIGN.md §18).
 //!
-//! Test fns are never roots and never report sinks; top-level `tests/`,
-//! `benches/` and `examples/` files are never read.
+//! Test fns are never roots and never report sinks; top-level `tests/`
+//! and `benches/` files are never read.
 
 use crate::parser::Event;
 use crate::rules::Finding;
@@ -55,13 +55,7 @@ fn classify(ev: &Event) -> Option<Source> {
 /// Runs the pass; returns findings and the number of roots matched.
 pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
     let g = ctx.graph;
-    let roots = g.select(|n| {
-        !n.def.is_test
-            && ctx.config.taint_roots.iter().any(|r| {
-                n.file.starts_with(r.file_prefix.as_str())
-                    && r.fn_name.as_deref().map_or(true, |f| f == n.def.name)
-            })
-    });
+    let roots = ctx.taint_roots();
     let root_count = roots.len();
     let parent = g.reach(&roots);
 
@@ -137,7 +131,7 @@ mod tests {
     #[test]
     fn unreachable_sources_stay_silent() {
         let report = analyze_one(
-            "pub fn emit() -> u32 { 1 }\npub fn island() { let _ = std::thread::current(); }\n",
+            "pub fn emit() -> u32 { 1 }\nfn island() { let _ = std::thread::current(); }\n",
         );
         assert!(report.is_clean(), "{:?}", report.findings);
     }

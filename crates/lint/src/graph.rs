@@ -6,9 +6,13 @@
 //! Without types or trait dispatch, calls resolve by *name*:
 //!
 //! * `a::…::T::f(…)` — methods named `f` on impl target `T`; if none, free
-//!   fns named `f` defined in a module/crate hinted by the qualifier.
-//! * `f(…)` (bare) — the file's `use` import for `f` if any (resolved as a
-//!   path call), else free fns named `f` in the *same crate*.
+//!   fns named `f` defined in a module/crate hinted by the qualifier. A
+//!   path passed as a value (`.map(T::f)`, `map_err(E::from)`) resolves
+//!   the same way: the fn it names is called by whoever receives it.
+//! * `f(…)` (bare) — the enclosing fn's own `use` import for `f`, else
+//!   the file's (resolved as a path call), else free fns named `f` in the
+//!   *same crate*. A glob import records nothing, so a glob-imported fn
+//!   from another crate gets no edge.
 //! * `self.m(…)` / `Self::m(…)` — methods named `m` on the enclosing
 //!   impl target only.
 //! * `recv.m(…)` — **every** workspace method named `m`, whatever the
@@ -34,7 +38,8 @@ pub struct FnNode {
     /// Workspace-relative path of the defining file.
     pub file: String,
     /// Crate name derived from the path (`crates/dcf/src/…` → `dcf`,
-    /// `src/…` → the root package).
+    /// `macbench/src/…` → `macbench`, `src/…` and `examples/…` → the
+    /// root package).
     pub krate: String,
     /// The parsed definition.
     pub def: FnDef,
@@ -138,6 +143,8 @@ fn crate_of(path: &str) -> String {
         rest.split('/').next().unwrap_or("").to_string()
     } else if let Some(rest) = path.strip_prefix("vendor/") {
         rest.split('/').next().unwrap_or("").to_string()
+    } else if path.starts_with("macbench/") {
+        "macbench".to_string()
     } else {
         "<root>".to_string()
     }
@@ -231,10 +238,11 @@ impl CallGraph {
                 resolve_path(segments, node, &self.fns, &self.name_index, &self.hints)
             }
             Event::BareCall { name, .. } => {
-                let via_import = self
+                let via_import = node
+                    .def
                     .imports
-                    .get(&node.file)
-                    .and_then(|m| m.get(name))
+                    .get(name)
+                    .or_else(|| self.imports.get(&node.file).and_then(|m| m.get(name)))
                     .map(|full| {
                         resolve_path(full, node, &self.fns, &self.name_index, &self.hints)
                     });

@@ -15,7 +15,8 @@
 //! hand-rolled lexer ([`lexer`]) and item parser ([`parser`]) read each
 //! library file once, marking its test regions once; the token rules
 //! ([`rules`]) and the call-graph passes ([`analysis`], over [`graph`])
-//! both consume that one parse. A minimal TOML subset parser ([`toml`])
+//! both consume that one parse. The graph also reads `examples/` and
+//! `macbench/src/`, whose fns root it; no token rule runs on them. A minimal TOML subset parser ([`toml`])
 //! reads the crate manifests ([`manifest`]) and the `lint-allow.toml`
 //! waiver file ([`waivers`]), and [`report`] renders the human table plus
 //! deterministic `artifacts/LINT.json` and `artifacts/ANALYSIS.json`
@@ -36,6 +37,7 @@
 //! | `api/relaxed-ordering` | no `Ordering::Relaxed` outside the telemetry allowlist |
 //! | `analysis/determinism-taint` | no thread-identity read or raw thread reachable from an artifact root |
 //! | `analysis/lock-order` | no cycle in the lock-acquisition order |
+//! | `analysis/test-only-pub` | every library `pub fn` is reachable from a production root (bins, `examples/`, `macbench/`, trait impls, artifact roots) |
 //! | `manifest/workspace-field` | crates inherit `version`/`edition`/`license` from the workspace |
 //! | `manifest/external-dependency` | only workspace-inherited or in-tree path dependencies |
 //! | `waiver/stale`, `waiver/invalid` | the waiver file itself must stay honest |
@@ -278,8 +280,9 @@ pub fn run_workspace_with(
             continue;
         }
         // Library sources: everything under src/, recursively (bins
-        // included). Tests, benches and examples never ship, so no code
-        // rule applies to them and they are not read.
+        // included). Tests and benches never ship, so no code rule
+        // applies to them and they are not read; examples are read
+        // below, for the call graph only.
         let mut lib_files = Vec::new();
         rust_files_recursive(&pkg_dir.join("src"), &mut lib_files)?;
         for file in lib_files {
@@ -290,8 +293,16 @@ pub fn run_workspace_with(
         }
     }
 
-    // Call-graph analyses over the same parsed library files.
+    // Call-graph analyses over the same parsed library files, plus the
+    // graph-only inputs: production roots that no token rule reads.
     let stats = LintStats { files_scanned: parsed_files.len(), manifests_checked };
+    for dir in analysis::GRAPH_ONLY_DIRS {
+        let mut files = Vec::new();
+        rust_files_recursive(&root.join(dir), &mut files)?;
+        for file in files {
+            parsed_files.push((rel_str(root, &file), parser::parse(&read(&file)?)));
+        }
+    }
     let analyzed = analysis::analyze(&parsed_files, config);
     findings.extend(analyzed.findings);
 

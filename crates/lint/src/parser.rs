@@ -7,13 +7,15 @@
 //! * item nesting — inline `mod`s, `impl` blocks (with the target type,
 //!   the `Type` of `impl Trait for Type`), `trait` blocks;
 //! * `fn` definitions with their bare name, visibility (`pub` without a
-//!   restriction), test-ness (`#[test]` / `#[cfg(test)]` regions), and
-//!   1-based definition line;
-//! * body *events*: path calls (`a::b::f(…)`), bare calls (`f(…)`),
-//!   method calls (`.m(…)`, with a best-effort receiver hint and a
-//!   zero-argument flag), and macro invocations (`name!(…)`);
-//! * per-file `use` imports (leaf name → full path) so bare calls to
-//!   imported functions resolve across crates;
+//!   restriction), test-ness (`#[test]` / `#[cfg(test)]` regions),
+//!   whether they sit in an `impl Trait for Type` block, and 1-based
+//!   definition line;
+//! * body *events*: path calls (`a::b::f(…)`) and paths passed as values
+//!   (`.map(T::f)`), bare calls (`f(…)`), method calls (`.m(…)`, with a
+//!   best-effort receiver hint and a zero-argument flag), and macro
+//!   invocations (`name!(…)`);
+//! * `use` imports (leaf name → full path), per file and per fn body, so
+//!   bare calls to imported functions resolve across crates;
 //! * the token stream itself, with an `in_test` flag per token, and the
 //!   `// PANIC-POLICY:` marker map, both forwarded from the lexer so the
 //!   token rules ([`crate::rules`]) read the same test scoping as the
@@ -42,7 +44,8 @@ use crate::lexer::{lex, Token, TokenKind};
 /// One body event inside a function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// `a::b::f(…)` — a call through a path with ≥ 2 segments.
+    /// `a::b::f(…)` — a call through a path with ≥ 2 segments, or such a
+    /// path passed as a value (`.map(T::f)`), which the callee may call.
     PathCall {
         /// The path segments, turbofish stripped.
         segments: Vec<String>,
@@ -102,6 +105,9 @@ pub struct FnDef {
     /// The `impl`/`trait` target type the fn is a method of, if any.
     /// For `impl Trait for Type` this is `Type`.
     pub impl_target: Option<String>,
+    /// Defined in an `impl Trait for Type` block, so callers may reach it
+    /// through the trait (std, serde, operators) rather than by name.
+    pub trait_impl: bool,
     /// Inline module path from the file root, outermost first.
     pub modules: Vec<String>,
     /// 1-based line of the `fn` keyword.
@@ -114,6 +120,9 @@ pub struct FnDef {
     pub is_test: bool,
     /// Body events in source order.
     pub events: Vec<Event>,
+    /// `use` imports inside the body, shaped like [`ParsedFile::imports`];
+    /// they shadow the file's imports for this fn's calls.
+    pub imports: BTreeMap<String, Vec<String>>,
 }
 
 impl FnDef {
@@ -139,10 +148,11 @@ pub struct ParsedFile {
     pub lines: Vec<String>,
     /// Every fn definition in the file, in source order.
     pub fns: Vec<FnDef>,
-    /// `use` imports: leaf name → full path segments. `use a::b::c` maps
-    /// `c → [a, b, c]`; grouped imports (`use a::{b, c as d}`) expand;
-    /// glob imports are ignored (name-based resolution over-approximates
-    /// them away).
+    /// File-level `use` imports: leaf name → full path segments.
+    /// `use a::b::c` maps `c → [a, b, c]`; grouped imports
+    /// (`use a::{b, c as d}`) expand. Glob imports record nothing, so a
+    /// bare call to a glob-imported fn resolves only through the
+    /// same-crate fallback and misses a fn in another crate.
     pub imports: BTreeMap<String, Vec<String>>,
     /// `line → rationale` for `// PANIC-POLICY:` markers (from the lexer).
     pub markers: BTreeMap<u32, String>,
@@ -169,7 +179,8 @@ impl ParsedFile {
 #[derive(Debug)]
 enum Scope {
     Module(String),
-    Impl(String),
+    /// An impl block: its target, and whether it implements a trait.
+    Impl(String, bool),
     Trait(String),
     /// Index into `ParsedFile::fns` of the fn whose body is open.
     Fn(usize),
@@ -409,6 +420,7 @@ pub fn parse(source: &str) -> ParsedFile {
                         // `for` restarting the collection (trait impls) and
                         // `where` ending it (bound idents are not targets).
                         let mut target: Option<String> = None;
+                        let mut of_trait = false;
                         while j < n {
                             match &toks[j].kind {
                                 TokenKind::Punct('{') => break,
@@ -424,6 +436,7 @@ pub fn parse(source: &str) -> ParsedFile {
                                 }
                                 TokenKind::Ident(id) if id == "for" => {
                                     target = None;
+                                    of_trait = true;
                                 }
                                 TokenKind::Ident(id) if id == "where" => {
                                     // Scan to the `{` without recording.
@@ -443,7 +456,11 @@ pub fn parse(source: &str) -> ParsedFile {
                             depth += 1;
                             let name = target.unwrap_or_else(|| "<opaque>".to_string());
                             scopes.push((
-                                if is_impl { Scope::Impl(name) } else { Scope::Trait(name) },
+                                if is_impl {
+                                    Scope::Impl(name, of_trait)
+                                } else {
+                                    Scope::Trait(name)
+                                },
                                 depth,
                             ));
                             if pending_test {
@@ -455,8 +472,12 @@ pub fn parse(source: &str) -> ParsedFile {
                         }
                         i = j;
                     }
-                    "use" if in_fn.is_none() => {
-                        i = parse_use(toks, i + 1, &mut out.imports);
+                    "use" => {
+                        let imports = match in_fn {
+                            Some(fn_idx) => &mut out.fns[fn_idx].imports,
+                            None => &mut out.imports,
+                        };
+                        i = parse_use(toks, i + 1, imports);
                         pending_pub = false;
                         pending_test = false;
                     }
@@ -505,10 +526,15 @@ pub fn parse(source: &str) -> ParsedFile {
                             }
                         }
                         if punct(j, '{') {
-                            let impl_target = scopes.iter().rev().find_map(|(s, _)| match s {
-                                Scope::Impl(t) | Scope::Trait(t) => Some(t.clone()),
-                                _ => None,
-                            });
+                            let (impl_target, trait_impl) = scopes
+                                .iter()
+                                .rev()
+                                .find_map(|(s, _)| match s {
+                                    Scope::Impl(t, of_trait) => Some((Some(t.clone()), *of_trait)),
+                                    Scope::Trait(t) => Some((Some(t.clone()), false)),
+                                    _ => None,
+                                })
+                                .unwrap_or((None, false));
                             let modules = scopes
                                 .iter()
                                 .filter_map(|(s, _)| match s {
@@ -521,11 +547,13 @@ pub fn parse(source: &str) -> ParsedFile {
                             out.fns.push(FnDef {
                                 name,
                                 impl_target,
+                                trait_impl,
                                 modules,
                                 line: fn_line,
                                 is_pub: pending_pub,
                                 is_test,
                                 events: Vec::new(),
+                                imports: BTreeMap::new(),
                             });
                             depth += 1;
                             scopes.push((Scope::Fn(out.fns.len() - 1), depth));
@@ -648,8 +676,9 @@ fn parse_use(
     i
 }
 
-/// Records a path/bare call or macro invocation starting at the
-/// identifier at `i`. Returns the index to resume from.
+/// Records a path/bare call, a path passed as a value, or a macro
+/// invocation starting at the identifier at `i`. Returns the index to
+/// resume from.
 fn record_event(
     toks: &[Token],
     i: usize,
@@ -699,13 +728,23 @@ fn record_event(
         fun.events.push(Event::MacroCall { name, line: last_line });
         return j + 1;
     }
-    if punct(j, '(') && !KEYWORDS.contains(&name.as_str()) {
+    if KEYWORDS.contains(&name.as_str()) {
+        return j.max(i + 1);
+    }
+    if punct(j, '(') {
         if segments.len() >= 2 {
             fun.events.push(Event::PathCall { segments, line: last_line });
         } else {
             fun.events.push(Event::BareCall { name, line: last_line });
         }
         return j + 1;
+    }
+    if segments.len() >= 2 {
+        // A path not followed by `(`: a fn passed as a value
+        // (`.map(T::f)`, `map_err(E::from)`) is a call the callee makes.
+        // Types, variants and constants record an event that resolves to
+        // no fn, or over-approximates to a same-named one.
+        fun.events.push(Event::PathCall { segments, line: last_line });
     }
     j.max(i + 1)
 }
@@ -815,6 +854,8 @@ mod tests {
         assert!(!fns[1].is_pub, "pub(crate) is not public API");
         assert!(fns[2].is_pub);
         assert!(!fns[3].is_pub);
+        let trait_impls: Vec<bool> = fns.iter().map(|f| f.trait_impl).collect();
+        assert_eq!(trait_impls, vec![false, false, false, false, true, false]);
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub const RULE_RELAXED: &str = "api/relaxed-ordering";
 
 /// Exact workspace-relative paths allowed to call `Instant::now` /
 /// `SystemTime::now`: `telemetry::global::span` is *the* wall-clock
-/// quarantine, whose measurements land in the `timings` section that
-/// `Snapshot::deterministic_json()` omits.
+/// quarantine, whose measurements land only in the final `timings`
+/// section of `Snapshot::to_json()`, which thread-invariance checks skip.
 const WALL_CLOCK_ALLOW: &[&str] = &["crates/telemetry/src/global.rs"];
 
 /// Workspace-relative path prefixes allowed to use `Ordering::Relaxed`:

@@ -1,17 +1,20 @@
 //! End-to-end runs of the call-graph analyses: fixture mini-workspaces
-//! with known clean/dirty graphs, the real workspace (which must be
-//! analysis-clean with every waiver carrying a rationale), byte-stability
-//! of `ANALYSIS.json`, and a proptest that the analyzer's output bytes
-//! are invariant under input file order.
+//! with known clean/dirty graphs, the resolution cases the graph must see
+//! (fn-local imports, paths passed as values), the real workspace (which
+//! must be analysis-clean with every waiver carrying a rationale),
+//! byte-stability of `ANALYSIS.json`, and a proptest that the analyzer's
+//! output bytes are invariant under input file order.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use macgame_lint::analysis::{analyze, AnalysisConfig, RootSpec, RULE_LOCK_ORDER, RULE_TAINT};
+use macgame_lint::analysis::{
+    analyze, AnalysisConfig, RootSpec, RULE_LOCK_ORDER, RULE_TAINT, RULE_TEST_ONLY,
+};
 use macgame_lint::parser::{parse, ParsedFile};
 use macgame_lint::rules::{RULE_HASH, RULE_RELAXED};
 use macgame_lint::waivers::parse_waivers;
-use macgame_lint::{run_workspace, run_workspace_with, WAIVER_FILE};
+use macgame_lint::{run_workspace, run_workspace_with, Finding, WAIVER_FILE};
 use proptest::prelude::*;
 
 fn real_root() -> PathBuf {
@@ -71,6 +74,66 @@ fn lock_cycle_fixture_reports_one_cycle_with_both_edges() {
     assert!(f.message.contains("Pair::beta"), "{}", f.message);
     assert_eq!(f.witness.len(), 2, "one edge description per direction: {:?}", f.witness);
     assert_eq!(report.stats.lock_sites, 4);
+}
+
+#[test]
+fn test_only_fixture_flags_exactly_the_fns_only_tests_reach() {
+    let report = fixture_analysis("ws_dead");
+    let flagged: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == RULE_TEST_ONLY)
+        .map(|f| f.witness[0].as_str())
+        .collect();
+    // Not flagged: fns reached from `src/bin/`, `examples/`, a `Display`
+    // impl, a fn-local `use` and a path passed as a value, and the
+    // `pub(crate)` fn.
+    assert_eq!(
+        flagged,
+        vec![
+            "only_unit_tests (crates/app/src/lib.rs:33)",
+            "only_integration_tests (crates/app/src/lib.rs:38)",
+        ],
+        "{:?}",
+        report.findings
+    );
+    assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
+    // emit, the binary's and the example's `main`, and `Label::fmt`.
+    assert_eq!(report.stats.production_roots, 4);
+}
+
+/// Taint findings when the artifact root `emit` in crate `app` runs
+/// `emit_body`, and `other::leaf` reads thread identity. `leaf` lives in
+/// another crate, so the same-crate fallback for bare calls cannot find it.
+fn taint_through(emit_body: &str) -> Vec<Finding> {
+    let files = vec![
+        ("crates/app/src/lib.rs".to_string(), parse(&format!("pub fn emit() {{ {emit_body} }}\n"))),
+        (
+            "crates/other/src/lib.rs".to_string(),
+            parse("pub fn leaf(x: u32) -> u32 {\n    let _t = std::thread::current();\n    x\n}\n"),
+        ),
+    ];
+    analyze(&files, &fixture_config()).findings.into_iter().filter(|f| f.rule == RULE_TAINT).collect()
+}
+
+const LEAF_WITNESS: [&str; 3] = [
+    "emit (crates/app/src/lib.rs:1)",
+    "leaf (crates/other/src/lib.rs:1)",
+    "thread::current (crates/other/src/lib.rs:2)",
+];
+
+#[test]
+fn fn_local_use_resolves_a_bare_call_across_crates() {
+    let taints = taint_through("use other::leaf; leaf(1);");
+    assert_eq!(taints.len(), 1, "{taints:?}");
+    assert_eq!(taints[0].witness, LEAF_WITNESS);
+}
+
+#[test]
+fn a_path_passed_as_a_value_is_a_call() {
+    let taints = taint_through("let _v: Vec<u32> = vec![1].into_iter().map(other::leaf).collect();");
+    assert_eq!(taints.len(), 1, "{taints:?}");
+    assert_eq!(taints[0].witness, LEAF_WITNESS);
 }
 
 #[test]
@@ -152,7 +215,7 @@ fn analysis_artifact_is_byte_stable_across_runs() {
     let first = run_workspace(&root).unwrap().analysis.to_json();
     let second = run_workspace(&root).unwrap().analysis.to_json();
     assert_eq!(first, second);
-    assert!(first.contains("\"schema\": \"macgame-analysis/2\""));
+    assert!(first.contains("\"schema\": \"macgame-analysis/3\""));
     assert!(first.contains("\"witness\": ["));
 }
 
@@ -182,7 +245,7 @@ fn analysis_waivers_apply_across_the_union_without_going_stale() {
         root.join("crates/app/src/lib.rs"),
         "pub fn emit() -> String { shard() }\n\
          fn shard() -> String { format!(\"{:?}\", std::thread::current().id()) }\n\
-         pub fn first(v: &[u32]) -> u32 { *v.first().unwrap() }\n",
+         fn first(v: &[u32]) -> u32 { *v.first().unwrap() }\n",
     )
     .unwrap();
     fs::write(
@@ -213,14 +276,22 @@ fn analysis_waivers_apply_across_the_union_without_going_stale() {
     );
 }
 
-/// All fixture sources combined into one synthetic workspace, with paths
-/// remapped so the three `app` crates stay distinct.
+/// All fixture sources combined into one synthetic workspace, with the
+/// single-file fixtures remapped so their `app` crates stay distinct.
+/// `ws_dead` spans two crates, a binary and an example, so it keeps its
+/// own paths; no other fixture is remapped onto them.
 fn combined_fixture_sources() -> Vec<(String, ParsedFile)> {
     let mut files = Vec::new();
     for ws in ["ws_clean", "ws_taint", "ws_lockcycle"] {
         let lib = fixture_root(ws).join("crates/app/src/lib.rs");
         let source = fs::read_to_string(&lib).unwrap();
         files.push((format!("crates/{ws}/src/lib.rs"), parse(&source)));
+    }
+    for rel in
+        ["crates/app/src/lib.rs", "crates/app/src/bin/tool.rs", "crates/util/src/lib.rs", "examples/demo.rs"]
+    {
+        let source = fs::read_to_string(fixture_root("ws_dead").join(rel)).unwrap();
+        files.push((rel.to_string(), parse(&source)));
     }
     files
 }
@@ -246,5 +317,6 @@ proptest! {
         // The dirty fixtures stay visible whatever the order.
         prop_assert!(shuffled.contains("analysis/determinism-taint"));
         prop_assert!(shuffled.contains("analysis/lock-order"));
+        prop_assert!(shuffled.contains("analysis/test-only-pub"));
     }
 }

@@ -56,7 +56,7 @@ impl ConvergenceTrace {
 /// use macgame_multihop::{Point, Topology};
 ///
 /// // A 3-hop chain: the smallest window spreads one hop per round.
-/// let positions: Vec<Point> = (0..4).map(|i| Point::new(i as f64, 0.0)).collect();
+/// let positions: Vec<Point> = (0..4).map(|i| Point { x: i as f64, y: 0.0 }).collect();
 /// let topo = Topology::from_positions(&positions, 1.0);
 /// let trace = tft_converge(&topo, &[40, 30, 20, 10])?;
 /// assert_eq!(trace.converged_window(), Some(10));
@@ -411,158 +411,13 @@ pub fn churn_converge(
     Ok(ChurnTrace { rounds, final_windows: state, reconvergence, settled })
 }
 
-/// How a node reacts to (noisy) window observations of its neighbors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum GraphReaction {
-    /// Plain TFT: match the minimum observed window every round.
-    Tft,
-    /// Generous TFT: average each neighbor's observations over the last
-    /// `memory` rounds and only react when some neighbor's average
-    /// undercuts `tolerance ×` one's own window.
-    GenerousTft {
-        /// Averaging memory `r₀ ≥ 1`.
-        memory: usize,
-        /// Tolerance `β ∈ (0, 1]`.
-        tolerance: f64,
-    },
-}
-
-/// Trace of the noisy-observation dynamics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NoisyTrace {
-    /// Window profile per round, starting with the initial profile.
-    pub rounds: Vec<Vec<u32>>,
-}
-
-impl NoisyTrace {
-    /// The final profile.
-    ///
-    /// # Panics
-    ///
-    /// Never: the trace always contains the initial round.
-    #[must_use]
-    pub fn final_windows(&self) -> &[u32] {
-        self.rounds.last().expect("initial round always present") // PANIC-POLICY: invariant: initial round always present
-    }
-}
-
-/// Runs `rounds` rounds of min-matching dynamics where every observation
-/// of a neighbor's window carries multiplicative noise
-/// `U[1 − noise, 1 + noise]` — the regime that motivates Generous TFT
-/// (paper Section IV: "taking into account the various factors that
-/// influence the measurement").
-///
-/// Under plain TFT the noise is rectified: each round every node matches
-/// the *minimum* of noisy estimates, so underestimates stick and the whole
-/// network ratchets below the true minimum. GTFT's averaging and tolerance
-/// absorb it.
-///
-/// # Errors
-///
-/// Returns [`MultihopError::InvalidInput`] for profile/topology mismatch,
-/// zero windows, `noise ∉ [0, 1)`, or invalid GTFT parameters.
-pub fn noisy_converge(
-    topology: &Topology,
-    initial: &[u32],
-    reaction: GraphReaction,
-    noise: f64,
-    rounds: usize,
-    seed: u64,
-) -> Result<NoisyTrace, MultihopError> {
-    use rand::{Rng, SeedableRng};
-    if initial.len() != topology.len() {
-        return Err(MultihopError::InvalidInput(format!(
-            "{} windows for {} nodes",
-            initial.len(),
-            topology.len()
-        )));
-    }
-    if initial.contains(&0) {
-        return Err(MultihopError::InvalidInput("windows must be at least 1".into()));
-    }
-    if !(0.0..1.0).contains(&noise) {
-        return Err(MultihopError::InvalidInput("noise must be in [0, 1)".into()));
-    }
-    if let GraphReaction::GenerousTft { memory, tolerance } = reaction {
-        if memory == 0 {
-            return Err(MultihopError::InvalidInput("GTFT memory must be at least 1".into()));
-        }
-        if !(tolerance > 0.0 && tolerance <= 1.0) {
-            return Err(MultihopError::InvalidInput("GTFT tolerance must be in (0, 1]".into()));
-        }
-    }
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let n = topology.len();
-    let mut current = initial.to_vec();
-    let mut trace = vec![current.clone()];
-    // Per-node, per-neighbor observation history (GTFT averaging).
-    let mut history: Vec<Vec<Vec<f64>>> =
-        (0..n).map(|i| vec![Vec::new(); topology.neighbors(i).len()]).collect();
-    for _ in 0..rounds {
-        let mut next = current.clone();
-        // Every node observes each neighbor once this round.
-        let observations: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                topology
-                    .neighbors(i)
-                    .iter()
-                    .map(|&j| {
-                        let eps = rng.gen_range(-noise..=noise);
-                        (f64::from(current[j]) * (1.0 + eps)).max(1.0)
-                    })
-                    .collect()
-            })
-            .collect();
-        for i in 0..n {
-            if observations[i].is_empty() {
-                continue;
-            }
-            match reaction {
-                GraphReaction::Tft => {
-                    let observed_min = observations[i]
-                        .iter()
-                        .copied()
-                        .fold(f64::INFINITY, f64::min)
-                        .round() as u32;
-                    next[i] = next[i].min(observed_min.max(1));
-                }
-                GraphReaction::GenerousTft { memory, tolerance } => {
-                    for (k, &obs) in observations[i].iter().enumerate() {
-                        let h = &mut history[i][k];
-                        h.push(obs);
-                        if h.len() > memory {
-                            h.remove(0);
-                        }
-                    }
-                    let my_w = f64::from(current[i]);
-                    let undercut = history[i].iter().any(|h| {
-                        !h.is_empty()
-                            && h.iter().sum::<f64>() / (h.len() as f64) < tolerance * my_w
-                    });
-                    if undercut {
-                        let observed_min = observations[i]
-                            .iter()
-                            .copied()
-                            .fold(f64::INFINITY, f64::min)
-                            .round() as u32;
-                        next[i] = next[i].min(observed_min.max(1));
-                    }
-                }
-            }
-        }
-        current = next;
-        trace.push(current.clone());
-    }
-    Ok(NoisyTrace { rounds: trace })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn line(n: usize) -> Topology {
         let positions: Vec<crate::geometry::Point> =
-            (0..n).map(|i| crate::geometry::Point::new(i as f64, 0.0)).collect();
+            (0..n).map(|i| crate::geometry::Point { x: i as f64, y: 0.0 }).collect();
         Topology::from_positions(&positions, 1.0)
     }
 
@@ -595,10 +450,10 @@ mod tests {
     #[test]
     fn disconnected_components_keep_their_own_min() {
         let positions = vec![
-            crate::geometry::Point::new(0.0, 0.0),
-            crate::geometry::Point::new(1.0, 0.0),
-            crate::geometry::Point::new(100.0, 0.0),
-            crate::geometry::Point::new(101.0, 0.0),
+            crate::geometry::Point { x: 0.0, y: 0.0 },
+            crate::geometry::Point { x: 1.0, y: 0.0 },
+            crate::geometry::Point { x: 100.0, y: 0.0 },
+            crate::geometry::Point { x: 101.0, y: 0.0 },
         ];
         let topo = Topology::from_positions(&positions, 1.5);
         let trace = tft_converge(&topo, &[30, 20, 50, 40]).unwrap();
@@ -640,7 +495,7 @@ mod tests {
         let topo = line(5);
         let initial = [50u32, 40, 30, 20, 10];
         let plain = tft_converge(&topo, &initial).unwrap();
-        let churned = churn_converge(&topo, &initial, &ChurnSchedule::none()).unwrap();
+        let churned = churn_converge(&topo, &initial, &ChurnSchedule::default()).unwrap();
         assert!(churned.settled);
         assert!(churned.reconvergence.is_empty());
         let finals: Vec<u32> = churned.final_windows.iter().map(|w| w.unwrap()).collect();
@@ -724,8 +579,8 @@ mod tests {
     #[test]
     fn churn_converge_validation() {
         let topo = line(3);
-        assert!(churn_converge(&topo, &[1, 2], &ChurnSchedule::none()).is_err());
-        assert!(churn_converge(&topo, &[1, 0, 2], &ChurnSchedule::none()).is_err());
+        assert!(churn_converge(&topo, &[1, 2], &ChurnSchedule::default()).is_err());
+        assert!(churn_converge(&topo, &[1, 0, 2], &ChurnSchedule::default()).is_err());
         let oversized = ChurnSchedule::new(
             vec![macgame_faults::ChurnEvent {
                 round: 1,
@@ -754,93 +609,5 @@ mod tests {
         assert!(trace.active_uniform());
         assert_eq!(trace.converged_window(), None);
         assert_eq!(trace.final_windows, vec![None, None]);
-    }
-
-    #[test]
-    fn noiseless_dynamics_match_plain_convergence() {
-        let topo = line(5);
-        let initial = [50u32, 40, 30, 20, 10];
-        let exact = tft_converge(&topo, &initial).unwrap();
-        let noisy =
-            noisy_converge(&topo, &initial, GraphReaction::Tft, 0.0, 10, 1).unwrap();
-        assert_eq!(noisy.final_windows(), &exact.final_windows[..]);
-    }
-
-    #[test]
-    fn plain_tft_ratchets_below_true_minimum_under_noise() {
-        let topo = line(8);
-        let initial = [40u32; 8];
-        let noisy =
-            noisy_converge(&topo, &initial, GraphReaction::Tft, 0.2, 25, 7).unwrap();
-        let final_min = *noisy.final_windows().iter().min().unwrap();
-        assert!(
-            final_min < 30,
-            "noise rectification should have dragged windows down (min {final_min})"
-        );
-    }
-
-    #[test]
-    fn gtft_resists_the_same_noise() {
-        let topo = line(8);
-        let initial = [40u32; 8];
-        let gtft = noisy_converge(
-            &topo,
-            &initial,
-            GraphReaction::GenerousTft { memory: 4, tolerance: 0.75 },
-            0.2,
-            25,
-            7,
-        )
-        .unwrap();
-        let final_min = *gtft.final_windows().iter().min().unwrap();
-        assert!(
-            final_min >= 35,
-            "GTFT should hold near the true window (min {final_min})"
-        );
-    }
-
-    #[test]
-    fn gtft_still_reacts_to_real_defection() {
-        // One genuine defector at 10 among nodes at 40: GTFT must follow.
-        let topo = line(6);
-        let mut initial = [40u32; 6];
-        initial[0] = 10;
-        let gtft = noisy_converge(
-            &topo,
-            &initial,
-            GraphReaction::GenerousTft { memory: 3, tolerance: 0.8 },
-            0.05,
-            30,
-            3,
-        )
-        .unwrap();
-        let final_max = *gtft.final_windows().iter().max().unwrap();
-        assert!(final_max <= 14, "defection must propagate (max {final_max})");
-    }
-
-    #[test]
-    fn noisy_converge_validation() {
-        let topo = line(3);
-        assert!(noisy_converge(&topo, &[1, 2], GraphReaction::Tft, 0.1, 5, 0).is_err());
-        assert!(noisy_converge(&topo, &[1, 2, 0], GraphReaction::Tft, 0.1, 5, 0).is_err());
-        assert!(noisy_converge(&topo, &[1, 2, 3], GraphReaction::Tft, 1.0, 5, 0).is_err());
-        assert!(noisy_converge(
-            &topo,
-            &[1, 2, 3],
-            GraphReaction::GenerousTft { memory: 0, tolerance: 0.8 },
-            0.1,
-            5,
-            0
-        )
-        .is_err());
-        assert!(noisy_converge(
-            &topo,
-            &[1, 2, 3],
-            GraphReaction::GenerousTft { memory: 2, tolerance: 1.5 },
-            0.1,
-            5,
-            0
-        )
-        .is_err());
     }
 }

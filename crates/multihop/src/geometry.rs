@@ -13,12 +13,6 @@ pub struct Point {
 }
 
 impl Point {
-    /// Creates a point.
-    #[must_use]
-    pub fn new(x: f64, y: f64) -> Self {
-        Point { x, y }
-    }
-
     /// Euclidean distance to `other`.
     #[must_use]
     pub fn distance_to(&self, other: &Point) -> f64 {
@@ -94,16 +88,16 @@ mod tests {
 
     #[test]
     fn distance_is_euclidean() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(3.0, 4.0);
+        let a = Point { x: 0.0, y: 0.0 };
+        let b = Point { x: 3.0, y: 4.0 };
         assert!((a.distance_to(&b) - 5.0).abs() < 1e-12);
         assert_eq!(a.distance_to(&a), 0.0);
     }
 
     #[test]
     fn step_toward_moves_proportionally() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(10.0, 0.0);
+        let a = Point { x: 0.0, y: 0.0 };
+        let b = Point { x: 10.0, y: 0.0 };
         let mid = a.step_toward(&b, 4.0);
         assert!((mid.x - 4.0).abs() < 1e-12 && mid.y.abs() < 1e-12);
         // Overshoot clamps at the target.

@@ -14,10 +14,7 @@
 //! * [`spatialsim`] — the spatial slot simulator with hidden-terminal
 //!   losses and mobility (the NS-2 stand-in for Section VII.B);
 //! * [`metrics`] — the quasi-optimality measurements (local ≥ 96 %,
-//!   global within 3 % in the paper's run);
-//! * [`repeated`] — TFT played *live* on the mobile network: stage-wise
-//!   measurement, local-only observation, mobility-driven spread of the
-//!   minimum window.
+//!   global within 3 % in the paper's run).
 //!
 //! # Quick start
 //!
@@ -29,7 +26,7 @@
 //! use macgame_multihop::geometry::Point;
 //!
 //! // A 4-node chain, 200 m apart, 250 m radios (RTS/CTS).
-//! let positions: Vec<Point> = (0..4).map(|i| Point::new(200.0 * i as f64, 0.0)).collect();
+//! let positions: Vec<Point> = (0..4).map(|i| Point { x: 200.0 * i as f64, y: 0.0 }).collect();
 //! let topo = Topology::from_positions(&positions, 250.0);
 //! let params = DcfParams::builder().access_mode(AccessMode::RtsCts).build()?;
 //! let local = local_optimal_windows(&topo, &params, &UtilityParams::default(), 2048,
@@ -49,24 +46,20 @@ pub mod geometry;
 pub mod localgame;
 pub mod metrics;
 pub mod mobility;
-pub mod repeated;
 pub mod spatialsim;
-pub mod stats;
 pub mod topology;
 
 pub use convergence::{
-    check_multihop_ne, check_multihop_ne_threads, churn_converge, noisy_converge, tft_converge,
-    ChurnTrace, ConvergenceTrace, GraphReaction, MultihopNeCheck, NoisyTrace, ReconvergenceRecord,
+    check_multihop_ne, check_multihop_ne_threads, churn_converge, tft_converge, ChurnTrace,
+    ConvergenceTrace, MultihopNeCheck, ReconvergenceRecord,
 };
 pub use error::MultihopError;
 pub use geometry::{Arena, Point};
 pub use localgame::{
-    analytic_p_hn, hidden_node_utility, local_optimal_windows, local_optimal_windows_threads,
+    analytic_p_hn, local_optimal_windows, local_optimal_windows_threads,
     local_taus, LocalRule,
 };
 pub use metrics::{evaluate_quasi_optimality, unilateral_quality, QuasiOptimality};
 pub use mobility::{Mobility, WaypointConfig};
-pub use repeated::{SpatialConvergence, SpatialRepeatedGame, SpatialStage};
 pub use spatialsim::{SpatialConfig, SpatialEngine, SpatialReport};
-pub use stats::{topology_stats, TopologyStats};
 pub use topology::Topology;

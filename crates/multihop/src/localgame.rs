@@ -94,40 +94,6 @@ pub fn local_optimal_windows_threads(
     Ok(populations.iter().map(|n| cache[n]).collect())
 }
 
-/// Utility rate (per µs) in the multi-hop model of Section VI.A:
-/// `u_i = τ_i·((1 − p_i)·p_hn·g − e)/T_slot`, where `1 − p_hn` is the
-/// fraction of transmissions lost to hidden terminals at the receiver.
-///
-/// # Errors
-///
-/// Returns [`MultihopError::InvalidInput`] unless `p_hn`, `tau` and `p`
-/// are probabilities in `[0, 1]` and `mean_slot_us` is finite and
-/// positive.
-pub fn hidden_node_utility(
-    tau: f64,
-    p: f64,
-    p_hn: f64,
-    mean_slot_us: f64,
-    utility: &UtilityParams,
-) -> Result<f64, MultihopError> {
-    if !(0.0..=1.0).contains(&p_hn) {
-        return Err(MultihopError::InvalidInput(format!(
-            "p_hn must be a probability in [0, 1], got {p_hn}"
-        )));
-    }
-    if !(0.0..=1.0).contains(&tau) || !(0.0..=1.0).contains(&p) {
-        return Err(MultihopError::InvalidInput(format!(
-            "tau and p must be probabilities in [0, 1], got tau = {tau}, p = {p}"
-        )));
-    }
-    if !mean_slot_us.is_finite() || mean_slot_us <= 0.0 {
-        return Err(MultihopError::InvalidInput(format!(
-            "mean slot duration must be finite and positive, got {mean_slot_us}"
-        )));
-    }
-    Ok(tau * ((1.0 - p) * p_hn * utility.gain - utility.cost) / mean_slot_us)
-}
-
 
 /// Analytic estimate of each node's hidden-node survival factor `p_hn`
 /// under the slotted interference model: a transmission from `i` to a
@@ -252,7 +218,7 @@ mod tests {
     #[test]
     fn isolated_node_gets_window_one() {
         let topo =
-            Topology::from_positions(&[Point::new(0.0, 0.0), Point::new(900.0, 0.0)], 250.0);
+            Topology::from_positions(&[Point { x: 0.0, y: 0.0 }, Point { x: 900.0, y: 0.0 }], 250.0);
         let ws = local_optimal_windows(
             &topo,
             &rtscts(),
@@ -301,31 +267,6 @@ mod tests {
         .unwrap();
         let ratio = f64::from(exact[0]) / f64::from(inv[0]);
         assert!((0.3..=3.0).contains(&ratio), "exact {} vs inversion {}", exact[0], inv[0]);
-    }
-
-    #[test]
-    fn hidden_node_utility_monotone_in_phn() {
-        let u = UtilityParams::default();
-        let lo = hidden_node_utility(0.05, 0.2, 0.5, 500.0, &u).unwrap();
-        let hi = hidden_node_utility(0.05, 0.2, 0.95, 500.0, &u).unwrap();
-        assert!(hi > lo);
-    }
-
-    #[test]
-    fn hidden_losses_can_flip_utility_negative() {
-        let u = UtilityParams { gain: 1.0, cost: 0.05 };
-        let v = hidden_node_utility(0.05, 0.2, 0.05, 500.0, &u).unwrap();
-        assert!(v < 0.0);
-    }
-
-    #[test]
-    fn hidden_node_utility_rejects_out_of_range_inputs() {
-        let u = UtilityParams::default();
-        assert!(hidden_node_utility(0.1, 0.1, 1.5, 500.0, &u).is_err());
-        assert!(hidden_node_utility(-0.1, 0.1, 0.5, 500.0, &u).is_err());
-        assert!(hidden_node_utility(0.1, 1.2, 0.5, 500.0, &u).is_err());
-        assert!(hidden_node_utility(0.1, 0.1, 0.5, 0.0, &u).is_err());
-        assert!(hidden_node_utility(0.1, 0.1, 0.5, f64::NAN, &u).is_err());
     }
 
     #[test]

@@ -266,7 +266,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let positions: Vec<Point> = (0..15)
             .map(|_| {
-                Point::new(500.0 + rng.gen_range(-25.0..25.0), 500.0 + rng.gen_range(-25.0..25.0))
+                Point { x: 500.0 + rng.gen_range(-25.0..25.0), y: 500.0 + rng.gen_range(-25.0..25.0) }
             })
             .collect();
         let config = static_config(2);
@@ -320,7 +320,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let positions: Vec<Point> = (0..10)
             .map(|_| {
-                Point::new(500.0 + rng.gen_range(-50.0..50.0), 500.0 + rng.gen_range(-50.0..50.0))
+                Point { x: 500.0 + rng.gen_range(-50.0..50.0), y: 500.0 + rng.gen_range(-50.0..50.0) }
             })
             .collect();
         let config = static_config(3);

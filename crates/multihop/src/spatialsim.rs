@@ -245,12 +245,6 @@ impl SpatialEngine {
         &self.positions
     }
 
-    /// Total simulated channel time.
-    #[must_use]
-    pub fn clock(&self) -> MicroSecs {
-        self.clock
-    }
-
     /// Applies a new window profile.
     ///
     /// # Errors
@@ -444,7 +438,7 @@ mod tests {
     }
 
     fn line_positions(n: usize, spacing: f64) -> Vec<Point> {
-        (0..n).map(|i| Point::new(i as f64 * spacing, 500.0)).collect()
+        (0..n).map(|i| Point { x: i as f64 * spacing, y: 500.0 }).collect()
     }
 
     #[test]
@@ -453,7 +447,7 @@ mod tests {
         // terminals, p_hn = 1.
         let config = static_config(3);
         let engine = SpatialEngine::with_positions(
-            vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)],
+            vec![Point { x: 0.0, y: 0.0 }, Point { x: 100.0, y: 0.0 }],
             &[32, 32],
             config.clone(),
         );
@@ -523,7 +517,7 @@ mod tests {
         // single-hop Lemma 1 survives spatially).
         let config = static_config(8);
         let mut engine = SpatialEngine::with_positions(
-            vec![Point::new(0.0, 0.0), Point::new(50.0, 0.0), Point::new(100.0, 0.0)],
+            vec![Point { x: 0.0, y: 0.0 }, Point { x: 50.0, y: 0.0 }, Point { x: 100.0, y: 0.0 }],
             &[16, 64, 64],
             config,
         )
@@ -544,7 +538,7 @@ mod tests {
         assert!(e.set_window(5, 4).is_err());
         assert!(e.set_window(0, 0).is_err());
         assert!(
-            SpatialEngine::with_positions(vec![Point::new(0.0, 0.0)], &[8, 8], c).is_err()
+            SpatialEngine::with_positions(vec![Point { x: 0.0, y: 0.0 }], &[8, 8], c).is_err()
         );
     }
 }

@@ -232,7 +232,7 @@ mod tests {
 
     fn line(n: usize) -> Topology {
         // 0 - 1 - 2 - … - (n−1), unit spacing, range 1.
-        let positions: Vec<Point> = (0..n).map(|i| Point::new(i as f64, 0.0)).collect();
+        let positions: Vec<Point> = (0..n).map(|i| Point { x: i as f64, y: 0.0 }).collect();
         Topology::from_positions(&positions, 1.0)
     }
 
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn disconnected_graph_detected() {
-        let positions = vec![Point::new(0.0, 0.0), Point::new(100.0, 0.0)];
+        let positions = vec![Point { x: 0.0, y: 0.0 }, Point { x: 100.0, y: 0.0 }];
         let t = Topology::from_positions(&positions, 1.0);
         assert!(!t.is_connected());
         assert_eq!(t.diameter(), None);
@@ -328,6 +328,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_range_rejected() {
-        let _ = Topology::from_positions(&[Point::new(0.0, 0.0)], 0.0);
+        let _ = Topology::from_positions(&[Point { x: 0.0, y: 0.0 }], 0.0);
     }
 }

@@ -89,12 +89,6 @@ impl Engine {
         &self.replies
     }
 
-    /// The per-mode solve caches, exposed for telemetry and tests.
-    #[must_use]
-    pub fn solve_caches(&self) -> &SolveCaches {
-        &self.solve_caches
-    }
-
     /// Evaluates one batch, returning one reply per request in request
     /// order. Duplicate queries are coalesced into a single evaluation;
     /// their replies are bitwise-identical to fresh evaluations.
@@ -246,7 +240,7 @@ mod tests {
         let requests: Vec<Request> =
             (0..8).map(|i| Request { id: i, query: query.clone() }).collect();
         let replies = e.handle_batch(&requests);
-        let (_, misses, _) = e.solve_caches().counters();
+        let (_, misses, _) = e.solve_caches.counters();
         // All eight requests collapse to one unit of work; the reply
         // cache saw one miss for the unique key, and the class solves
         // behind it went through the sharded solve cache.

@@ -2,7 +2,7 @@
 //!
 //! Simulation point estimates (τ̂, payoff rates, throughput) carry
 //! sampling noise; the honest way to report them is mean ± confidence
-//! interval over independent replications. [`replicate`] runs the same
+//! interval over independent replications. [`replicate_threads`] runs the same
 //! configuration under distinct seeds and [`Summary`] reports
 //! mean / standard deviation / normal-approximation 95 % CI.
 
@@ -37,7 +37,7 @@ impl Summary {
     ///
     /// let s = Summary::of(&[1.0, 2.0, 3.0]);
     /// assert_eq!(s.mean, 2.0);
-    /// assert!(s.covers(2.5));
+    /// assert!((2.5 - s.mean).abs() <= s.ci95_half_width);
     /// ```
     ///
     /// # Panics
@@ -58,39 +58,17 @@ impl Summary {
             if n < 2 { f64::INFINITY } else { 1.96 * std_dev / (n as f64).sqrt() };
         Summary { n, mean, std_dev, ci95_half_width }
     }
-
-    /// Whether `value` lies inside the 95 % CI around the mean.
-    #[must_use]
-    pub fn covers(&self, value: f64) -> bool {
-        (value - self.mean).abs() <= self.ci95_half_width
-    }
 }
 
 /// Runs `replications` independent simulations of `slots` slots each
 /// (seeds `base_seed, base_seed+1, …`) and returns the per-run reports in
 /// seed order.
 ///
-/// Replicas are fanned out over the `MACGAME_THREADS` worker pool. Each
-/// replica owns its engine and a seed-derived RNG, so the reports are
-/// identical for every thread count — parallelism across replicas never
-/// touches the per-replica random streams.
-///
-/// # Errors
-///
-/// Propagates configuration failures.
-pub fn replicate(
-    config: &SimConfig,
-    slots: u64,
-    replications: usize,
-    base_seed: u64,
-) -> Result<Vec<StageReport>, SimError> {
-    replicate_threads(config, slots, replications, base_seed, 0)
-}
-
-/// [`replicate`] with an explicit worker count (`0` = the
-/// `MACGAME_THREADS` default). The reports do not depend on `threads`;
-/// the knob exists so determinism tests can pin the pool size without
-/// mutating the process environment.
+/// Replicas are fanned out over `threads` workers (`0` = the
+/// `MACGAME_THREADS` default). Each replica owns its engine and a
+/// seed-derived RNG, so the reports do not depend on `threads`; the knob
+/// exists so determinism tests can pin the pool size without mutating the
+/// process environment.
 ///
 /// # Errors
 ///
@@ -125,23 +103,6 @@ pub fn replicate_threads(
     reports.into_iter().collect()
 }
 
-/// Convenience: replicated estimate of one node's `τ̂` with a [`Summary`].
-///
-/// # Errors
-///
-/// Propagates failures from [`replicate`].
-pub fn tau_estimate(
-    config: &SimConfig,
-    node: usize,
-    slots: u64,
-    replications: usize,
-    base_seed: u64,
-) -> Result<Summary, SimError> {
-    let reports = replicate(config, slots, replications, base_seed)?;
-    let samples: Vec<f64> = reports.iter().map(|r| r.tau_hat(node)).collect();
-    Ok(Summary::of(&samples))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +116,7 @@ mod tests {
         assert!((s.mean - 5.0).abs() < 1e-12);
         assert!((s.std_dev - (20.0f64 / 3.0).sqrt()).abs() < 1e-12);
         assert!(s.ci95_half_width > 0.0);
-        assert!(s.covers(5.0));
+        assert!((5.0 - s.mean).abs() <= s.ci95_half_width);
     }
 
     #[test]
@@ -168,7 +129,7 @@ mod tests {
     #[test]
     fn replications_are_independent_and_distinct() {
         let config = SimConfig::builder().symmetric(4, 32).build().unwrap();
-        let reports = replicate(&config, 5_000, 4, 100).unwrap();
+        let reports = replicate_threads(&config, 5_000, 4, 100, 0).unwrap();
         assert_eq!(reports.len(), 4);
         // Different seeds ⇒ different realizations.
         assert!(reports.windows(2).any(|p| p[0] != p[1]));
@@ -179,7 +140,7 @@ mod tests {
         // The parallel fan-out must reproduce exactly what a serial loop
         // over seed-derived engines produces, replica by replica.
         let config = SimConfig::builder().symmetric(3, 16).build().unwrap();
-        let reports = replicate(&config, 2_000, 3, 42).unwrap();
+        let reports = replicate_threads(&config, 2_000, 3, 42, 0).unwrap();
         for (r, report) in reports.iter().enumerate() {
             let rc = SimConfig::builder()
                 .params(*config.params())
@@ -199,7 +160,8 @@ mod tests {
         let params = DcfParams::default();
         let config = SimConfig::builder().symmetric(5, 76).build().unwrap();
         let sym = solve_symmetric(5, 76, &params).unwrap();
-        let estimate = tau_estimate(&config, 0, 150_000, 8, 7).unwrap();
+        let reports = replicate_threads(&config, 150_000, 8, 7, 0).unwrap();
+        let estimate = Summary::of(&reports.iter().map(|r| r.tau_hat(0)).collect::<Vec<_>>());
         // Allow 2× the CI to keep the test robust to the normal approx.
         assert!(
             (estimate.mean - sym.tau).abs() <= 2.0 * estimate.ci95_half_width,
@@ -213,7 +175,7 @@ mod tests {
     #[test]
     fn zero_replications_rejected() {
         let config = SimConfig::builder().symmetric(2, 8).build().unwrap();
-        assert!(replicate(&config, 100, 0, 0).is_err());
+        assert!(replicate_threads(&config, 100, 0, 0, 0).is_err());
     }
 
     #[test]

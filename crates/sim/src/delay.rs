@@ -61,16 +61,6 @@ impl DelayTracker {
         self.last_success_slot[node] = Some(slot);
     }
 
-    /// Number of completed service intervals for `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn sample_count(&self, node: usize) -> u64 {
-        self.samples[node]
-    }
-
     /// Mean service interval of `node`, in slots (`None` with no samples).
     ///
     /// # Panics
@@ -84,20 +74,6 @@ impl DelayTracker {
             Some(self.sum_slots[node] / self.samples[node] as f64)
         }
     }
-
-    /// Worst observed service interval of `node`, in slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn max_slots(&self, node: usize) -> Option<u64> {
-        if self.samples[node] == 0 {
-            None
-        } else {
-            Some(self.max_slots[node])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +84,7 @@ mod tests {
     fn first_success_is_censored() {
         let mut t = DelayTracker::new(2);
         t.record_success(0, 10);
-        assert_eq!(t.sample_count(0), 0);
+        assert_eq!(t.samples[0], 0);
         assert_eq!(t.mean_slots(0), None);
     }
 
@@ -118,9 +94,9 @@ mod tests {
         t.record_success(0, 10);
         t.record_success(0, 30);
         t.record_success(0, 40);
-        assert_eq!(t.sample_count(0), 2);
+        assert_eq!(t.samples[0], 2);
         assert_eq!(t.mean_slots(0), Some(15.0));
-        assert_eq!(t.max_slots(0), Some(20));
+        assert_eq!(t.max_slots[0], 20);
     }
 
     #[test]
@@ -129,8 +105,8 @@ mod tests {
         t.record_success(0, 5);
         t.record_success(1, 7);
         t.record_success(0, 9);
-        assert_eq!(t.sample_count(0), 1);
-        assert_eq!(t.sample_count(1), 0);
+        assert_eq!(t.samples[0], 1);
+        assert_eq!(t.samples[1], 0);
     }
 
     #[test]

@@ -166,13 +166,6 @@ impl Engine {
         Ok(engine)
     }
 
-    /// The attached fault configuration, if any. `None` both for plain
-    /// engines and for no-op fault configs.
-    #[must_use]
-    pub fn channel_faults(&self) -> Option<&ChannelFaults> {
-        self.faults.as_ref().map(|f| &f.config)
-    }
-
     /// Number of lone transmissions corrupted by injected channel errors
     /// so far (0 without fault injection).
     #[must_use]
@@ -213,18 +206,6 @@ impl Engine {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Total channel time simulated so far.
-    #[must_use]
-    pub fn clock(&self) -> MicroSecs {
-        self.clock
-    }
-
-    /// Total slots simulated so far.
-    #[must_use]
-    pub fn total_slots(&self) -> u64 {
-        self.total_slots
     }
 
     /// Current window profile.
@@ -400,13 +381,6 @@ impl Engine {
         outcome
     }
 
-    /// Lifetime per-node service-interval statistics (slots between
-    /// consecutive successes — the measured head-of-line access delay).
-    #[must_use]
-    pub fn delay_tracker(&self) -> &DelayTracker {
-        &self.delay
-    }
-
     /// Measured mean head-of-line access delay of `node` in channel time:
     /// mean service interval (slots) × mean observed slot length.
     /// `None` until the node has completed at least one interval.
@@ -506,7 +480,7 @@ mod tests {
         let mut e = engine(5, 32, 3);
         let r = e.run_slots(10_000);
         assert_eq!(r.channel.total(), 10_000);
-        assert_eq!(e.total_slots(), 10_000);
+        assert_eq!(e.total_slots, 10_000);
     }
 
     #[test]
@@ -650,7 +624,7 @@ mod tests {
         for _ in 0..5_000 {
             assert_eq!(plain.step(), edca.step());
         }
-        assert_eq!(plain.clock(), edca.clock());
+        assert_eq!(plain.clock, edca.clock);
         let ra = plain.run_slots(20_000);
         let rb = edca.run_slots(20_000);
         assert_eq!(ra, rb);
@@ -704,7 +678,7 @@ mod tests {
                 SlotOutcome::Collision { .. } => t.collision_time.value(),
             };
         }
-        assert!((e.clock().value() - expect).abs() < 1e-6);
+        assert!((e.clock.value() - expect).abs() < 1e-6);
         // The burst does not change contention: τ̂ is window-driven, so
         // all three equal-window nodes attempt at similar rates.
         let r = Engine::new(&cfg).run_slots(200_000);
@@ -717,11 +691,11 @@ mod tests {
         let config = SimConfig::builder().symmetric(5, 32).seed(21).build().unwrap();
         let mut plain = Engine::new(&config);
         let mut faulted = Engine::with_faults(&config, ChannelFaults::noop()).unwrap();
-        assert!(faulted.channel_faults().is_none());
+        assert!(faulted.faults.is_none());
         for _ in 0..5_000 {
             assert_eq!(plain.step(), faulted.step());
         }
-        assert_eq!(plain.clock(), faulted.clock());
+        assert_eq!(plain.clock, faulted.clock);
         let ra = plain.run_slots(20_000);
         let rb = faulted.run_slots(20_000);
         assert_eq!(ra, rb);
@@ -866,7 +840,7 @@ mod tests {
         let predicted =
             mean_access_slots(w, sym.collision_prob, p.max_backoff_stage()).unwrap();
         for i in 0..n {
-            let measured = e.delay_tracker().mean_slots(i).expect("plenty of samples");
+            let measured = e.delay.mean_slots(i).expect("plenty of samples");
             let rel = (measured - predicted).abs() / predicted;
             assert!(
                 rel < 0.1,

@@ -46,19 +46,17 @@ pub mod error;
 pub mod node;
 pub mod observe;
 pub mod report;
-pub mod trace;
 pub mod traffic;
 pub mod validation;
 
-pub use batch::{replicate, replicate_threads, Summary};
+pub use batch::{replicate_threads, Summary};
 pub use config::{SimConfig, SimConfigBuilder};
 pub use delay::DelayTracker;
 pub use engine::{Engine, SlotOutcome};
 pub use error::SimError;
 pub use node::{Node, NodeStats};
-pub use observe::{estimate_windows, estimate_windows_partial, invert_window, WindowEstimate};
+pub use observe::{estimate_windows_partial, invert_window, WindowEstimate};
 pub use report::{ChannelCounts, StageReport};
-pub use trace::{Trace, TraceEvent};
 pub use traffic::TrafficModel;
 pub use validation::{
     relative_error, validate_edca_sweep, validate_fixed_point, validate_fixed_point_sweep,

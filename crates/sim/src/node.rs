@@ -85,12 +85,6 @@ impl Node {
         self.window
     }
 
-    /// Current backoff stage.
-    #[must_use]
-    pub fn stage(&self) -> u32 {
-        self.stage
-    }
-
     /// Residual backoff counter.
     #[must_use]
     pub fn counter(&self) -> u32 {
@@ -194,7 +188,7 @@ mod tests {
         for _ in 0..100 {
             let node = Node::new(16, 5, &mut r);
             assert!(node.counter() < 16);
-            assert_eq!(node.stage(), 0);
+            assert_eq!(node.stage, 0);
         }
     }
 
@@ -215,7 +209,7 @@ mod tests {
                 node.observe_slot();
             }
             node.on_collision(&mut r);
-            assert_eq!(node.stage(), expect_stage);
+            assert_eq!(node.stage, expect_stage);
             assert!(node.counter() < node.current_window());
         }
         assert_eq!(node.current_window(), 16);
@@ -234,7 +228,7 @@ mod tests {
             node.observe_slot();
         }
         node.on_success(&mut r);
-        assert_eq!(node.stage(), 0);
+        assert_eq!(node.stage, 0);
         assert_eq!(node.stats().successes, 1);
         assert_eq!(node.stats().attempts, 2);
     }
@@ -249,7 +243,7 @@ mod tests {
         node.on_collision(&mut r);
         node.set_window(64, &mut r);
         assert_eq!(node.window(), 64);
-        assert_eq!(node.stage(), 0);
+        assert_eq!(node.stage, 0);
         assert!(node.counter() < 64);
         assert_eq!(node.stats().collisions, 1);
     }

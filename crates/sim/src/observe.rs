@@ -98,45 +98,11 @@ pub fn invert_window(
 
 /// Estimates every peer's window from a stage report, as seen by
 /// `observer`: for each peer `j`, `τ̂_j` comes from its attempt count and
-/// `p̂_j` from the other nodes' measured attempt rates
-/// (`p̂_j = 1 − Π_{k≠j}(1 − τ̂_k)` — the promiscuous observer sees the same
-/// channel the peer does).
-///
-/// Returns one estimate per node; the observer's own entry is its true
-/// window (it knows its own configuration).
-///
-/// # Errors
-///
-/// Returns [`DcfError::InvalidParameter`] if the report contains a node
-/// with zero observed attempts (no information to invert) — callers should
-/// measure over enough slots. Callers that can tolerate partial
-/// information should use [`estimate_windows_partial`] instead, which
-/// degrades per node rather than poisoning the whole batch.
-pub fn estimate_windows(
-    observer: usize,
-    report: &StageReport,
-    max_backoff_stage: u32,
-    w_max: u32,
-) -> Result<Vec<WindowEstimate>, DcfError> {
-    let partial = estimate_windows_partial(observer, report, max_backoff_stage, w_max)?;
-    partial
-        .into_iter()
-        .enumerate()
-        .map(|(j, est)| {
-            est.ok_or_else(|| {
-                DcfError::invalid(
-                    "report",
-                    format!("node {j} made no attempts in the observation window"),
-                )
-            })
-        })
-        .collect()
-}
-
-/// Per-node fallible variant of [`estimate_windows`]: peers with zero
-/// observed attempts yield `None` instead of failing the whole vector, so
-/// one starved or fully-dropped peer does not destroy every other node's
-/// estimate.
+/// `p̂_j` from the other nodes' measured attempt rates (the promiscuous
+/// observer sees the same channel the peer does). The observer's own
+/// entry is its true window (it knows its own configuration). Peers with
+/// zero observed attempts yield `None`, so one starved or fully-dropped
+/// peer does not destroy every other node's estimate.
 ///
 /// The `p̂_j = 1 − Π_{k≠j}(1 − τ̂_k)` product is well defined for every
 /// population size: with a single peer it has one factor, and for `n = 1`
@@ -263,8 +229,12 @@ mod tests {
         let config = SimConfig::builder().windows(windows.clone()).seed(21).build().unwrap();
         let mut engine = Engine::new(&config);
         let report = engine.run_slots(400_000);
-        let estimates =
-            estimate_windows(0, &report, config.params().max_backoff_stage(), 2048).unwrap();
+        let estimates: Vec<WindowEstimate> =
+            estimate_windows_partial(0, &report, config.params().max_backoff_stage(), 2048)
+                .unwrap()
+                .into_iter()
+                .map(|est| est.expect("every node transmitted"))
+                .collect();
         assert_eq!(estimates[0].window, 32); // own window is exact
         for (j, est) in estimates.iter().enumerate().skip(1) {
             let rel = (f64::from(est.window) - f64::from(windows[j])).abs() / f64::from(windows[j]);
@@ -280,12 +250,10 @@ mod tests {
 
     #[test]
     fn estimation_needs_observations() {
-        // The strict API still fails the whole batch on a silent peer…
+        // A silent peer degrades only its own entry.
         let config = SimConfig::builder().windows(vec![8, 8]).seed(3).build().unwrap();
         let mut engine = Engine::new(&config);
         let report = engine.run_slots(0);
-        assert!(estimate_windows(0, &report, 5, 64).is_err());
-        // …while the partial API degrades only the silent node.
         let partial = estimate_windows_partial(0, &report, 5, 64).unwrap();
         assert_eq!(partial.len(), 2);
         assert!(partial[0].is_some(), "observer's own entry is always known");
@@ -307,7 +275,6 @@ mod tests {
             elapsed: MicroSecs::new(1_000_000.0),
             windows: vec![32, 32, 32, 32],
         };
-        assert!(estimate_windows(0, &report, 5, 1024).is_err());
         let partial = estimate_windows_partial(0, &report, 5, 1024).unwrap();
         assert!(partial[0].is_some() && partial[1].is_some() && partial[3].is_some());
         assert!(partial[2].is_none());
@@ -332,8 +299,6 @@ mod tests {
         assert_eq!(own.window, 16);
         assert!(own.p_hat.is_finite() && own.tau_hat.is_finite());
         assert_eq!(own.p_hat, 0.0, "a lone node never collides");
-        let strict = estimate_windows(0, &report, 5, 1024).unwrap();
-        assert_eq!(strict[0], own);
     }
 
     #[test]
@@ -383,6 +348,6 @@ mod tests {
         let config = SimConfig::builder().windows(vec![8, 8]).seed(3).build().unwrap();
         let mut engine = Engine::new(&config);
         let report = engine.run_slots(1000);
-        assert!(estimate_windows(5, &report, 5, 64).is_err());
+        assert!(estimate_windows_partial(5, &report, 5, 64).is_err());
     }
 }

@@ -160,12 +160,6 @@ impl QuantitySweep {
     pub fn relative_error(&self) -> f64 {
         relative_error(self.estimate.mean, self.predicted)
     }
-
-    /// Whether the 95 % CI around the replica mean covers the prediction.
-    #[must_use]
-    pub fn ci_covers_prediction(&self) -> bool {
-        self.estimate.covers(self.predicted)
-    }
 }
 
 /// Replicated analytics-vs-simulation comparison for one window profile:

@@ -273,15 +273,6 @@ impl TimingSnapshot {
     pub fn total_ms(&self) -> f64 {
         self.total_nanos as f64 / 1e6
     }
-
-    /// Mean span duration in milliseconds (0 if no spans completed).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ms() / self.count as f64
-        }
-    }
 }
 
 /// An immutable, merged view of everything a [`CollectingRecorder`]
@@ -304,21 +295,6 @@ impl Snapshot {
     /// Value of counter `name`, or 0 if it was never incremented.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Value of gauge `name`, if it was ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Histogram `name`, if it ever recorded an observation.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.get(name)
-    }
-
-    /// Timing aggregate for span `name`, if any span completed.
-    pub fn timing(&self, name: &str) -> Option<&TimingSnapshot> {
-        self.timings.get(name)
     }
 
     /// Render the full snapshot as pretty-printed JSON with stable key
@@ -346,21 +322,6 @@ impl Snapshot {
             out.push_str("\n  ");
         }
         out.push_str("}\n}\n");
-        out
-    }
-
-    /// Render only the deterministic sections (counters, gauges,
-    /// histograms) — the bytes that must be identical across
-    /// `MACGAME_THREADS` settings for a deterministic workload.
-    pub fn deterministic_json(&self) -> String {
-        let mut out = String::from("{\n");
-        self.render_deterministic_sections(&mut out);
-        // Trim the trailing section comma so the fragment is valid JSON.
-        if out.ends_with(",\n") {
-            out.truncate(out.len() - 2);
-            out.push('\n');
-        }
-        out.push_str("}\n");
         out
     }
 
@@ -462,6 +423,12 @@ fn json_string(name: &str) -> String {
 mod tests {
     use super::*;
 
+    /// The snapshot's JSON up to its nondeterministic `timings` section.
+    fn deterministic_json(snapshot: &Snapshot) -> String {
+        let json = snapshot.to_json();
+        json[..json.find("\"timings\"").unwrap()].to_string()
+    }
+
     #[test]
     fn counters_merge_across_threads() {
         let recorder = CollectingRecorder::new();
@@ -484,7 +451,7 @@ mod tests {
             recorder.histogram_record("test.hist", v);
         }
         let snapshot = recorder.snapshot();
-        let h = snapshot.histogram("test.hist").unwrap();
+        let h = snapshot.histograms.get("test.hist").unwrap();
         assert_eq!(h.count, 5);
         assert_eq!(h.min, 1.0);
         assert_eq!(h.max, 1e12);
@@ -517,8 +484,8 @@ mod tests {
             }
         });
         assert_eq!(
-            serial.snapshot().deterministic_json(),
-            threaded.snapshot().deterministic_json()
+            deterministic_json(&serial.snapshot()),
+            deterministic_json(&threaded.snapshot())
         );
     }
 
@@ -528,8 +495,8 @@ mod tests {
         recorder.gauge_set("test.gauge", f64::NAN);
         recorder.gauge_set("test.gauge2", 1.25);
         let snapshot = recorder.snapshot();
-        assert_eq!(snapshot.gauge("test.gauge"), None);
-        assert_eq!(snapshot.gauge("test.gauge2"), Some(1.25));
+        assert_eq!(snapshot.gauges.get("test.gauge").copied(), None);
+        assert_eq!(snapshot.gauges.get("test.gauge2").copied(), Some(1.25));
     }
 
     #[test]
@@ -538,10 +505,10 @@ mod tests {
         recorder.gauge_set("test.gauge", 3.0);
         recorder.gauge_set("test.gauge", 1.0);
         recorder.gauge_set("test.gauge", 2.0);
-        assert_eq!(recorder.snapshot().gauge("test.gauge"), Some(3.0));
+        assert_eq!(recorder.snapshot().gauges.get("test.gauge").copied(), Some(3.0));
         recorder.gauge_set("test.neg", -5.0);
         recorder.gauge_set("test.neg", -9.0);
-        assert_eq!(recorder.snapshot().gauge("test.neg"), Some(-5.0));
+        assert_eq!(recorder.snapshot().gauges.get("test.neg").copied(), Some(-5.0));
     }
 
     #[test]
@@ -553,7 +520,7 @@ mod tests {
             serial.gauge_set("inv.gauge", (i % 17) as f64);
             serial.gauge_set("inv.other", -((i % 5) as f64));
         }
-        let expected = serial.snapshot().deterministic_json();
+        let expected = deterministic_json(&serial.snapshot());
         for threads in [1usize, 2, 8] {
             let racing = CollectingRecorder::new();
             std::thread::scope(|scope| {
@@ -569,7 +536,7 @@ mod tests {
                 }
             });
             assert_eq!(
-                racing.snapshot().deterministic_json(),
+                deterministic_json(&racing.snapshot()),
                 expected,
                 "gauge bytes diverged at {threads} threads"
             );
@@ -588,8 +555,6 @@ mod tests {
         let b = json.find("\"b.second\"").unwrap();
         let t = json.find("\"timings\"").unwrap();
         assert!(a < b && b < t);
-        // Deterministic fragment excludes the timings section entirely.
-        assert!(!snapshot.deterministic_json().contains("timings"));
     }
 
     #[test]

@@ -30,11 +30,6 @@ pub fn clear_recorder() {
     *RECORDER.write().unwrap() = None; // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
 }
 
-/// Whether a recorder is currently installed.
-pub fn recorder_installed() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
@@ -109,7 +104,7 @@ mod tests {
     fn facade_routes_to_installed_recorder_and_no_ops_after_clear() {
         let recorder = Arc::new(CollectingRecorder::new());
         set_recorder(recorder.clone());
-        assert!(recorder_installed());
+        assert!(ENABLED.load(Ordering::Relaxed));
         counter("global.count", 5);
         gauge("global.gauge", 2.5);
         histogram("global.hist", 10.0);
@@ -117,13 +112,13 @@ mod tests {
             let _span = span("global.span");
         }
         clear_recorder();
-        assert!(!recorder_installed());
+        assert!(!ENABLED.load(Ordering::Relaxed));
         counter("global.count", 99);
 
         let snapshot = recorder.snapshot();
         assert_eq!(snapshot.counter("global.count"), 5);
-        assert_eq!(snapshot.gauge("global.gauge"), Some(2.5));
-        assert_eq!(snapshot.histogram("global.hist").unwrap().count, 1);
-        assert_eq!(snapshot.timing("global.span").unwrap().count, 1);
+        assert_eq!(snapshot.gauges.get("global.gauge").copied(), Some(2.5));
+        assert_eq!(snapshot.histograms.get("global.hist").unwrap().count, 1);
+        assert_eq!(snapshot.timings.get("global.span").unwrap().count, 1);
     }
 }

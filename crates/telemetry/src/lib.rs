@@ -74,7 +74,7 @@ mod recorder;
 
 pub use collect::{CollectingRecorder, HistogramSnapshot, Snapshot, TimingSnapshot};
 pub use global::{
-    clear_recorder, counter, gauge, histogram, recorder_installed, set_recorder, span, timing,
+    clear_recorder, counter, gauge, histogram, set_recorder, span, timing,
     Span,
 };
 pub use recorder::{NoopRecorder, Recorder};

@@ -102,7 +102,7 @@ fn malicious_station_slashes_measured_welfare() {
     let healthy_welfare: f64 = healthy.history().last().unwrap().utilities.iter().sum();
 
     // Same network with one malicious station.
-    let mut players: Vec<Box<dyn Strategy>> = vec![Box::new(Constant::malicious())];
+    let mut players: Vec<Box<dyn Strategy>> = vec![Box::new(Constant::new(1))];
     for _ in 1..6 {
         players.push(Box::new(Tft::new(w_star)));
     }

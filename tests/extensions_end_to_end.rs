@@ -1,18 +1,27 @@
-//! End-to-end coverage of the extension features: generalized games,
-//! rate control, tournaments, noisy multi-hop convergence, the spatial
-//! repeated game, hill-climbing adaptation, and fairness metrics.
+//! End-to-end coverage of the extension features: TFT fairness on the
+//! simulator and the rate-control game.
 
-use macgame::dcf::fairness::{jain_index, min_max_ratio};
 use macgame::dcf::{AccessMode, DcfParams, MicroSecs, UtilityParams};
 use macgame::game::equilibrium::efficient_ne;
 use macgame::game::evaluator::SimulatedEvaluator;
 use macgame::game::ratecontrol::{rate_game, rate_set_80211b};
-use macgame::game::strategy::{HillClimb, Strategy, Tft};
+use macgame::game::strategy::{Strategy, Tft};
 use macgame::game::{GameConfig, RepeatedGame};
-use macgame::multihop::convergence::{noisy_converge, GraphReaction};
-use macgame::multihop::repeated::SpatialRepeatedGame;
-use macgame::multihop::spatialsim::SpatialConfig;
-use macgame::multihop::Topology;
+
+/// Jain's fairness index `(Σx)² / (n·Σx²)`: 1 for equal shares, `1/n`
+/// when one node takes everything.
+fn jain_index(allocation: &[f64]) -> f64 {
+    let sum: f64 = allocation.iter().sum();
+    let sum_sq: f64 = allocation.iter().map(|x| x * x).sum();
+    sum * sum / (allocation.len() as f64 * sum_sq)
+}
+
+/// Smallest share over largest share: 1 for equal shares.
+fn min_max_ratio(allocation: &[f64]) -> f64 {
+    let max = allocation.iter().copied().fold(f64::MIN, f64::max);
+    let min = allocation.iter().copied().fold(f64::MAX, f64::min);
+    min / max
+}
 
 /// TFT play on the simulator ends with fair measured payoffs (the paper's
 /// fairness claim, quantified with the Jain index).
@@ -46,94 +55,4 @@ fn rate_game_dynamics_from_mixed_starts() {
         assert!(out.converged);
         assert!(out.profile.iter().all(|&a| a == 3), "from {start:?} got {:?}", out.profile);
     }
-}
-
-/// Noisy multi-hop observation: plain TFT ratchets on a random geometric
-/// graph while GTFT holds — the spatial version of the GTFT motivation.
-#[test]
-fn gtft_beats_tft_under_noise_on_random_graphs() {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
-    let positions: Vec<macgame::multihop::Point> = (0..25)
-        .map(|_| {
-            macgame::multihop::Point::new(rng.gen_range(0.0..600.0), rng.gen_range(0.0..600.0))
-        })
-        .collect();
-    let topo = Topology::from_positions(&positions, 250.0);
-    let initial = vec![40u32; 25];
-    let tft = noisy_converge(&topo, &initial, GraphReaction::Tft, 0.2, 30, 5).unwrap();
-    let gtft = noisy_converge(
-        &topo,
-        &initial,
-        GraphReaction::GenerousTft { memory: 4, tolerance: 0.75 },
-        0.2,
-        30,
-        5,
-    )
-    .unwrap();
-    let tft_min = *tft.final_windows().iter().min().unwrap();
-    let gtft_min = *gtft.final_windows().iter().min().unwrap();
-    assert!(
-        gtft_min > tft_min,
-        "GTFT min {gtft_min} should stay above TFT's ratcheted {tft_min}"
-    );
-    assert!(gtft_min >= 35);
-}
-
-/// The spatial repeated game driven end-to-end from local optima: the
-/// converged window matches the static min-propagation prediction.
-#[test]
-fn spatial_repeated_game_matches_static_prediction() {
-    let config = SpatialConfig { mobility: None, ..SpatialConfig::paper(7) };
-    let n = 30;
-    let engine =
-        macgame::multihop::SpatialEngine::new(n, &vec![64; n], config.clone()).unwrap();
-    let topo = engine.topology().clone();
-    let local = macgame::multihop::local_optimal_windows(
-        &topo,
-        &config.params,
-        &config.utility,
-        2048,
-        macgame::multihop::LocalRule::ExactArgmax,
-    )
-    .unwrap();
-    let static_trace = macgame::multihop::tft_converge(&topo, &local).unwrap();
-    let mut game =
-        SpatialRepeatedGame::new(local, config, MicroSecs::from_seconds(2.0)).unwrap();
-    let outcome = game.play_until_converged(20, 2).unwrap();
-    // Static topology: the live game must land exactly where the
-    // min-propagation analysis says (per component; compare the minima).
-    let live_min = *game.windows().iter().min().unwrap();
-    let static_min = *static_trace.final_windows.iter().min().unwrap();
-    assert_eq!(live_min, static_min);
-    assert!(outcome.stages_played <= 20);
-}
-
-/// A hill climber and a TFT crowd coexist: the adapter settles and the
-/// network does not collapse.
-#[test]
-fn hill_climber_among_tft_settles() {
-    let game = GameConfig::builder(4)
-        .stage_duration(MicroSecs::from_seconds(10.0))
-        .build()
-        .unwrap();
-    let w_star = efficient_ne(&game).unwrap().window;
-    let players: Vec<Box<dyn Strategy>> = vec![
-        Box::new(HillClimb::try_new(w_star, 8).unwrap()),
-        Box::new(Tft::new(w_star)),
-        Box::new(Tft::new(w_star)),
-        Box::new(Tft::new(w_star)),
-    ];
-    let evaluator =
-        Box::new(SimulatedEvaluator::new(game.clone(), 2).unwrap().with_exact_observation(true));
-    let mut rg = RepeatedGame::new(game, players, evaluator).unwrap();
-    rg.play(12).unwrap();
-    let final_windows = &rg.history().last().unwrap().windows;
-    // Nobody ended at a pathological extreme.
-    for &w in final_windows {
-        assert!((1..=4 * w_star).contains(&w), "windows {final_windows:?}");
-    }
-    // And the cell still carries traffic.
-    let last_utilities = &rg.history().last().unwrap().utilities;
-    assert!(last_utilities.iter().sum::<f64>() > 0.0);
 }
