@@ -16,9 +16,10 @@
 
 use macgame_dcf::cache::SolveCache;
 use macgame_dcf::classes::{class_utilities, ClassProfile};
-use macgame_dcf::fixedpoint::{solve, solve_symmetric, SolveOptions};
+use macgame_dcf::fixedpoint::{solve, SolveOptions};
+use macgame_dcf::optimal::SymmetricSource;
 use macgame_dcf::parallel::{resolve_threads, solve_sweep};
-use macgame_dcf::utility::{all_utilities, symmetric_node_utility};
+use macgame_dcf::utility::all_utilities;
 use serde::{Deserialize, Serialize};
 
 use crate::error::GameError;
@@ -62,14 +63,12 @@ pub fn deviator_stage(
 ///
 /// Propagates solver failures.
 pub fn symmetric_stage(game: &GameConfig, w: u32) -> Result<f64, GameError> {
-    let n = game.player_count();
-    let sym = solve_symmetric(n, w, game.params())?;
-    Ok(symmetric_node_utility(&sym, game.params(), game.utility()))
+    Ok(game.params().symmetric(game.player_count(), w)?.utility(game.utility()))
 }
 
 /// Guards the cached stage variants: a [`SolveCache`] bound to different
 /// DCF parameters would silently answer for the wrong channel.
-fn check_cache_params(game: &GameConfig, cache: &SolveCache) -> Result<(), GameError> {
+pub(crate) fn check_cache_params(game: &GameConfig, cache: &SolveCache) -> Result<(), GameError> {
     if cache.params() != game.params() {
         return Err(GameError::InvalidConfig(
             "solve cache is bound to different DCF parameters than the game".into(),
@@ -158,9 +157,22 @@ pub fn symmetric_stage_table(
     hi: u32,
     threads: usize,
 ) -> Result<Vec<f64>, GameError> {
+    symmetric_stage_table_in(game, hi, threads, game.params())
+}
+
+/// [`symmetric_stage_table`] with its symmetric points drawn from
+/// `source`, which must be bound to the game's parameters: the same
+/// table, bitwise, whichever source fills it.
+pub(crate) fn symmetric_stage_table_in<S: SymmetricSource + Sync + ?Sized>(
+    game: &GameConfig,
+    hi: u32,
+    threads: usize,
+    source: &S,
+) -> Result<Vec<f64>, GameError> {
+    let n = game.player_count();
     let windows: Vec<u32> = (1..=hi).collect();
     let stages = rayon::map_in_order(windows, resolve_threads(threads), |w| {
-        symmetric_stage(game, w)
+        Ok(source.symmetric(n, w)?.utility(game.utility()))
     });
     std::iter::once(Ok(f64::NAN)).chain(stages).collect()
 }

@@ -8,12 +8,14 @@
 //! refinement (fairness, social-welfare maximization, Pareto optimality)
 //! singles out `(W_c*, …, W_c*)`.
 
-use macgame_dcf::optimal;
+use macgame_dcf::cache::SolveCache;
+use macgame_dcf::optimal::{self, SymmetricSource};
 use macgame_dcf::parallel::resolve_threads;
 use serde::{Deserialize, Serialize};
 
 use crate::deviation::{
-    deviation_sweep_staged, deviator_stage, symmetric_stage, symmetric_stage_table,
+    check_cache_params, deviation_sweep_staged, deviator_stage, symmetric_stage,
+    symmetric_stage_table, symmetric_stage_table_in,
 };
 use crate::error::GameError;
 use crate::game::GameConfig;
@@ -30,6 +32,16 @@ pub fn efficient_ne(game: &GameConfig) -> Result<EfficientNe, GameError> {
     Ok(optimal::efficient_cw(game.player_count(), game.params(), game.utility(), game.w_max())?)
 }
 
+/// [`efficient_ne`] with its symmetric points drawn from `cache`'s
+/// `(n, W)` memo: bitwise the same result.
+pub(crate) fn efficient_ne_cached(
+    game: &GameConfig,
+    cache: &SolveCache,
+) -> Result<EfficientNe, GameError> {
+    check_cache_params(game, cache)?;
+    Ok(optimal::efficient_cw_in(cache, game.player_count(), game.utility(), game.w_max())?)
+}
+
 /// The Theorem 2 interval `[W_c⁰, W_c*]` of symmetric NE.
 ///
 /// # Errors
@@ -37,6 +49,16 @@ pub fn efficient_ne(game: &GameConfig) -> Result<EfficientNe, GameError> {
 /// Propagates [`GameError::Model`] from the underlying optimizer.
 pub fn ne_interval(game: &GameConfig) -> Result<NeInterval, GameError> {
     Ok(optimal::ne_interval(game.player_count(), game.params(), game.utility(), game.w_max())?)
+}
+
+/// [`ne_interval`] with its symmetric points drawn from `cache`'s
+/// `(n, W)` memo: bitwise the same result.
+pub(crate) fn ne_interval_cached(
+    game: &GameConfig,
+    cache: &SolveCache,
+) -> Result<NeInterval, GameError> {
+    check_cache_params(game, cache)?;
+    Ok(optimal::ne_interval_in(cache, game.player_count(), game.utility(), game.w_max())?)
 }
 
 /// Result of checking whether a uniform profile is a NE under TFT.
@@ -84,19 +106,47 @@ pub fn check_symmetric_ne(
     reaction_stages: u32,
     epsilon: f64,
 ) -> Result<NeCheck, GameError> {
-    check_symmetric_ne_staged(game, w, reaction_stages, epsilon, None)
+    check_symmetric_ne_in(game, w, reaction_stages, epsilon, game.params())
 }
 
-/// [`check_symmetric_ne`] with an optional stage table (from
-/// [`crate::deviation::symmetric_stage_table`], covering at least
-/// `1..=w`). The table holds what the direct computations return, so the
-/// check is bitwise-identical with and without it.
+/// [`check_symmetric_ne`] with its stage table filled from `cache`'s
+/// `(n, W)` memo: bitwise the same check. The one-deviator sweep still
+/// solves afresh.
+pub(crate) fn check_symmetric_ne_cached(
+    game: &GameConfig,
+    w: u32,
+    reaction_stages: u32,
+    epsilon: f64,
+    cache: &SolveCache,
+) -> Result<NeCheck, GameError> {
+    check_cache_params(game, cache)?;
+    check_symmetric_ne_in(game, w, reaction_stages, epsilon, cache)
+}
+
+/// [`check_symmetric_ne`] with its stage table filled from `source`,
+/// which is bound to the game's parameters.
+fn check_symmetric_ne_in<S: SymmetricSource + Sync + ?Sized>(
+    game: &GameConfig,
+    w: u32,
+    reaction_stages: u32,
+    epsilon: f64,
+    source: &S,
+) -> Result<NeCheck, GameError> {
+    // Out of the strategy space the check rejects `w` before it reads the
+    // table, so the table never grows past `w_max`.
+    let stages = symmetric_stage_table_in(game, w.min(game.w_max()), 1, source)?;
+    check_symmetric_ne_staged(game, w, reaction_stages, epsilon, &stages)
+}
+
+/// [`check_symmetric_ne`] on a stage table (from
+/// [`crate::deviation::symmetric_stage_table`] or its cached twin,
+/// covering at least `1..=w`).
 fn check_symmetric_ne_staged(
     game: &GameConfig,
     w: u32,
     reaction_stages: u32,
     epsilon: f64,
-    stages: Option<&[f64]>,
+    stages: &[f64],
 ) -> Result<NeCheck, GameError> {
     if epsilon < 0.0 {
         return Err(GameError::InvalidConfig("epsilon must be non-negative".into()));
@@ -109,10 +159,7 @@ fn check_symmetric_ne_staged(
     }
     // A NE candidate must first be individually rational (non-negative
     // payoff; Theorem 2 excludes W_c < W_c⁰).
-    let at_w = match stages {
-        Some(table) => table[w as usize],
-        None => symmetric_stage(game, w)?,
-    };
+    let at_w = stages[w as usize];
     if at_w < 0.0 {
         return Ok(NeCheck { window: w, is_ne: false, best_deviation: None });
     }
@@ -128,7 +175,7 @@ fn check_symmetric_ne_staged(
     // The sweep covers w_s ∈ [1, w]; w_s = w is compliance, not a
     // deviation, so it is skipped.
     if w > 1 {
-        for outcome in deviation_sweep_staged(game, w, reaction_stages, delta, 1, stages)? {
+        for outcome in deviation_sweep_staged(game, w, reaction_stages, delta, 1, Some(stages))? {
             if outcome.w_s >= w {
                 continue;
             }
@@ -186,7 +233,7 @@ pub fn scan_ne_interval(
     let windows: Vec<u32> = (lo..=hi).collect();
     let checks: Vec<Result<NeCheck, GameError>> =
         rayon::map_in_order(windows, resolve_threads(threads), |w| {
-            check_symmetric_ne_staged(game, w, reaction_stages, epsilon, Some(&stages))
+            check_symmetric_ne_staged(game, w, reaction_stages, epsilon, &stages)
         });
     checks.into_iter().collect()
 }

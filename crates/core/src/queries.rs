@@ -13,13 +13,16 @@
 //! the same [`QueryResult`], bitwise, which is what lets the serve layer
 //! promise byte-identical reply streams under any thread count.
 //!
-//! Heterogeneous and homogeneous stage solves route through a per-mode
-//! [`SolveCache`] ([`SolveCaches`]) — one capacity-bounded cache per
-//! [`AccessMode`], because cached solutions are only valid for the
-//! parameter set they were computed under. An EDCA `WcStar` query
-//! memoizes its stage solves in a fresh [`crate::edca::EdcaStageMemo`].
-//! All of them are the one sharded cache type,
-//! [`macgame_dcf::cache::Memo`].
+//! Each query evaluates against a per-mode [`SolveCache`]
+//! ([`SolveCaches`]) — one capacity-bounded cache per [`AccessMode`],
+//! because cached solutions are only valid for the parameter set they
+//! were computed under. Deviation and welfare stages read its class
+//! solutions; the `W_c*` and NE-interval searches and the robustness
+//! check's stage table read its `(n, W)` symmetric points. The
+//! robustness check's one-deviator sweep still solves afresh, and an EDCA
+//! query at burst length above 1 memoizes its stage solves in a fresh
+//! [`crate::edca::EdcaStageMemo`]. All of them are the one sharded cache
+//! type, [`macgame_dcf::cache::Memo`].
 
 use macgame_dcf::cache::SolveCache;
 use macgame_dcf::fixedpoint::SolveOptions;
@@ -28,7 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::deviation::{shortsighted_deviation_cached, symmetric_stage_cached};
 use crate::edca::{edca_stage_memo, edca_wc_star};
-use crate::equilibrium::{check_symmetric_ne, efficient_ne, ne_interval};
+use crate::equilibrium::{check_symmetric_ne_cached, efficient_ne_cached, ne_interval_cached};
 use crate::error::GameError;
 use crate::game::GameConfig;
 
@@ -251,7 +254,7 @@ pub fn evaluate_query(query: &Query, caches: &SolveCaches) -> Result<QueryResult
     match *query {
         Query::WcStar { players, mode, w_max } => {
             let game = game_for(players, mode, Some(w_max))?;
-            let ne = efficient_ne(&game)?;
+            let ne = efficient_ne_cached(&game, cache)?;
             Ok(QueryResult::WcStar { window: ne.window, utility: ne.utility })
         }
         Query::EdcaWcStar { players, mode, txop, w_max } => {
@@ -262,7 +265,7 @@ pub fn evaluate_query(query: &Query, caches: &SolveCaches) -> Result<QueryResult
             if txop == 1 {
                 // Degenerate burst: this *is* WcStar; reuse the scalar
                 // optimizer so the two queries agree bitwise.
-                let ne = efficient_ne(&game)?;
+                let ne = efficient_ne_cached(&game, cache)?;
                 return Ok(QueryResult::EdcaWcStar {
                     window: ne.window,
                     utility: ne.utility,
@@ -275,7 +278,7 @@ pub fn evaluate_query(query: &Query, caches: &SolveCaches) -> Result<QueryResult
         }
         Query::NeInterval { players, mode, w_max } => {
             let game = game_for(players, mode, Some(w_max))?;
-            let interval = ne_interval(&game)?;
+            let interval = ne_interval_cached(&game, cache)?;
             Ok(QueryResult::NeInterval {
                 lower: interval.lower,
                 upper: interval.upper,
@@ -297,8 +300,8 @@ pub fn evaluate_query(query: &Query, caches: &SolveCaches) -> Result<QueryResult
         }
         Query::RobustnessCell { players, mode, window, reaction_stages, epsilon } => {
             let game = game_for(players, mode, None)?;
-            let check = check_symmetric_ne(&game, window, reaction_stages, epsilon)?;
-            let star = efficient_ne(&game)?;
+            let check = check_symmetric_ne_cached(&game, window, reaction_stages, epsilon, cache)?;
+            let star = efficient_ne_cached(&game, cache)?;
             let at_window = symmetric_stage_cached(&game, window, cache)?;
             let at_star = symmetric_stage_cached(&game, star.window, cache)?;
             Ok(QueryResult::RobustnessCell {
@@ -316,7 +319,7 @@ pub fn evaluate_query(query: &Query, caches: &SolveCaches) -> Result<QueryResult
 mod tests {
     use super::*;
     use crate::deviation::shortsighted_deviation;
-    use crate::equilibrium::DEFAULT_NE_EPSILON;
+    use crate::equilibrium::{efficient_ne, DEFAULT_NE_EPSILON};
 
     fn caches() -> SolveCaches {
         SolveCaches::with_capacity(1024).unwrap()

@@ -2,6 +2,9 @@
 //! random profiles, TFT dynamics, and deviation pricing.
 
 use macgame_core::deviation::shortsighted_deviation;
+use macgame_core::equilibrium::DEFAULT_NE_EPSILON;
+use macgame_core::queries::{evaluate_query, Query, QueryResult, SolveCaches};
+use macgame_dcf::AccessMode;
 use macgame_core::edca::{edca_axis_sweep, edca_stage_memo, EdcaAxis, EdcaStageMemo};
 use macgame_core::generalized::FiniteGame;
 use macgame_core::population::{replicator, PopulationState};
@@ -331,5 +334,103 @@ proptest! {
         let a = bare.evaluate(&profile).unwrap();
         let b = wrapped.evaluate(&profile).unwrap();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// A query of one of the kinds whose symmetric points come from the
+/// mode's `SolveCache` `(n, W)` memo: `WcStar`, `NeInterval`,
+/// `EdcaWcStar` at unit burst and `RobustnessCell`.
+fn symmetric_query() -> impl proptest::Strategy<Value = Query> {
+    // `Strategy` alone names the game's strategy trait in this file.
+    proptest::Strategy::prop_map(
+        (0u32..8, 2usize..41, 0usize..3, (1u32..129, 1u32..4)),
+        |(kind, players, w_max, (window, reaction_stages))| {
+            let mode = if kind % 2 == 0 { AccessMode::Basic } else { AccessMode::RtsCts };
+            let w_max = [64, 512, 4096][w_max];
+            match kind / 2 {
+                0 => Query::WcStar { players, mode, w_max },
+                1 => Query::NeInterval { players, mode, w_max },
+                2 => Query::EdcaWcStar { players, mode, txop: 1, w_max },
+                _ => Query::RobustnessCell {
+                    players,
+                    mode,
+                    window,
+                    reaction_stages,
+                    epsilon: DEFAULT_NE_EPSILON,
+                },
+            }
+        },
+    )
+}
+
+/// Every field of a result as bits, the variant first: equal vectors
+/// mean `to_bits`-equal floats, not merely `==` ones.
+fn result_bits(result: &QueryResult) -> Vec<u64> {
+    let option = |value: Option<u64>| [u64::from(value.is_some()), value.unwrap_or(0)];
+    match *result {
+        QueryResult::WcStar { window, utility } => vec![0, window.into(), utility.to_bits()],
+        QueryResult::EdcaWcStar { window, utility, txop } => {
+            vec![1, window.into(), utility.to_bits(), txop.into()]
+        }
+        QueryResult::NeInterval { lower, upper, count } => {
+            vec![2, lower.into(), upper.into(), count.into()]
+        }
+        QueryResult::DeviationPayoff {
+            w_s,
+            deviant_payoff,
+            compliant_payoff,
+            victim_payoff,
+            gain,
+            profitable,
+        } => vec![
+            3,
+            w_s.into(),
+            deviant_payoff.to_bits(),
+            compliant_payoff.to_bits(),
+            victim_payoff.to_bits(),
+            gain.to_bits(),
+            profitable.into(),
+        ],
+        QueryResult::RobustnessCell {
+            window,
+            is_ne,
+            best_deviation_window,
+            best_deviation_gain,
+            welfare_fraction,
+        } => {
+            let mut bits = vec![4, window.into(), is_ne.into()];
+            bits.extend(option(best_deviation_window.map(u64::from)));
+            bits.extend(option(best_deviation_gain.map(f64::to_bits)));
+            bits.push(welfare_fraction.to_bits());
+            bits
+        }
+    }
+}
+
+fn evaluated_bits(query: &Query, caches: &SolveCaches) -> Result<Vec<u64>, String> {
+    evaluate_query(query, caches).map(|r| result_bits(&r)).map_err(|e| e.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The `(n, W)` memo is bit-transparent under any eviction pattern: a
+    /// stream through one shared `SolveCaches` at capacities that evict
+    /// on nearly every insert (1, 3), often (16) or never (4096) answers
+    /// every query with the bits of a no-op cache, where each point is
+    /// bisected afresh.
+    #[test]
+    fn symmetric_memo_is_bit_transparent_under_eviction(
+        stream in prop::collection::vec(symmetric_query(), 1..24),
+    ) {
+        let cold = SolveCaches::with_capacity(0).unwrap();
+        let expected: Vec<_> = stream.iter().map(|q| evaluated_bits(q, &cold)).collect();
+        for capacity in [1, 3, 16, 4096] {
+            let shared = SolveCaches::with_capacity(capacity).unwrap();
+            for (query, want) in stream.iter().zip(&expected) {
+                let got = evaluated_bits(query, &shared);
+                prop_assert_eq!(&got, want, "capacity {}: {:?}", capacity, query);
+            }
+        }
     }
 }

@@ -33,6 +33,14 @@
 //! path. Profiles that arrive already sorted (the common case in scans)
 //! skip the clone-and-argsort canonicalization and collapse by run-length
 //! encoding in one pass.
+//!
+//! A second memo keys the homogeneous point of `n` nodes on window `W` by
+//! `(n, W)`: the [`SymmetricSolution`] that
+//! [`crate::fixedpoint::solve_symmetric`]'s bisection and the slot
+//! statistics give. Through [`SymmetricSource`], the `W_c*`, break-even
+//! and NE-interval searches of [`crate::optimal`] read it instead of
+//! bisecting each probed window afresh; a hit is the exact bits of that
+//! fresh computation.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -45,7 +53,9 @@ use macgame_telemetry as telemetry;
 use crate::classes::{ClassEquilibrium, ClassProfile};
 use crate::error::DcfError;
 use crate::fixedpoint::{solve_classes, Equilibrium, SolveOptions};
+use crate::optimal::SymmetricSource;
 use crate::params::DcfParams;
+use crate::utility::SymmetricSolution;
 
 /// Maximum number of independently locked shards in a [`Memo`]. Bounded
 /// memos with fewer than `MAX_SHARDS` entries use one shard per entry so
@@ -257,13 +267,16 @@ pub fn canonicalize(windows: &[u32]) -> (Vec<u32>, Vec<usize>) {
 }
 
 /// Shared profile → class-solution cache for one `(params, options)`
-/// pair, counting on the `dcf.cache.*` telemetry counters. Wrap in an
-/// [`Arc`] to share across threads; all methods take `&self`.
+/// pair, counting on the `dcf.cache.*` telemetry counters, plus the
+/// `(n, W)` → [`SymmetricSolution`] memo behind its [`SymmetricSource`]
+/// impl, counting on `dcf.cache.symmetric.*`. Wrap in an [`Arc`] to
+/// share across threads; all methods take `&self`.
 #[derive(Debug)]
 pub struct SolveCache {
     params: DcfParams,
     options: SolveOptions,
     memo: Memo<ClassProfile, Arc<ClassEquilibrium>>,
+    symmetric: Memo<(usize, u32), SymmetricSolution>,
 }
 
 impl SolveCache {
@@ -274,11 +287,11 @@ impl SolveCache {
         Self::build(params, options, None)
     }
 
-    /// Creates a cache holding at most `capacity` resident solutions,
-    /// with the bound semantics of [`Memo::new`]: `with_capacity(0)` is
-    /// the no-op cache, where every lookup solves afresh. It measures the
-    /// cold path while keeping the canonicalization and telemetry of the
-    /// cache API.
+    /// Creates a cache holding at most `capacity` resident class
+    /// solutions and at most `capacity` symmetric points, with the bound
+    /// semantics of [`Memo::new`]: `with_capacity(0)` is the no-op cache,
+    /// where every lookup solves afresh. It measures the cold path while
+    /// keeping the canonicalization and telemetry of the cache API.
     #[must_use]
     pub fn with_capacity(params: DcfParams, options: SolveOptions, capacity: usize) -> Self {
         Self::build(params, options, Some(capacity))
@@ -286,7 +299,13 @@ impl SolveCache {
 
     fn build(params: DcfParams, options: SolveOptions, capacity: Option<usize>) -> Self {
         let memo = Memo::new(capacity, "dcf.cache.hits", "dcf.cache.misses", "dcf.cache.evictions");
-        SolveCache { params, options, memo }
+        let symmetric = Memo::new(
+            capacity,
+            "dcf.cache.symmetric.hits",
+            "dcf.cache.symmetric.misses",
+            "dcf.cache.symmetric.evictions",
+        );
+        SolveCache { params, options, memo, symmetric }
     }
 
     /// The DCF parameters every cached solution was computed under.
@@ -336,6 +355,18 @@ impl SolveCache {
         self.memo.get_or_try_insert_with(profile, || {
             solve_classes(profile, &self.params, self.options).map(Arc::new)
         })
+    }
+}
+
+impl SymmetricSource for SolveCache {
+    fn params(&self) -> &DcfParams {
+        &self.params
+    }
+
+    /// The memoized `(n, w)` point: a hit returns the bits the parameters'
+    /// own [`SymmetricSource::symmetric`] computes on a miss.
+    fn symmetric(&self, n: usize, w: u32) -> Result<SymmetricSolution, DcfError> {
+        self.symmetric.get_or_try_insert_with(&(n, w), || self.params.symmetric(n, w))
     }
 }
 

@@ -690,12 +690,12 @@ pub fn solve_symmetric(n: usize, w: u32, params: &DcfParams) -> Result<Symmetric
         return Err(DcfError::invalid("n", "need at least one node"));
     }
     validate_windows(&[w])?;
-    telemetry::counter("dcf.solver.bisections", 1);
     let m = params.max_backoff_stage();
     if n == 1 {
         let tau = transmission_probability(w, 0.0, m)?;
         return Ok(SymmetricPoint { n, window: w, tau, collision_prob: 0.0 });
     }
+    telemetry::counter("dcf.solver.bisections", 1);
     let f = |tau: f64| -> Result<f64, DcfError> {
         let p = 1.0 - (1.0 - tau).powi(n as i32 - 1);
         Ok(tau - transmission_probability(w, p.clamp(0.0, 1.0), m)?)

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::DcfError;
 use crate::fixedpoint::{solve_symmetric, SymmetricPoint};
 use crate::params::DcfParams;
-use crate::utility::{symmetric_node_utility, UtilityParams};
+use crate::utility::{symmetric_node_utility, SymmetricSolution, UtilityParams};
 
 /// Default upper bound of the contention-window strategy space
 /// `W = {1, …, W_max}`.
@@ -99,7 +99,7 @@ pub fn symmetric_utility(
     params: &DcfParams,
     utility: &UtilityParams,
 ) -> Result<f64, DcfError> {
-    Ok(symmetric_node_utility(&solve_symmetric(n, w, params)?, params, utility))
+    Ok(params.symmetric(n, w)?.utility(utility))
 }
 
 /// The efficient Nash equilibrium of the symmetric game: the window
@@ -114,6 +114,34 @@ pub struct EfficientNe {
     pub utility: f64,
     /// `τ_c*`: the continuous optimum from the `Q`-root, for reference.
     pub tau_star: f64,
+}
+
+/// Where the searches in this module get their symmetric `(n, W)`
+/// operating points: the DCF parameters themselves, which bisect afresh
+/// through [`solve_symmetric`], or a [`crate::cache::SolveCache`] bound to
+/// them, which memoizes that bisection. Both return the same bits for the
+/// same point, so a search answers bitwise the same from either.
+pub trait SymmetricSource {
+    /// The DCF parameters every point is solved under.
+    fn params(&self) -> &DcfParams;
+
+    /// The operating point of `n` nodes on window `w`, with its slot
+    /// statistics.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve_symmetric`].
+    fn symmetric(&self, n: usize, w: u32) -> Result<SymmetricSolution, DcfError>;
+}
+
+impl SymmetricSource for DcfParams {
+    fn params(&self) -> &DcfParams {
+        self
+    }
+
+    fn symmetric(&self, n: usize, w: u32) -> Result<SymmetricSolution, DcfError> {
+        Ok(SymmetricSolution::new(solve_symmetric(n, w, self)?, self))
+    }
 }
 
 /// Finds `W_c*` by exponential bracketing plus ternary search, exploiting
@@ -132,15 +160,29 @@ pub fn efficient_cw(
     utility: &UtilityParams,
     w_max: u32,
 ) -> Result<EfficientNe, DcfError> {
+    efficient_cw_in(params, n, utility, w_max)
+}
+
+/// [`efficient_cw`] with its symmetric points drawn from `source`.
+///
+/// # Errors
+///
+/// As [`efficient_cw`].
+pub fn efficient_cw_in<S: SymmetricSource + ?Sized>(
+    source: &S,
+    n: usize,
+    utility: &UtilityParams,
+    w_max: u32,
+) -> Result<EfficientNe, DcfError> {
     if w_max == 0 {
         return Err(DcfError::invalid("w_max", "strategy space must be non-empty"));
     }
     if n < 2 {
         // A lone node maximizes by transmitting as often as possible.
-        let u = symmetric_utility(1, 1, params, utility)?;
-        return finish_efficient(1.max(n), 1, u, params);
+        let u = source.symmetric(1, 1)?.utility(utility);
+        return finish_efficient(source, 1.max(n), 1, u);
     }
-    let u_at = |w: u32| symmetric_utility(n, w, params, utility);
+    let u_at = |w: u32| -> Result<f64, DcfError> { Ok(source.symmetric(n, w)?.utility(utility)) };
     // Exponential bracketing: find w where utility stops improving.
     let mut hi = 2u32;
     let mut prev = u_at(1)?;
@@ -176,17 +218,17 @@ pub fn efficient_cw(
             best_w = w;
         }
     }
-    finish_efficient(n, best_w, best_u, params)
+    finish_efficient(source, n, best_w, best_u)
 }
 
-pub(crate) fn finish_efficient(
+pub(crate) fn finish_efficient<S: SymmetricSource + ?Sized>(
+    source: &S,
     n: usize,
     window: u32,
     utility: f64,
-    params: &DcfParams,
 ) -> Result<EfficientNe, DcfError> {
-    let point = solve_symmetric(n, window, params)?;
-    let tau_star = if n >= 2 { optimal_tau(n, params)? } else { point.tau };
+    let point = source.symmetric(n, window)?.point;
+    let tau_star = if n >= 2 { optimal_tau(n, source.params())? } else { point.tau };
     Ok(EfficientNe { window, point, utility, tau_star })
 }
 
@@ -218,23 +260,14 @@ pub fn efficient_cw_from_tau_star(
 /// The break-even window `W_c⁰`: the smallest `W` at which the symmetric
 /// utility is non-negative, i.e. `U_i(W_c⁰, …) ≥ 0` while one step lower is
 /// negative (paper Theorem 2). Returns 1 if even `W = 1` is profitable.
-///
-/// Uses binary search: the utility's sign flips once because `p_c` falls
-/// monotonically in `W`.
-///
-/// # Errors
-///
-/// Returns [`DcfError::InvalidParameter`] if no window in `{1, …, w_max}`
-/// yields a non-negative utility; propagates solver errors.
-pub fn break_even_cw(
+fn break_even_cw_in<S: SymmetricSource + ?Sized>(
+    source: &S,
     n: usize,
-    params: &DcfParams,
     utility: &UtilityParams,
     w_max: u32,
 ) -> Result<u32, DcfError> {
-    let positive = |w: u32| -> Result<bool, DcfError> {
-        Ok(symmetric_utility(n, w, params, utility)? >= 0.0)
-    };
+    let positive =
+        |w: u32| -> Result<bool, DcfError> { Ok(source.symmetric(n, w)?.utility(utility) >= 0.0) };
     if positive(1)? {
         return Ok(1);
     }
@@ -281,19 +314,38 @@ impl NeInterval {
     }
 }
 
-/// Computes the NE interval `[W_c⁰, W_c*]` for `n` players.
+/// Computes the NE interval `[W_c⁰, W_c*]` for `n` players: `W_c*` by
+/// [`efficient_cw`], `W_c⁰` by a binary search for the smallest window
+/// whose symmetric utility is non-negative (the utility's sign flips once,
+/// because `p_c` falls monotonically in `W`), capped at `W_c*`.
 ///
 /// # Errors
 ///
-/// Propagates errors from [`break_even_cw`] and [`efficient_cw`].
+/// Returns [`DcfError::InvalidParameter`] if `w_max == 0` or no window in
+/// `{1, …, w_max}` yields a non-negative utility; propagates solver
+/// errors.
 pub fn ne_interval(
     n: usize,
     params: &DcfParams,
     utility: &UtilityParams,
     w_max: u32,
 ) -> Result<NeInterval, DcfError> {
-    let upper = efficient_cw(n, params, utility, w_max)?.window;
-    let lower = break_even_cw(n, params, utility, w_max)?.min(upper);
+    ne_interval_in(params, n, utility, w_max)
+}
+
+/// [`ne_interval`] with its symmetric points drawn from `source`.
+///
+/// # Errors
+///
+/// As [`ne_interval`].
+pub fn ne_interval_in<S: SymmetricSource + ?Sized>(
+    source: &S,
+    n: usize,
+    utility: &UtilityParams,
+    w_max: u32,
+) -> Result<NeInterval, DcfError> {
+    let upper = efficient_cw_in(source, n, utility, w_max)?.window;
+    let lower = break_even_cw_in(source, n, utility, w_max)?.min(upper);
     Ok(NeInterval { lower, upper })
 }
 
@@ -442,14 +494,14 @@ mod tests {
     fn break_even_is_one_for_cheap_attempts() {
         // With e = 0 every window is profitable.
         let free = UtilityParams { gain: 1.0, cost: 0.0 };
-        assert_eq!(break_even_cw(5, &basic(), &free, 1024).unwrap(), 1);
+        assert_eq!(break_even_cw_in(&basic(), 5, &free, 1024).unwrap(), 1);
     }
 
     #[test]
     fn expensive_attempts_raise_break_even() {
         // A huge attempt cost makes small windows lose money for n = 20.
         let pricey = UtilityParams { gain: 1.0, cost: 0.5 };
-        let w0 = break_even_cw(20, &basic(), &pricey, 4096).unwrap();
+        let w0 = break_even_cw_in(&basic(), 20, &pricey, 4096).unwrap();
         assert!(w0 > 1, "W_c⁰ = {w0}");
         let u_at = symmetric_utility(20, w0, &basic(), &pricey).unwrap();
         let u_below = symmetric_utility(20, w0 - 1, &basic(), &pricey).unwrap();

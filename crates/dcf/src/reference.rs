@@ -150,7 +150,7 @@ pub fn efficient_cw_scan(
             best_w = w;
         }
     }
-    finish_efficient(n, best_w, best_u, params)
+    finish_efficient(params, n, best_w, best_u)
 }
 
 #[cfg(test)]

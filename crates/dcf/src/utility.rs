@@ -74,8 +74,43 @@ pub fn symmetric_node_utility(
     params: &DcfParams,
     utility: &UtilityParams,
 ) -> f64 {
-    let stats = slot_stats(&vec![point.tau; point.n], params);
-    utility_rate(point.tau, point.collision_prob, &stats, utility)
+    SymmetricSolution::new(*point, params).utility(utility)
+}
+
+/// A symmetric operating point with the slot statistics of its
+/// homogeneous profile: everything [`symmetric_node_utility`] computes
+/// before its last step, so [`SymmetricSolution::utility`] is O(1) and
+/// bit-identical to it. A pure function of `(n, W)` and the DCF
+/// parameters, which is what lets [`crate::cache::SolveCache`] memoize it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SymmetricSolution {
+    /// The operating point.
+    pub point: SymmetricPoint,
+    /// Slot statistics with all `point.n` nodes at `point.tau`.
+    pub stats: SlotStats,
+}
+
+impl SymmetricSolution {
+    /// Pairs `point` with its slot statistics under `params`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point.n == 0` or `point.tau ∉ [0, 1]` (see
+    /// [`slot_stats`]).
+    #[must_use]
+    pub fn new(point: SymmetricPoint, params: &DcfParams) -> Self {
+        SymmetricSolution { point, stats: slot_stats(&vec![point.tau; point.n], params) }
+    }
+
+    /// Each node's utility rate (per µs) at this point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the collision probability is outside `[0, 1]`.
+    #[must_use]
+    pub fn utility(&self, utility: &UtilityParams) -> f64 {
+        utility_rate(self.point.tau, self.point.collision_prob, &self.stats, utility)
+    }
 }
 
 /// Utilities of every node, as [`node_utility`] per index. The slot

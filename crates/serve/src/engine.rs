@@ -1,4 +1,4 @@
-//! The batch-query engine: coalescing, two-tier caching, deterministic
+//! The batch-query engine: coalescing, three-tier caching, deterministic
 //! fan-out, reply assembly.
 //!
 //! # Pipeline (one batch)
@@ -9,9 +9,10 @@
 //! 3. **Route**: each unique key checks the reply cache, a [`Memo`]
 //!    counting on the `serve.cache.*` telemetry counters; misses are
 //!    evaluated through [`macgame_core::queries::evaluate_query`] (class
-//!    solves go through the per-mode sharded `SolveCache`) with the
-//!    fixed-chunk executor, then inserted into the reply cache
-//!    *sequentially in miss order* so eviction order is deterministic.
+//!    solves and symmetric points go through the per-mode sharded
+//!    `SolveCache`) with the fixed-chunk executor, then inserted into
+//!    the reply cache *sequentially in miss order* so eviction order is
+//!    deterministic.
 //! 4. **Assemble** replies in request order.
 //!
 //! # Determinism
@@ -43,8 +44,8 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Capacity of the query → result reply cache (`0` = no-op cache).
     pub reply_cache_capacity: usize,
-    /// Per-mode capacity of the class-solution `SolveCache`
-    /// (`0` = no-op cache).
+    /// Per-mode capacity of each of the `SolveCache`'s two memos, class
+    /// solutions and `(n, W)` symmetric points (`0` = no-op cache).
     pub solve_cache_capacity: usize,
 }
 

@@ -6,8 +6,9 @@
 //! Rust APIs in-process. This crate turns the solver into a *service*:
 //! length-prefix-framed JSON batches arrive on stdin/stdout or a TCP
 //! socket, duplicate queries coalesce, results flow through a sharded
-//! two-tier cache (query → result here, class profile → solution in
-//! `dcf`), and replies stream back **in request order with bytes
+//! three-tier cache (query → result here; class profile → solution and
+//! `(n, W)` → symmetric point in `dcf`), and replies stream back **in
+//! request order with bytes
 //! invariant under `MACGAME_THREADS`** — so the conformance harness
 //! gates the service path like every other layer.
 //!

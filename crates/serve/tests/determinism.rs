@@ -6,10 +6,24 @@
 //! Thread-count invariance is exercised through `EngineConfig::threads`,
 //! the same knob `MACGAME_THREADS` feeds via `resolve_threads(0)`;
 //! setting the env var itself would race with the parallel test runner.
+//!
+//! One test counts solver work through the process-global telemetry
+//! recorder, so every test here takes [`exclusive`] first: no other
+//! test's solves may land in that count.
 
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use macgame_core::equilibrium::DEFAULT_NE_EPSILON;
 use macgame_core::queries::Query;
 use macgame_dcf::AccessMode;
 use macgame_serve::{EngineConfig, Reply, ServeHarness};
+use macgame_telemetry::{self as telemetry, CollectingRecorder};
+
+static RECORDER: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    RECORDER.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn harness_with_threads(threads: usize) -> ServeHarness {
     ServeHarness::with_config(EngineConfig { threads, ..EngineConfig::default() }).unwrap()
@@ -45,6 +59,7 @@ fn mixed_batch() -> Vec<Query> {
 
 #[test]
 fn reply_bytes_are_invariant_under_thread_count() {
+    let _exclusive = exclusive();
     let queries = mixed_batch();
     let baseline = harness_with_threads(1).reply_bytes(&queries).unwrap();
     assert!(!baseline.is_empty());
@@ -60,6 +75,7 @@ fn reply_bytes_are_invariant_under_thread_count() {
 
 #[test]
 fn shuffled_batches_get_request_ordered_replies() {
+    let _exclusive = exclusive();
     let queries = mixed_batch();
     // Per-query ground truth: each query evaluated alone on a fresh
     // engine, keyed by its canonical JSON.
@@ -96,6 +112,7 @@ fn shuffled_batches_get_request_ordered_replies() {
 
 #[test]
 fn coalesced_replies_are_bitwise_equal_to_fresh_solves() {
+    let _exclusive = exclusive();
     let unique = mixed_batch();
     // Each query repeated three times, interleaved.
     let mut duplicated = Vec::new();
@@ -116,6 +133,120 @@ fn coalesced_replies_are_bitwise_equal_to_fresh_solves() {
         };
         assert_eq!(result, expected, "coalesced reply {i} diverged from a fresh solve");
     }
+}
+
+/// SplitMix64: a seeded stream for query generation, so the test needs
+/// no RNG crate.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn range(&mut self, lo: u32, hi: u32) -> u32 {
+        lo + (self.next() % u64::from(hi - lo + 1)) as u32
+    }
+}
+
+/// `count` seeded queries cycling through all five kinds.
+fn seeded_stream(seed: u64, count: usize) -> Vec<Query> {
+    let mut rng = SplitMix(seed);
+    (0..count)
+        .map(|i| {
+            let mode = if rng.next() % 2 == 0 { AccessMode::Basic } else { AccessMode::RtsCts };
+            let players = rng.range(2, 24) as usize;
+            let w_max = [64, 512, 4096][rng.range(0, 2) as usize];
+            match i % 5 {
+                0 => Query::WcStar { players, mode, w_max },
+                1 => Query::NeInterval { players, mode, w_max },
+                2 => Query::EdcaWcStar { players, mode, txop: rng.range(1, 3), w_max: 256 },
+                3 => Query::DeviationPayoff {
+                    players,
+                    mode,
+                    w_star: rng.range(16, 128),
+                    w_dev: rng.range(1, 128),
+                    reaction_stages: rng.range(1, 3),
+                    delta_s: 0.5,
+                },
+                _ => Query::RobustnessCell {
+                    players,
+                    mode,
+                    window: rng.range(2, 96),
+                    reaction_stages: rng.range(1, 3),
+                    epsilon: DEFAULT_NE_EPSILON,
+                },
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn evicting_solve_caches_leave_reply_bytes_unchanged() {
+    let _exclusive = exclusive();
+    let stream = seeded_stream(21, 256);
+    let mut wire = Vec::new();
+    for frame in stream.chunks(64) {
+        wire.extend(ServeHarness::encode_batch(frame).unwrap());
+    }
+    let replies = |solve_cache_capacity: usize| {
+        let config = EngineConfig { solve_cache_capacity, ..EngineConfig::default() };
+        ServeHarness::with_config(config).unwrap().roundtrip_raw(&wire).unwrap()
+    };
+    // Capacity 4 evicts on nearly every insert of both memos; capacity 0
+    // solves every point afresh.
+    let evicting = replies(4);
+    let decoded = ServeHarness::decode_replies(&evicting).unwrap();
+    assert_eq!(decoded.len(), 256);
+    assert!(decoded.iter().all(|reply| matches!(reply, Reply::Ok { .. })));
+    assert_eq!(evicting, replies(0));
+}
+
+#[test]
+fn warm_symmetric_memo_serves_searches_without_bisecting() {
+    let _exclusive = exclusive();
+    // Windows ≤ 32 keep each cell's one-deviator sweep in one
+    // warm-started chunk: a chunk that starts on the homogeneous profile
+    // seeds the class solver with one bisection of its own.
+    let mut frame = Vec::new();
+    for players in [5usize, 13] {
+        for mode in [AccessMode::Basic, AccessMode::RtsCts] {
+            frame.push(Query::WcStar { players, mode, w_max: 1024 });
+            frame.push(Query::NeInterval { players, mode, w_max: 512 });
+        }
+    }
+    for (players, window) in [(3usize, 8u32), (4, 16), (6, 24), (9, 31)] {
+        for mode in [AccessMode::Basic, AccessMode::RtsCts] {
+            frame.push(Query::RobustnessCell {
+                players,
+                mode,
+                window,
+                reaction_stages: 1,
+                epsilon: DEFAULT_NE_EPSILON,
+            });
+        }
+    }
+    assert_eq!(frame.len(), 16);
+    // No reply cache: the replay re-evaluates every query.
+    let config = EngineConfig { reply_cache_capacity: 0, ..EngineConfig::default() };
+    let harness = ServeHarness::with_config(config).unwrap();
+    let first = harness.reply_bytes(&frame).unwrap();
+
+    let recorder = Arc::new(CollectingRecorder::new());
+    telemetry::set_recorder(recorder.clone());
+    let replay = harness.reply_bytes(&frame);
+    telemetry::clear_recorder();
+    assert_eq!(replay.unwrap(), first);
+    let counts = recorder.snapshot();
+    assert_eq!(counts.counter("serve.cache.hits"), 0);
+    assert_eq!(counts.counter("dcf.solver.bisections"), 0);
+    assert_eq!(counts.counter("dcf.cache.symmetric.misses"), 0);
+    assert!(counts.counter("dcf.cache.symmetric.hits") > 0);
 }
 
 fn gcd(a: usize, b: usize) -> usize {
