@@ -450,7 +450,8 @@ fn serve_claims() -> Result<Vec<Claim>, ConformanceError> {
     let coalesced_replies = coalescing.query_batch(&duplicated)?;
     let fresh = ServeHarness::new()?;
     let fresh_replies = fresh.query_batch(&queries)?;
-    let one_eval_per_unique = coalescing.engine().reply_cache().misses() == queries.len() as u64;
+    let (_, evaluations, _) = coalescing.engine().reply_counters();
+    let one_eval_per_unique = evaluations == queries.len() as u64;
     let bitwise = coalesced_replies.len() == duplicated.len()
         && coalesced_replies.iter().enumerate().all(|(i, reply)| match (reply, &fresh_replies[i % queries.len()]) {
             (Reply::Ok { result, .. }, Reply::Ok { result: expected, .. }) => result == expected,
@@ -462,7 +463,7 @@ fn serve_claims() -> Result<Vec<Claim>, ConformanceError> {
         format!(
             "{} requests → {} evaluations; duplicate replies == fresh solves: {bitwise}",
             duplicated.len(),
-            coalescing.engine().reply_cache().misses()
+            evaluations
         ),
     ));
 

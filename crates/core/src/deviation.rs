@@ -335,21 +335,6 @@ pub fn deviation_sweep(
     delta_s: f64,
     threads: usize,
 ) -> Result<Vec<DeviationOutcome>, GameError> {
-    deviation_sweep_staged(game, w_star, reaction_stages, delta_s, threads, None)
-}
-
-/// [`deviation_sweep`] with an optional precomputed stage table (from
-/// [`symmetric_stage_table`], covering at least `1..=w_star`). The table
-/// holds the exact values the direct computations would return, so
-/// results are bitwise-identical with and without it.
-pub(crate) fn deviation_sweep_staged(
-    game: &GameConfig,
-    w_star: u32,
-    reaction_stages: u32,
-    delta_s: f64,
-    threads: usize,
-    stages: Option<&[f64]>,
-) -> Result<Vec<DeviationOutcome>, GameError> {
     if reaction_stages == 0 {
         return Err(GameError::InvalidConfig("TFT reaction takes at least one stage".into()));
     }
@@ -365,16 +350,8 @@ pub(crate) fn deviation_sweep_staged(
     }
     let t = game.stage_duration().value();
     // Compliant and post-punishment stages: everyone on one window
-    // (bisection, cheap), from the caller's table when it scans many
-    // crowd windows.
-    let owned;
-    let stages = match stages {
-        Some(table) => table,
-        None => {
-            owned = symmetric_stage_table(game, w_star, threads)?;
-            &owned
-        }
-    };
+    // (bisection, cheap).
+    let stages = symmetric_stage_table(game, w_star, threads)?;
     let at_star = stages[w_star as usize];
     let m = reaction_stages as i32;
     let head = (1.0 - delta_s.powi(m)) / (1.0 - delta_s);
@@ -382,13 +359,7 @@ pub(crate) fn deviation_sweep_staged(
     let compliant_payoff = t * at_star / (1.0 - delta_s);
 
     // One deviator against the W* crowd, for every w_s: warm-chained.
-    let profiles: Vec<Vec<u32>> = (1..=w_star)
-        .map(|w_s| {
-            let mut p = vec![w_star; n];
-            p[0] = w_s;
-            p
-        })
-        .collect();
+    let profiles = one_deviator_profiles(n, w_star, 1..=w_star);
     let eqs = solve_sweep(&profiles, game.params(), SolveOptions::default(), threads)?;
 
     let mut out = Vec::with_capacity(w_star as usize);
@@ -405,6 +376,61 @@ pub(crate) fn deviation_sweep_staged(
         });
     }
     Ok(out)
+}
+
+/// One profile per deviator window in `deviator`: node 0 on it, the other
+/// `n − 1` nodes on `w`.
+fn one_deviator_profiles(n: usize, w: u32, deviator: impl Iterator<Item = u32>) -> Vec<Vec<u32>> {
+    deviator
+        .map(|w_s| {
+            let mut p = vec![w; n];
+            p[0] = w_s;
+            p
+        })
+        .collect()
+}
+
+/// The upward deviations an ε-NE check of the common window `w` prices:
+/// `w + 1`, `2w` and `w_max`, each kept if it lies in `(w, w_max]`, in
+/// that order (a repeat is priced twice and changes nothing).
+pub(crate) fn upward_probes(game: &GameConfig, w: u32) -> impl Iterator<Item = u32> {
+    let w_max = game.w_max();
+    [w.saturating_add(1), w.saturating_mul(2), w_max]
+        .into_iter()
+        .filter(move |&x| x > w && x <= w_max)
+}
+
+/// The deviator's stage utility rates behind
+/// [`crate::equilibrium::check_symmetric_ne`] at the common window `w`:
+/// one entry per downward deviation `w_s ∈ 1..w`, in order, then one per
+/// [`upward_probes`] window. A pure function of `(n, w, w_max, utility)`
+/// under the game's DCF parameters, which is the key a
+/// [`SolveCache::deviator_row`] memo stores it under; the reaction lag and
+/// ε only enter the pricing.
+///
+/// The downward solves run as one serial warm-chained
+/// [`solve_sweep`], each seeded from its neighbor's solution within the
+/// sweep's fixed chunks; the upward ones are [`deviator_stage`]s.
+///
+/// # Errors
+///
+/// Returns [`GameError::InvalidConfig`] for fewer than two players when
+/// the row is not empty; propagates solver failures.
+pub(crate) fn deviator_row(game: &GameConfig, w: u32) -> Result<Vec<f64>, GameError> {
+    let n = game.player_count();
+    if w > 1 && n < 2 {
+        return Err(GameError::InvalidConfig("deviation needs at least two players".into()));
+    }
+    let profiles = one_deviator_profiles(n, w, 1..w);
+    let eqs = solve_sweep(&profiles, game.params(), SolveOptions::default(), 1)?;
+    let mut row: Vec<f64> = eqs
+        .iter()
+        .map(|eq| all_utilities(&eq.taus, &eq.collision_probs, game.params(), game.utility())[0])
+        .collect();
+    for w_dev in upward_probes(game, w) {
+        row.push(deviator_stage(game, w, w_dev)?.deviator);
+    }
+    Ok(row)
 }
 
 /// The deviator's optimal window `W_s(δ_s)`: the `w_s ∈ [1, w_star]`

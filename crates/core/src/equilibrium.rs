@@ -8,14 +8,17 @@
 //! refinement (fairness, social-welfare maximization, Pareto optimality)
 //! singles out `(W_c*, …, W_c*)`.
 
+use std::sync::Arc;
+
 use macgame_dcf::cache::SolveCache;
 use macgame_dcf::optimal::{self, SymmetricSource};
 use macgame_dcf::parallel::resolve_threads;
+use macgame_dcf::DcfParams;
 use serde::{Deserialize, Serialize};
 
 use crate::deviation::{
-    check_cache_params, deviation_sweep_staged, deviator_stage, symmetric_stage,
-    symmetric_stage_table, symmetric_stage_table_in,
+    check_cache_params, deviator_row, symmetric_stage, symmetric_stage_table,
+    symmetric_stage_table_in, upward_probes,
 };
 use crate::error::GameError;
 use crate::game::GameConfig;
@@ -98,8 +101,9 @@ pub const DEFAULT_NE_EPSILON: f64 = 1e-5;
 ///
 /// # Errors
 ///
-/// Returns [`GameError::InvalidConfig`] for `w` outside the strategy space
-/// or a negative `epsilon`; propagates solver failures.
+/// Returns [`GameError::InvalidConfig`] for a negative `epsilon`, `w`
+/// outside the strategy space or a zero `reaction_stages`, in that order
+/// and before any solve; propagates solver failures.
 pub fn check_symmetric_ne(
     game: &GameConfig,
     w: u32,
@@ -110,8 +114,8 @@ pub fn check_symmetric_ne(
 }
 
 /// [`check_symmetric_ne`] with its stage table filled from `cache`'s
-/// `(n, W)` memo: bitwise the same check. The one-deviator sweep still
-/// solves afresh.
+/// `(n, W)` memo and its deviator row from `cache`'s row memo: bitwise
+/// the same check.
 pub(crate) fn check_symmetric_ne_cached(
     game: &GameConfig,
     w: u32,
@@ -123,31 +127,37 @@ pub(crate) fn check_symmetric_ne_cached(
     check_symmetric_ne_in(game, w, reaction_stages, epsilon, cache)
 }
 
-/// [`check_symmetric_ne`] with its stage table filled from `source`,
-/// which is bound to the game's parameters.
-fn check_symmetric_ne_in<S: SymmetricSource + Sync + ?Sized>(
-    game: &GameConfig,
-    w: u32,
-    reaction_stages: u32,
-    epsilon: f64,
-    source: &S,
-) -> Result<NeCheck, GameError> {
-    // Out of the strategy space the check rejects `w` before it reads the
-    // table, so the table never grows past `w_max`.
-    let stages = symmetric_stage_table_in(game, w.min(game.w_max()), 1, source)?;
-    check_symmetric_ne_staged(game, w, reaction_stages, epsilon, &stages)
+/// Where an ε-NE check reads its symmetric points and its
+/// [`deviator_row`]: computed afresh from the game's [`DcfParams`], or
+/// memoized in a [`SolveCache`] bound to them. Both give the same bits.
+pub(crate) trait CheckSource: SymmetricSource + Sync {
+    /// The [`deviator_row`] of `game` at the common window `w`.
+    fn row(&self, game: &GameConfig, w: u32) -> Result<Arc<[f64]>, GameError>;
 }
 
-/// [`check_symmetric_ne`] on a stage table (from
-/// [`crate::deviation::symmetric_stage_table`] or its cached twin,
-/// covering at least `1..=w`).
-fn check_symmetric_ne_staged(
+impl CheckSource for DcfParams {
+    fn row(&self, game: &GameConfig, w: u32) -> Result<Arc<[f64]>, GameError> {
+        Ok(deviator_row(game, w)?.into())
+    }
+}
+
+impl CheckSource for SolveCache {
+    fn row(&self, game: &GameConfig, w: u32) -> Result<Arc<[f64]>, GameError> {
+        self.deviator_row(game.player_count(), w, game.w_max(), game.utility(), || {
+            deviator_row(game, w)
+        })
+    }
+}
+
+/// Rejects a check's inputs before anything is solved: a negative
+/// `epsilon`, then `w` outside the strategy space, then a zero reaction
+/// lag.
+fn validate_check(
     game: &GameConfig,
     w: u32,
     reaction_stages: u32,
     epsilon: f64,
-    stages: &[f64],
-) -> Result<NeCheck, GameError> {
+) -> Result<(), GameError> {
     if epsilon < 0.0 {
         return Err(GameError::InvalidConfig("epsilon must be non-negative".into()));
     }
@@ -157,6 +167,38 @@ fn check_symmetric_ne_staged(
             game.w_max()
         )));
     }
+    if reaction_stages == 0 {
+        return Err(GameError::InvalidConfig("TFT reaction takes at least one stage".into()));
+    }
+    Ok(())
+}
+
+/// [`check_symmetric_ne`] with its stage table and deviator row drawn
+/// from `source`, which is bound to the game's parameters. The inputs are
+/// validated first, so a rejected check solves nothing and leaves every
+/// memo of `source` untouched.
+fn check_symmetric_ne_in<S: CheckSource + ?Sized>(
+    game: &GameConfig,
+    w: u32,
+    reaction_stages: u32,
+    epsilon: f64,
+    source: &S,
+) -> Result<NeCheck, GameError> {
+    validate_check(game, w, reaction_stages, epsilon)?;
+    let stages = symmetric_stage_table_in(game, w, 1, source)?;
+    check_symmetric_ne_staged(game, w, reaction_stages, epsilon, &stages, source)
+}
+
+/// [`check_symmetric_ne`] on validated inputs and a stage table covering
+/// at least `1..=w`, with its deviator row drawn from `source`.
+fn check_symmetric_ne_staged<S: CheckSource + ?Sized>(
+    game: &GameConfig,
+    w: u32,
+    reaction_stages: u32,
+    epsilon: f64,
+    stages: &[f64],
+    source: &S,
+) -> Result<NeCheck, GameError> {
     // A NE candidate must first be individually rational (non-negative
     // payoff; Theorem 2 excludes W_c < W_c⁰).
     let at_w = stages[w as usize];
@@ -166,37 +208,28 @@ fn check_symmetric_ne_staged(
     let t = game.stage_duration().value();
     let delta = game.discount();
     let compliant_total = t * at_w / (1.0 - delta);
+    let row = source.row(game, w)?;
+    let (downward, upward) = row.split_at(w as usize - 1);
 
     let mut best: Option<(u32, f64)> = None;
-    // Downward deviations: full TFT-punishment pricing. Batched as a
-    // serial warm-chained sweep (threads = 1): each one-deviator solve is
-    // seeded from its neighbor's solution, and callers such as
-    // [`scan_ne_interval`] parallelize across candidate windows instead.
-    // The sweep covers w_s ∈ [1, w]; w_s = w is compliance, not a
-    // deviation, so it is skipped.
-    if w > 1 {
-        for outcome in deviation_sweep_staged(game, w, reaction_stages, delta, 1, Some(stages))? {
-            if outcome.w_s >= w {
-                continue;
-            }
-            let gain = outcome.deviant_payoff - compliant_total;
-            if best.map_or(true, |(_, g)| gain > g) {
-                best = Some((outcome.w_s, gain));
-            }
-        }
-    }
-    // Upward deviations: the deviator's stage payoff drops immediately and
-    // stays no better after everyone is back at w; price one deviated stage.
-    let probe_ups: Vec<u32> = [w + 1, w.saturating_mul(2), game.w_max()]
-        .into_iter()
-        .filter(|&x| x > w && x <= game.w_max())
-        .collect();
-    for w_dev in probe_ups {
-        let stage = deviator_stage(game, w, w_dev)?;
-        let gain = t * (stage.deviator - at_w); // one stage of difference
+    let mut consider = |w_dev: u32, gain: f64| {
         if best.map_or(true, |(_, g)| gain > g) {
             best = Some((w_dev, gain));
         }
+    };
+    // Downward deviations w_s ∈ [1, w): full TFT-punishment pricing. The
+    // deviator enjoys `reaction_stages` stages at its own window, then
+    // everyone sits at w_s (the table's stage).
+    let m = reaction_stages as i32;
+    let head = (1.0 - delta.powi(m)) / (1.0 - delta);
+    let tail = delta.powi(m) / (1.0 - delta);
+    for ((w_s, &deviator), &after) in (1..w).zip(downward).zip(&stages[1..]) {
+        consider(w_s, t * (head * deviator + tail * after) - compliant_total);
+    }
+    // Upward deviations: the deviator's stage payoff drops immediately and
+    // stays no better after everyone is back at w; price one deviated stage.
+    for (w_dev, &deviator) in upward_probes(game, w).zip(upward) {
+        consider(w_dev, t * (deviator - at_w));
     }
     let is_ne = best.map_or(true, |(_, g)| g <= epsilon * compliant_total.abs().max(1.0));
     Ok(NeCheck { window: w, is_ne, best_deviation: best })
@@ -227,13 +260,16 @@ pub fn scan_ne_interval(
             game.w_max()
         )));
     }
+    // Every window of the range is in the strategy space, so one
+    // validation covers the whole scan.
+    validate_check(game, lo, reaction_stages, epsilon)?;
     // One bisection per window for the whole scan; every check then reads
     // its compliant and post-punishment stages from the shared table.
     let stages = symmetric_stage_table(game, hi, threads)?;
     let windows: Vec<u32> = (lo..=hi).collect();
     let checks: Vec<Result<NeCheck, GameError>> =
         rayon::map_in_order(windows, resolve_threads(threads), |w| {
-            check_symmetric_ne_staged(game, w, reaction_stages, epsilon, &stages)
+            check_symmetric_ne_staged(game, w, reaction_stages, epsilon, &stages, game.params())
         });
     checks.into_iter().collect()
 }
@@ -416,6 +452,8 @@ pub fn myopic_dynamics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use macgame_dcf::AccessMode;
+    use proptest::prelude::*;
 
     fn game(n: usize) -> GameConfig {
         GameConfig::builder(n).build().unwrap()
@@ -519,6 +557,103 @@ mod tests {
         assert!(check_symmetric_ne(&g, 0, 1, DEFAULT_NE_EPSILON).is_err());
         assert!(check_symmetric_ne(&g, g.w_max() + 1, 1, DEFAULT_NE_EPSILON).is_err());
         assert!(check_symmetric_ne(&g, 8, 1, -0.1).is_err());
+    }
+
+    fn config_error(result: Result<NeCheck, GameError>) -> String {
+        match result {
+            Err(GameError::InvalidConfig(message)) => message,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_reaction_lag_is_rejected_at_every_window() {
+        // Including W = 1, which has no downward deviation, and a
+        // negative-payoff window, which used to return before the lag
+        // was read.
+        let costly = GameConfig::builder(20)
+            .utility(macgame_dcf::UtilityParams { gain: 1.0, cost: 0.5 })
+            .build()
+            .unwrap();
+        for (g, w) in [(game(3), 1), (game(3), 2), (game(3), 33), (game(3), 1024), (costly, 1)] {
+            let message = config_error(check_symmetric_ne(&g, w, 0, DEFAULT_NE_EPSILON));
+            assert_eq!(message, "TFT reaction takes at least one stage", "W = {w}");
+            let caches = crate::queries::SolveCaches::with_capacity(16).unwrap();
+            let cache = caches.for_mode(g.params().access_mode());
+            let cached = check_symmetric_ne_cached(&g, w, 0, DEFAULT_NE_EPSILON, cache);
+            assert_eq!(config_error(cached), message);
+        }
+        let g = game(3);
+        assert!(scan_ne_interval(&g, 1, 1, 0, DEFAULT_NE_EPSILON, 1).is_err());
+    }
+
+    #[test]
+    fn validation_keeps_its_order() {
+        // ε first, then the window, then the lag.
+        let g = game(3);
+        let eps = config_error(check_symmetric_ne(&g, 0, 0, -1.0));
+        assert_eq!(eps, "epsilon must be non-negative");
+        let window = config_error(check_symmetric_ne(&g, 0, 0, 0.0));
+        assert_eq!(window, format!("window 0 outside strategy space [1, {}]", g.w_max()));
+    }
+
+    /// A game of `players` nodes under `mode` with strategy bound `w_max`.
+    fn cell_game(players: usize, rts: bool, w_max: u32) -> GameConfig {
+        let mode = if rts { AccessMode::RtsCts } else { AccessMode::Basic };
+        let params = DcfParams::builder().access_mode(mode).build().unwrap();
+        let mut builder = GameConfig::builder(players);
+        builder.params(params).w_max(w_max);
+        builder.build().unwrap()
+    }
+
+    /// A check as bits: equal vectors mean `to_bits`-equal gains.
+    fn check_bits(check: &Result<NeCheck, GameError>) -> Result<Vec<u64>, String> {
+        let check = check.as_ref().map_err(ToString::to_string)?;
+        let mut bits = vec![check.window.into(), check.is_ne.into()];
+        if let Some((w_dev, gain)) = check.best_deviation {
+            bits.extend([w_dev.into(), gain.to_bits()]);
+        }
+        Ok(bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The deviator-row memo is bit-transparent: a stream of cells
+        /// over a few `(n, W, mode)` rows, each asked under several
+        /// strategy bounds, lags and tolerances, through one shared
+        /// `SolveCaches` at capacities that evict on nearly every insert
+        /// (1, 3), often (16) or never (4096), checks exactly like the
+        /// uncached [`check_symmetric_ne`].
+        #[test]
+        fn deviator_row_memo_is_bit_transparent(
+            rows in prop::collection::vec((2usize..=16, 1u32..=160, 0u8..2), 1..4),
+            stream in prop::collection::vec((0usize..4, 0usize..4, 1u32..=3, 0u8..2), 1..10),
+        ) {
+            let cells: Vec<_> = stream
+                .iter()
+                .map(|&(row, bound, reaction_stages, tolerant)| {
+                    let (players, window, rts) = rows[row % rows.len()];
+                    let w_max = [window, window + 1, 2 * window, 1024][bound];
+                    let epsilon = if tolerant == 1 { DEFAULT_NE_EPSILON } else { 0.0 };
+                    (cell_game(players, rts == 1, w_max), window, reaction_stages, epsilon)
+                })
+                .collect();
+            let expected: Vec<_> = cells
+                .iter()
+                .map(|(g, w, r, eps)| check_bits(&check_symmetric_ne(g, *w, *r, *eps)))
+                .collect();
+            for capacity in [1, 3, 16, 4096] {
+                let caches = crate::queries::SolveCaches::with_capacity(capacity).unwrap();
+                for ((g, w, r, eps), want) in cells.iter().zip(&expected) {
+                    let cache = caches.for_mode(g.params().access_mode());
+                    let got = check_bits(&check_symmetric_ne_cached(g, *w, *r, *eps, cache));
+                    prop_assert_eq!(
+                        &got, want, "capacity {}, W = {}, w_max {}", capacity, w, g.w_max()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! because cached solutions are only valid for the parameter set they
 //! were computed under. Deviation and welfare stages read its class
 //! solutions; the `W_c*` and NE-interval searches and the robustness
-//! check's stage table read its `(n, W)` symmetric points. The
-//! robustness check's one-deviator sweep still solves afresh, and an EDCA
-//! query at burst length above 1 memoizes its stage solves in a fresh
-//! [`crate::edca::EdcaStageMemo`]. All of them are the one sharded cache
-//! type, [`macgame_dcf::cache::Memo`].
+//! check's stage table read its `(n, W)` symmetric points; the robustness
+//! check's one-deviator sweep reads its deviator rows, keyed by
+//! `(n, W, w_max, utility)`, so cells that differ only in reaction lag or
+//! ε share one sweep. An EDCA query at burst length above 1 memoizes its
+//! stage solves in a fresh [`crate::edca::EdcaStageMemo`]. All of them
+//! are the one sharded cache type, [`macgame_dcf::cache::Memo`].
 
 use macgame_dcf::cache::SolveCache;
 use macgame_dcf::fixedpoint::SolveOptions;

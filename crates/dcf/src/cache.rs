@@ -5,13 +5,15 @@
 //! # The memo
 //!
 //! [`Memo`] is the one cache container in the workspace. The store is
-//! split into up to 16 independently locked shards, each an `RwLock` over
-//! a `BTreeMap` plus a FIFO queue of insertion order, so concurrent
+//! split into up to 16 independently locked shards, so concurrent
 //! lookups from a batch-serving front end contend on a sixteenth of the
-//! key space instead of one global lock. A key's shard is picked by
-//! FNV-1a over its `Hash` output: deterministic across runs on one
-//! platform (unlike `std`'s seeded hasher), so shard assignment, and
-//! therefore per-shard eviction order, is reproducible. The first insert
+//! key space instead of one global lock. Each shard is an `RwLock` over
+//! its resident entries in insertion order, which is the FIFO eviction
+//! order, plus an index from key hash to position: every key is stored
+//! once, however long it is. A key's hash is FNV-1a over its `Hash`
+//! output: deterministic across runs on one platform (unlike `std`'s
+//! seeded hasher), so shard assignment, and therefore per-shard eviction
+//! order, is reproducible. The first insert
 //! of a key wins, so every caller observes one value per key; values are
 //! pure functions of their keys, so a hit is the value a fresh
 //! computation would return.
@@ -41,9 +43,15 @@
 //! and NE-interval searches of [`crate::optimal`] read it instead of
 //! bisecting each probed window afresh; a hit is the exact bits of that
 //! fresh computation.
+//!
+//! A third memo holds *deviator rows*: for `n` nodes sharing window `W`
+//! under a strategy bound `w_max` and a [`UtilityParams`], the deviator's
+//! stage utility for every unilateral deviation an ε-NE check prices.
+//! The caller supplies the computation ([`SolveCache::deviator_row`]); the
+//! memo only guarantees that a key is computed once while it stays
+//! resident, so a hit is again the exact bits of a fresh row.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -55,7 +63,7 @@ use crate::error::DcfError;
 use crate::fixedpoint::{solve_classes, Equilibrium, SolveOptions};
 use crate::optimal::SymmetricSource;
 use crate::params::DcfParams;
-use crate::utility::SymmetricSolution;
+use crate::utility::{SymmetricSolution, UtilityParams};
 
 /// Maximum number of independently locked shards in a [`Memo`]. Bounded
 /// memos with fewer than `MAX_SHARDS` entries use one shard per entry so
@@ -84,13 +92,32 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// One lock's worth of a [`Memo`]: the key → value map plus the FIFO
-/// insertion queue that drives eviction (empty and unmaintained when the
-/// memo is unbounded).
+/// FNV-1a of `key`'s `Hash` output.
+fn fnv1a<K: Hash + ?Sized>(key: &K) -> u64 {
+    let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
+    key.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// One lock's worth of a [`Memo`]. Entry `i` of `entries` has sequence
+/// number `first + i`; `index` holds `(hash, sequence number)` of every
+/// entry, so a lookup scans only the entries whose hash matches.
 #[derive(Debug)]
 struct Shard<K, V> {
-    map: BTreeMap<K, V>,
-    order: VecDeque<K>,
+    /// Resident `(hash, key, value)` in insertion order, oldest first.
+    entries: VecDeque<(u64, K, V)>,
+    first: u64,
+    index: BTreeSet<(u64, u64)>,
+}
+
+impl<K: Eq, V> Shard<K, V> {
+    /// The position in `entries` of `key`, whose hash is `hash`.
+    fn find(&self, hash: u64, key: &K) -> Option<usize> {
+        self.index
+            .range((hash, 0)..=(hash, u64::MAX))
+            .map(|&(_, seq)| (seq - self.first) as usize)
+            .find(|&i| self.entries[i].1 == *key)
+    }
 }
 
 /// A thread-safe, sharded key → value cache with an optional FIFO
@@ -107,7 +134,7 @@ pub struct Memo<K, V> {
     counts: [AtomicU64; 3],
 }
 
-impl<K: Ord + Hash + Clone, V: Clone> Memo<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
     /// Creates an empty memo holding at most `capacity` entries, counting
     /// on the telemetry counters `hits`, `misses` and `evictions`.
     ///
@@ -134,7 +161,9 @@ impl<K: Ord + Hash + Clone, V: Clone> Memo<K, V> {
             Some(c) => (MAX_SHARDS, Some(c / MAX_SHARDS)),
         };
         let shards = (0..shard_count)
-            .map(|_| RwLock::new(Shard { map: BTreeMap::new(), order: VecDeque::new() }))
+            .map(|_| {
+                RwLock::new(Shard { entries: VecDeque::new(), first: 0, index: BTreeSet::new() })
+            })
             .collect();
         Memo {
             shards,
@@ -144,10 +173,8 @@ impl<K: Ord + Hash + Clone, V: Clone> Memo<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
-        let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() % self.shards.len() as u64) as usize]
+    fn shard(&self, hash: u64) -> &RwLock<Shard<K, V>> {
+        &self.shards[(hash % self.shards.len() as u64) as usize]
     }
 
     /// Looks `key` up, counting one hit or one miss.
@@ -156,7 +183,9 @@ impl<K: Ord + Hash + Clone, V: Clone> Memo<K, V> {
         let found = if self.per_shard == Some(0) {
             None
         } else {
-            self.shard(key).read().expect("memo lock poisoned").map.get(key).cloned() // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+            let hash = fnv1a(key);
+            let shard = self.shard(hash).read().expect("memo lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+            shard.find(hash, key).map(|i| shard.entries[i].2.clone())
         };
         self.bump(if found.is_some() { HITS } else { MISSES });
         found
@@ -169,22 +198,20 @@ impl<K: Ord + Hash + Clone, V: Clone> Memo<K, V> {
         if self.per_shard == Some(0) {
             return value;
         }
-        let mut guard = self.shard(&key).write().expect("memo lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-        let Shard { map, order } = &mut *guard;
-        match map.entry(key) {
-            Entry::Occupied(resident) => return resident.get().clone(),
-            Entry::Vacant(slot) => {
-                if self.per_shard.is_some() {
-                    order.push_back(slot.key().clone());
-                }
-                slot.insert(value.clone());
-            }
+        let hash = fnv1a(&key);
+        let mut guard = self.shard(hash).write().expect("memo lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+        let shard = &mut *guard;
+        if let Some(i) = shard.find(hash, &key) {
+            return shard.entries[i].2.clone();
         }
-        // The queue holds exactly the resident keys in insertion order, so
-        // one insert overflows by at most one entry.
-        if self.per_shard.is_some_and(|bound| map.len() > bound) {
-            if let Some(victim) = order.pop_front() {
-                map.remove(&victim);
+        shard.index.insert((hash, shard.first + shard.entries.len() as u64));
+        shard.entries.push_back((hash, key, value.clone()));
+        // One insert overflows the bound by at most one entry: the oldest
+        // leaves.
+        if self.per_shard.is_some_and(|bound| shard.entries.len() > bound) {
+            if let Some((victim, _, _)) = shard.entries.pop_front() {
+                shard.index.remove(&(victim, shard.first));
+                shard.first += 1;
                 self.bump(EVICTIONS);
             }
         }
@@ -234,7 +261,7 @@ impl<K: Ord + Hash + Clone, V: Clone> Memo<K, V> {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().expect("memo lock poisoned").map.len()) // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+            .map(|s| s.read().expect("memo lock poisoned").entries.len()) // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
             .sum()
     }
 
@@ -266,17 +293,22 @@ pub fn canonicalize(windows: &[u32]) -> (Vec<u32>, Vec<usize>) {
     (sorted, perm)
 }
 
+/// Key of a deviator row: `(n, W, w_max, [gain, cost] bits)`.
+type RowKey = (usize, u32, u32, [u64; 2]);
+
 /// Shared profile → class-solution cache for one `(params, options)`
 /// pair, counting on the `dcf.cache.*` telemetry counters, plus the
 /// `(n, W)` → [`SymmetricSolution`] memo behind its [`SymmetricSource`]
-/// impl, counting on `dcf.cache.symmetric.*`. Wrap in an [`Arc`] to
-/// share across threads; all methods take `&self`.
+/// impl, counting on `dcf.cache.symmetric.*`, and the deviator-row memo
+/// of [`SolveCache::deviator_row`], counting on `dcf.cache.deviation.*`.
+/// Wrap in an [`Arc`] to share across threads; all methods take `&self`.
 #[derive(Debug)]
 pub struct SolveCache {
     params: DcfParams,
     options: SolveOptions,
     memo: Memo<ClassProfile, Arc<ClassEquilibrium>>,
     symmetric: Memo<(usize, u32), SymmetricSolution>,
+    rows: Memo<RowKey, Arc<[f64]>>,
 }
 
 impl SolveCache {
@@ -288,7 +320,8 @@ impl SolveCache {
     }
 
     /// Creates a cache holding at most `capacity` resident class
-    /// solutions and at most `capacity` symmetric points, with the bound
+    /// solutions, at most `capacity` symmetric points and at most
+    /// `capacity` deviator rows, with the bound
     /// semantics of [`Memo::new`]: `with_capacity(0)` is the no-op cache,
     /// where every lookup solves afresh. It measures the cold path while
     /// keeping the canonicalization and telemetry of the cache API.
@@ -305,7 +338,13 @@ impl SolveCache {
             "dcf.cache.symmetric.misses",
             "dcf.cache.symmetric.evictions",
         );
-        SolveCache { params, options, memo, symmetric }
+        let rows = Memo::new(
+            capacity,
+            "dcf.cache.deviation.hits",
+            "dcf.cache.deviation.misses",
+            "dcf.cache.deviation.evictions",
+        );
+        SolveCache { params, options, memo, symmetric, rows }
     }
 
     /// The DCF parameters every cached solution was computed under.
@@ -356,6 +395,27 @@ impl SolveCache {
             solve_classes(profile, &self.params, self.options).map(Arc::new)
         })
     }
+
+    /// The deviator row of `n` nodes on window `w` under strategy bound
+    /// `w_max` and `utility`, from the memo or, on a miss, from `make`.
+    /// `make` must compute that row under this cache's parameters and
+    /// nothing else: the key is `(n, w, w_max, utility)` and a hit
+    /// returns whatever the first resident `make` produced.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `make`'s error; nothing is stored then.
+    pub fn deviator_row<E>(
+        &self,
+        n: usize,
+        w: u32,
+        w_max: u32,
+        utility: &UtilityParams,
+        make: impl FnOnce() -> Result<Vec<f64>, E>,
+    ) -> Result<Arc<[f64]>, E> {
+        let key = (n, w, w_max, [utility.gain.to_bits(), utility.cost.to_bits()]);
+        self.rows.get_or_try_insert_with(&key, || make().map(Arc::from))
+    }
 }
 
 impl SymmetricSource for SolveCache {
@@ -374,6 +434,7 @@ impl SymmetricSource for SolveCache {
 mod tests {
     use super::*;
     use crate::fixedpoint::solve;
+    use std::collections::BTreeMap;
     use proptest::prelude::*;
 
     fn cache() -> SolveCache {
@@ -402,6 +463,10 @@ mod tests {
         ) {
             let capacity = CAPACITIES[capacity];
             let m = memo(capacity);
+            // Residency model: each shard a FIFO queue of at most
+            // `per_shard` keys, the shard picked by the key's hash.
+            let mut model: Vec<VecDeque<u32>> = vec![VecDeque::new(); m.shards.len()];
+            let shard_of = |key: &u32| (fnv1a(key) % m.shards.len() as u64) as usize;
             // The value each key got when it was last newly stored:
             // every insert offers a fresh value (its op index), so an
             // insert that returns its own value is exactly a new store.
@@ -409,16 +474,27 @@ mod tests {
             let (mut gets, mut new_stores) = (0u64, 0u64);
             for (i, &(op, key)) in ops.iter().enumerate() {
                 let value = i as u32;
+                let queue = &mut model[shard_of(&key)];
+                let modelled = queue.contains(&key);
                 if op == 0 {
                     gets += 1;
-                    if let Some(hit) = m.get(&key) {
+                    let hit = m.get(&key);
+                    prop_assert_eq!(hit.is_some(), modelled, "residency is per-shard FIFO");
+                    if let Some(hit) = hit {
                         prop_assert_eq!(Some(&hit), stored.get(&key), "hit is the first insert");
                     }
                 } else {
                     let resident = m.insert(key, value);
+                    if capacity != Some(0) && !modelled {
+                        queue.push_back(key);
+                        if m.per_shard.is_some_and(|bound| queue.len() > bound) {
+                            queue.pop_front();
+                        }
+                    }
                     if capacity == Some(0) {
                         prop_assert_eq!(resident, value);
                     } else if resident == value {
+                        prop_assert!(!modelled, "a resident key was stored again");
                         new_stores += 1;
                         stored.insert(key, value);
                     } else {

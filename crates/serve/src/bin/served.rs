@@ -6,7 +6,9 @@
 //! ```
 //!
 //! Options: `--threads N` (0 = auto from `MACGAME_THREADS`),
-//! `--reply-cache N`, `--solve-cache N` (entries; 0 = no-op cache).
+//! `--reply-cache N` (replies, split evenly across the five query kinds:
+//! `max(1, N / 5)` each), `--solve-cache N` (entries per memo and access
+//! mode); 0 = no-op cache.
 
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -15,7 +17,11 @@ use std::sync::Arc;
 use macgame_serve::{serve_stdio, serve_tcp, Engine, EngineConfig};
 
 const USAGE: &str = "usage: served [--tcp ADDR] [--threads N] [--reply-cache N] [--solve-cache N]
-  (no --tcp: serve framed JSON on stdin/stdout)";
+  (no --tcp: serve framed JSON on stdin/stdout)
+  --reply-cache N: replies kept, split evenly across the five query kinds
+                   (max(1, N/5) each; default 4096, 0 = no reply cache)
+  --solve-cache N: entries per solve-cache memo and access mode
+                   (default 4096, 0 = solve every point afresh)";
 
 struct Args {
     tcp: Option<String>,

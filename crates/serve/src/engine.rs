@@ -1,4 +1,4 @@
-//! The batch-query engine: coalescing, three-tier caching, deterministic
+//! The batch-query engine: coalescing, tiered caching, deterministic
 //! fan-out, reply assembly.
 //!
 //! # Pipeline (one batch)
@@ -6,14 +6,27 @@
 //! 1. **Key** every request by its query's canonical JSON.
 //! 2. **Coalesce**: duplicate keys collapse to one unit of work in
 //!    first-appearance order; every occurrence still gets its own reply.
-//! 3. **Route**: each unique key checks the reply cache, a [`Memo`]
-//!    counting on the `serve.cache.*` telemetry counters; misses are
-//!    evaluated through [`macgame_core::queries::evaluate_query`] (class
-//!    solves and symmetric points go through the per-mode sharded
-//!    `SolveCache`) with the fixed-chunk executor, then inserted into
-//!    the reply cache *sequentially in miss order* so eviction order is
+//! 3. **Route**: each unique key checks its query kind's reply cache,
+//!    one [`Memo`] per [`Query`] variant, all counting on the same
+//!    `serve.cache.*` telemetry counters; misses are evaluated through
+//!    [`macgame_core::queries::evaluate_query`] (class solves, symmetric
+//!    points and deviator rows go through the per-mode sharded
+//!    `SolveCache`) with the fixed-chunk executor, then inserted into the
+//!    reply caches *sequentially in miss order* so eviction order is
 //!    deterministic.
 //! 4. **Assemble** replies in request order.
+//!
+//! # Reply-cache tiers
+//!
+//! The kinds' key spaces differ by orders of magnitude: a `DeviationPayoff`
+//! price is keyed by six fields and rarely recurs, while the `W_c*`,
+//! NE-interval and EDCA grids are small and costly to recompute. In
+//! one shared FIFO the one-shot prices would flush the grids, so each kind
+//! evicts only its own entries. [`EngineConfig::reply_cache_capacity`] is
+//! split evenly: each kind holds at most `max(1, c / 5)` replies for a
+//! capacity `c > 0`, `5 · max(1, c / 5)` in total — at most `c` for
+//! `c ≥ 5`, and 5 for `c` in `1..=4`, so no kind is ever a no-op cache
+//! unless `c = 0`.
 //!
 //! # Determinism
 //!
@@ -42,10 +55,13 @@ pub struct EngineConfig {
     /// Worker threads for batch fan-out (`0` = auto from
     /// `MACGAME_THREADS`). Reply bytes do not depend on this.
     pub threads: usize,
-    /// Capacity of the query → result reply cache (`0` = no-op cache).
+    /// Capacity of the query → result reply cache, split evenly across
+    /// the five query kinds (`max(1, c / 5)` each; see the module docs;
+    /// `0` = no-op cache).
     pub reply_cache_capacity: usize,
-    /// Per-mode capacity of each of the `SolveCache`'s two memos, class
-    /// solutions and `(n, W)` symmetric points (`0` = no-op cache).
+    /// Per-mode capacity of each of the `SolveCache`'s three memos: class
+    /// solutions, `(n, W)` symmetric points and deviator rows (`0` =
+    /// no-op cache).
     pub solve_cache_capacity: usize,
 }
 
@@ -55,13 +71,27 @@ impl Default for EngineConfig {
     }
 }
 
+/// Number of query kinds, one reply cache each.
+const KINDS: usize = 5;
+
+/// The reply cache a query's answer lives in: one per [`Query`] variant.
+fn kind(query: &Query) -> usize {
+    match query {
+        Query::WcStar { .. } => 0,
+        Query::EdcaWcStar { .. } => 1,
+        Query::NeInterval { .. } => 2,
+        Query::DeviationPayoff { .. } => 3,
+        Query::RobustnessCell { .. } => 4,
+    }
+}
+
 /// A long-running query engine. Share one behind an [`Arc`] across all
 /// connections; all methods take `&self`.
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
     solve_caches: SolveCaches,
-    replies: Memo<String, Arc<QueryResult>>,
+    replies: [Memo<String, Arc<QueryResult>>; KINDS],
 }
 
 impl Engine {
@@ -71,23 +101,31 @@ impl Engine {
     ///
     /// Propagates parameter-validation failures from cache construction.
     pub fn new(config: EngineConfig) -> Result<Self, ServeError> {
+        let per_kind = match config.reply_cache_capacity {
+            0 => 0,
+            total => (total / KINDS).max(1),
+        };
         Ok(Engine {
             threads: config.threads,
             solve_caches: SolveCaches::with_capacity(config.solve_cache_capacity)?,
-            replies: Memo::new(
-                Some(config.reply_cache_capacity),
-                "serve.cache.hits",
-                "serve.cache.misses",
-                "serve.cache.evictions",
-            ),
+            replies: std::array::from_fn(|_| {
+                Memo::new(
+                    Some(per_kind),
+                    "serve.cache.hits",
+                    "serve.cache.misses",
+                    "serve.cache.evictions",
+                )
+            }),
         })
     }
 
-    /// The query → result reply cache, keyed by canonical query JSON and
-    /// exposed for telemetry and tests.
+    /// Aggregate `(hits, misses, evictions)` of the reply caches across
+    /// all query kinds: the totals of the `serve.cache.*` counters.
     #[must_use]
-    pub fn reply_cache(&self) -> &Memo<String, Arc<QueryResult>> {
-        &self.replies
+    pub fn reply_counters(&self) -> (u64, u64, u64) {
+        self.replies.iter().fold((0, 0, 0), |(h, m, e), memo| {
+            (h + memo.hits(), m + memo.misses(), e + memo.evictions())
+        })
     }
 
     /// Evaluates one batch, returning one reply per request in request
@@ -101,13 +139,13 @@ impl Engine {
         // Coalesce: canonical key → index into `unique`, first appearance
         // fixes the order.
         let mut key_to_unique: BTreeMap<String, usize> = BTreeMap::new();
-        let mut unique: Vec<(String, Query)> = Vec::new();
+        let mut unique: Vec<(String, &Query)> = Vec::new();
         let mut request_slots: Vec<Result<usize, ServeError>> = Vec::with_capacity(requests.len());
         for request in requests {
             match serde_json::to_string(&request.query) {
                 Ok(key) => {
                     let slot = *key_to_unique.entry(key.clone()).or_insert_with(|| {
-                        unique.push((key, request.query.clone()));
+                        unique.push((key, &request.query));
                         unique.len() - 1
                     });
                     request_slots.push(Ok(slot));
@@ -120,19 +158,22 @@ impl Engine {
 
         // Route uniques through the reply cache; evaluate the misses with
         // the fixed-chunk executor.
-        let mut resolved: Vec<Option<Result<Arc<QueryResult>, GameError>>> =
-            unique.iter().map(|(key, _)| self.replies.get(key).map(Ok)).collect();
+        let mut resolved: Vec<Option<Result<Arc<QueryResult>, GameError>>> = unique
+            .iter()
+            .map(|(key, query)| self.replies[kind(query)].get(key).map(Ok))
+            .collect();
         let miss_indices: Vec<usize> =
             (0..unique.len()).filter(|&i| resolved[i].is_none()).collect();
         let evaluated: Vec<Result<QueryResult, GameError>> =
             map_chunked(miss_indices.clone(), self.threads, |&i| {
-                evaluate_query(&unique[i].1, &self.solve_caches)
+                evaluate_query(unique[i].1, &self.solve_caches)
             });
         // Insert sequentially in miss order: deterministic eviction.
         for (&i, outcome) in miss_indices.iter().zip(evaluated) {
             let outcome = outcome.map(Arc::new);
             if let Ok(value) = &outcome {
-                self.replies.insert(unique[i].0.clone(), Arc::clone(value));
+                let (key, query) = &unique[i];
+                self.replies[kind(query)].insert(key.clone(), Arc::clone(value));
             }
             resolved[i] = Some(outcome);
         }
@@ -245,7 +286,7 @@ mod tests {
         // All eight requests collapse to one unit of work; the reply
         // cache saw one miss for the unique key, and the class solves
         // behind it went through the sharded solve cache.
-        assert_eq!(e.reply_cache().misses(), 1);
+        assert_eq!(e.reply_counters().1, 1);
         assert!(misses > 0);
         let Reply::Ok { result: first, .. } = &replies[0] else { panic!("expected Ok") };
         for reply in &replies[1..] {
@@ -290,10 +331,11 @@ mod tests {
         let requests: Vec<Request> =
             (0..4).map(|i| Request { id: i, query: wc(5 + i as usize) }).collect();
         let cold = e.handle_batch(&requests);
-        let misses_after_cold = e.reply_cache().misses();
+        let (_, misses_after_cold, _) = e.reply_counters();
         let hot = e.handle_batch(&requests);
-        assert_eq!(e.reply_cache().misses(), misses_after_cold, "hot batch must not miss");
-        assert_eq!(e.reply_cache().hits(), 4);
+        let (hits, misses, _) = e.reply_counters();
+        assert_eq!(misses, misses_after_cold, "hot batch must not miss");
+        assert_eq!(hits, 4);
         assert_eq!(cold, hot, "hits are bitwise-identical to fresh evaluations");
     }
 }

@@ -5,9 +5,10 @@
 //! class aggregation), but consumers had to link the workspace and call
 //! Rust APIs in-process. This crate turns the solver into a *service*:
 //! length-prefix-framed JSON batches arrive on stdin/stdout or a TCP
-//! socket, duplicate queries coalesce, results flow through a sharded
-//! three-tier cache (query → result here; class profile → solution and
-//! `(n, W)` → symmetric point in `dcf`), and replies stream back **in
+//! socket, duplicate queries coalesce, results flow through sharded
+//! caches in two tiers (query → result here, one cache per query kind;
+//! class profile → solution, `(n, W)` → symmetric point and deviator
+//! rows in `dcf`), and replies stream back **in
 //! request order with bytes
 //! invariant under `MACGAME_THREADS`** — so the conformance harness
 //! gates the service path like every other layer.
@@ -19,9 +20,10 @@
 //! * [`protocol`] — request/reply envelopes over
 //!   [`macgame_core::queries::Query`] / `QueryResult`.
 //! * [`executor`] — fixed-chunk fan-out (the `dcf::parallel` discipline).
-//! * [`engine`] — coalescing, the query → result reply cache (a
-//!   `dcf::cache::Memo` keyed by canonical query JSON, `serve.cache.*`
-//!   telemetry), routing, deterministic reply assembly.
+//! * [`engine`] — coalescing, the query → result reply caches (one
+//!   `dcf::cache::Memo` per query kind, keyed by canonical query JSON,
+//!   all on the `serve.cache.*` telemetry), routing, deterministic reply
+//!   assembly.
 //! * [`transport`] — connection loops: any `Read + Write`, stdio, TCP.
 //! * [`harness`] — the in-process `ServeHarness` client every test,
 //!   conformance claim, and benchmark drives the engine through.

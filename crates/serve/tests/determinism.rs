@@ -122,7 +122,7 @@ fn coalesced_replies_are_bitwise_equal_to_fresh_solves() {
 
     let coalescing = ServeHarness::new().unwrap();
     let replies = coalescing.query_batch(&duplicated).unwrap();
-    assert_eq!(coalescing.engine().reply_cache().misses(), unique.len() as u64);
+    assert_eq!(coalescing.engine().reply_counters().1, unique.len() as u64);
 
     let fresh = ServeHarness::new().unwrap();
     let reference = fresh.query_batch(&unique).unwrap();
@@ -247,6 +247,77 @@ fn warm_symmetric_memo_serves_searches_without_bisecting() {
     assert_eq!(counts.counter("dcf.solver.bisections"), 0);
     assert_eq!(counts.counter("dcf.cache.symmetric.misses"), 0);
     assert!(counts.counter("dcf.cache.symmetric.hits") > 0);
+}
+
+#[test]
+fn reply_bytes_do_not_depend_on_the_reply_cache_capacity() {
+    let _exclusive = exclusive();
+    // 2000 queries of all five kinds; every fifth re-asks an earlier one,
+    // so hits, per-kind evictions and re-evaluations all occur.
+    let mut fresh = seeded_stream(33, 1600).into_iter();
+    let mut stream: Vec<Query> = Vec::with_capacity(2000);
+    for i in 0..2000 {
+        let query = if i % 5 == 4 { stream[(i * 7919) % i].clone() } else { fresh.next().unwrap() };
+        stream.push(query);
+    }
+    let mut wire = Vec::new();
+    for frame in stream.chunks(64) {
+        wire.extend(ServeHarness::encode_batch(frame).unwrap());
+    }
+    let replies = |reply_cache_capacity: usize| {
+        let config = EngineConfig { reply_cache_capacity, ..EngineConfig::default() };
+        let harness = ServeHarness::with_config(config).unwrap();
+        let bytes = harness.roundtrip_raw(&wire).unwrap();
+        (bytes, harness.engine().reply_counters())
+    };
+    let (uncached, (hits, _, _)) = replies(0);
+    assert_eq!(hits, 0, "capacity 0 is the no-op cache");
+    let decoded = ServeHarness::decode_replies(&uncached).unwrap();
+    assert_eq!(decoded.len(), stream.len());
+    assert!(decoded.iter().all(|reply| matches!(reply, Reply::Ok { .. })));
+    // Capacities 1 and 5 give every kind one slot and evict on nearly
+    // every insert; 4096 splits into 819 per kind.
+    for capacity in [1, 5, 4096] {
+        let (bytes, (hits, _, evictions)) = replies(capacity);
+        assert!(hits > 0, "capacity {capacity}: the re-asks must hit");
+        if capacity < 4096 {
+            assert!(evictions > 0, "capacity {capacity} must evict");
+        }
+        assert!(bytes == uncached, "reply bytes diverged at capacity {capacity}");
+    }
+}
+
+#[test]
+fn one_shot_prices_do_not_flush_the_wc_star_replies() {
+    let _exclusive = exclusive();
+    let harness = ServeHarness::new().unwrap();
+    let frame: Vec<Query> = (2..18)
+        .map(|players| Query::WcStar { players, mode: AccessMode::Basic, w_max: 512 })
+        .collect();
+    let first = harness.reply_bytes(&frame).unwrap();
+    // More distinct deviation prices than the whole reply-cache bound.
+    let prices: Vec<Query> = [0.0, 0.25, 0.5, 0.75, 0.9]
+        .into_iter()
+        .flat_map(|delta_s| {
+            (1..1000).map(move |w_dev| Query::DeviationPayoff {
+                players: 5,
+                mode: AccessMode::Basic,
+                w_star: 1000,
+                w_dev,
+                reaction_stages: 1,
+                delta_s,
+            })
+        })
+        .collect();
+    assert!(prices.len() > EngineConfig::default().reply_cache_capacity);
+    for batch in prices.chunks(256) {
+        harness.reply_bytes(batch).unwrap();
+    }
+    let (_, misses_before, _) = harness.engine().reply_counters();
+    let replay = harness.reply_bytes(&frame).unwrap();
+    let (_, misses_after, _) = harness.engine().reply_counters();
+    assert_eq!(misses_after - misses_before, 0, "the WcStar replies were evicted");
+    assert_eq!(replay, first);
 }
 
 fn gcd(a: usize, b: usize) -> usize {
