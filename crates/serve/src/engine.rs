@@ -231,7 +231,7 @@ impl Engine {
     }
 
     /// Serializes one reply payload. Infallible by construction: every
-    /// reply type serializes through the vendored tree model.
+    /// reply type serializes through the vendored writer, which cannot fail.
     fn encode_reply(reply: &Reply) -> Vec<u8> {
         serde_json::to_string(reply)
             .expect("replies contain no unserializable values") // PANIC-POLICY: Reply is a closed type whose fields all serialize (programmer-error guard)

@@ -148,3 +148,20 @@ fn bad_queries_inside_a_valid_batch_do_not_poison_neighbors() {
     assert_eq!(error.kind, ErrorKind::Evaluation);
     assert!(replies[1].is_ok());
 }
+
+#[test]
+fn invalid_surrogate_pairs_are_malformed_json() {
+    // The escape sits in a key the schema ignores, so only the string
+    // decoder can reject the frame; the next frame is still served.
+    let h = harness();
+    let mut wire = Vec::new();
+    write_frame(&mut wire, br#"{"requests":[],"\udbff\u0041":0}"#).unwrap();
+    wire.extend_from_slice(&ServeHarness::encode_batch(&valid_queries()).unwrap());
+    let replies = assert_all_replies_parse(&h.roundtrip_raw(&wire).unwrap());
+    assert_eq!(replies.len(), 1 + valid_queries().len());
+    let Reply::Error { id, error } = &replies[0] else { panic!("expected an error reply") };
+    assert_eq!(*id, None);
+    assert_eq!(error.kind, ErrorKind::MalformedJson);
+    assert_eq!(error.message, "invalid surrogate pair");
+    assert!(replies[1..].iter().all(Reply::is_ok));
+}

@@ -15,6 +15,11 @@ cargo test -q
 echo "==> cargo test -q --release --workspace"
 cargo test -q --release --workspace
 
+# The release steps run without overflow checks; the wire crates parse
+# client bytes, so their tests also run in the debug profile.
+echo "==> wire crates' tests in the debug profile (overflow checks on)"
+cargo test -q -p serde -p serde_json -p macgame-serve
+
 echo "==> determinism tests on the serial path (MACGAME_THREADS=1)"
 MACGAME_THREADS=1 cargo test -q --release -p macgame-core --test determinism
 
