@@ -145,7 +145,7 @@ pub fn symmetric_stage_cached(
 
 /// Stage utility rates for every window in `1..=hi`, indexed by window
 /// (slot 0 is `NaN`, never read). [`crate::equilibrium::scan_ne_interval`]
-/// threads this table through its checks so each window's bisection runs
+/// threads this table through its checks so each window's root search runs
 /// once per scan instead of once per (window, deviation) pair — without
 /// it the symmetric stages dominate the scan's cost.
 ///
@@ -231,8 +231,9 @@ impl DeviationOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`GameError::InvalidConfig`] for a zero reaction lag or an
-/// out-of-range discount; propagates solver failures.
+/// Returns [`GameError::InvalidConfig`] for a reaction lag of zero or
+/// above `i32::MAX`, or an out-of-range discount; propagates solver
+/// failures.
 pub fn shortsighted_deviation(
     game: &GameConfig,
     w_star: u32,
@@ -249,7 +250,22 @@ pub fn shortsighted_deviation(
     let during = deviator_stage(game, w_star, w_s)?;
     let after = symmetric_stage(game, w_s)?;
     let at_star = symmetric_stage(game, w_star)?;
-    Ok(price_deviation(game, w_s, reaction_stages, delta_s, during, after, at_star))
+    price_deviation(game, w_s, reaction_stages, delta_s, during, after, at_star)
+}
+
+/// The Section V.D split of a discounted payoff at a TFT reaction lag of
+/// `m = reaction_stages`: `head = (1 − δ^m)/(1 − δ)` weighs the `m` stages
+/// before the reaction and `tail = δ^m/(1 − δ)` every stage after it.
+///
+/// # Errors
+///
+/// Returns [`GameError::InvalidConfig`] if the lag exceeds `i32::MAX`, the
+/// largest exponent `powi` takes.
+pub(crate) fn discount_split(delta: f64, reaction_stages: u32) -> Result<(f64, f64), GameError> {
+    let m = i32::try_from(reaction_stages).map_err(|_| {
+        GameError::InvalidConfig("TFT reaction lag must be at most 2147483647 stages".into())
+    })?;
+    Ok(((1.0 - delta.powi(m)) / (1.0 - delta), delta.powi(m) / (1.0 - delta)))
 }
 
 /// Discounted-payoff pricing shared by the direct and cache-routed
@@ -263,23 +279,21 @@ fn price_deviation(
     during: DeviatorStage,
     after: f64,
     at_star: f64,
-) -> DeviationOutcome {
+) -> Result<DeviationOutcome, GameError> {
     let t = game.stage_duration().value();
-    let m = reaction_stages as i32;
-    let head = (1.0 - delta_s.powi(m)) / (1.0 - delta_s);
-    let tail = delta_s.powi(m) / (1.0 - delta_s);
+    let (head, tail) = discount_split(delta_s, reaction_stages)?;
 
     let deviant_payoff = t * (head * during.deviator + tail * after);
     let compliant_payoff = t * at_star / (1.0 - delta_s);
     let victim_payoff = t * (head * during.compliant + tail * after);
-    DeviationOutcome {
+    Ok(DeviationOutcome {
         w_s,
         delta_s,
         reaction_stages,
         deviant_payoff,
         compliant_payoff,
         victim_payoff,
-    }
+    })
 }
 
 /// [`shortsighted_deviation`] with every stage solve routed through a
@@ -311,7 +325,7 @@ pub fn shortsighted_deviation_cached(
     let during = deviator_stage_cached(game, w_star, w_s, cache)?;
     let after = symmetric_stage_cached(game, w_s, cache)?;
     let at_star = symmetric_stage_cached(game, w_star, cache)?;
-    Ok(price_deviation(game, w_s, reaction_stages, delta_s, during, after, at_star))
+    price_deviation(game, w_s, reaction_stages, delta_s, during, after, at_star)
 }
 
 /// Evaluates every downward deviation `w_s ∈ [1, w_star]` in one batch,
@@ -323,7 +337,7 @@ pub fn shortsighted_deviation_cached(
 /// from its neighbor's solution, and fixed-size chunks are fanned out over
 /// `threads` workers (`0` = auto from `MACGAME_THREADS`; results are
 /// bitwise-identical for every thread count). The symmetric "after" stages
-/// ride the guaranteed bisection path and are fanned out the same way.
+/// ride the guaranteed symmetric root search and are fanned out the same way.
 ///
 /// # Errors
 ///
@@ -350,12 +364,10 @@ pub fn deviation_sweep(
     }
     let t = game.stage_duration().value();
     // Compliant and post-punishment stages: everyone on one window
-    // (bisection, cheap).
+    // (one symmetric root search each, cheap).
     let stages = symmetric_stage_table(game, w_star, threads)?;
     let at_star = stages[w_star as usize];
-    let m = reaction_stages as i32;
-    let head = (1.0 - delta_s.powi(m)) / (1.0 - delta_s);
-    let tail = delta_s.powi(m) / (1.0 - delta_s);
+    let (head, tail) = discount_split(delta_s, reaction_stages)?;
     let compliant_payoff = t * at_star / (1.0 - delta_s);
 
     // One deviator against the W* crowd, for every w_s: warm-chained.

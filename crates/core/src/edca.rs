@@ -22,7 +22,7 @@ use macgame_dcf::fixedpoint::SolveOptions;
 use macgame_dcf::{edca_utilities, solve_edca, EdcaProfile, EdcaTuple};
 use serde::{Deserialize, Serialize};
 
-use crate::deviation::DeviatorStage;
+use crate::deviation::{discount_split, DeviatorStage};
 use crate::error::GameError;
 use crate::game::GameConfig;
 
@@ -386,8 +386,9 @@ pub struct EdcaPlaneCell {
 ///
 /// # Errors
 ///
-/// Returns [`GameError::InvalidConfig`] for a zero reaction lag, an
-/// out-of-range discount, or an empty grid axis; propagates solver and
+/// Returns [`GameError::InvalidConfig`] for a reaction lag of zero or
+/// above `i32::MAX`, an out-of-range discount, or an empty grid axis;
+/// propagates solver and
 /// tuple-validation failures.
 #[allow(clippy::too_many_arguments)]
 pub fn edca_plane_ne(
@@ -409,10 +410,7 @@ pub fn edca_plane_ne(
         return Err(GameError::InvalidConfig("the deviation plane needs both axes".into()));
     }
     let t = game.stage_duration().value();
-    let m = i32::try_from(reaction_stages)
-        .map_err(|_| GameError::InvalidConfig("reaction lag out of range".into()))?;
-    let head = (1.0 - delta_s.powi(m)) / (1.0 - delta_s);
-    let tail = delta_s.powi(m) / (1.0 - delta_s);
+    let (head, tail) = discount_split(delta_s, reaction_stages)?;
     let at_star = edca_symmetric_stage(game, sym, memo)?;
     let compliant_payoff = t * at_star / (1.0 - delta_s);
     let mut cells = Vec::with_capacity(cw_mins.len() * txops.len());

@@ -17,7 +17,7 @@ use macgame_dcf::DcfParams;
 use serde::{Deserialize, Serialize};
 
 use crate::deviation::{
-    check_cache_params, deviator_row, symmetric_stage, symmetric_stage_table,
+    check_cache_params, deviator_row, discount_split, symmetric_stage, symmetric_stage_table,
     symmetric_stage_table_in, upward_probes,
 };
 use crate::error::GameError;
@@ -102,8 +102,9 @@ pub const DEFAULT_NE_EPSILON: f64 = 1e-5;
 /// # Errors
 ///
 /// Returns [`GameError::InvalidConfig`] for a negative `epsilon`, `w`
-/// outside the strategy space or a zero `reaction_stages`, in that order
-/// and before any solve; propagates solver failures.
+/// outside the strategy space or a `reaction_stages` of zero or above
+/// `i32::MAX`, in that order and before any solve; propagates solver
+/// failures.
 pub fn check_symmetric_ne(
     game: &GameConfig,
     w: u32,
@@ -150,8 +151,8 @@ impl CheckSource for SolveCache {
 }
 
 /// Rejects a check's inputs before anything is solved: a negative
-/// `epsilon`, then `w` outside the strategy space, then a zero reaction
-/// lag.
+/// `epsilon`, then `w` outside the strategy space, then a reaction lag of
+/// zero or above `i32::MAX`.
 fn validate_check(
     game: &GameConfig,
     w: u32,
@@ -170,6 +171,7 @@ fn validate_check(
     if reaction_stages == 0 {
         return Err(GameError::InvalidConfig("TFT reaction takes at least one stage".into()));
     }
+    discount_split(game.discount(), reaction_stages)?;
     Ok(())
 }
 
@@ -220,9 +222,7 @@ fn check_symmetric_ne_staged<S: CheckSource + ?Sized>(
     // Downward deviations w_s ∈ [1, w): full TFT-punishment pricing. The
     // deviator enjoys `reaction_stages` stages at its own window, then
     // everyone sits at w_s (the table's stage).
-    let m = reaction_stages as i32;
-    let head = (1.0 - delta.powi(m)) / (1.0 - delta);
-    let tail = delta.powi(m) / (1.0 - delta);
+    let (head, tail) = discount_split(delta, reaction_stages)?;
     for ((w_s, &deviator), &after) in (1..w).zip(downward).zip(&stages[1..]) {
         consider(w_s, t * (head * deviator + tail * after) - compliant_total);
     }
@@ -263,7 +263,7 @@ pub fn scan_ne_interval(
     // Every window of the range is in the strategy space, so one
     // validation covers the whole scan.
     validate_check(game, lo, reaction_stages, epsilon)?;
-    // One bisection per window for the whole scan; every check then reads
+    // One root search per window for the whole scan; every check then reads
     // its compliant and post-punishment stages from the shared table.
     let stages = symmetric_stage_table(game, hi, threads)?;
     let windows: Vec<u32> = (lo..=hi).collect();

@@ -137,13 +137,17 @@ impl GameConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`GameError::InvalidConfig`] if there are no players, the
+    /// Returns [`GameError::InvalidConfig`] if there are no players or more
+    /// than `i32::MAX` (the exponent of the model's `(1−τ)^{n−1}`), the
     /// discount factor is outside `[0, 1)`, the strategy space is empty, or
     /// the stage duration is zero.
     pub fn build(&self) -> Result<GameConfig, GameError> {
         let c = &self.config;
         if c.players == 0 {
             return Err(GameError::InvalidConfig("need at least one player".into()));
+        }
+        if i32::try_from(c.players).is_err() {
+            return Err(GameError::InvalidConfig("at most 2147483647 players".into()));
         }
         if !(0.0..1.0).contains(&c.discount) {
             return Err(GameError::InvalidConfig("discount factor must be in [0, 1)".into()));

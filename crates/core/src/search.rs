@@ -20,7 +20,7 @@ use macgame_sim::{Engine, SimConfig};
 use macgame_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
-use crate::deviation::{deviator_stage, symmetric_stage};
+use crate::deviation::{deviator_stage, discount_split, symmetric_stage};
 use crate::error::GameError;
 use crate::game::GameConfig;
 
@@ -258,7 +258,8 @@ impl LyingOutcome {
 ///
 /// # Errors
 ///
-/// Propagates solver failures.
+/// Returns [`GameError::InvalidConfig`] for a `reaction_stages` above
+/// `i32::MAX`; propagates solver failures.
 pub fn lying_broadcast(
     game: &GameConfig,
     w_star: u32,
@@ -268,9 +269,7 @@ pub fn lying_broadcast(
 ) -> Result<LyingOutcome, GameError> {
     let t = game.stage_duration().value();
     let delta = game.discount();
-    let m = reaction_stages as i32;
-    let head = (1.0 - delta.powi(m)) / (1.0 - delta);
-    let tail = delta.powi(m) / (1.0 - delta);
+    let (head, tail) = discount_split(delta, reaction_stages)?;
 
     let during = if w_lie == w_self {
         symmetric_stage(game, w_lie)?

@@ -29,6 +29,9 @@ fn invalid_cells_solve_nothing_and_insert_nothing() {
         // A zero reaction lag, at W = 1 as at every other window.
         cell(16, 1, 0, DEFAULT_NE_EPSILON),
         cell(16, 64, 0, DEFAULT_NE_EPSILON),
+        // A lag past the `i32` exponent of `δ^m`.
+        cell(16, 64, 1 << 31, DEFAULT_NE_EPSILON),
+        cell(16, 64, u32::MAX, DEFAULT_NE_EPSILON),
     ];
     let recorder = Arc::new(CollectingRecorder::new());
     telemetry::set_recorder(recorder.clone());

@@ -38,7 +38,7 @@
 //!
 //! A second memo keys the homogeneous point of `n` nodes on window `W` by
 //! `(n, W)`: the [`SymmetricSolution`] that
-//! [`crate::fixedpoint::solve_symmetric`]'s bisection and the slot
+//! [`crate::fixedpoint::solve_symmetric`]'s root search and the slot
 //! statistics give. Through [`SymmetricSource`], the `W_c*`, break-even
 //! and NE-interval searches of [`crate::optimal`] read it instead of
 //! bisecting each probed window afresh; a hit is the exact bits of that

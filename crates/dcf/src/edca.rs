@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::classes::ClassProfile;
 use crate::error::DcfError;
-use crate::fixedpoint::{solve_classes, SolveOptions};
+use crate::fixedpoint::{couple, iterate_sweeps, solve_classes, SolveOptions, SweepTelemetry};
 use crate::markov::transmission_probability;
 use crate::params::DcfParams;
 use crate::units::MicroSecs;
@@ -51,11 +51,6 @@ pub const MAX_AIFS: u32 = 64;
 
 /// Largest accepted TXOP burst length (frames per opportunity).
 pub const MAX_TXOP: u32 = 64;
-
-/// Residual threshold below which the solver hands the undamped map to
-/// Anderson extrapolation (same two-phase discipline as the scalar
-/// solver).
-const ACCEL_THRESHOLD: f64 = 1e-3;
 
 /// Cap on the bisection steps for the idle-root `q`. A bracket that
 /// settles earlier stops there, with the same root.
@@ -337,6 +332,8 @@ impl EdcaEquilibrium {
 /// whose midpoint rounds onto an endpoint: that step's update leaves the
 /// bracket unchanged or collapses it, so every later step of the 64-step
 /// cap would repeat it and the root is bitwise the same as running them.
+/// With every defer zero the equation is not really in `q`;
+/// [`edca_coupling`] takes the all-idle product directly instead.
 fn idle_root(taus: &[f64], defers: &[u32], counts: &[usize]) -> f64 {
     let rhs = |q: f64| -> f64 {
         let log: f64 = taus
@@ -350,12 +347,6 @@ fn idle_root(taus: &[f64], defers: &[u32], counts: &[usize]) -> f64 {
             .sum();
         log.exp()
     };
-    // All defers zero ⇒ the equation is not really in q: return the
-    // all-idle product directly (this also makes the degenerate idle
-    // root bitwise equal to the scalar model's).
-    if defers.iter().all(|&d| d == 0) {
-        return rhs(1.0);
-    }
     let mut lo = 0.0f64;
     let mut hi = 1.0f64;
     for _ in 0..IDLE_ROOT_BISECTIONS {
@@ -373,134 +364,73 @@ fn idle_root(taus: &[f64], defers: &[u32], counts: &[usize]) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// One evaluation of the coupled EDCA map at a `τ` vector: the idle root,
-/// the thinned rates, and the per-class conditional collision
-/// probabilities over the thinned slot process.
+/// One evaluation of the coupled EDCA map at a `τ` vector: returns the
+/// idle root and fills `thinned` with the thinned rates and
+/// `collision_probs` with the per-class conditional collision
+/// probabilities over the thinned slot process (`logs` is scratch).
 fn edca_coupling(
     taus: &[f64],
     defers: &[u32],
     counts: &[usize],
-) -> (f64, Vec<f64>, Vec<f64>) {
+    thinned: &mut [f64],
+    logs: &mut [f64],
+    collision_probs: &mut [f64],
+) -> f64 {
+    if defers.iter().all(|&d| d == 0) {
+        // The equation is not really in `q`: every `τ_c·q⁰` is `τ_c`, and
+        // `q` is the all-idle product, whose log `couple` sums over the
+        // thinned rates (which makes the degenerate idle root bitwise the
+        // scalar model's). The iterates are never negative, so clamping
+        // them changes no `ln(1−τ_c)` term (a `τ_c ≥ 1` gives the same
+        // floor either way).
+        for (out, &t) in thinned.iter_mut().zip(taus) {
+            *out = t.clamp(0.0, 1.0);
+        }
+        return couple(thinned, counts, logs, collision_probs).exp();
+    }
     let q = idle_root(taus, defers, counts);
-    let thinned: Vec<f64> =
-        taus.iter().zip(defers).map(|(&t, &d)| (t * q.powi(d as i32)).clamp(0.0, 1.0)).collect();
-    let total_log: f64 = thinned
-        .iter()
-        .zip(counts)
-        .map(|(&t, &c)| (c as f64) * (1.0 - t).max(f64::MIN_POSITIVE).ln())
-        .sum();
-    let collision_probs: Vec<f64> = thinned
-        .iter()
-        .map(|&t| {
-            let others = (total_log - (1.0 - t).max(f64::MIN_POSITIVE).ln()).exp();
-            (1.0 - others).clamp(0.0, 1.0)
-        })
-        .collect();
-    (q, thinned, collision_probs)
+    for ((out, &t), &d) in thinned.iter_mut().zip(taus).zip(defers) {
+        *out = (t * q.powi(d as i32)).clamp(0.0, 1.0);
+    }
+    couple(thinned, counts, logs, collision_probs);
+    q
 }
 
-/// The shared two-phase iteration (damped approach, then Anderson(1)
-/// secant acceleration near the fixed point), the EDCA analog of the
-/// scalar solver's `iterate_fixed_point` — identical discipline, with the
-/// idle-root/thinning coupling evaluated inside every sweep.
-#[allow(clippy::too_many_lines)]
+const EDCA_SWEEPS: SweepTelemetry = SweepTelemetry {
+    iterations: "dcf.edca.iterations",
+    damped: "dcf.edca.sweeps.damped",
+    accelerated: "dcf.edca.sweeps.accelerated",
+    failures: "dcf.edca.failures",
+    residual: None,
+};
+
+/// The EDCA class iteration: one [`iterate_sweeps`] run over the map
+/// `τ_c ← τ(W_c, p_c, m_c)`, with the idle-root/thinning coupling
+/// evaluated inside every sweep.
 fn iterate_edca(
     tuples: &[EdcaTuple],
     counts: &[usize],
     options: SolveOptions,
-    mut taus: Vec<f64>,
+    taus: Vec<f64>,
 ) -> Result<EdcaEquilibrium, DcfError> {
     let k = tuples.len();
     // PANIC-POLICY: internal callers always pass a tuple per count.
     assert_eq!(counts.len(), k, "need one count per class");
     let min_aifs = tuples.iter().map(|t| t.aifs).min().unwrap_or(0);
     let defers: Vec<u32> = tuples.iter().map(|t| t.aifs - min_aifs).collect();
-    let mut damped_sweeps: u64 = 0;
-    let mut accel_sweeps: u64 = 0;
-    let mut residual = f64::INFINITY;
-    let mut allow_accel = options.accelerate;
-    let mut accel = false;
-    let mut prev_raw = f64::INFINITY;
-    let mut hist: Option<(Vec<f64>, Vec<f64>)> = None;
-    for iter in 0..options.max_iterations {
-        residual = 0.0;
-        let mut raw = 0.0f64;
-        let (_, _, collision_probs) = edca_coupling(&taus, &defers, counts);
-        let mut sweep = Vec::with_capacity(k);
-        for ((tuple, &tau), &p) in tuples.iter().zip(&taus).zip(&collision_probs) {
-            let tau_new = transmission_probability(tuple.cw_min, p, tuple.stage_cap)?;
-            raw = raw.max((tau_new - tau).abs());
-            sweep.push(tau_new);
+    let mut thinned = vec![0.0; k];
+    let mut logs = vec![0.0; k];
+    let mut collision_probs = vec![0.0; k];
+    let (taus, iterations) = iterate_sweeps(counts, options, taus, &EDCA_SWEEPS, |taus, sweep| {
+        edca_coupling(taus, &defers, counts, &mut thinned, &mut logs, &mut collision_probs);
+        for ((tau_new, tuple), &p) in sweep.iter_mut().zip(tuples).zip(&collision_probs) {
+            *tau_new = transmission_probability(tuple.cw_min, p, tuple.stage_cap)?;
         }
-        if accel && raw > prev_raw {
-            allow_accel = false;
-            accel = false;
-            hist = None;
-        } else if allow_accel && raw < ACCEL_THRESHOLD {
-            accel = true;
-        }
-        prev_raw = raw;
-        if accel {
-            accel_sweeps += 1;
-        } else {
-            damped_sweeps += 1;
-        }
-        let next: Vec<f64> = if accel {
-            let step = match &hist {
-                Some((prev_x, prev_g)) => {
-                    let mut num = 0.0f64;
-                    let mut den = 0.0f64;
-                    for i in 0..k {
-                        let wc = counts[i] as f64;
-                        let f = sweep[i] - taus[i];
-                        let df = f - (prev_g[i] - prev_x[i]);
-                        num += wc * f * df;
-                        den += wc * df * df;
-                    }
-                    let beta = if den > 0.0 { num / den } else { 0.0 };
-                    if beta.is_finite() && beta.abs() <= 5.0 {
-                        Some(
-                            (0..k)
-                                .map(|i| {
-                                    (sweep[i] - beta * (sweep[i] - prev_g[i])).clamp(0.0, 1.0)
-                                })
-                                .collect::<Vec<f64>>(),
-                        )
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            };
-            hist = Some((taus.clone(), sweep.clone()));
-            step.unwrap_or(sweep)
-        } else {
-            hist = None;
-            taus.iter()
-                .zip(&sweep)
-                .map(|(&tau, &tau_new)| (1.0 - options.damping) * tau + options.damping * tau_new)
-                .collect()
-        };
-        for (new, old) in next.iter().zip(&taus) {
-            residual = residual.max((new - old).abs());
-        }
-        taus = next;
-        if residual < options.tolerance || raw < options.tolerance {
-            telemetry::counter("dcf.edca.iterations", iter as u64 + 1);
-            telemetry::counter("dcf.edca.sweeps.damped", damped_sweeps);
-            telemetry::counter("dcf.edca.sweeps.accelerated", accel_sweeps);
-            let (q, thinned, collision_probs) = edca_coupling(&taus, &defers, counts);
-            return Ok(EdcaEquilibrium {
-                taus,
-                thinned_taus: thinned,
-                collision_probs,
-                idle_root: q,
-                iterations: iter + 1,
-            });
-        }
-    }
-    telemetry::counter("dcf.edca.failures", 1);
-    Err(DcfError::did_not_converge(options.max_iterations, residual))
+        Ok(())
+    })?;
+    let idle_root =
+        edca_coupling(&taus, &defers, counts, &mut thinned, &mut logs, &mut collision_probs);
+    Ok(EdcaEquilibrium { taus, thinned_taus: thinned, collision_probs, idle_root, iterations })
 }
 
 /// Cold-start seed for the EDCA iteration: the zero-collision attempt
@@ -538,13 +468,8 @@ pub fn solve_edca(
         let windows: Vec<u32> = profile.tuples.iter().map(|t| t.cw_min).collect();
         let classes = ClassProfile::new(windows, profile.counts.clone())?;
         let eq = solve_classes(&classes, params, options)?;
-        let counts = profile.counts();
-        let total_log: f64 = eq
-            .taus
-            .iter()
-            .zip(counts)
-            .map(|(&t, &c)| (c as f64) * (1.0 - t).max(f64::MIN_POSITIVE).ln())
-            .sum();
+        let k = eq.taus.len();
+        let total_log = couple(&eq.taus, profile.counts(), &mut vec![0.0; k], &mut vec![0.0; k]);
         return Ok(EdcaEquilibrium {
             thinned_taus: eq.taus.clone(),
             taus: eq.taus,
@@ -940,7 +865,7 @@ mod tests {
         assert!(solve_edca_dense(&[], &p, SolveOptions::default()).is_err());
     }
 
-    /// The fixed 64-step loop `idle_root` ran before it stopped at the
+    /// The fixed 64-step bisection that `idle_root` cuts short at the
     /// bracket's fixed point.
     fn idle_root_64_steps(taus: &[f64], defers: &[u32], counts: &[usize]) -> f64 {
         let rhs = |q: f64| -> f64 {
@@ -955,9 +880,6 @@ mod tests {
                 .sum();
             log.exp()
         };
-        if defers.iter().all(|&d| d == 0) {
-            return rhs(1.0);
-        }
         let (mut lo, mut hi) = (0.0f64, 1.0f64);
         for _ in 0..64 {
             let mid = 0.5 * (lo + hi);

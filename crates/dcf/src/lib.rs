@@ -11,8 +11,8 @@
 //!   as a function of `W_i` and the conditional collision probability
 //!   `p_i`, paper Eq. (2));
 //! * [`fixedpoint`] — the coupled `2n`-equation system linking all nodes
-//!   (paper Eq. (3)), with a guaranteed bisection path for symmetric
-//!   profiles, a damped, warm-startable iteration for arbitrary ones, and
+//!   (paper Eq. (3)), with a guaranteed bracketing root search for
+//!   symmetric profiles, a damped, warm-startable iteration for arbitrary ones, and
 //!   a fallback ladder ([`solve_robust`]) that degrades from the
 //!   accelerated solver through a damped retry to a guaranteed bisection
 //!   safe mode before ever reporting non-convergence;

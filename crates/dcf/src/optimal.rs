@@ -22,7 +22,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::DcfError;
-use crate::fixedpoint::{solve_symmetric, SymmetricPoint};
+use crate::fixedpoint::{node_exponent, solve_symmetric, SymmetricPoint};
 use crate::params::DcfParams;
 use crate::utility::{symmetric_node_utility, SymmetricSolution, UtilityParams};
 
@@ -37,10 +37,11 @@ pub const DEFAULT_W_MAX: u32 = 4096;
 ///
 /// # Panics
 ///
-/// Panics if `n < 2` or `τ ∉ [0, 1]`.
+/// Panics if `n < 2`, `n > i32::MAX` or `τ ∉ [0, 1]`.
 #[must_use]
 pub fn q_function(tau: f64, n: usize, params: &DcfParams) -> f64 {
     assert!(n >= 2, "the symmetric optimum needs at least two contenders"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    assert!(i32::try_from(n).is_ok(), "n must fit the i32 exponent"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
     assert!((0.0..=1.0).contains(&tau), "τ must be in [0, 1]"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
     let sigma = params.sigma().value();
     let tc = params.timings().collision_time.value();
@@ -65,13 +66,18 @@ pub fn q_function(tau: f64, n: usize, params: &DcfParams) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`DcfError::InvalidParameter`] if `n < 2`.
+/// Returns [`DcfError::InvalidParameter`] if `n < 2` or `n > i32::MAX`
+/// (the exponent of `(1−τ)^n` is an `i32`).
 pub fn optimal_tau(n: usize, params: &DcfParams) -> Result<f64, DcfError> {
     if n < 2 {
         return Err(DcfError::invalid("n", "need at least two contenders"));
     }
+    node_exponent(n)?;
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    // Stops at the bracket's fixed point, as `solve_symmetric` does.
+    // Stops at the bracket's fixed point: once `mid` rounds onto an
+    // endpoint, every later step repeats this one. `Q` cancels in
+    // `n·τ + idle − 1`, so its computed sign is not provably monotone and
+    // the flip-point search of `solve_symmetric` does not apply.
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
         let settled = mid == lo || mid == hi;

@@ -45,7 +45,6 @@ pub fn slot_stats(taus: &[f64], params: &DcfParams) -> SlotStats {
         "transmission probabilities must be in [0, 1]"
     );
     let all_idle: f64 = taus.iter().map(|&t| 1.0 - t).product();
-    let p_transmit = 1.0 - all_idle;
     // `single = Σ_i τ_i·Π_{j≠i}(1−τ_j)`. Inside a run of bitwise-equal
     // consecutive `τ`, every member's product multiplies the same factor
     // values in the same order, so it is taken once per run; the terms
@@ -62,6 +61,34 @@ pub fn slot_stats(taus: &[f64], params: &DcfParams) -> SlotStats {
             taus[start..start + len].iter().map(move |&ti| ti * others)
         })
         .sum();
+    stats_from(all_idle, single, params)
+}
+
+/// [`slot_stats`] of the homogeneous profile of `n` nodes at `tau`,
+/// without building it: the same products and sum, over
+/// `repeat(·).take(·)` instead of the `n`-entry vector (one run of equal
+/// `τ`), so bit-for-bit `slot_stats(&vec![tau; n], params)`.
+///
+/// # Panics
+///
+/// Panics if `n == 0` or `tau ∉ [0, 1]`, as [`slot_stats`] does.
+#[must_use]
+pub(crate) fn homogeneous_slot_stats(tau: f64, n: usize, params: &DcfParams) -> SlotStats {
+    assert!(n > 0, "need at least one node"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+        (0.0..=1.0).contains(&tau),
+        "transmission probabilities must be in [0, 1]"
+    );
+    let all_idle: f64 = std::iter::repeat(1.0 - tau).take(n).product();
+    let others: f64 = std::iter::repeat(1.0 - tau).take(n - 1).product();
+    let single: f64 = std::iter::repeat(tau * others).take(n).sum();
+    stats_from(all_idle, single, params)
+}
+
+/// The slot statistics from the all-idle probability and the
+/// single-transmitter sum `Σ_i τ_i·Π_{j≠i}(1−τ_j)`.
+fn stats_from(all_idle: f64, single: f64, params: &DcfParams) -> SlotStats {
+    let p_transmit = 1.0 - all_idle;
     let p_success = if p_transmit > 0.0 { (single / p_transmit).clamp(0.0, 1.0) } else { 0.0 };
     let t = params.timings();
     let mean_slot = (1.0 - p_transmit) * params.sigma()

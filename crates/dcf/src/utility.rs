@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fixedpoint::SymmetricPoint;
 use crate::params::DcfParams;
-use crate::throughput::{slot_stats, SlotStats};
+use crate::throughput::{homogeneous_slot_stats, slot_stats, SlotStats};
 use crate::units::MicroSecs;
 
 /// Gain/cost parameters of the utility function.
@@ -91,7 +91,9 @@ pub struct SymmetricSolution {
 }
 
 impl SymmetricSolution {
-    /// Pairs `point` with its slot statistics under `params`.
+    /// Pairs `point` with its slot statistics under `params`. They are
+    /// bit-for-bit those of the homogeneous profile, computed without
+    /// allocating it; the time is still O(n).
     ///
     /// # Panics
     ///
@@ -99,7 +101,7 @@ impl SymmetricSolution {
     /// [`slot_stats`]).
     #[must_use]
     pub fn new(point: SymmetricPoint, params: &DcfParams) -> Self {
-        SymmetricSolution { point, stats: slot_stats(&vec![point.tau; point.n], params) }
+        SymmetricSolution { point, stats: homogeneous_slot_stats(point.tau, point.n, params) }
     }
 
     /// Each node's utility rate (per µs) at this point.

@@ -11,7 +11,9 @@ use macgame_dcf::fixedpoint::{solve_symmetric, SymmetricPoint};
 use macgame_dcf::markov::transmission_probability;
 use macgame_dcf::optimal::{efficient_cw, optimal_tau, q_function};
 use macgame_dcf::throughput::{slot_stats, SlotStats};
-use macgame_dcf::utility::{all_utilities, node_utility, symmetric_node_utility};
+use macgame_dcf::utility::{
+    all_utilities, node_utility, symmetric_node_utility, SymmetricSolution,
+};
 use macgame_dcf::{AccessMode, DcfError, DcfParams, UtilityParams};
 
 /// The solver corner grid: populations, windows and backoff stages.
@@ -295,6 +297,20 @@ fn symmetric_node_utility_is_node_zero_of_the_homogeneous_profile() {
 }
 
 #[test]
+fn symmetric_solution_stats_are_bitwise_those_of_the_profile() {
+    let p = DcfParams::default();
+    for n in GRID_N {
+        let roots = [1, 31, 1 << 16].map(|w| solve_symmetric(n, w, &p).unwrap().tau);
+        for tau in roots.into_iter().chain([0.0, 1.0, 0.5]) {
+            let point = SymmetricPoint { n, window: 1, tau, collision_prob: 0.0 };
+            let got = SymmetricSolution::new(point, &p).stats;
+            let want = slot_stats(&vec![tau; n], &p);
+            assert_stats_bits(&got, &want, &[tau]);
+        }
+    }
+}
+
+#[test]
 fn solve_symmetric_is_bitwise_the_200_step_bisection() {
     for m in GRID_M {
         let p = params(AccessMode::Basic, m);
@@ -316,6 +332,60 @@ fn solve_symmetric_is_bitwise_the_200_step_bisection() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn solve_symmetric_is_bitwise_the_200_step_bisection_on_random_cases() {
+    let mut rng = Rng(0xF11);
+    let params: Vec<DcfParams> = (0..=10).map(|m| params(AccessMode::Basic, m)).collect();
+    let mut cases: Vec<(usize, u32, u32)> = Vec::new();
+    // Populations just under the `i32` exponent bound, and the constant
+    // family W = 1, m = 0, where τ(1, p) = 1 for every p.
+    for n in [i32::MAX as usize - 1, i32::MAX as usize] {
+        for w in [1, 2, 31, 1 << 16] {
+            cases.push((n, w, rng.below(11) as u32));
+        }
+    }
+    for n in [2, 3, 10, 1_000_000] {
+        cases.push((n, 1, 0));
+    }
+    for _ in 0..20_000 {
+        let n = match rng.below(4) {
+            0 => 2 + rng.below(8),
+            1 => 2 + rng.below(3_000),
+            2 => 2 + rng.below(1 << 20),
+            _ => 2 + rng.below(i32::MAX as usize - 1),
+        };
+        let w = match rng.below(3) {
+            0 => 1 + rng.below(16) as u32,
+            1 => 1 + rng.below(1024) as u32,
+            _ => 1 + rng.below(1 << 16) as u32,
+        };
+        cases.push((n, w, rng.below(11) as u32));
+    }
+    for (n, w, m) in cases {
+        let p = &params[m as usize];
+        let got = solve_symmetric(n, w, p).unwrap();
+        let want = solve_symmetric_200_steps(n, w, p).unwrap();
+        assert_eq!(got.tau.to_bits(), want.tau.to_bits(), "τ at n={n} W={w} m={m}");
+        assert_eq!(
+            got.collision_prob.to_bits(),
+            want.collision_prob.to_bits(),
+            "p at n={n} W={w} m={m}"
+        );
+    }
+}
+
+#[test]
+fn solve_symmetric_rejects_populations_past_the_exponent_bound() {
+    let p = DcfParams::default();
+    assert!(solve_symmetric(i32::MAX as usize, 32, &p).is_ok());
+    for n in [i32::MAX as usize + 1, i32::MAX as usize + 2, usize::MAX] {
+        let err = solve_symmetric(n, 32, &p).unwrap_err();
+        assert!(matches!(err, DcfError::InvalidParameter { name: "n", .. }), "n={n}: {err:?}");
+        let err = optimal_tau(n, &p).unwrap_err();
+        assert!(matches!(err, DcfError::InvalidParameter { name: "n", .. }), "n={n}: {err:?}");
     }
 }
 

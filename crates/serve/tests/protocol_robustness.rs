@@ -165,3 +165,58 @@ fn invalid_surrogate_pairs_are_malformed_json() {
     assert_eq!(error.message, "invalid surrogate pair");
     assert!(replies[1..].iter().all(Reply::is_ok));
 }
+
+#[test]
+fn reaction_lags_past_the_i32_exponent_are_evaluation_errors() {
+    // `δ^m` takes an `i32` exponent: a lag of 2^31 stages used to wrap to
+    // a negative power (`0^−2^31 = ∞`) and come back as null payoffs.
+    let h = harness();
+    let lags = [1u32 << 31, 3_000_000_000, u32::MAX];
+    let queries: Vec<Query> = lags
+        .iter()
+        .flat_map(|&reaction_stages| {
+            [
+                Query::DeviationPayoff {
+                    players: 5,
+                    mode: AccessMode::Basic,
+                    w_star: 76,
+                    w_dev: 20,
+                    reaction_stages,
+                    delta_s: 0.0,
+                },
+                Query::RobustnessCell {
+                    players: 5,
+                    mode: AccessMode::Basic,
+                    window: 76,
+                    reaction_stages,
+                    epsilon: 1e-3,
+                },
+            ]
+        })
+        .collect();
+    let mut wire = ServeHarness::encode_batch(&queries).unwrap();
+    wire.extend_from_slice(&ServeHarness::encode_batch(&valid_queries()).unwrap());
+    let replies = assert_all_replies_parse(&h.roundtrip_raw(&wire).unwrap());
+    assert_eq!(replies.len(), queries.len() + valid_queries().len());
+    for reply in &replies[..queries.len()] {
+        let Reply::Error { error, .. } = reply else { panic!("expected an error, got {reply:?}") };
+        assert_eq!(error.kind, ErrorKind::Evaluation);
+        assert!(error.message.contains("reaction lag"), "{}", error.message);
+    }
+    assert!(replies[queries.len()..].iter().all(Reply::is_ok), "the next frame is served");
+}
+
+#[test]
+fn populations_past_the_i32_exponent_are_evaluation_errors() {
+    let h = harness();
+    let players = i32::MAX as usize + 1;
+    let queries = vec![
+        Query::WcStar { players, mode: AccessMode::Basic, w_max: 256 },
+        Query::NeInterval { players, mode: AccessMode::Basic, w_max: 256 },
+    ];
+    let replies = h.query_batch(&queries).unwrap();
+    for reply in &replies {
+        let Reply::Error { error, .. } = reply else { panic!("expected an error, got {reply:?}") };
+        assert_eq!(error.kind, ErrorKind::Evaluation);
+    }
+}
