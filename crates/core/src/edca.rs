@@ -19,6 +19,7 @@
 
 use macgame_dcf::cache::Memo;
 use macgame_dcf::fixedpoint::SolveOptions;
+use macgame_dcf::markov::MAX_CW;
 use macgame_dcf::{edca_utilities, solve_edca, EdcaProfile, EdcaTuple};
 use serde::{Deserialize, Serialize};
 
@@ -298,8 +299,9 @@ pub fn edca_best_response(
 /// maximizing window and the per-node stage utility rate (per µs) there.
 ///
 /// Uses the same exponential-bracket / ternary-cut / local-sweep search as
-/// the scalar optimizer: the symmetric utility is unimodal in `W` for any
-/// fixed burst length (the burst only rescales the success term).
+/// the scalar optimizer, over the same `1..=min(w_max, MAX_CW)`: the
+/// symmetric utility is unimodal in `W` for any fixed burst length (the
+/// burst only rescales the success term).
 ///
 /// # Errors
 ///
@@ -311,7 +313,8 @@ pub fn edca_wc_star(
     memo: &EdcaStageMemo,
 ) -> Result<(u32, f64), GameError> {
     let m = game.params().max_backoff_stage();
-    let w_max = game.w_max();
+    // No window past MAX_CW has an operating point.
+    let w_max = game.w_max().min(MAX_CW);
     let u_at = |w: u32| -> Result<f64, GameError> {
         edca_symmetric_stage(game, EdcaTuple::new(w, m, 0, txop)?, memo)
     };
@@ -581,6 +584,18 @@ mod tests {
         assert!(u4 > u1, "{u4} vs {u1}");
         assert!(w4 >= 1);
         assert!(edca_wc_star(&g, 0, &memo).is_err());
+    }
+
+    #[test]
+    fn wc_star_search_stops_at_the_largest_window() {
+        // As the scalar search: a bound past MAX_CW answers as MAX_CW.
+        let at = |w_max: u32| {
+            let mut builder = GameConfig::builder(50_000);
+            builder.w_max(w_max);
+            let (w, u) = edca_wc_star(&builder.build().unwrap(), 2, &edca_stage_memo()).unwrap();
+            (w, u.to_bits())
+        };
+        assert_eq!(at(u32::MAX), at(MAX_CW));
     }
 
     #[test]

@@ -35,14 +35,14 @@ pub fn efficient_ne(game: &GameConfig) -> Result<EfficientNe, GameError> {
     Ok(optimal::efficient_cw(game.player_count(), game.params(), game.utility(), game.w_max())?)
 }
 
-/// [`efficient_ne`] with its symmetric points drawn from `cache`'s
-/// `(n, W)` memo: bitwise the same result.
+/// [`efficient_ne`] read from `cache`'s `W_c*` memo, whose misses search
+/// over its `(n, W)` memo: bitwise the same result.
 pub(crate) fn efficient_ne_cached(
     game: &GameConfig,
     cache: &SolveCache,
 ) -> Result<EfficientNe, GameError> {
     check_cache_params(game, cache)?;
-    Ok(optimal::efficient_cw_in(cache, game.player_count(), game.utility(), game.w_max())?)
+    Ok(cache.efficient_cw(game.player_count(), game.utility(), game.w_max())?)
 }
 
 /// The Theorem 2 interval `[W_c⁰, W_c*]` of symmetric NE.
@@ -54,8 +54,9 @@ pub fn ne_interval(game: &GameConfig) -> Result<NeInterval, GameError> {
     Ok(optimal::ne_interval(game.player_count(), game.params(), game.utility(), game.w_max())?)
 }
 
-/// [`ne_interval`] with its symmetric points drawn from `cache`'s
-/// `(n, W)` memo: bitwise the same result.
+/// [`ne_interval`] with its `W_c*` read from `cache`'s `W_c*` memo and
+/// its break-even points from `cache`'s `(n, W)` memo: bitwise the same
+/// result.
 pub(crate) fn ne_interval_cached(
     game: &GameConfig,
     cache: &SolveCache,
@@ -114,9 +115,9 @@ pub fn check_symmetric_ne(
     check_symmetric_ne_in(game, w, reaction_stages, epsilon, game.params())
 }
 
-/// [`check_symmetric_ne`] with its stage table filled from `cache`'s
-/// `(n, W)` memo and its deviator row from `cache`'s row memo: bitwise
-/// the same check.
+/// [`check_symmetric_ne`] with its stage table read from `cache`'s
+/// stage-column memo and its deviator row from `cache`'s row memo:
+/// bitwise the same check.
 pub(crate) fn check_symmetric_ne_cached(
     game: &GameConfig,
     w: u32,
@@ -128,21 +129,33 @@ pub(crate) fn check_symmetric_ne_cached(
     check_symmetric_ne_in(game, w, reaction_stages, epsilon, cache)
 }
 
-/// Where an ε-NE check reads its symmetric points and its
-/// [`deviator_row`]: computed afresh from the game's [`DcfParams`], or
-/// memoized in a [`SolveCache`] bound to them. Both give the same bits.
-pub(crate) trait CheckSource: SymmetricSource + Sync {
+/// Where an ε-NE check reads its stage table and its [`deviator_row`]:
+/// computed afresh from the game's [`DcfParams`], or memoized in a
+/// [`SolveCache`] bound to them. Both give the same bits.
+pub(crate) trait CheckSource {
+    /// A symmetric stage table of `game` covering at least `1..=w`,
+    /// indexed by window (slot 0 never read).
+    fn stages(&self, game: &GameConfig, w: u32) -> Result<Arc<[f64]>, GameError>;
+
     /// The [`deviator_row`] of `game` at the common window `w`.
     fn row(&self, game: &GameConfig, w: u32) -> Result<Arc<[f64]>, GameError>;
 }
 
 impl CheckSource for DcfParams {
+    fn stages(&self, game: &GameConfig, w: u32) -> Result<Arc<[f64]>, GameError> {
+        Ok(symmetric_stage_table_in(game, w, 1, self)?.into())
+    }
+
     fn row(&self, game: &GameConfig, w: u32) -> Result<Arc<[f64]>, GameError> {
         Ok(deviator_row(game, w)?.into())
     }
 }
 
 impl CheckSource for SolveCache {
+    fn stages(&self, game: &GameConfig, w: u32) -> Result<Arc<[f64]>, GameError> {
+        Ok(self.stage_column(game.player_count(), w, game.w_max(), game.utility())?)
+    }
+
     fn row(&self, game: &GameConfig, w: u32) -> Result<Arc<[f64]>, GameError> {
         self.deviator_row(game.player_count(), w, game.w_max(), game.utility(), || {
             deviator_row(game, w)
@@ -187,7 +200,7 @@ fn check_symmetric_ne_in<S: CheckSource + ?Sized>(
     source: &S,
 ) -> Result<NeCheck, GameError> {
     validate_check(game, w, reaction_stages, epsilon)?;
-    let stages = symmetric_stage_table_in(game, w, 1, source)?;
+    let stages = source.stages(game, w)?;
     check_symmetric_ne_staged(game, w, reaction_stages, epsilon, &stages, source)
 }
 
@@ -652,6 +665,101 @@ mod tests {
                         &got, want, "capacity {}, W = {}, w_max {}", capacity, w, g.w_max()
                     );
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The stage-column memo is bit-transparent: cells over a few
+        /// populations (n in 2..=40, either mode) at W in 1..=300, each
+        /// under the default utility or one whose smallest windows pay
+        /// less than nothing (W < W_c⁰), check through `SolveCaches` of
+        /// capacity 0, 1 and 4096 exactly like the uncached
+        /// [`check_symmetric_ne`], first in stream order (misses) and then
+        /// in reverse (hits where resident).
+        #[test]
+        fn stage_column_memo_is_bit_transparent(
+            populations in prop::collection::vec((2usize..=40, 0u8..2), 1..3),
+            cells in prop::collection::vec((0usize..2, 1u32..=300, 0u8..2, 0u32..12), 1..6),
+        ) {
+            let cells: Vec<_> = cells
+                .iter()
+                .map(|&(population, window, costly, pricing)| {
+                    let (players, rts) = populations[population % populations.len()];
+                    let (reaction_stages, tolerance) = (1 + pricing % 4, pricing as usize / 4);
+                    let mut game = cell_game(players, rts == 1, optimal::DEFAULT_W_MAX);
+                    if costly == 1 {
+                        let mut builder = GameConfig::builder(players);
+                        builder
+                            .params(*game.params())
+                            .utility(macgame_dcf::UtilityParams { gain: 1.0, cost: 0.5 });
+                        game = builder.build().unwrap();
+                    }
+                    (game, window, reaction_stages, [0.0, DEFAULT_NE_EPSILON, 1e-2][tolerance])
+                })
+                .collect();
+            let expected: Vec<_> = cells
+                .iter()
+                .map(|(g, w, r, eps)| check_bits(&check_symmetric_ne(g, *w, *r, *eps)))
+                .collect();
+            for capacity in [0, 1, 4096] {
+                let caches = crate::queries::SolveCaches::with_capacity(capacity).unwrap();
+                let order = (0..cells.len()).chain((0..cells.len()).rev());
+                for i in order {
+                    let (g, w, r, eps) = &cells[i];
+                    let cache = caches.for_mode(g.params().access_mode());
+                    let got = check_bits(&check_symmetric_ne_cached(g, *w, *r, *eps, cache));
+                    prop_assert_eq!(&got, &expected[i], "capacity {}, cell {}", capacity, i);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_searches_match_fresh_ones_bitwise() {
+        // A `W_c*` memo hit (and the NE interval read through it) is the
+        // bits of a fresh search, `tau_star` included, for the lone-node
+        // case, both modes, a `w_max` that caps the search and a costly
+        // utility, through one cache that holds them all.
+        let bits = |ne: &EfficientNe| {
+            [f64::from(ne.window), ne.point.tau, ne.point.collision_prob, ne.utility, ne.tau_star]
+                .map(f64::to_bits)
+        };
+        let caches = crate::queries::SolveCaches::with_capacity(4096).unwrap();
+        // The last four share n = 50: any key field dropped would mix them.
+        let setups = [
+            (1, false, 4096, 0.0),
+            (5, false, 4096, 0.0),
+            (20, true, 4096, 0.0),
+            (50, false, 100, 0.0),
+            (50, false, 4096, 0.0),
+            (50, false, 4096, 0.5),
+            (50, false, 100, 0.5),
+        ];
+        for (players, rts, w_max, cost) in setups {
+            let mut g = cell_game(players, rts, w_max);
+            if cost > 0.0 {
+                let mut builder = GameConfig::builder(players);
+                builder
+                    .params(*g.params())
+                    .w_max(w_max)
+                    .utility(macgame_dcf::UtilityParams { gain: 1.0, cost });
+                g = builder.build().unwrap();
+            }
+            let cache = caches.for_mode(g.params().access_mode());
+            let fresh = efficient_ne(&g).unwrap();
+            let interval = ne_interval(&g);
+            for pass in 0..2 {
+                let cached = efficient_ne_cached(&g, cache).unwrap();
+                assert_eq!(bits(&cached), bits(&fresh), "n = {players}, pass {pass}");
+                let cached_interval = ne_interval_cached(&g, cache);
+                assert_eq!(
+                    cached_interval.as_ref().map_err(ToString::to_string),
+                    interval.as_ref().map_err(ToString::to_string),
+                    "n = {players}, pass {pass}"
+                );
             }
         }
     }

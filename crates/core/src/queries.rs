@@ -17,11 +17,13 @@
 //! ([`SolveCaches`]) — one capacity-bounded cache per [`AccessMode`],
 //! because cached solutions are only valid for the parameter set they
 //! were computed under. Deviation and welfare stages read its class
-//! solutions; the `W_c*` and NE-interval searches and the robustness
-//! check's stage table read its `(n, W)` symmetric points; the robustness
-//! check's one-deviator sweep reads its deviator rows, keyed by
-//! `(n, W, w_max, utility)`, so cells that differ only in reaction lag or
-//! ε share one sweep. An EDCA query at burst length above 1 memoizes its
+//! solutions; the `W_c*` and NE-interval searches read its `W_c*` memo,
+//! keyed by `(n, w_max, utility)`, whose misses search its `(n, W)`
+//! symmetric points; the robustness check's stage table reads its stage
+//! columns, keyed by `(n, cover, utility)` with `cover` the window
+//! rounded up to a power of two; and the check's one-deviator sweep reads
+//! its deviator rows, keyed by `(n, W, w_max, utility)`, so cells that
+//! differ only in reaction lag or ε share one sweep. An EDCA query at burst length above 1 memoizes its
 //! stage solves in a fresh [`crate::edca::EdcaStageMemo`]. All of them
 //! are the one sharded cache type, [`macgame_dcf::cache::Memo`].
 
@@ -39,7 +41,8 @@ use crate::game::GameConfig;
 /// One typed analytic query, the unit of the serve-layer batch protocol.
 ///
 /// All variants are fully specified — there are no defaulted fields — so
-/// a query's canonical JSON doubles as its cache/coalescing key.
+/// a query's fields, with each `f64` taken as its bits, serve as its
+/// cache/coalescing key.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Query {
     /// The efficient symmetric NE window `W_c*` (paper Section V.B) for

@@ -50,6 +50,15 @@
 //! The caller supplies the computation ([`SolveCache::deviator_row`]); the
 //! memo only guarantees that a key is computed once while it stays
 //! resident, so a hit is again the exact bits of a fresh row.
+//!
+//! Two more memos hold whole answers read off the symmetric points. The
+//! `W_c*` memo keys [`SymmetricSource::efficient_cw`] by
+//! `(n, w_max, utility)`, so a `W_c*` or NE-interval search runs once per
+//! key. The stage-column memo ([`SolveCache::stage_column`]) keys the
+//! symmetric stage utilities of windows `1..=cover` by
+//! `(n, cover, utility)`, where `cover` rounds the requested window up to
+//! a power of two: every ε-NE check at a window up to `cover` reads the
+//! same column. Each entry is the search's or the points' own bits.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -61,7 +70,7 @@ use macgame_telemetry as telemetry;
 use crate::classes::{ClassEquilibrium, ClassProfile};
 use crate::error::DcfError;
 use crate::fixedpoint::{solve_classes, Equilibrium, SolveOptions};
-use crate::optimal::SymmetricSource;
+use crate::optimal::{search_efficient_cw, EfficientNe, SymmetricSource};
 use crate::params::DcfParams;
 use crate::utility::{SymmetricSolution, UtilityParams};
 
@@ -296,11 +305,23 @@ pub fn canonicalize(windows: &[u32]) -> (Vec<u32>, Vec<usize>) {
 /// Key of a deviator row: `(n, W, w_max, [gain, cost] bits)`.
 type RowKey = (usize, u32, u32, [u64; 2]);
 
+/// Key of a `W_c*` answer `(n, w_max, [gain, cost] bits)`, or of a stage
+/// column `(n, cover, [gain, cost] bits)`.
+type WindowKey = (usize, u32, [u64; 2]);
+
+/// The memo key of a [`UtilityParams`]: its fields' bits.
+fn utility_bits(utility: &UtilityParams) -> [u64; 2] {
+    [utility.gain.to_bits(), utility.cost.to_bits()]
+}
+
 /// Shared profile → class-solution cache for one `(params, options)`
 /// pair, counting on the `dcf.cache.*` telemetry counters, plus the
 /// `(n, W)` → [`SymmetricSolution`] memo behind its [`SymmetricSource`]
-/// impl, counting on `dcf.cache.symmetric.*`, and the deviator-row memo
-/// of [`SolveCache::deviator_row`], counting on `dcf.cache.deviation.*`.
+/// impl, counting on `dcf.cache.symmetric.*`, the deviator-row memo of
+/// [`SolveCache::deviator_row`], counting on `dcf.cache.deviation.*`, the
+/// `W_c*` memo behind [`SymmetricSource::efficient_cw`], counting on
+/// `dcf.cache.efficient.*`, and the column memo of
+/// [`SolveCache::stage_column`], counting on `dcf.cache.stages.*`.
 /// Wrap in an [`Arc`] to share across threads; all methods take `&self`.
 #[derive(Debug)]
 pub struct SolveCache {
@@ -309,6 +330,8 @@ pub struct SolveCache {
     memo: Memo<ClassProfile, Arc<ClassEquilibrium>>,
     symmetric: Memo<(usize, u32), SymmetricSolution>,
     rows: Memo<RowKey, Arc<[f64]>>,
+    efficient: Memo<WindowKey, EfficientNe>,
+    columns: Memo<WindowKey, Arc<[f64]>>,
 }
 
 impl SolveCache {
@@ -319,9 +342,9 @@ impl SolveCache {
         Self::build(params, options, None)
     }
 
-    /// Creates a cache holding at most `capacity` resident class
-    /// solutions, at most `capacity` symmetric points and at most
-    /// `capacity` deviator rows, with the bound
+    /// Creates a cache whose five memos (class solutions, symmetric
+    /// points, deviator rows, `W_c*` answers and stage columns) each hold
+    /// at most `capacity` entries, with the bound
     /// semantics of [`Memo::new`]: `with_capacity(0)` is the no-op cache,
     /// where every lookup solves afresh. It measures the cold path while
     /// keeping the canonicalization and telemetry of the cache API.
@@ -344,7 +367,19 @@ impl SolveCache {
             "dcf.cache.deviation.misses",
             "dcf.cache.deviation.evictions",
         );
-        SolveCache { params, options, memo, symmetric, rows }
+        let efficient = Memo::new(
+            capacity,
+            "dcf.cache.efficient.hits",
+            "dcf.cache.efficient.misses",
+            "dcf.cache.efficient.evictions",
+        );
+        let columns = Memo::new(
+            capacity,
+            "dcf.cache.stages.hits",
+            "dcf.cache.stages.misses",
+            "dcf.cache.stages.evictions",
+        );
+        SolveCache { params, options, memo, symmetric, rows, efficient, columns }
     }
 
     /// The DCF parameters every cached solution was computed under.
@@ -413,8 +448,36 @@ impl SolveCache {
         utility: &UtilityParams,
         make: impl FnOnce() -> Result<Vec<f64>, E>,
     ) -> Result<Arc<[f64]>, E> {
-        let key = (n, w, w_max, [utility.gain.to_bits(), utility.cost.to_bits()]);
+        let key = (n, w, w_max, utility_bits(utility));
         self.rows.get_or_try_insert_with(&key, || make().map(Arc::from))
+    }
+
+    /// The symmetric stage utility of `n` nodes under `utility` at every
+    /// window `1..=cover`, indexed by window (slot 0 is `NaN`, never
+    /// read), where `cover` is `w` rounded up to a power of two, at least
+    /// 16, capped at `w_max` and never below `w`. Entry `v` is the bits of
+    /// [`SymmetricSource::symmetric`]`(n, v).utility(utility)`, so a
+    /// column that covers `w` reads as a fresh table of `1..=w`. Rounding
+    /// lets the checks at every window up to `cover` share one column;
+    /// the cap keeps it inside the strategy space.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failing point's error; nothing is stored then.
+    pub fn stage_column(
+        &self,
+        n: usize,
+        w: u32,
+        w_max: u32,
+        utility: &UtilityParams,
+    ) -> Result<Arc<[f64]>, DcfError> {
+        let rounded = w.max(16).checked_next_power_of_two().unwrap_or(u32::MAX);
+        let cover = rounded.min(w_max).max(w);
+        self.columns.get_or_try_insert_with(&(n, cover, utility_bits(utility)), || {
+            std::iter::once(Ok(f64::NAN))
+                .chain((1..=cover).map(|v| Ok(self.symmetric(n, v)?.utility(utility))))
+                .collect()
+        })
     }
 }
 
@@ -427,6 +490,19 @@ impl SymmetricSource for SolveCache {
     /// own [`SymmetricSource::symmetric`] computes on a miss.
     fn symmetric(&self, n: usize, w: u32) -> Result<SymmetricSolution, DcfError> {
         self.symmetric.get_or_try_insert_with(&(n, w), || self.params.symmetric(n, w))
+    }
+
+    /// The memoized `W_c*` answer: a hit returns the bits of the search
+    /// over this cache's points, `tau_star` included.
+    fn efficient_cw(
+        &self,
+        n: usize,
+        utility: &UtilityParams,
+        w_max: u32,
+    ) -> Result<EfficientNe, DcfError> {
+        self.efficient.get_or_try_insert_with(&(n, w_max, utility_bits(utility)), || {
+            search_efficient_cw(self, n, utility, w_max)
+        })
     }
 }
 

@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::DcfError;
 use crate::fixedpoint::{node_exponent, solve_symmetric, SymmetricPoint};
+use crate::markov::MAX_CW;
 use crate::params::DcfParams;
 use crate::utility::{symmetric_node_utility, SymmetricSolution, UtilityParams};
 
@@ -138,6 +139,22 @@ pub trait SymmetricSource {
     ///
     /// As [`solve_symmetric`].
     fn symmetric(&self, n: usize, w: u32) -> Result<SymmetricSolution, DcfError>;
+
+    /// [`efficient_cw`] of `n` nodes under `utility` over `1..=w_max`,
+    /// searched over this source's symmetric points. A source may memoize
+    /// the whole answer; it must return the search's bits.
+    ///
+    /// # Errors
+    ///
+    /// As [`efficient_cw`].
+    fn efficient_cw(
+        &self,
+        n: usize,
+        utility: &UtilityParams,
+        w_max: u32,
+    ) -> Result<EfficientNe, DcfError> {
+        search_efficient_cw(self, n, utility, w_max)
+    }
 }
 
 impl SymmetricSource for DcfParams {
@@ -156,6 +173,10 @@ impl SymmetricSource for DcfParams {
 /// Tests check it against the exhaustive scan
 /// [`crate::reference::efficient_cw_scan`].
 ///
+/// The search runs over `1..=min(w_max, MAX_CW)`: no window past
+/// [`MAX_CW`] has an operating point, so a larger bound answers as
+/// `MAX_CW` does.
+///
 /// # Errors
 ///
 /// Returns [`DcfError::InvalidParameter`] if `w_max == 0`; propagates
@@ -166,15 +187,12 @@ pub fn efficient_cw(
     utility: &UtilityParams,
     w_max: u32,
 ) -> Result<EfficientNe, DcfError> {
-    efficient_cw_in(params, n, utility, w_max)
+    search_efficient_cw(params, n, utility, w_max)
 }
 
-/// [`efficient_cw`] with its symmetric points drawn from `source`.
-///
-/// # Errors
-///
-/// As [`efficient_cw`].
-pub fn efficient_cw_in<S: SymmetricSource + ?Sized>(
+/// The search behind [`efficient_cw`], with its symmetric points drawn
+/// from `source`; [`SymmetricSource::efficient_cw`] runs it by default.
+pub(crate) fn search_efficient_cw<S: SymmetricSource + ?Sized>(
     source: &S,
     n: usize,
     utility: &UtilityParams,
@@ -183,6 +201,7 @@ pub fn efficient_cw_in<S: SymmetricSource + ?Sized>(
     if w_max == 0 {
         return Err(DcfError::invalid("w_max", "strategy space must be non-empty"));
     }
+    let w_max = w_max.min(MAX_CW);
     if n < 2 {
         // A lone node maximizes by transmitting as often as possible.
         let u = source.symmetric(1, 1)?.utility(utility);
@@ -266,12 +285,14 @@ pub fn efficient_cw_from_tau_star(
 /// The break-even window `W_c⁰`: the smallest `W` at which the symmetric
 /// utility is non-negative, i.e. `U_i(W_c⁰, …) ≥ 0` while one step lower is
 /// negative (paper Theorem 2). Returns 1 if even `W = 1` is profitable.
+/// Like [`efficient_cw`], it searches `1..=min(w_max, MAX_CW)`.
 fn break_even_cw_in<S: SymmetricSource + ?Sized>(
     source: &S,
     n: usize,
     utility: &UtilityParams,
     w_max: u32,
 ) -> Result<u32, DcfError> {
+    let w_max = w_max.min(MAX_CW);
     let positive =
         |w: u32| -> Result<bool, DcfError> { Ok(source.symmetric(n, w)?.utility(utility) >= 0.0) };
     if positive(1)? {
@@ -350,7 +371,7 @@ pub fn ne_interval_in<S: SymmetricSource + ?Sized>(
     utility: &UtilityParams,
     w_max: u32,
 ) -> Result<NeInterval, DcfError> {
-    let upper = efficient_cw_in(source, n, utility, w_max)?.window;
+    let upper = source.efficient_cw(n, utility, w_max)?.window;
     let lower = break_even_cw_in(source, n, utility, w_max)?.min(upper);
     Ok(NeInterval { lower, upper })
 }
@@ -567,6 +588,28 @@ mod tests {
         let inv = efficient_cw_from_tau_star(5, &p, 1024).unwrap().window;
         let exact = efficient_cw(5, &p, &UtilityParams::default(), 1024).unwrap().window;
         assert!(inv.abs_diff(exact) <= 5, "inversion {inv} vs exact {exact}");
+    }
+
+    #[test]
+    fn searches_stop_at_the_largest_window() {
+        // W* ≈ 17.3·n: at n = 5·10⁴ the doubling bracket reaches 2²⁰ and
+        // would probe 2²¹ under a larger bound, and the break-even search
+        // starts by probing the bound itself. Any bound past MAX_CW
+        // answers as MAX_CW does.
+        let (p, u) = (basic(), UtilityParams::default());
+        let at_cap = efficient_cw(50_000, &p, &u, MAX_CW).unwrap();
+        assert_eq!(at_cap.window, 866_724);
+        let interval = ne_interval(50_000, &p, &u, MAX_CW).unwrap();
+        assert_eq!((interval.lower, interval.upper), (707, 866_724));
+        for w_max in [MAX_CW + 1, 1 << 21, u32::MAX] {
+            let wide = efficient_cw(50_000, &p, &u, w_max).unwrap();
+            assert_eq!(
+                (wide.window, wide.utility.to_bits()),
+                (at_cap.window, at_cap.utility.to_bits()),
+                "w_max {w_max}"
+            );
+        }
+        assert_eq!(ne_interval(50_000, &p, &u, u32::MAX).unwrap(), interval);
     }
 
     #[test]

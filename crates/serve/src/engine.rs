@@ -3,17 +3,22 @@
 //!
 //! # Pipeline (one batch)
 //!
-//! 1. **Key** every request by its query's canonical JSON.
+//! 1. **Key** every request by its query's typed fields: a private
+//!    `QueryKey` with each variant's fields, its `f64`s as their bits.
+//!    Decoded JSON holds no NaN, and the writer prints `-0.0` and `0.0`
+//!    apart, so two queries share a key exactly when their canonical
+//!    JSON matches, except that `+∞` and `−∞` (both written `null`)
+//!    stay apart.
 //! 2. **Coalesce**: duplicate keys collapse to one unit of work in
 //!    first-appearance order; every occurrence still gets its own reply.
 //! 3. **Route**: each unique key checks its query kind's reply cache,
 //!    one [`Memo`] per [`Query`] variant, all counting on the same
 //!    `serve.cache.*` telemetry counters; misses are evaluated through
 //!    [`macgame_core::queries::evaluate_query`] (class solves, symmetric
-//!    points and deviator rows go through the per-mode sharded
-//!    `SolveCache`) with the fixed-chunk executor, then inserted into the
-//!    reply caches *sequentially in miss order* so eviction order is
-//!    deterministic.
+//!    points, deviator rows, `W_c*` answers and stage columns go through
+//!    the per-mode sharded `SolveCache`) with the fixed-chunk executor,
+//!    then inserted into the reply caches *sequentially in miss order* so
+//!    eviction order is deterministic.
 //! 4. **Assemble** replies in request order.
 //!
 //! # Reply-cache tiers
@@ -43,6 +48,7 @@ use std::sync::Arc;
 use macgame_core::queries::{evaluate_query, Query, QueryResult, SolveCaches};
 use macgame_core::GameError;
 use macgame_dcf::cache::Memo;
+use macgame_dcf::AccessMode;
 use macgame_telemetry as telemetry;
 
 use crate::executor::map_chunked;
@@ -59,9 +65,9 @@ pub struct EngineConfig {
     /// the five query kinds (`max(1, c / 5)` each; see the module docs;
     /// `0` = no-op cache).
     pub reply_cache_capacity: usize,
-    /// Per-mode capacity of each of the `SolveCache`'s three memos: class
-    /// solutions, `(n, W)` symmetric points and deviator rows (`0` =
-    /// no-op cache).
+    /// Per-mode capacity of each of the `SolveCache`'s five memos: class
+    /// solutions, `(n, W)` symmetric points, deviator rows, `W_c*`
+    /// answers and stage columns (`0` = no-op cache).
     pub solve_cache_capacity: usize,
 }
 
@@ -74,14 +80,72 @@ impl Default for EngineConfig {
 /// Number of query kinds, one reply cache each.
 const KINDS: usize = 5;
 
-/// The reply cache a query's answer lives in: one per [`Query`] variant.
-fn kind(query: &Query) -> usize {
-    match query {
-        Query::WcStar { .. } => 0,
-        Query::EdcaWcStar { .. } => 1,
-        Query::NeInterval { .. } => 2,
-        Query::DeviationPayoff { .. } => 3,
-        Query::RobustnessCell { .. } => 4,
+/// The coalescing and reply-cache key of a [`Query`]: its fields, with
+/// each `f64` as its bits (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum QueryKey {
+    WcStar { players: usize, mode: AccessMode, w_max: u32 },
+    EdcaWcStar { players: usize, mode: AccessMode, txop: u32, w_max: u32 },
+    NeInterval { players: usize, mode: AccessMode, w_max: u32 },
+    DeviationPayoff {
+        players: usize,
+        mode: AccessMode,
+        w_star: u32,
+        w_dev: u32,
+        reaction_stages: u32,
+        delta_s: u64,
+    },
+    RobustnessCell {
+        players: usize,
+        mode: AccessMode,
+        window: u32,
+        reaction_stages: u32,
+        epsilon: u64,
+    },
+}
+
+impl QueryKey {
+    fn new(query: &Query) -> Self {
+        match *query {
+            Query::WcStar { players, mode, w_max } => QueryKey::WcStar { players, mode, w_max },
+            Query::EdcaWcStar { players, mode, txop, w_max } => {
+                QueryKey::EdcaWcStar { players, mode, txop, w_max }
+            }
+            Query::NeInterval { players, mode, w_max } => {
+                QueryKey::NeInterval { players, mode, w_max }
+            }
+            Query::DeviationPayoff { players, mode, w_star, w_dev, reaction_stages, delta_s } => {
+                QueryKey::DeviationPayoff {
+                    players,
+                    mode,
+                    w_star,
+                    w_dev,
+                    reaction_stages,
+                    delta_s: delta_s.to_bits(),
+                }
+            }
+            Query::RobustnessCell { players, mode, window, reaction_stages, epsilon } => {
+                QueryKey::RobustnessCell {
+                    players,
+                    mode,
+                    window,
+                    reaction_stages,
+                    epsilon: epsilon.to_bits(),
+                }
+            }
+        }
+    }
+
+    /// The reply cache this key's answer lives in: one per [`Query`]
+    /// variant.
+    fn kind(&self) -> usize {
+        match self {
+            QueryKey::WcStar { .. } => 0,
+            QueryKey::EdcaWcStar { .. } => 1,
+            QueryKey::NeInterval { .. } => 2,
+            QueryKey::DeviationPayoff { .. } => 3,
+            QueryKey::RobustnessCell { .. } => 4,
+        }
     }
 }
 
@@ -91,7 +155,7 @@ fn kind(query: &Query) -> usize {
 pub struct Engine {
     threads: usize,
     solve_caches: SolveCaches,
-    replies: [Memo<String, Arc<QueryResult>>; KINDS],
+    replies: [Memo<QueryKey, Arc<QueryResult>>; KINDS],
 }
 
 impl Engine {
@@ -136,23 +200,20 @@ impl Engine {
         telemetry::counter("serve.batches", 1);
         telemetry::counter("serve.queries", requests.len() as u64);
 
-        // Coalesce: canonical key → index into `unique`, first appearance
-        // fixes the order.
-        let mut key_to_unique: BTreeMap<String, usize> = BTreeMap::new();
-        let mut unique: Vec<(String, &Query)> = Vec::new();
-        let mut request_slots: Vec<Result<usize, ServeError>> = Vec::with_capacity(requests.len());
-        for request in requests {
-            match serde_json::to_string(&request.query) {
-                Ok(key) => {
-                    let slot = *key_to_unique.entry(key.clone()).or_insert_with(|| {
-                        unique.push((key, &request.query));
-                        unique.len() - 1
-                    });
-                    request_slots.push(Ok(slot));
-                }
-                Err(e) => request_slots.push(Err(ServeError::Json(e))),
-            }
-        }
+        // Coalesce: key → index into `unique`, first appearance fixes the
+        // order.
+        let mut key_to_unique: BTreeMap<QueryKey, usize> = BTreeMap::new();
+        let mut unique: Vec<(QueryKey, &Query)> = Vec::new();
+        let request_slots: Vec<usize> = requests
+            .iter()
+            .map(|request| {
+                let key = QueryKey::new(&request.query);
+                *key_to_unique.entry(key.clone()).or_insert_with(|| {
+                    unique.push((key, &request.query));
+                    unique.len() - 1
+                })
+            })
+            .collect();
         let coalesced = requests.len() - unique.len();
         telemetry::counter("serve.coalesced", coalesced as u64);
 
@@ -160,7 +221,7 @@ impl Engine {
         // the fixed-chunk executor.
         let mut resolved: Vec<Option<Result<Arc<QueryResult>, GameError>>> = unique
             .iter()
-            .map(|(key, query)| self.replies[kind(query)].get(key).map(Ok))
+            .map(|(key, _)| self.replies[key.kind()].get(key).map(Ok))
             .collect();
         let miss_indices: Vec<usize> =
             (0..unique.len()).filter(|&i| resolved[i].is_none()).collect();
@@ -172,8 +233,8 @@ impl Engine {
         for (&i, outcome) in miss_indices.iter().zip(evaluated) {
             let outcome = outcome.map(Arc::new);
             if let Ok(value) = &outcome {
-                let (key, query) = &unique[i];
-                self.replies[kind(query)].insert(key.clone(), Arc::clone(value));
+                let key = &unique[i].0;
+                self.replies[key.kind()].insert(key.clone(), Arc::clone(value));
             }
             resolved[i] = Some(outcome);
         }
@@ -182,20 +243,8 @@ impl Engine {
         requests
             .iter()
             .zip(request_slots)
-            .map(|(request, slot)| match slot {
-                Ok(i) => match resolved[i].as_ref().expect("every unique slot resolved above") { // PANIC-POLICY: slot invariant established two loops up (programmer-error guard)
-                    Ok(result) => Reply::Ok { id: request.id, result: (**result).clone() },
-                    Err(e) => {
-                        telemetry::counter("serve.errors", 1);
-                        Reply::Error {
-                            id: Some(request.id),
-                            error: ErrorReply {
-                                kind: ErrorKind::Evaluation,
-                                message: e.to_string(),
-                            },
-                        }
-                    }
-                },
+            .map(|(request, i)| match resolved[i].as_ref().expect("every unique slot resolved above") { // PANIC-POLICY: slot invariant established two loops up (programmer-error guard)
+                Ok(result) => Reply::Ok { id: request.id, result: (**result).clone() },
                 Err(e) => {
                     telemetry::counter("serve.errors", 1);
                     Reply::Error {
@@ -323,6 +372,62 @@ mod tests {
                 Reply::Error { id: None, ref error } if error.kind == ErrorKind::MalformedJson
             ));
         }
+    }
+
+    #[test]
+    fn typed_keys_coalesce_exactly_as_canonical_json() {
+        // All five kinds, each asked twice, plus ±0.0 in both float
+        // fields, which print apart and so are distinct keys.
+        let price = |delta_s: f64| Query::DeviationPayoff {
+            players: 5,
+            mode: AccessMode::Basic,
+            w_star: 79,
+            w_dev: 20,
+            reaction_stages: 1,
+            delta_s,
+        };
+        let cell = |epsilon: f64| Query::RobustnessCell {
+            players: 4,
+            mode: AccessMode::RtsCts,
+            window: 40,
+            reaction_stages: 2,
+            epsilon,
+        };
+        let distinct = [
+            wc(5),
+            wc(6),
+            Query::WcStar { players: 5, mode: AccessMode::RtsCts, w_max: 4096 },
+            Query::EdcaWcStar { players: 5, mode: AccessMode::Basic, txop: 2, w_max: 1024 },
+            Query::NeInterval { players: 5, mode: AccessMode::Basic, w_max: 4096 },
+            price(0.0),
+            price(-0.0),
+            price(0.5),
+            cell(0.0),
+            cell(-0.0),
+            cell(1e-5),
+        ];
+        let queries: Vec<Query> = distinct.iter().chain(distinct.iter().rev()).cloned().collect();
+        let json: Vec<String> =
+            queries.iter().map(|q| serde_json::to_string(q).unwrap()).collect();
+        for (a, json_a) in queries.iter().zip(&json) {
+            for (b, json_b) in queries.iter().zip(&json) {
+                assert_eq!(QueryKey::new(a) == QueryKey::new(b), json_a == json_b, "{a:?} {b:?}");
+            }
+        }
+        let requests: Vec<Request> = queries
+            .into_iter()
+            .enumerate()
+            .map(|(i, query)| Request { id: i as u64, query })
+            .collect();
+        let e = engine();
+        let replies = e.handle_batch(&requests);
+        assert_eq!(e.reply_counters(), (0, distinct.len() as u64, 0), "one lookup per key");
+        for (request, reply) in requests.iter().zip(&replies) {
+            let alone = engine().handle_batch(std::slice::from_ref(request));
+            assert_eq!(Engine::encode_reply(reply), Engine::encode_reply(&alone[0]));
+        }
+        assert_eq!(e.handle_batch(&requests), replies, "the second batch replies from cache");
+        assert_eq!(e.reply_counters(), (distinct.len() as u64, distinct.len() as u64, 0));
     }
 
     #[test]

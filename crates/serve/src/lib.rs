@@ -7,8 +7,8 @@
 //! length-prefix-framed JSON batches arrive on stdin/stdout or a TCP
 //! socket, duplicate queries coalesce, results flow through sharded
 //! caches in two tiers (query → result here, one cache per query kind;
-//! class profile → solution, `(n, W)` → symmetric point and deviator
-//! rows in `dcf`), and replies stream back **in
+//! class profile → solution, `(n, W)` → symmetric point, deviator rows,
+//! `W_c*` answers and stage columns in `dcf`), and replies stream back **in
 //! request order with bytes
 //! invariant under `MACGAME_THREADS`** — so the conformance harness
 //! gates the service path like every other layer.
@@ -21,9 +21,9 @@
 //!   [`macgame_core::queries::Query`] / `QueryResult`.
 //! * [`executor`] — fixed-chunk fan-out (the `dcf::parallel` discipline).
 //! * [`engine`] — coalescing, the query → result reply caches (one
-//!   `dcf::cache::Memo` per query kind, keyed by canonical query JSON,
-//!   all on the `serve.cache.*` telemetry), routing, deterministic reply
-//!   assembly.
+//!   `dcf::cache::Memo` per query kind, keyed by the query's typed
+//!   fields, all on the `serve.cache.*` telemetry), routing,
+//!   deterministic reply assembly.
 //! * [`transport`] — connection loops: any `Read + Write`, stdio, TCP.
 //! * [`harness`] — the in-process `ServeHarness` client every test,
 //!   conformance claim, and benchmark drives the engine through.

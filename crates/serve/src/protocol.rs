@@ -10,9 +10,10 @@
 //!
 //! Query and result schemas are [`macgame_core::queries::Query`] /
 //! [`macgame_core::queries::QueryResult`], serialized externally tagged
-//! (`{"WcStar": {...}}`). A query's canonical JSON doubles as its
-//! coalescing/cache key, so two requests are duplicates iff their wire
-//! bytes (modulo `id`) are equal.
+//! (`{"WcStar": {...}}`). Two requests are duplicates iff their queries'
+//! fields are equal, each `f64` compared by its bits: iff their canonical
+//! JSON (modulo `id`) is equal, except that `+∞` and `−∞`, both written
+//! `null`, stay apart.
 
 use macgame_core::queries::{Query, QueryResult};
 use serde::{Deserialize, Serialize};

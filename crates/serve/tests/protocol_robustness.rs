@@ -220,3 +220,69 @@ fn populations_past_the_i32_exponent_are_evaluation_errors() {
         assert_eq!(error.kind, ErrorKind::Evaluation);
     }
 }
+
+/// One framed batch of `RobustnessCell`s at 5 players, basic access,
+/// window 40 and lag 1, with the given ε texts, ids from 1.
+fn epsilon_frame(epsilons: &[&str]) -> Vec<u8> {
+    let requests: Vec<String> = epsilons
+        .iter()
+        .enumerate()
+        .map(|(i, epsilon)| {
+            format!(
+                r#"{{"id":{},"query":{{"RobustnessCell":{{"players":5,"mode":"Basic","window":40,"reaction_stages":1,"epsilon":{epsilon}}}}}}}"#,
+                i + 1
+            )
+        })
+        .collect();
+    let mut wire = Vec::new();
+    write_frame(&mut wire, format!(r#"{{"requests":[{}]}}"#, requests.join(",")).as_bytes())
+        .unwrap();
+    wire
+}
+
+#[test]
+fn infinite_epsilons_of_opposite_sign_get_their_own_replies() {
+    // `1e400` and `-1e400` decode to +∞ and −∞, which the writer prints
+    // alike (`null`); a key built from the printed query once gave −∞
+    // the +∞ cell's answer whenever +∞ came first, in the batch or in
+    // the reply cache. −∞ is rejected alone, after +∞ in one batch, and
+    // after +∞ was cached.
+    let h = harness();
+    let negative_rejected = |reply: &Reply| {
+        matches!(reply, Reply::Error { error, .. }
+            if error.kind == ErrorKind::Evaluation
+                && error.message.contains("epsilon must be non-negative"))
+    };
+    let alone = assert_all_replies_parse(&h.roundtrip_raw(&epsilon_frame(&["-1e400"])).unwrap());
+    assert!(negative_rejected(&alone[0]), "{alone:?}");
+    let both =
+        assert_all_replies_parse(&h.roundtrip_raw(&epsilon_frame(&["1e400", "-1e400"])).unwrap());
+    assert!(both[0].is_ok(), "{both:?}");
+    assert!(negative_rejected(&both[1]), "{both:?}");
+    let later = assert_all_replies_parse(&h.roundtrip_raw(&epsilon_frame(&["-1e400"])).unwrap());
+    assert!(negative_rejected(&later[0]), "{later:?}");
+}
+
+#[test]
+fn nesting_past_the_reader_limit_is_malformed_json() {
+    // At 128 levels (the object and 127 arrays) the reader runs out of
+    // input; one more level, or a million, fail at the limit without
+    // recursing, and the connection serves on.
+    let reply_to = |levels: usize| {
+        let payload = format!(r#"{{"requests":{}"#, "[".repeat(levels));
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload.as_bytes()).unwrap();
+        wire.extend_from_slice(&ServeHarness::encode_batch(&valid_queries()).unwrap());
+        let replies = assert_all_replies_parse(&harness().roundtrip_raw(&wire).unwrap());
+        assert!(replies[1..].iter().all(Reply::is_ok), "the next frame is served");
+        let Reply::Error { id: None, error } = &replies[0] else {
+            panic!("expected a null-id error, got {:?}", replies[0]);
+        };
+        assert_eq!(error.kind, ErrorKind::MalformedJson);
+        error.message.clone()
+    };
+    let too_deep = "nesting deeper than 128 levels at byte 139";
+    assert_eq!(reply_to(127), "unexpected end of input at byte 139");
+    assert_eq!(reply_to(128), too_deep);
+    assert_eq!(reply_to(1_000_000), too_deep);
+}

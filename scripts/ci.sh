@@ -16,10 +16,11 @@ echo "==> cargo test -q --release --workspace"
 cargo test -q --release --workspace
 
 # The release steps run without overflow checks; the wire crates parse
-# client bytes and the solver kernels take client-sized integers, so their
-# tests also run in the debug profile.
-echo "==> wire and solver crates' tests in the debug profile (overflow checks on)"
-cargo test -q -p serde -p serde_json -p macgame-serve -p macgame-dcf
+# client bytes, and the solver kernels and the game layer turn
+# client-sized integers (players, lags, windows) into memo keys and `i32`
+# exponents, so their tests also run in the debug profile.
+echo "==> wire, solver and game crates' tests in the debug profile (overflow checks on)"
+cargo test -q -p serde -p serde_json -p macgame-serve -p macgame-dcf -p macgame-core
 
 echo "==> determinism tests on the serial path (MACGAME_THREADS=1)"
 MACGAME_THREADS=1 cargo test -q --release -p macgame-core --test determinism
