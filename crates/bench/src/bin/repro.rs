@@ -145,22 +145,12 @@ fn figure(mode: AccessMode) -> Result<(), BenchError> {
     // Simulated overlay: measured U/C at three probe windows per curve.
     for s_ in &series {
         let shape = s_.shape();
-        let probes = [
-            (shape.argmax_window / 4).max(1),
-            shape.argmax_window,
-            shape.argmax_window * 3,
-        ];
-        let overlay = figures::simulated_overlay(
-            s_.n,
-            mode,
-            &probes,
-            MicroSecs::from_seconds(30.0),
-            7,
-        )?;
-        let rendered: Vec<String> = overlay
-            .iter()
-            .map(|p| format!("W={} → {:.4}", p.window, p.u_over_c))
-            .collect();
+        let probes =
+            [(shape.argmax_window / 4).max(1), shape.argmax_window, shape.argmax_window * 3];
+        let overlay =
+            figures::simulated_overlay(s_.n, mode, &probes, MicroSecs::from_seconds(30.0), 7)?;
+        let rendered: Vec<String> =
+            overlay.iter().map(|p| format!("W={} → {:.4}", p.window, p.u_over_c)).collect();
         println!("  n = {:>2} simulated U/C: {}", s_.n, rendered.join(", "));
     }
     // A coarse ASCII rendering of the n = 20 curve, for eyeballing.
@@ -217,10 +207,7 @@ fn multihop(quick: bool) -> Result<(), BenchError> {
         .iter()
         .map(|(w, p, a)| vec![w.to_string(), format!("{p:.3}"), format!("{a:.3}")])
         .collect();
-    println!(
-        "{}",
-        text_table(&["common W", "p_hn (measured)", "p_hn (analytic)"], &body)
-    );
+    println!("{}", text_table(&["common W", "p_hn (measured)", "p_hn (analytic)"], &body));
     let path = write_artifact("multihop", &out)?;
     println!("artifact: {}", path.display());
     Ok(())
@@ -228,8 +215,7 @@ fn multihop(quick: bool) -> Result<(), BenchError> {
 
 fn shortsighted() -> Result<(), BenchError> {
     println!("optimal deviation of a short-sighted player, n = 5, 1-stage TFT reaction");
-    let rows =
-        deviation_exp::shortsighted_table(5, 1, &[0.0, 0.5, 0.9, 0.99, 0.999, 0.9999])?;
+    let rows = deviation_exp::shortsighted_table(5, 1, &[0.0, 0.5, 0.9, 0.99, 0.999, 0.9999])?;
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -308,12 +294,7 @@ fn ne_interval() -> Result<(), BenchError> {
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            vec![
-                r.n.to_string(),
-                r.lower.to_string(),
-                r.upper.to_string(),
-                r.count.to_string(),
-            ]
+            vec![r.n.to_string(), r.lower.to_string(), r.upper.to_string(), r.count.to_string()]
         })
         .collect();
     println!("{}", text_table(&["n", "W_c⁰", "W_c*", "# NE"], &body));
@@ -375,7 +356,8 @@ fn delay() -> Result<(), BenchError> {
 }
 
 fn edca(quick: bool) -> Result<(), BenchError> {
-    let settings = if quick { edca_exp::EdcaSettings::quick() } else { edca_exp::EdcaSettings::full() };
+    let settings =
+        if quick { edca_exp::EdcaSettings::quick() } else { edca_exp::EdcaSettings::full() };
     println!(
         "EDCA strategy space (CWmin, m, AIFS, TXOP): cheating gains, Table II \
          degeneracy, TFT plane, sim agreement ({} slots × {} replicas)",
@@ -396,10 +378,7 @@ fn edca(quick: bool) -> Result<(), BenchError> {
             ]);
         }
     }
-    println!(
-        "{}",
-        text_table(&["knob", "value", "gain", "deviator /µs", "compliant /µs"], &body)
-    );
+    println!("{}", text_table(&["knob", "value", "gain", "deviator /µs", "compliant /µs"], &body));
     println!(
         "lattice best response: {:?} (gain {:.3})",
         payload.best_response.tuple, payload.best_response.gain
@@ -452,10 +431,8 @@ fn edca(quick: bool) -> Result<(), BenchError> {
     let path = write_artifact("EDCA", &payload)?;
     println!("artifact: {}", path.display());
     println!("note: the artifact is byte-identical across MACGAME_THREADS settings");
-    let consistent = payload
-        .degenerate
-        .iter()
-        .all(|r| r.window_equal && r.utility_bitwise && r.tau_bitwise);
+    let consistent =
+        payload.degenerate.iter().all(|r| r.window_equal && r.utility_bitwise && r.tau_bitwise);
     if !consistent {
         return Err(BenchError::Game(macgame_core::GameError::InvalidConfig(
             "EDCA degenerate tuples diverged from the scalar Table II scan".into(),
@@ -465,8 +442,11 @@ fn edca(quick: bool) -> Result<(), BenchError> {
 }
 
 fn detect(quick: bool) -> Result<(), BenchError> {
-    let settings =
-        if quick { detect_exp::DetectSettings::quick() } else { detect_exp::DetectSettings::full() };
+    let settings = if quick {
+        detect_exp::DetectSettings::quick()
+    } else {
+        detect_exp::DetectSettings::full()
+    };
     println!(
         "detection plane: ROC sweeps under observation faults + adversarial \
          tournament ({} ROC trials/cell, {} arena reps/pair)",
@@ -614,8 +594,7 @@ fn validate(quick: bool) -> Result<(), BenchError> {
                 &macgame_dcf::UtilityParams::default(),
                 4096,
             )?;
-            let report =
-                validate_fixed_point(&vec![ne.window; n], &params, slots, 42)?;
+            let report = validate_fixed_point(&vec![ne.window; n], &params, slots, 42)?;
             body.push(vec![
                 mode.to_string(),
                 n.to_string(),
@@ -627,13 +606,7 @@ fn validate(quick: bool) -> Result<(), BenchError> {
             rows_out.push((mode, n, report));
         }
     }
-    println!(
-        "{}",
-        text_table(
-            &["mode", "n", "W_c*", "max τ̂ err", "max p̂ err", "S err"],
-            &body
-        )
-    );
+    println!("{}", text_table(&["mode", "n", "W_c*", "max τ̂ err", "max p̂ err", "S err"], &body));
     let path = write_artifact("validate", &rows_out)?;
     println!("artifact: {}", path.display());
     Ok(())
@@ -653,21 +626,14 @@ fn myopia() -> Result<(), BenchError> {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        text_table(&["n", "TFT W_c*", "myopic windows", "welfare remaining"], &body)
-    );
+    println!("{}", text_table(&["n", "TFT W_c*", "myopic windows", "welfare remaining"], &body));
     let path = write_artifact("myopia", &rows)?;
     println!("artifact: {}", path.display());
     Ok(())
 }
 
 fn conformance(quick: bool) -> Result<(), BenchError> {
-    let settings = if quick {
-        ConformanceSettings::quick()
-    } else {
-        ConformanceSettings::full()
-    };
+    let settings = if quick { ConformanceSettings::quick() } else { ConformanceSettings::full() };
     println!(
         "paper-conformance gate: analytic claims, golden snapshots, and \
          {}-replica seed sweeps at {} slots (seed {})",
@@ -691,10 +657,7 @@ fn conformance(quick: bool) -> Result<(), BenchError> {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        text_table(&["claim", "verdict", "worst rel err", "budget", "detail"], &body)
-    );
+    println!("{}", text_table(&["claim", "verdict", "worst rel err", "budget", "detail"], &body));
     let path = write_artifact("CONFORMANCE", &report)?;
     println!("artifact: {}", path.display());
     println!(

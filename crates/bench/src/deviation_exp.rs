@@ -114,7 +114,6 @@ pub fn malicious_table(n: usize, windows: &[u32]) -> Result<Vec<MaliciousRow>, B
     Ok(rows)
 }
 
-
 /// One row of the price-of-myopia table (Discussion section VIII).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MyopiaRow {

@@ -237,8 +237,7 @@ pub fn run_edca(settings: &EdcaSettings) -> Result<EdcaPayload, BenchError> {
     let txops = [1u32, 2, 4, 8];
     let mut plane = Vec::new();
     for &(delta_s, reaction_stages) in &[(0.0f64, 1u32), (0.99, 1)] {
-        let cells =
-            edca_plane_ne(&game, sym, &cw_mins, &txops, reaction_stages, delta_s, &memo)?;
+        let cells = edca_plane_ne(&game, sym, &cw_mins, &txops, reaction_stages, delta_s, &memo)?;
         let profitable_cells = cells.iter().filter(|c| c.profitable).count();
         plane.push(PlaneSection { delta_s, reaction_stages, cells, profitable_cells });
     }

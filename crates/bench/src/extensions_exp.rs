@@ -3,8 +3,8 @@
 //! (Conclusion), and the strategy tournament (the TFT pedigree).
 
 use macgame_core::equilibrium::efficient_ne;
-use macgame_core::ratecontrol::{performance_anomaly, rate_game, rate_set_80211b};
 use macgame_core::population::{replicator, PopulationState};
+use macgame_core::ratecontrol::{performance_anomaly, rate_game, rate_set_80211b};
 use macgame_core::strategy::{BestResponse, Constant, GenerousTft, Tft};
 use macgame_core::tournament::{round_robin, Entrant};
 use macgame_core::GameConfig;
@@ -77,9 +77,7 @@ pub struct RateRow {
 ///
 /// Propagates model failures.
 pub fn rate_table(populations: &[usize], w: u32) -> Result<Vec<RateRow>, BenchError> {
-    let params = DcfParams::builder()
-        .access_mode(macgame_dcf::AccessMode::RtsCts)
-        .build()?;
+    let params = DcfParams::builder().access_mode(macgame_dcf::AccessMode::RtsCts).build()?;
     let utility = UtilityParams::default();
     let mut rows = Vec::new();
     for &n in populations {
@@ -128,7 +126,10 @@ pub fn tournament_ranking(stages: usize) -> Result<Vec<Standing>, BenchError> {
     let w_star = efficient_ne(&two)?.window;
     let field: Vec<Entrant> = vec![
         Entrant::new("tft", move || Box::new(Tft::new(w_star))),
-        Entrant::new("generous-tft", move || Box::new(GenerousTft::try_new(w_star, 2, 0.9).expect("valid GTFT parameters"))), // PANIC-POLICY: constant parameters are valid by construction
+        Entrant::new("generous-tft", move || {
+            // PANIC-POLICY: constant parameters are valid by construction
+            Box::new(GenerousTft::try_new(w_star, 2, 0.9).expect("valid GTFT parameters"))
+        }),
         Entrant::new("aggressor", move || Box::new(Constant::new((w_star / 8).max(1)))),
         Entrant::new("best-response", move || Box::new(BestResponse::new(w_star))),
     ];
@@ -151,22 +152,16 @@ pub fn evolutionary_shares(
     let w_star = efficient_ne(&two)?.window;
     let field: Vec<Entrant> = vec![
         Entrant::new("tft", move || Box::new(Tft::new(w_star))),
-        Entrant::new("generous-tft", move || Box::new(GenerousTft::try_new(w_star, 2, 0.9).expect("valid GTFT parameters"))), // PANIC-POLICY: constant parameters are valid by construction
+        Entrant::new("generous-tft", move || {
+            // PANIC-POLICY: constant parameters are valid by construction
+            Box::new(GenerousTft::try_new(w_star, 2, 0.9).expect("valid GTFT parameters"))
+        }),
         Entrant::new("aggressor", move || Box::new(Constant::new((w_star / 8).max(1)))),
         Entrant::new("best-response", move || Box::new(BestResponse::new(w_star))),
     ];
     let tournament = round_robin(&field, &template, stages)?;
-    let trace = replicator(
-        &tournament,
-        &PopulationState::uniform(field.len()),
-        generations,
-    )?;
-    Ok(trace
-        .names
-        .iter()
-        .cloned()
-        .zip(trace.final_state().shares.iter().copied())
-        .collect())
+    let trace = replicator(&tournament, &PopulationState::uniform(field.len()), generations)?;
+    Ok(trace.names.iter().cloned().zip(trace.final_state().shares.iter().copied()).collect())
 }
 
 #[cfg(test)]
@@ -175,7 +170,8 @@ mod tests {
 
     #[test]
     fn delay_table_is_monotone_in_lambda() {
-        let rows = delay_table(5, macgame_dcf::AccessMode::RtsCts, &[0.0, 1e-12, 1e-11, 1e-10]).unwrap();
+        let rows =
+            delay_table(5, macgame_dcf::AccessMode::RtsCts, &[0.0, 1e-12, 1e-11, 1e-10]).unwrap();
         for pair in rows.windows(2) {
             assert!(pair[1].window <= pair[0].window, "{pair:?}");
             assert!(pair[1].delay_ms <= pair[0].delay_ms + 1e-9);
@@ -186,8 +182,7 @@ mod tests {
     fn delay_penalty_bites_under_rtscts() {
         // Cheap collisions make small windows genuinely low-latency: a
         // strong λ must pull the optimum clearly below W_c*.
-        let rows =
-            delay_table(5, macgame_dcf::AccessMode::RtsCts, &[0.0, 1e-9]).unwrap();
+        let rows = delay_table(5, macgame_dcf::AccessMode::RtsCts, &[0.0, 1e-9]).unwrap();
         assert!(rows[1].window < rows[0].window, "{rows:?}");
         assert!(rows[1].delay_ms < rows[0].delay_ms);
     }

@@ -60,11 +60,8 @@ impl FigureSeries {
     #[must_use]
     pub fn shape(&self) -> FigureShape {
         assert!(!self.points.is_empty(), "empty series"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-        let best = self
-            .points
-            .iter()
-            .max_by(|a, b| a.u_over_c.total_cmp(&b.u_over_c))
-            .expect("nonempty"); // PANIC-POLICY: invariant: nonempty
+        let best =
+            self.points.iter().max_by(|a, b| a.u_over_c.total_cmp(&b.u_over_c)).expect("nonempty"); // PANIC-POLICY: invariant: nonempty
         let lo_w = (f64::from(best.window) * 0.8) as u32;
         let hi_w = (f64::from(best.window) * 1.2) as u32;
         let near_min = self
@@ -99,7 +96,8 @@ pub fn window_grid(w_max: u32) -> Vec<u32> {
         let next = w + (w / 8).max(1);
         w = next;
     }
-    if *grid.last().expect("nonempty") != w_max { // PANIC-POLICY: invariant: nonempty
+    // PANIC-POLICY: invariant: nonempty
+    if *grid.last().expect("nonempty") != w_max {
         grid.push(w_max);
     }
     grid
@@ -110,11 +108,7 @@ pub fn window_grid(w_max: u32) -> Vec<u32> {
 /// # Errors
 ///
 /// Propagates fixed-point failures.
-pub fn figure_series(
-    n: usize,
-    mode: AccessMode,
-    w_max: u32,
-) -> Result<FigureSeries, BenchError> {
+pub fn figure_series(n: usize, mode: AccessMode, w_max: u32) -> Result<FigureSeries, BenchError> {
     let params = DcfParams::builder().access_mode(mode).build()?;
     let utility = UtilityParams::default();
     let mut points = Vec::new();
@@ -136,7 +130,6 @@ pub fn figure_series(
 pub fn figure(mode: AccessMode, w_max: u32) -> Result<Vec<FigureSeries>, BenchError> {
     [5usize, 20, 50].iter().map(|&n| figure_series(n, mode, w_max)).collect()
 }
-
 
 /// Simulated `U/C` samples overlaying the analytic curve: measure the
 /// global payoff rate at a handful of windows on the slot simulator and
@@ -164,8 +157,7 @@ pub fn simulated_overlay(
             .build()?;
         let mut engine = Engine::new(&config);
         let report = engine.run_for(duration);
-        let global_rate: f64 =
-            (0..n).map(|i| report.payoff_rate(i, &utility)).sum();
+        let global_rate: f64 = (0..n).map(|i| report.payoff_rate(i, &utility)).sum();
         out.push(PayoffPoint {
             window: w,
             u_over_c: global_rate * params.sigma().value() / utility.gain,
@@ -192,14 +184,8 @@ mod tests {
     fn figure2_peaks_at_efficient_window() {
         let series = figure_series(5, AccessMode::Basic, 1024).unwrap();
         let shape = series.shape();
-        let w_star = efficient_cw(
-            5,
-            &DcfParams::default(),
-            &UtilityParams::default(),
-            1024,
-        )
-        .unwrap()
-        .window;
+        let w_star =
+            efficient_cw(5, &DcfParams::default(), &UtilityParams::default(), 1024).unwrap().window;
         let rel = (f64::from(shape.argmax_window) - f64::from(w_star)).abs() / f64::from(w_star);
         assert!(rel < 0.15, "grid argmax {} vs W_c* {}", shape.argmax_window, w_star);
         // The curve is unimodal-ish: both ends below the peak.
@@ -256,11 +242,8 @@ mod tests {
         .unwrap();
         for point in &overlay {
             // Nearest analytic sample.
-            let nearest = analytic
-                .points
-                .iter()
-                .min_by_key(|p| p.window.abs_diff(point.window))
-                .unwrap();
+            let nearest =
+                analytic.points.iter().min_by_key(|p| p.window.abs_diff(point.window)).unwrap();
             let rel = (point.u_over_c - nearest.u_over_c).abs() / nearest.u_over_c;
             assert!(
                 rel < 0.12,

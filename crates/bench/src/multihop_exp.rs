@@ -100,7 +100,8 @@ pub fn run(settings: MultihopSettings) -> Result<MultihopOutcome, BenchError> {
     let w_m = trace.converged_window().unwrap_or_else(|| {
         // Disconnected placements: evaluate the largest component's min.
         let comp = topo.components().into_iter().max_by_key(Vec::len).expect("nonempty"); // PANIC-POLICY: invariant: nonempty
-        comp.iter().map(|&i| trace.final_windows[i]).min().expect("nonempty component") // PANIC-POLICY: invariant: nonempty component
+        comp.iter().map(|&i| trace.final_windows[i]).min().expect("nonempty component")
+        // PANIC-POLICY: invariant: nonempty component
     });
 
     let sweep: Vec<u32> =
@@ -137,8 +138,7 @@ pub fn run(settings: MultihopSettings) -> Result<MultihopOutcome, BenchError> {
         if let Some(p_hn) = report.network_p_hn() {
             let taus = local_taus(&topo, w, &static_config.params)?;
             let analytic = analytic_p_hn(&topo, &taus)?;
-            let analytic_mean =
-                analytic.iter().sum::<f64>() / analytic.len() as f64;
+            let analytic_mean = analytic.iter().sum::<f64>() / analytic.len() as f64;
             p_hn_by_window.push((w, p_hn, analytic_mean));
         }
     }
@@ -177,11 +177,7 @@ mod tests {
         };
         let out = run(settings).unwrap();
         // Converged window is a small two-digit number like the paper's 26.
-        assert!(
-            (5..=80).contains(&out.w_m),
-            "W_m = {} far from the paper's scale",
-            out.w_m
-        );
+        assert!((5..=80).contains(&out.w_m), "W_m = {} far from the paper's scale", out.w_m);
         // Convergence within the diameter (when connected).
         if let Some(d) = out.diameter {
             assert!(out.convergence_rounds <= d);
@@ -195,10 +191,7 @@ mod tests {
         // p_hn stays in a credible band and doesn't explode across CWs.
         for &(w, p_hn, analytic) in &out.p_hn_by_window {
             assert!((0.4..=1.0).contains(&p_hn), "W={w}: p_hn={p_hn}");
-            assert!(
-                (p_hn - analytic).abs() < 0.2,
-                "W={w}: measured {p_hn} vs analytic {analytic}"
-            );
+            assert!((p_hn - analytic).abs() < 0.2, "W={w}: measured {p_hn} vs analytic {analytic}");
         }
     }
 }

@@ -32,10 +32,7 @@ pub fn text_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         line.trim_end().to_string() + "\n"
     };
     out.push_str(&fmt_row(headers.to_vec(), &widths));
-    out.push_str(&fmt_row(
-        widths.iter().map(|_| "─").collect(),
-        &widths.to_vec(),
-    ));
+    out.push_str(&fmt_row(widths.iter().map(|_| "─").collect(), &widths.to_vec()));
     for row in rows {
         out.push_str(&fmt_row(row.iter().map(String::as_str).collect(), &widths));
     }

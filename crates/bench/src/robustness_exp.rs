@@ -19,9 +19,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use macgame_core::evaluator::{
-    AnalyticalEvaluator, NoisyObservationEvaluator, StageEvaluator,
-};
+use macgame_core::evaluator::{AnalyticalEvaluator, NoisyObservationEvaluator, StageEvaluator};
 use macgame_core::strategy::{GenerousTft, Strategy};
 use macgame_core::{GameConfig, RepeatedGame};
 use macgame_dcf::fixedpoint::{solve, solve_robust, SolveOptions};
@@ -216,21 +214,12 @@ fn noop_observation_check(game: &GameConfig) -> Result<bool, BenchError> {
 }
 
 /// Section A: map which GTFT parameterizations hold `W_c*` under noise.
-fn gtft_grid(
-    game: &GameConfig,
-    w_star: u32,
-    quick: bool,
-) -> Result<Vec<GtftCell>, BenchError> {
+fn gtft_grid(game: &GameConfig, w_star: u32, quick: bool) -> Result<Vec<GtftCell>, BenchError> {
     let n = game.player_count();
     let (r0s, betas, noises, stages): (Vec<usize>, Vec<f64>, Vec<f64>, usize) = if quick {
         (vec![1, 3], vec![0.7, 0.9], vec![0.1, 0.3], 12)
     } else {
-        (
-            vec![1, 2, 4],
-            vec![0.6, 0.75, 0.9, 0.98],
-            vec![0.05, 0.1, 0.2, 0.3],
-            25,
-        )
+        (vec![1, 2, 4], vec![0.6, 0.75, 0.9, 0.98], vec![0.05, 0.1, 0.2, 0.3], 25)
     };
     let mut cells = Vec::new();
     for &r0 in &r0s {
@@ -290,13 +279,7 @@ fn channel_sweep(
         Engine::with_faults(&config, ChannelFaults::noop())?.run_slots(identity_slots);
     let zero_rate_identical = plain_report == noop_report;
 
-    let grid = [
-        (0.0, 0.0),
-        (0.05, 0.0),
-        (0.2, 0.0),
-        (0.0, 0.5),
-        (0.1, 0.25),
-    ];
+    let grid = [(0.0, 0.0), (0.05, 0.0), (0.2, 0.0), (0.0, 0.5), (0.1, 0.25)];
     let mut points = Vec::new();
     for &(error_rate, capture_prob) in &grid {
         let faults = ChannelFaults::new(error_rate, capture_prob, 9).map_err(BenchError::from)?;
@@ -433,10 +416,7 @@ pub fn robustness_table(report: &RobustnessReport) -> Vec<Vec<String>> {
         rows.push(vec![
             "ladder".into(),
             format!("{:?} ({})", l.profile, l.budget),
-            format!(
-                "rung={} retries={} gap={:?}",
-                l.rung, l.retries, l.max_tau_gap
-            ),
+            format!("rung={} retries={} gap={:?}", l.rung, l.retries, l.max_tau_gap),
         ]);
     }
     rows

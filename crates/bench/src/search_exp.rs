@@ -42,8 +42,7 @@ pub fn analytic_search_table(n: usize, starts: &[u32]) -> Result<Vec<SearchRow>,
             w_found: outcome.w_m,
             w_star,
             measurements: outcome.trace.len(),
-            relative_error: (f64::from(outcome.w_m) - f64::from(w_star)).abs()
-                / f64::from(w_star),
+            relative_error: (f64::from(outcome.w_m) - f64::from(w_star)).abs() / f64::from(w_star),
         });
     }
     Ok(rows)
@@ -63,8 +62,7 @@ pub fn simulated_search(
 ) -> Result<SearchRow, BenchError> {
     let game = GameConfig::builder(n).build()?;
     let w_star = efficient_ne(&game)?.window;
-    let mut probe =
-        SimulatedProbe::new(game.clone(), seed, MicroSecs::from_seconds(measure_secs))?;
+    let mut probe = SimulatedProbe::new(game.clone(), seed, MicroSecs::from_seconds(measure_secs))?;
     let outcome = run_search(&mut probe, &game, w0, margin)?;
     Ok(SearchRow {
         w0,

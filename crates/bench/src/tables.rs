@@ -123,7 +123,6 @@ pub fn simulated_ne(
     Ok((mean, var))
 }
 
-
 /// Computes Table II (`mode = Basic`) or Table III (`mode = RtsCts`).
 ///
 /// `sim_duration` is per sweep point; the paper simulated 1000 s, which
@@ -177,13 +176,7 @@ mod tests {
 
     #[test]
     fn basic_ne_table_matches_paper_scale() {
-        let rows = ne_table(
-            AccessMode::Basic,
-            2048,
-            MicroSecs::from_seconds(5.0),
-            42,
-        )
-        .unwrap();
+        let rows = ne_table(AccessMode::Basic, 2048, MicroSecs::from_seconds(5.0), 42).unwrap();
         for row in &rows {
             let rel = (f64::from(row.analytic_w_star) - f64::from(row.paper_w_star)).abs()
                 / f64::from(row.paper_w_star);
@@ -195,9 +188,15 @@ mod tests {
                 row.paper_w_star
             );
             // Simulated argmax lands near the analytic one.
-            let sim_rel =
-                (row.sim_mean - f64::from(row.analytic_w_star)).abs() / f64::from(row.analytic_w_star);
-            assert!(sim_rel < 0.25, "n = {}: sim mean {} analytic {}", row.n, row.sim_mean, row.analytic_w_star);
+            let sim_rel = (row.sim_mean - f64::from(row.analytic_w_star)).abs()
+                / f64::from(row.analytic_w_star);
+            assert!(
+                sim_rel < 0.25,
+                "n = {}: sim mean {} analytic {}",
+                row.n,
+                row.sim_mean,
+                row.analytic_w_star
+            );
         }
     }
 

@@ -5,10 +5,8 @@
 use std::process::Command;
 
 fn assert_rejected(args: &[&str], bad: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("repro binary runs");
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");

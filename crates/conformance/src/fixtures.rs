@@ -8,8 +8,8 @@
 //! (`UPDATE_GOLDEN=1`).
 
 use macgame_core::detect::{
-    adversarial_round_robin, cusum_roc, windowed_roc, ArenaReport, ArenaSettings,
-    CusumRocSettings, DetectorTft, FaultCell, RocCurve, WindowedRocSettings,
+    adversarial_round_robin, cusum_roc, windowed_roc, ArenaReport, ArenaSettings, CusumRocSettings,
+    DetectorTft, FaultCell, RocCurve, WindowedRocSettings,
 };
 use macgame_core::deviation::{
     malicious_impact, optimal_shortsighted_deviation, shortsighted_deviation, DeviationOutcome,
@@ -24,8 +24,8 @@ use macgame_dcf::fixedpoint::{solve, SolveOptions};
 use macgame_dcf::optimal::{efficient_cw_from_tau_star, ne_interval, DEFAULT_W_MAX};
 use macgame_dcf::params::AccessMode;
 use macgame_dcf::{
-    edca_slot_stats, solve_edca, DcfParams, EdcaEquilibrium, EdcaProfile, EdcaSlotStats,
-    EdcaTuple, SolutionRecord, UtilityParams,
+    edca_slot_stats, solve_edca, DcfParams, EdcaEquilibrium, EdcaProfile, EdcaSlotStats, EdcaTuple,
+    SolutionRecord, UtilityParams,
 };
 use macgame_multihop::convergence::{tft_converge, ConvergenceTrace};
 use macgame_multihop::Topology;
@@ -86,13 +86,8 @@ fn solve_records(
 ///
 /// Propagates solver failures.
 pub fn fixed_point_golden() -> Result<FixedPointGolden, ConformanceError> {
-    let basic_profiles: Vec<Vec<u32>> = vec![
-        vec![32; 5],
-        vec![76; 5],
-        vec![76; 10],
-        vec![128; 20],
-        vec![16, 48, 96, 192],
-    ];
+    let basic_profiles: Vec<Vec<u32>> =
+        vec![vec![32; 5], vec![76; 5], vec![76; 10], vec![128; 20], vec![16, 48, 96, 192]];
     let rtscts_profiles: Vec<Vec<u32>> = vec![vec![48; 8], vec![8, 48, 48, 256]];
     Ok(FixedPointGolden {
         basic: solve_records(&basic_profiles, &basic_params())?,
@@ -326,25 +321,15 @@ pub fn edca_golden() -> Result<EdcaGolden, ConformanceError> {
     let w_star = efficient_ne(&game)?.window;
 
     let profiles: Vec<(&str, Vec<EdcaTuple>, Vec<usize>)> = vec![
-        (
-            "degenerate-n5",
-            vec![EdcaTuple::legacy(w_star, &params)?],
-            vec![5],
-        ),
+        ("degenerate-n5", vec![EdcaTuple::legacy(w_star, &params)?], vec![5]),
         (
             "hetero-aifs",
-            vec![
-                EdcaTuple::new(w_star, m, 0, 1)?,
-                EdcaTuple::new(w_star, m, 2, 1)?,
-            ],
+            vec![EdcaTuple::new(w_star, m, 0, 1)?, EdcaTuple::new(w_star, m, 2, 1)?],
             vec![3, 2],
         ),
         (
             "txop-burst",
-            vec![
-                EdcaTuple::new(w_star, m, 0, 1)?,
-                EdcaTuple::new(w_star, m, 0, 8)?,
-            ],
+            vec![EdcaTuple::new(w_star, m, 0, 1)?, EdcaTuple::new(w_star, m, 0, 8)?],
             vec![3, 2],
         ),
     ];
@@ -452,7 +437,8 @@ pub fn detect_golden() -> Result<DetectGolden, ConformanceError> {
         Entrant::new("honest", move || Box::new(Constant::new(w_star))),
         Entrant::new("selfish", move || Box::new(Constant::new(w_selfish))),
         Entrant::new("detector-tft", move || {
-            Box::new(DetectorTft::try_new(w_star, 3, 0.6, 4).expect("validated above")) // PANIC-POLICY: parameters validated before the factory is built
+            // PANIC-POLICY: parameters validated before the factory is built
+            Box::new(DetectorTft::try_new(w_star, 3, 0.6, 4).expect("validated above"))
         }),
     ];
     let arena = adversarial_round_robin(

@@ -54,10 +54,7 @@ pub fn render<T: Serialize + ?Sized>(value: &T) -> Result<String, ConformanceErr
 /// * [`ConformanceError::MissingGolden`] if the fixture does not exist;
 /// * [`ConformanceError::Mismatch`] with a line diff if it disagrees;
 /// * IO/serialization failures.
-pub fn check_golden<T: Serialize + ?Sized>(
-    name: &str,
-    value: &T,
-) -> Result<(), ConformanceError> {
+pub fn check_golden<T: Serialize + ?Sized>(name: &str, value: &T) -> Result<(), ConformanceError> {
     let fresh = render(value)?;
     let path = golden_path(name);
     if bless_requested() {

@@ -99,7 +99,13 @@ impl Claim {
     }
 
     fn gated(name: &str, error: f64, tolerance: f64, detail: String) -> Self {
-        Claim { name: name.to_string(), pass: error <= tolerance, worst_relative_error: error, tolerance, detail }
+        Claim {
+            name: name.to_string(),
+            pass: error <= tolerance,
+            worst_relative_error: error,
+            tolerance,
+            detail,
+        }
     }
 }
 
@@ -171,18 +177,10 @@ fn analytic_claims() -> Result<Vec<Claim>, ConformanceError> {
     // Theorem 2: both endpoints of [W_c⁰, W_c*] are NE under TFT.
     let game = GameConfig::builder(5).w_max(NE_CHECK_W_MAX).build()?;
     let interval = macgame_core::ne_interval(&game)?;
-    let lower = check_symmetric_ne(
-        &game,
-        interval.lower,
-        NE_CHECK_REACTION_STAGES,
-        DEFAULT_NE_EPSILON,
-    )?;
-    let upper = check_symmetric_ne(
-        &game,
-        interval.upper,
-        NE_CHECK_REACTION_STAGES,
-        DEFAULT_NE_EPSILON,
-    )?;
+    let lower =
+        check_symmetric_ne(&game, interval.lower, NE_CHECK_REACTION_STAGES, DEFAULT_NE_EPSILON)?;
+    let upper =
+        check_symmetric_ne(&game, interval.upper, NE_CHECK_REACTION_STAGES, DEFAULT_NE_EPSILON)?;
     claims.push(Claim::boolean(
         "theorem2-ne-interval-n5",
         lower.is_ne && upper.is_ne,
@@ -242,9 +240,7 @@ fn analytic_claims() -> Result<Vec<Claim>, ConformanceError> {
 ///   plain solver converges on (rung 1 is bitwise-identical by
 ///   construction; this claim re-checks it end to end).
 fn robustness_claims() -> Result<Vec<Claim>, ConformanceError> {
-    use macgame_core::evaluator::{
-        AnalyticalEvaluator, NoisyObservationEvaluator, StageEvaluator,
-    };
+    use macgame_core::evaluator::{AnalyticalEvaluator, NoisyObservationEvaluator, StageEvaluator};
     use macgame_dcf::fixedpoint::{solve, solve_robust, SolveOptions};
     use macgame_faults::{ChannelFaults, ObservationFaults};
     use macgame_sim::{Engine, SimConfig};
@@ -262,9 +258,8 @@ fn robustness_claims() -> Result<Vec<Claim>, ConformanceError> {
     let slots = 10_000;
     let plain = Engine::new(&config).run_slots(slots);
     let faults = ChannelFaults::noop();
-    let noop = Engine::with_faults(&config, faults)
-        .map_err(ConformanceError::Sim)?
-        .run_slots(slots);
+    let noop =
+        Engine::with_faults(&config, faults).map_err(ConformanceError::Sim)?.run_slots(slots);
     claims.push(Claim::boolean(
         "robustness-zero-rate-engine-identity",
         plain == noop,
@@ -355,8 +350,8 @@ fn class_solver_claims() -> Result<Vec<Claim>, ConformanceError> {
             let dense = solve_dense(profile, params, options)?;
             for i in 0..profile.len() {
                 worst_gap = worst_gap.max((public.taus[i] - dense.taus[i]).abs());
-                worst_gap = worst_gap
-                    .max((public.collision_probs[i] - dense.collision_probs[i]).abs());
+                worst_gap =
+                    worst_gap.max((public.collision_probs[i] - dense.collision_probs[i]).abs());
             }
             checked += 1;
         }
@@ -453,9 +448,13 @@ fn serve_claims() -> Result<Vec<Claim>, ConformanceError> {
     let (_, evaluations, _) = coalescing.engine().reply_counters();
     let one_eval_per_unique = evaluations == queries.len() as u64;
     let bitwise = coalesced_replies.len() == duplicated.len()
-        && coalesced_replies.iter().enumerate().all(|(i, reply)| match (reply, &fresh_replies[i % queries.len()]) {
-            (Reply::Ok { result, .. }, Reply::Ok { result: expected, .. }) => result == expected,
-            _ => false,
+        && coalesced_replies.iter().enumerate().all(|(i, reply)| {
+            match (reply, &fresh_replies[i % queries.len()]) {
+                (Reply::Ok { result, .. }, Reply::Ok { result: expected, .. }) => {
+                    result == expected
+                }
+                _ => false,
+            }
         });
     claims.push(Claim::boolean(
         "serve-coalescing-bitwise",
@@ -546,26 +545,19 @@ fn edca_claims(settings: &ConformanceSettings) -> Result<Vec<Claim>, Conformance
     for n in [5usize, 10, 20] {
         let game = GameConfig::builder(n).build()?;
         let w_star = efficient_ne(&game)?.window;
-        let profile =
-            EdcaProfile::new(vec![EdcaTuple::legacy(w_star, &params)?], vec![n])?;
+        let profile = EdcaProfile::new(vec![EdcaTuple::legacy(w_star, &params)?], vec![n])?;
         let edca = solve_edca(&profile, &params, options)?;
         let classes = ClassProfile::new(vec![w_star], vec![n])?;
         let scalar = solve_classes(&classes, &params, options)?;
-        bitwise &= edca
-            .taus
-            .iter()
-            .zip(&scalar.taus)
-            .all(|(a, b)| a.to_bits() == b.to_bits())
+        bitwise &= edca.taus.iter().zip(&scalar.taus).all(|(a, b)| a.to_bits() == b.to_bits())
             && edca
                 .collision_probs
                 .iter()
                 .zip(&scalar.collision_probs)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
         let w_max = game.w_max();
-        let scalar_query = evaluate_query(
-            &Query::WcStar { players: n, mode: AccessMode::Basic, w_max },
-            &caches,
-        )?;
+        let scalar_query =
+            evaluate_query(&Query::WcStar { players: n, mode: AccessMode::Basic, w_max }, &caches)?;
         let edca_query = evaluate_query(
             &Query::EdcaWcStar { players: n, mode: AccessMode::Basic, txop: 1, w_max },
             &caches,
@@ -589,14 +581,8 @@ fn edca_claims(settings: &ConformanceSettings) -> Result<Vec<Claim>, Conformance
 
     // Class-level EDCA solves vs the dense per-node reference iteration.
     let hetero: Vec<(Vec<EdcaTuple>, Vec<usize>)> = vec![
-        (
-            vec![EdcaTuple::new(76, m, 0, 1)?, EdcaTuple::new(76, m, 2, 1)?],
-            vec![3, 2],
-        ),
-        (
-            vec![EdcaTuple::new(76, m, 0, 4)?, EdcaTuple::new(128, m, 1, 1)?],
-            vec![2, 3],
-        ),
+        (vec![EdcaTuple::new(76, m, 0, 1)?, EdcaTuple::new(76, m, 2, 1)?], vec![3, 2]),
+        (vec![EdcaTuple::new(76, m, 0, 4)?, EdcaTuple::new(128, m, 1, 1)?], vec![2, 3]),
         (
             vec![
                 EdcaTuple::new(16, 1, 0, 8)?,
@@ -615,11 +601,10 @@ fn edca_claims(settings: &ConformanceSettings) -> Result<Vec<Claim>, Conformance
         for (class, &count) in profile.counts().iter().enumerate() {
             for _ in 0..count {
                 worst_gap = worst_gap.max((class_eq.taus[class] - dense.taus[node]).abs());
+                worst_gap =
+                    worst_gap.max((class_eq.thinned_taus[class] - dense.thinned_taus[node]).abs());
                 worst_gap = worst_gap
-                    .max((class_eq.thinned_taus[class] - dense.thinned_taus[node]).abs());
-                worst_gap = worst_gap.max(
-                    (class_eq.collision_probs[class] - dense.collision_probs[node]).abs(),
-                );
+                    .max((class_eq.collision_probs[class] - dense.collision_probs[node]).abs());
                 node += 1;
             }
         }
@@ -666,10 +651,8 @@ fn edca_claims(settings: &ConformanceSettings) -> Result<Vec<Claim>, Conformance
         let tau = report.max_tau_error();
         let p = report.max_p_error();
         let s = report.throughput_relative_error();
-        worst_normalized = worst_normalized
-            .max(tau / budget.tau)
-            .max(p / budget.p)
-            .max(s / budget.throughput);
+        worst_normalized =
+            worst_normalized.max(tau / budget.tau).max(p / budget.p).max(s / budget.throughput);
         sim_detail.push(format!("{name}: τ̂ {tau:.2e}, p̂ {p:.2e}, Ŝ {s:.2e}"));
     }
     claims.push(Claim::gated(
@@ -718,12 +701,9 @@ fn detect_claims(settings: &ConformanceSettings) -> Result<Vec<Claim>, Conforman
         threads: settings.threads,
     };
     let zero_curves = windowed_roc(&zero_settings)?;
-    let clean = zero_curves.iter().all(|curve| {
-        curve
-            .points
-            .iter()
-            .all(|p| p.false_positives == 0 && p.false_negatives == 0)
-    });
+    let clean = zero_curves
+        .iter()
+        .all(|curve| curve.points.iter().all(|p| p.false_positives == 0 && p.false_negatives == 0));
     let trials: usize = zero_curves
         .first()
         .and_then(|c| c.points.first())
@@ -766,7 +746,8 @@ fn detect_claims(settings: &ConformanceSettings) -> Result<Vec<Claim>, Conforman
         Entrant::new("honest", || Box::new(Constant::new(64))),
         Entrant::new("selfish", || Box::new(Constant::new(8))),
         Entrant::new("detector-tft", || {
-            Box::new(DetectorTft::try_new(64, 3, 0.6, 4).expect("validated above")) // PANIC-POLICY: parameters validated before the factory is built
+            // PANIC-POLICY: parameters validated before the factory is built
+            Box::new(DetectorTft::try_new(64, 3, 0.6, 4).expect("validated above"))
         }),
     ];
     let arena_game = GameConfig::builder(2).build()?;

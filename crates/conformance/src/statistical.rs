@@ -168,12 +168,8 @@ mod tests {
     #[test]
     fn tiny_sweep_produces_three_claims_per_scenario() {
         // Deliberately tiny: this only checks plumbing, not tolerances.
-        let settings = ConformanceSettings {
-            slots: 2_000,
-            replications: 2,
-            base_seed: 7,
-            threads: 1,
-        };
+        let settings =
+            ConformanceSettings { slots: 2_000, replications: 2, base_seed: 7, threads: 1 };
         let claims = statistical_claims(&settings, &ToleranceBudget::paper()).unwrap();
         assert_eq!(claims.len(), 9);
         assert!(claims.iter().all(|c| c.worst_relative_error.is_finite()));

@@ -61,14 +61,7 @@ impl DetectorTft {
         if punish_stages == 0 {
             return Err(GameError::InvalidConfig("punishment must last at least one stage".into()));
         }
-        Ok(DetectorTft {
-            w_star,
-            memory,
-            threshold,
-            punish_stages,
-            detector: None,
-            punishing: 0,
-        })
+        Ok(DetectorTft { w_star, memory, threshold, punish_stages, detector: None, punishing: 0 })
     }
 }
 
@@ -88,11 +81,13 @@ impl Strategy for DetectorTft {
             .ok_or_else(|| GameError::InvalidConfig("next_window before stage 0".into()))?;
         let n = last.observed.len();
         if !self.detector.as_ref().is_some_and(|d| matches_nodes(d, n)) {
-            self.detector = Some(WindowedDetector::try_new(n, self.w_star, self.memory, self.threshold)?);
+            self.detector =
+                Some(WindowedDetector::try_new(n, self.w_star, self.memory, self.threshold)?);
         }
-        let detector = self.detector.as_mut().ok_or_else(|| {
-            GameError::InvalidConfig("detector initialization failed".into())
-        })?;
+        let detector = self
+            .detector
+            .as_mut()
+            .ok_or_else(|| GameError::InvalidConfig("detector initialization failed".into()))?;
         let verdicts = detector.observe_windows(&last.observed, 1)?;
         let convicted = verdicts.iter().any(|v| v.node != player);
 
@@ -162,11 +157,13 @@ impl Strategy for Throttle {
             .ok_or_else(|| GameError::InvalidConfig("next_window before stage 0".into()))?;
         let n = last.observed.len();
         if !self.detector.as_ref().is_some_and(|d| matches_nodes(d, n)) {
-            self.detector = Some(WindowedDetector::try_new(n, self.w_star, self.memory, self.threshold)?);
+            self.detector =
+                Some(WindowedDetector::try_new(n, self.w_star, self.memory, self.threshold)?);
         }
-        let detector = self.detector.as_mut().ok_or_else(|| {
-            GameError::InvalidConfig("detector initialization failed".into())
-        })?;
+        let detector = self
+            .detector
+            .as_mut()
+            .ok_or_else(|| GameError::InvalidConfig("detector initialization failed".into()))?;
         let verdicts = detector.observe_windows(&last.observed, 1)?;
         // The worst standing offender: lowest statistic, ties to the
         // lowest index — a deterministic pick.
@@ -203,11 +200,7 @@ mod tests {
 
     fn push(history: &mut History, observed: Vec<u32>) {
         let n = observed.len();
-        history.push(StageRecord {
-            windows: observed.clone(),
-            observed,
-            utilities: vec![0.0; n],
-        });
+        history.push(StageRecord { windows: observed.clone(), observed, utilities: vec![0.0; n] });
     }
 
     #[test]

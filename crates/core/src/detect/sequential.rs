@@ -182,13 +182,7 @@ impl WindowedDetector {
                 "window-ratio threshold must be in (0, 1], got {threshold}"
             )));
         }
-        Ok(WindowedDetector {
-            w_ref,
-            memory,
-            threshold,
-            recent: vec![Vec::new(); nodes],
-            slots: 0,
-        })
+        Ok(WindowedDetector { w_ref, memory, threshold, recent: vec![Vec::new(); nodes], slots: 0 })
     }
 
     /// Feeds one stage of observed windows (one per node, e.g. from an

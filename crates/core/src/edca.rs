@@ -135,11 +135,10 @@ pub fn edca_deviator_stage(
     let profile = EdcaProfile::new(vec![dev, sym], vec![1, n - 1])?;
     let rates = class_rates(game, &profile, memo)?;
     // Classes are in canonical tuple order; locate the deviator's class.
-    let dev_class = profile
-        .tuples()
-        .iter()
-        .position(|t| *t == dev)
-        .ok_or_else(|| GameError::InvalidConfig("deviator tuple missing from profile".into()))?;
+    let dev_class =
+        profile.tuples().iter().position(|t| *t == dev).ok_or_else(|| {
+            GameError::InvalidConfig("deviator tuple missing from profile".into())
+        })?;
     Ok(DeviatorStage { deviator: rates[dev_class], compliant: rates[1 - dev_class] })
 }
 
@@ -549,15 +548,13 @@ mod tests {
         let cw_mins = [20u32, 79];
         let txops = [1u32, 4];
         // A fully myopic deviator profits somewhere on the plane…
-        let myopic =
-            edca_plane_ne(&g, sym, &cw_mins, &txops, 1, 0.0, &memo).unwrap();
+        let myopic = edca_plane_ne(&g, sym, &cw_mins, &txops, 1, 0.0, &memo).unwrap();
         assert_eq!(myopic.len(), 4);
         assert!(myopic.iter().any(|c| c.profitable), "myopic cheating must pay");
         // …a long-sighted one does not (TFT retaliation eats the gain on
         // the CW axis, and matching bursts keep TXOP from strictly
         // helping a patient deviator).
-        let patient =
-            edca_plane_ne(&g, sym, &[20], &[1], 1, 0.999, &memo).unwrap();
+        let patient = edca_plane_ne(&g, sym, &[20], &[1], 1, 0.999, &memo).unwrap();
         assert!(!patient[0].profitable, "patient CW undercut must not pay");
         // The compliant corner (sym itself) never strictly profits.
         let corner = myopic.iter().find(|c| c.cw_min == 79 && c.txop == 1).unwrap();
@@ -606,12 +603,8 @@ mod tests {
         assert!(edca_plane_ne(&g, sym, &[20], &[1], 0, 0.0, &memo).is_err());
         assert!(edca_plane_ne(&g, sym, &[20], &[1], 1, 1.0, &memo).is_err());
         assert!(edca_plane_ne(&g, sym, &[], &[1], 1, 0.0, &memo).is_err());
-        let empty = EdcaLattice {
-            cw_mins: vec![],
-            stage_caps: vec![5],
-            aifs: vec![0],
-            txops: vec![1],
-        };
+        let empty =
+            EdcaLattice { cw_mins: vec![], stage_caps: vec![5], aifs: vec![0], txops: vec![1] };
         assert!(edca_best_response(&g, sym, &empty, &memo).is_err());
         let single = game(1);
         assert!(edca_deviator_stage(&single, sym, sym, &memo).is_err());

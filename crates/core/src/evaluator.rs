@@ -162,7 +162,6 @@ impl StageEvaluator for SimulatedEvaluator {
     }
 }
 
-
 /// Wraps any evaluator with a seeded [`ObservationChannel`]: utilities are
 /// passed through untouched, but the observed windows the strategies react
 /// to are perturbed by multiplicative/additive noise, stale reads and
@@ -185,11 +184,7 @@ impl<E: StageEvaluator> NoisyObservationEvaluator<E> {
     /// clamped into `[1, w_max]`.
     #[must_use]
     pub fn new(inner: E, faults: ObservationFaults, nodes: usize, w_max: u32) -> Self {
-        NoisyObservationEvaluator {
-            inner,
-            channel: ObservationChannel::new(faults, nodes),
-            w_max,
-        }
+        NoisyObservationEvaluator { inner, channel: ObservationChannel::new(faults, nodes), w_max }
     }
 
     /// The wrapped fault configuration.
@@ -324,10 +319,8 @@ mod tests {
 
     #[test]
     fn simulated_tracks_analytical_within_noise() {
-        let g = GameConfig::builder(5)
-            .stage_duration(MicroSecs::from_seconds(30.0))
-            .build()
-            .unwrap();
+        let g =
+            GameConfig::builder(5).stage_duration(MicroSecs::from_seconds(30.0)).build().unwrap();
         let mut analytic = AnalyticalEvaluator::new(g.clone());
         let mut sim = SimulatedEvaluator::new(g, 7).unwrap();
         let windows = [76u32; 5];
@@ -335,16 +328,19 @@ mod tests {
         let s = sim.evaluate(&windows).unwrap();
         for i in 0..5 {
             let rel = (a.utilities[i] - s.utilities[i]).abs() / a.utilities[i];
-            assert!(rel < 0.15, "player {i}: analytic {} vs sim {}", a.utilities[i], s.utilities[i]);
+            assert!(
+                rel < 0.15,
+                "player {i}: analytic {} vs sim {}",
+                a.utilities[i],
+                s.utilities[i]
+            );
         }
     }
 
     #[test]
     fn simulated_estimates_windows_roughly() {
-        let g = GameConfig::builder(4)
-            .stage_duration(MicroSecs::from_seconds(50.0))
-            .build()
-            .unwrap();
+        let g =
+            GameConfig::builder(4).stage_duration(MicroSecs::from_seconds(50.0)).build().unwrap();
         let mut sim = SimulatedEvaluator::new(g, 3).unwrap();
         let windows = [32u32, 64, 32, 128];
         let out = sim.evaluate(&windows).unwrap();
@@ -516,8 +512,7 @@ mod tests {
         let g = game(3);
         let players: Vec<Box<dyn Strategy>> =
             (0..3).map(|_| Box::new(Tft::new(60)) as Box<dyn Strategy>).collect();
-        let evaluator =
-            Box::new(CachingEvaluator::new(AnalyticalEvaluator::new(g.clone())));
+        let evaluator = Box::new(CachingEvaluator::new(AnalyticalEvaluator::new(g.clone())));
         let mut rg = RepeatedGame::new(g, players, evaluator).unwrap();
         rg.play(6).unwrap();
         // Six stages, one distinct profile: the cache did its job.

@@ -9,7 +9,6 @@
 
 use core::fmt;
 
-
 use crate::error::GameError;
 
 /// Boxed utility function: `(player, profile of action indices) → payoff`.
@@ -83,7 +82,8 @@ impl<A> FiniteGame<A> {
 
     fn validate_profile(&self, profile: &[usize]) {
         assert_eq!(profile.len(), self.players, "profile length must equal player count"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-        assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+        assert!(
+            // PANIC-POLICY: documented # Panics contract (programmer-error guard)
             profile.iter().all(|&a| a < self.actions.len()),
             "profile contains an out-of-range action index"
         );
@@ -243,7 +243,11 @@ mod tests {
     fn coordination_game_has_two_equilibria() {
         let g = FiniteGame::new(2, vec![0u8, 1], |i, p| {
             if p[0] == p[1] {
-                if p[i] == 1 { 2.0 } else { 1.0 }
+                if p[i] == 1 {
+                    2.0
+                } else {
+                    1.0
+                }
             } else {
                 0.0
             }

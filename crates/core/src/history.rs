@@ -80,7 +80,6 @@ impl History {
         total
     }
 
-
     /// First stage index from which every stage's profile is constant and
     /// uniform (all players on one window), i.e. the convergence point of
     /// TFT play. `None` if play never converged.

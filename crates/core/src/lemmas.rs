@@ -77,10 +77,10 @@ pub fn verify_lemma1(
                     values: (eq.taus[i], eq.taus[j]),
                 }));
             }
-            let margin_i = (1.0 - eq.collision_probs[i]) * game.utility().gain
-                - game.utility().cost;
-            let margin_j = (1.0 - eq.collision_probs[j]) * game.utility().gain
-                - game.utility().cost;
+            let margin_i =
+                (1.0 - eq.collision_probs[i]) * game.utility().gain - game.utility().cost;
+            let margin_j =
+                (1.0 - eq.collision_probs[j]) * game.utility().gain - game.utility().cost;
             if margin_i > 0.0 && margin_j > 0.0 && us[i] >= us[j] + TOL {
                 return Ok(Err(LemmaViolation {
                     quantity: "utility",
@@ -162,10 +162,7 @@ mod tests {
         let g = game(6);
         for (w_k, w_dev) in [(100u32, 30u32), (100, 300), (50, 49), (50, 51)] {
             let report = lemma4_report(&g, w_k, w_dev).unwrap();
-            assert!(
-                report.ordered(w_dev, w_k),
-                "w_k={w_k} w_dev={w_dev}: {report:?} not ordered"
-            );
+            assert!(report.ordered(w_dev, w_k), "w_k={w_k} w_dev={w_dev}: {report:?} not ordered");
         }
     }
 

@@ -76,9 +76,9 @@ pub mod strategy;
 pub mod tournament;
 
 pub use edca::{
-    edca_axis_sweep, edca_best_response, edca_deviator_stage, edca_plane_ne,
-    edca_stage_memo, edca_symmetric_stage, edca_wc_star, EdcaAxis, EdcaBestResponse, EdcaGainRow,
-    EdcaLattice, EdcaPlaneCell, EdcaStageMemo,
+    edca_axis_sweep, edca_best_response, edca_deviator_stage, edca_plane_ne, edca_stage_memo,
+    edca_symmetric_stage, edca_wc_star, EdcaAxis, EdcaBestResponse, EdcaGainRow, EdcaLattice,
+    EdcaPlaneCell, EdcaStageMemo,
 };
 pub use equilibrium::{check_symmetric_ne, efficient_ne, ne_interval, NeCheck, DEFAULT_NE_EPSILON};
 pub use error::GameError;
@@ -87,8 +87,8 @@ pub use evaluator::{
     StageEvaluator, StageOutcome,
 };
 pub use game::{GameConfig, GameConfigBuilder};
-pub use queries::{evaluate_query, Query, QueryResult, SolveCaches};
 pub use history::{History, StageRecord};
+pub use queries::{evaluate_query, Query, QueryResult, SolveCaches};
 pub use repeated::{ConvergenceReport, RepeatedGame};
 pub use search::{run_search, AnalyticProbe, SearchOutcome, SimulatedProbe};
 pub use strategy::{BestResponse, Constant, GenerousTft, Strategy, Tft};

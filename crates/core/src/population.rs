@@ -122,12 +122,7 @@ pub fn replicator(
         return Err(GameError::InvalidConfig(format!("shares must sum to 1 (got {total})")));
     }
     // Shift the payoff matrix positive for the ratio-form replicator.
-    let min_payoff = tournament
-        .scores
-        .iter()
-        .flatten()
-        .copied()
-        .fold(f64::INFINITY, f64::min);
+    let min_payoff = tournament.scores.iter().flatten().copied().fold(f64::INFINITY, f64::min);
     let shift = if min_payoff <= 0.0 { -min_payoff + 1.0 } else { 0.0 };
 
     let mut state = start.clone();
@@ -135,18 +130,14 @@ pub fn replicator(
     for _ in 0..generations {
         let fitness: Vec<f64> = (0..k)
             .map(|i| {
-                (0..k)
-                    .map(|j| state.shares[j] * (tournament.scores[i][j] + shift))
-                    .sum::<f64>()
+                (0..k).map(|j| state.shares[j] * (tournament.scores[i][j] + shift)).sum::<f64>()
             })
             .collect();
-        let mean: f64 =
-            (0..k).map(|i| state.shares[i] * fitness[i]).sum::<f64>();
+        let mean: f64 = (0..k).map(|i| state.shares[i] * fitness[i]).sum::<f64>();
         if mean <= 0.0 {
             break; // degenerate: population has no fitness mass left
         }
-        let mut next: Vec<f64> =
-            (0..k).map(|i| state.shares[i] * fitness[i] / mean).collect();
+        let mut next: Vec<f64> = (0..k).map(|i| state.shares[i] * fitness[i] / mean).collect();
         // Renormalize against floating-point drift.
         let norm: f64 = next.iter().sum();
         next.iter_mut().for_each(|s| *s /= norm);
@@ -166,11 +157,7 @@ mod tests {
 
     fn toy_tournament(scores: Vec<Vec<f64>>) -> TournamentResult {
         let k = scores.len();
-        TournamentResult {
-            names: (0..k).map(|i| format!("s{i}")).collect(),
-            scores,
-            stages: 1,
-        }
+        TournamentResult { names: (0..k).map(|i| format!("s{i}")).collect(), scores, stages: 1 }
     }
 
     #[test]
@@ -221,20 +208,17 @@ mod tests {
         let w_star = efficient_ne(&two).unwrap().window;
         let field: Vec<Entrant> = vec![
             Entrant::new("tft", move || Box::new(Tft::new(w_star))),
-            Entrant::new("gtft", move || Box::new(GenerousTft::try_new(w_star, 2, 0.9).expect("valid GTFT parameters"))),
-            Entrant::new("aggressor", move || {
-                Box::new(Constant::new((w_star / 8).max(1)))
+            Entrant::new("gtft", move || {
+                Box::new(GenerousTft::try_new(w_star, 2, 0.9).expect("valid GTFT parameters"))
             }),
+            Entrant::new("aggressor", move || Box::new(Constant::new((w_star / 8).max(1)))),
         ];
         let tournament = round_robin(&field, &template, 25).unwrap();
         let trace = replicator(&tournament, &PopulationState::uniform(3), 500).unwrap();
         let agg_idx = trace.names.iter().position(|n| n == "aggressor").unwrap();
         let final_share = trace.final_state().shares[agg_idx];
         let initial_share = 1.0 / 3.0;
-        assert!(
-            final_share < initial_share,
-            "aggressor share grew: {final_share}"
-        );
+        assert!(final_share < initial_share, "aggressor share grew: {final_share}");
     }
 
     #[test]

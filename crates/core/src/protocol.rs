@@ -45,13 +45,7 @@ impl SearchActor {
     /// Creates a follower starting at `window`.
     #[must_use]
     pub fn new(id: usize, window: u32) -> Self {
-        SearchActor {
-            id,
-            window,
-            state: ActorState::Idle,
-            readies_received: 0,
-            readies_missed: 0,
-        }
+        SearchActor { id, window, state: ActorState::Idle, readies_received: 0, readies_missed: 0 }
     }
 
     /// The actor's node id.
@@ -273,8 +267,7 @@ mod tests {
         let mut probe = AnalyticProbe::new(g.clone());
         let mut nodes = actors(5, 32);
         let mut bus = BroadcastBus::new(0.0, 1).unwrap();
-        let outcome =
-            run_protocol(&mut probe, &g, &mut nodes, &mut bus, w_star - 10, 0.0).unwrap();
+        let outcome = run_protocol(&mut probe, &g, &mut nodes, &mut bus, w_star - 10, 0.0).unwrap();
         assert_eq!(outcome.w_m, w_star);
         assert!(outcome.final_windows.iter().all(|&w| w == outcome.w_m));
         assert!(nodes.iter().all(SearchActor::committed));
@@ -290,8 +283,7 @@ mod tests {
         let mut probe = AnalyticProbe::new(g.clone());
         let mut nodes = actors(5, 32);
         let mut bus = BroadcastBus::new(0.4, 9).unwrap();
-        let outcome =
-            run_protocol(&mut probe, &g, &mut nodes, &mut bus, w_star - 25, 0.0).unwrap();
+        let outcome = run_protocol(&mut probe, &g, &mut nodes, &mut bus, w_star - 25, 0.0).unwrap();
         assert!(outcome.deliveries_dropped > 0);
         // The leader still finds the optimum — its own measurements never
         // traverse the bus.
@@ -311,8 +303,7 @@ mod tests {
         for seed in 0..20 {
             let mut nodes = actors(4, 60);
             let mut bus = BroadcastBus::new(0.3, seed).unwrap();
-            let outcome =
-                run_protocol(&mut probe, &g, &mut nodes, &mut bus, 60, 0.0).unwrap();
+            let outcome = run_protocol(&mut probe, &g, &mut nodes, &mut bus, 60, 0.0).unwrap();
             for node in &nodes[1..] {
                 // A committed actor heard the final Broadcast and must sit
                 // exactly on the committed window, regardless of how many

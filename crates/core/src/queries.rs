@@ -291,8 +291,14 @@ pub fn evaluate_query(query: &Query, caches: &SolveCaches) -> Result<QueryResult
         }
         Query::DeviationPayoff { players, mode, w_star, w_dev, reaction_stages, delta_s } => {
             let game = game_for(players, mode, None)?;
-            let outcome =
-                shortsighted_deviation_cached(&game, w_star, w_dev, reaction_stages, delta_s, cache)?;
+            let outcome = shortsighted_deviation_cached(
+                &game,
+                w_star,
+                w_dev,
+                reaction_stages,
+                delta_s,
+                cache,
+            )?;
             Ok(QueryResult::DeviationPayoff {
                 w_s: outcome.w_s,
                 deviant_payoff: outcome.deviant_payoff,
@@ -347,8 +353,7 @@ mod tests {
         let caches = caches();
         for mode in [AccessMode::Basic, AccessMode::RtsCts] {
             let scalar = Query::WcStar { players: 5, mode, w_max: 4096 };
-            let QueryResult::WcStar { window, utility } =
-                evaluate_query(&scalar, &caches).unwrap()
+            let QueryResult::WcStar { window, utility } = evaluate_query(&scalar, &caches).unwrap()
             else {
                 panic!("variant mismatch");
             };
@@ -395,8 +400,7 @@ mod tests {
     fn ne_interval_is_consistent_with_wc_star() {
         let caches = caches();
         let q = Query::NeInterval { players: 5, mode: AccessMode::RtsCts, w_max: 4096 };
-        let QueryResult::NeInterval { lower, upper, count } =
-            evaluate_query(&q, &caches).unwrap()
+        let QueryResult::NeInterval { lower, upper, count } = evaluate_query(&q, &caches).unwrap()
         else {
             panic!("variant mismatch");
         };

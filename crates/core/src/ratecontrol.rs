@@ -209,8 +209,8 @@ mod tests {
     fn fastest_rate_is_dominant() {
         let g = game(4);
         let fast = g.actions().len() - 1; // 11 Mbit/s
-        // Against any of a few opponent profiles, 11 Mbit/s is the best
-        // response.
+                                          // Against any of a few opponent profiles, 11 Mbit/s is the best
+                                          // response.
         for profile in [[0usize; 4], [3; 4], [0, 1, 2, 3], [2, 2, 0, 1]] {
             for i in 0..4 {
                 assert_eq!(g.best_response(i, &profile), fast, "profile {profile:?}");

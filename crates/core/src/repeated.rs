@@ -217,11 +217,8 @@ mod tests {
     fn constant_defector_drags_tft_down() {
         let game = GameConfig::builder(3).build().unwrap();
         let eval = Box::new(AnalyticalEvaluator::new(game.clone()));
-        let players: Vec<Box<dyn Strategy>> = vec![
-            Box::new(Constant::new(10)),
-            Box::new(Tft::new(100)),
-            Box::new(Tft::new(100)),
-        ];
+        let players: Vec<Box<dyn Strategy>> =
+            vec![Box::new(Constant::new(10)), Box::new(Tft::new(100)), Box::new(Tft::new(100))];
         let mut rg = RepeatedGame::new(game, players, eval).unwrap();
         let report = rg.play_until_converged(10, 2).unwrap();
         assert!(report.converged);
@@ -301,8 +298,7 @@ mod tests {
             fail_on_call: 3,
             calls: 0,
         };
-        let mut rg =
-            RepeatedGame::new(game, tft_players(&[50, 60, 70]), Box::new(flaky)).unwrap();
+        let mut rg = RepeatedGame::new(game, tft_players(&[50, 60, 70]), Box::new(flaky)).unwrap();
         rg.play(2).unwrap();
         assert_eq!(rg.history().len(), 2);
         // The third stage fails; the error surfaces and no partial record

@@ -129,8 +129,7 @@ impl Strategy for GenerousTft {
             recent.iter().map(|s| f64::from(s.observed[j])).sum::<f64>() / recent.len() as f64
         };
         let my_avg = avg(player);
-        let someone_undercuts =
-            (0..n).any(|j| j != player && avg(j) < self.tolerance * my_avg);
+        let someone_undercuts = (0..n).any(|j| j != player && avg(j) < self.tolerance * my_avg);
         let next = if someone_undercuts {
             last.observed.iter().copied().min().unwrap_or(self.initial)
         } else {

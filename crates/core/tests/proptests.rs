@@ -2,19 +2,19 @@
 //! random profiles, TFT dynamics, and deviation pricing.
 
 use macgame_core::deviation::shortsighted_deviation;
-use macgame_core::equilibrium::DEFAULT_NE_EPSILON;
-use macgame_core::queries::{evaluate_query, Query, QueryResult, SolveCaches};
-use macgame_dcf::AccessMode;
 use macgame_core::edca::{edca_axis_sweep, edca_stage_memo, EdcaAxis, EdcaStageMemo};
-use macgame_core::generalized::FiniteGame;
-use macgame_core::population::{replicator, PopulationState};
-use macgame_core::tournament::TournamentResult;
-use macgame_core::ratecontrol::{rate_game, rate_set_80211b, RateMbps};
+use macgame_core::equilibrium::DEFAULT_NE_EPSILON;
 use macgame_core::evaluator::AnalyticalEvaluator;
+use macgame_core::generalized::FiniteGame;
 use macgame_core::history::{History, StageRecord};
 use macgame_core::lemmas::{lemma4_report, verify_lemma1};
+use macgame_core::population::{replicator, PopulationState};
+use macgame_core::queries::{evaluate_query, Query, QueryResult, SolveCaches};
+use macgame_core::ratecontrol::{rate_game, rate_set_80211b, RateMbps};
 use macgame_core::strategy::{GenerousTft, Strategy, Tft};
+use macgame_core::tournament::TournamentResult;
 use macgame_core::{GameConfig, RepeatedGame};
+use macgame_dcf::AccessMode;
 use proptest::prelude::*;
 
 fn game(n: usize) -> GameConfig {

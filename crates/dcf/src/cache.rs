@@ -510,8 +510,8 @@ impl SymmetricSource for SolveCache {
 mod tests {
     use super::*;
     use crate::fixedpoint::solve;
-    use std::collections::BTreeMap;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn cache() -> SolveCache {
         SolveCache::new(DcfParams::default(), SolveOptions::default())

@@ -287,7 +287,8 @@ impl ClassEquilibrium {
 #[must_use]
 pub fn class_slot_stats(profile: &ClassProfile, taus: &[f64], params: &DcfParams) -> SlotStats {
     assert_eq!(taus.len(), profile.num_classes(), "need one τ per class"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-    assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    assert!(
+        // PANIC-POLICY: documented # Panics contract (programmer-error guard)
         taus.iter().all(|t| (0.0..=1.0).contains(t)),
         "transmission probabilities must be in [0, 1]"
     );
@@ -331,7 +332,8 @@ pub fn class_utilities(
     utility: &UtilityParams,
 ) -> Vec<f64> {
     assert_eq!(collision_probs.len(), profile.num_classes(), "need one p per class"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-    assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    assert!(
+        // PANIC-POLICY: documented # Panics contract (programmer-error guard)
         collision_probs.iter().all(|p| (0.0..=1.0).contains(p)),
         "collision probabilities must be in [0, 1]"
     );

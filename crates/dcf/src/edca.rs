@@ -60,9 +60,7 @@ const IDLE_ROOT_BISECTIONS: u32 = 64;
 ///
 /// The derived lexicographic order (`cw_min`, then `stage_cap`, `aifs`,
 /// `txop`) is the canonical class order used by [`EdcaProfile`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct EdcaTuple {
     /// Initial contention window `W` (CWmin), at least 1.
     pub cw_min: u32,
@@ -160,8 +158,7 @@ impl EdcaProfile {
         for tuple in &tuples {
             tuple.validate()?;
         }
-        let mut pairs: Vec<(EdcaTuple, usize)> =
-            tuples.into_iter().zip(counts).collect();
+        let mut pairs: Vec<(EdcaTuple, usize)> = tuples.into_iter().zip(counts).collect();
         pairs.sort_unstable_by_key(|&(t, _)| t);
         let mut merged_tuples: Vec<EdcaTuple> = Vec::with_capacity(pairs.len());
         let mut merged_counts: Vec<usize> = Vec::with_capacity(pairs.len());
@@ -260,9 +257,9 @@ impl EdcaProfile {
     #[must_use]
     pub fn is_degenerate(&self, params: &DcfParams) -> bool {
         let aifs = self.tuples[0].aifs;
-        self.tuples.iter().all(|t| {
-            t.aifs == aifs && t.txop == 1 && t.stage_cap == params.max_backoff_stage()
-        })
+        self.tuples
+            .iter()
+            .all(|t| t.aifs == aifs && t.txop == 1 && t.stage_cap == params.max_backoff_stage())
     }
 
     /// The per-node tuple list this profile canonicalizes (class order,
@@ -550,7 +547,8 @@ pub fn edca_slot_stats(
 ) -> EdcaSlotStats {
     let k = profile.num_classes();
     assert_eq!(eq.num_classes(), k, "need one class solution per class"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-    assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    assert!(
+        // PANIC-POLICY: documented # Panics contract (programmer-error guard)
         eq.thinned_taus.iter().all(|t| (0.0..=1.0).contains(t)),
         "thinned attempt rates must be in [0, 1]"
     );
@@ -589,11 +587,7 @@ pub fn edca_slot_stats(
 ///
 /// Same conditions as [`edca_slot_stats`].
 #[must_use]
-pub fn edca_throughput(
-    profile: &EdcaProfile,
-    eq: &EdcaEquilibrium,
-    params: &DcfParams,
-) -> f64 {
+pub fn edca_throughput(profile: &EdcaProfile, eq: &EdcaEquilibrium, params: &DcfParams) -> f64 {
     let stats = edca_slot_stats(profile, eq, params);
     let frames: f64 = stats
         .success_rates
@@ -621,7 +615,8 @@ pub fn edca_utilities(
     params: &DcfParams,
     utility: &UtilityParams,
 ) -> Vec<f64> {
-    assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    assert!(
         eq.collision_probs.iter().all(|p| (0.0..=1.0).contains(p)),
         "collision probabilities must be in [0, 1]"
     );

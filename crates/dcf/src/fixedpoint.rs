@@ -659,12 +659,7 @@ fn solve_bisection_safe(
     let midpoint: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| 0.5 * (l + h)).collect();
     let mut last = DcfError::did_not_converge(sweeps, f64::INFINITY);
     for damping in [0.25, 0.1, 0.04] {
-        let opts = SolveOptions {
-            max_iterations: 60_000,
-            tolerance,
-            damping,
-            accelerate: false,
-        };
+        let opts = SolveOptions { max_iterations: 60_000, tolerance, damping, accelerate: false };
         match solve_with_guess(windows, params, opts, Some(&midpoint)) {
             Ok(mut eq) => {
                 eq.iterations += sweeps;
@@ -965,8 +960,7 @@ mod tests {
         let windows_b = [16u32, 32, 76, 128, 256];
         let cold_a = solve(&windows_a, &p, options).unwrap();
         let cold_b = solve(&windows_b, &p, options).unwrap();
-        let warm_b =
-            solve_with_guess(&windows_b, &p, options, Some(&cold_a.taus)).unwrap();
+        let warm_b = solve_with_guess(&windows_b, &p, options, Some(&cold_a.taus)).unwrap();
         assert!(
             warm_b.iterations < cold_b.iterations,
             "warm {} vs cold {}",

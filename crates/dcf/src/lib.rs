@@ -65,8 +65,8 @@ pub mod edca;
 pub mod error;
 pub mod fixedpoint;
 pub mod markov;
-pub mod parallel;
 pub mod optimal;
+pub mod parallel;
 pub mod params;
 pub mod record;
 pub mod reference;
@@ -85,8 +85,8 @@ pub use fixedpoint::{
     solve, solve_classes, solve_classes_with_guess, solve_dense, solve_robust, solve_symmetric,
     solve_with_guess, Equilibrium, RobustSolve, SolveOptions, SymmetricPoint,
 };
-pub use parallel::{resolve_threads, solve_sweep, solve_sweep_cached};
 pub use optimal::{efficient_cw, ne_interval, optimal_tau, EfficientNe, NeInterval};
+pub use parallel::{resolve_threads, solve_sweep, solve_sweep_cached};
 pub use params::{AccessMode, DcfParams, DcfParamsBuilder, FrameParams, FrameTimings, PhyParams};
 pub use record::SolutionRecord;
 pub use units::{BitRate, Bits, MicroSecs};

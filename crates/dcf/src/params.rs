@@ -372,7 +372,8 @@ mod tests {
     #[test]
     fn rtscts_collisions_far_cheaper() {
         let basic = DcfParams::default().timings();
-        let rtscts = DcfParams::builder().access_mode(AccessMode::RtsCts).build().unwrap().timings();
+        let rtscts =
+            DcfParams::builder().access_mode(AccessMode::RtsCts).build().unwrap().timings();
         assert!(rtscts.collision_time.value() < 0.05 * basic.collision_time.value());
     }
 

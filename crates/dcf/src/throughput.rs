@@ -40,7 +40,8 @@ impl SlotStats {
 #[must_use]
 pub fn slot_stats(taus: &[f64], params: &DcfParams) -> SlotStats {
     assert!(!taus.is_empty(), "need at least one node"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-    assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    assert!(
+        // PANIC-POLICY: documented # Panics contract (programmer-error guard)
         taus.iter().all(|t| (0.0..=1.0).contains(t)),
         "transmission probabilities must be in [0, 1]"
     );
@@ -75,7 +76,8 @@ pub fn slot_stats(taus: &[f64], params: &DcfParams) -> SlotStats {
 #[must_use]
 pub(crate) fn homogeneous_slot_stats(tau: f64, n: usize, params: &DcfParams) -> SlotStats {
     assert!(n > 0, "need at least one node"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-    assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    assert!(
+        // PANIC-POLICY: documented # Panics contract (programmer-error guard)
         (0.0..=1.0).contains(&tau),
         "transmission probabilities must be in [0, 1]"
     );

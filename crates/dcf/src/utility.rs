@@ -178,7 +178,6 @@ pub fn normalized_global_payoff(
     social_welfare(taus, collision_probs, params, utility) * params.sigma().value() / utility.gain
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,8 +256,7 @@ mod tests {
         let free = UtilityParams { gain: 1.0, cost: 0.0 };
         let u = node_utility(0, &taus, &ps, &params(), &free);
         let stats = slot_stats(&taus, &params());
-        let success_rate_per_us =
-            taus[0] * (1.0 - ps[0]) / stats.mean_slot.value();
+        let success_rate_per_us = taus[0] * (1.0 - ps[0]) / stats.mean_slot.value();
         assert!((u - success_rate_per_us).abs() < 1e-15);
     }
 }

@@ -397,10 +397,7 @@ proptest! {
 fn edca_degenerate_bitwise_on_table_fixtures() {
     use macgame_dcf::{solve_edca, EdcaProfile, EdcaTuple};
     let fixtures: [(AccessMode, &[&[u32]]); 2] = [
-        (
-            AccessMode::Basic,
-            &[&[32; 5], &[76; 5], &[76; 10], &[128; 20], &[16, 48, 96, 192]],
-        ),
+        (AccessMode::Basic, &[&[32; 5], &[76; 5], &[76; 10], &[128; 20], &[16, 48, 96, 192]]),
         (AccessMode::RtsCts, &[&[48; 8], &[8, 48, 48, 256]]),
     ];
     for (mode, profiles) in fixtures {
@@ -410,9 +407,8 @@ fn edca_degenerate_bitwise_on_table_fixtures() {
                 windows.iter().map(|&w| EdcaTuple::legacy(w, &p).unwrap()).collect();
             let (profile, assignment) = EdcaProfile::from_tuples(&tuples).unwrap();
             assert!(profile.is_degenerate(&p));
-            let edca = solve_edca(&profile, &p, SolveOptions::default())
-                .unwrap()
-                .expand(&assignment);
+            let edca =
+                solve_edca(&profile, &p, SolveOptions::default()).unwrap().expand(&assignment);
             let scalar = solve(windows, &p, SolveOptions::default()).unwrap();
             assert_eq!(edca.taus, scalar.taus, "{mode:?} {windows:?}");
             assert_eq!(edca.thinned_taus, scalar.taus, "{mode:?} {windows:?}");

@@ -152,8 +152,7 @@ mod tests {
 
     #[test]
     fn validates_nodes_and_windows() {
-        let bad_node =
-            vec![ChurnEvent { round: 1, node: 5, kind: ChurnKind::Leave }];
+        let bad_node = vec![ChurnEvent { round: 1, node: 5, kind: ChurnKind::Leave }];
         assert!(ChurnSchedule::new(bad_node, 3).is_err());
         let bad_window =
             vec![ChurnEvent { round: 1, node: 0, kind: ChurnKind::Join { window: 0 } }];

@@ -141,7 +141,11 @@ impl ObservationChannel {
         if true_windows.len() != self.previous.len() {
             return Err(FaultError::invalid(
                 "true_windows",
-                format!("{} entries for {} observed nodes", true_windows.len(), self.previous.len()),
+                format!(
+                    "{} entries for {} observed nodes",
+                    true_windows.len(),
+                    self.previous.len()
+                ),
             ));
         }
         if self.faults.is_noop() {

@@ -1,7 +1,9 @@
 //! Property-based tests of the fault plane's two core invariants:
 //! zero-rate identity and seed determinism.
 
-use macgame_faults::{ChannelFaults, ChurnKind, ChurnSchedule, ObservationChannel, ObservationFaults};
+use macgame_faults::{
+    ChannelFaults, ChurnKind, ChurnSchedule, ObservationChannel, ObservationFaults,
+};
 use proptest::prelude::*;
 
 proptest! {

@@ -121,17 +121,13 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
         .collect();
 
     // Fixpoint: the set of labels each fn may acquire, transitively.
-    let mut owned: Vec<BTreeSet<String>> = acqs
-        .iter()
-        .map(|list| list.iter().map(|a| a.label.clone()).collect())
-        .collect();
+    let mut owned: Vec<BTreeSet<String>> =
+        acqs.iter().map(|list| list.iter().map(|a| a.label.clone()).collect()).collect();
     loop {
         let mut changed = false;
         for id in 0..g.fns.len() {
-            let callee_labels: Vec<String> = calls[id]
-                .iter()
-                .flat_map(|&(_, c)| owned[c].iter().cloned())
-                .collect();
+            let callee_labels: Vec<String> =
+                calls[id].iter().flat_map(|&(_, c)| owned[c].iter().cloned()).collect();
             for l in callee_labels {
                 changed |= owned[id].insert(l);
             }
@@ -239,12 +235,9 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
         back.reverse(); // b, …, a
         let mut cycle = vec![a.clone()];
         cycle.extend(back.into_iter().filter(|l| l != a)); // a, b, …
-        // Canonical rotation for dedup.
-        let min_pos = cycle
-            .iter()
-            .enumerate()
-            .min_by(|(_, x), (_, y)| x.cmp(y))
-            .map_or(0, |(i, _)| i);
+                                                           // Canonical rotation for dedup.
+        let min_pos =
+            cycle.iter().enumerate().min_by(|(_, x), (_, y)| x.cmp(y)).map_or(0, |(i, _)| i);
         let canonical: Vec<String> =
             cycle.iter().cycle().skip(min_pos).take(cycle.len()).cloned().collect();
         if !seen.insert(canonical.clone()) {

@@ -188,11 +188,8 @@ impl Ctx<'_> {
 #[must_use]
 pub fn analyze(files: &[(String, ParsedFile)], config: &AnalysisConfig) -> AnalysisReport {
     let graph = CallGraph::build(files);
-    let ctx = Ctx {
-        graph: &graph,
-        config,
-        files: files.iter().map(|(p, f)| (p.as_str(), f)).collect(),
-    };
+    let ctx =
+        Ctx { graph: &graph, config, files: files.iter().map(|(p, f)| (p.as_str(), f)).collect() };
     let (mut findings, taint_roots) = taint::run(&ctx);
     let (mut cycles, lock_sites) = locks::run(&ctx);
     findings.append(&mut cycles);

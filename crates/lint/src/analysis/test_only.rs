@@ -46,9 +46,8 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize, usize) {
     roots.dedup();
     let reached = g.reach(&roots);
 
-    let public = g.select(|n| {
-        !n.def.is_test && n.def.is_pub && !n.def.trait_impl && !is_entry_file(&n.file)
-    });
+    let public = g
+        .select(|n| !n.def.is_test && n.def.is_pub && !n.def.trait_impl && !is_entry_file(&n.file));
     let mut findings = Vec::new();
     for &id in &public {
         if reached.contains_key(&id) {

@@ -198,8 +198,7 @@ impl CallGraph {
         for (id, node) in fns.iter().enumerate() {
             name_index.entry(node.def.name.clone()).or_default().push(id);
         }
-        let hints: Vec<BTreeSet<String>> =
-            fns.iter().map(|n| mod_hints(&n.file, &n.def)).collect();
+        let hints: Vec<BTreeSet<String>> = fns.iter().map(|n| mod_hints(&n.file, &n.def)).collect();
 
         // Per-file import maps, keyed by path.
         let imports: BTreeMap<String, BTreeMap<String, Vec<String>>> =
@@ -243,9 +242,7 @@ impl CallGraph {
                     .imports
                     .get(name)
                     .or_else(|| self.imports.get(&node.file).and_then(|m| m.get(name)))
-                    .map(|full| {
-                        resolve_path(full, node, &self.fns, &self.name_index, &self.hints)
-                    });
+                    .map(|full| resolve_path(full, node, &self.fns, &self.name_index, &self.hints));
                 match via_import {
                     Some(ids) if !ids.is_empty() => ids,
                     _ => self
@@ -255,8 +252,7 @@ impl CallGraph {
                         .flatten()
                         .copied()
                         .filter(|&c| {
-                            self.fns[c].def.impl_target.is_none()
-                                && self.fns[c].krate == node.krate
+                            self.fns[c].def.impl_target.is_none() && self.fns[c].krate == node.krate
                         })
                         .collect(),
                 }

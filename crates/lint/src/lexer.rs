@@ -285,19 +285,16 @@ mod tests {
     #[test]
     fn tuple_field_unwrap_is_visible() {
         let toks = lex("self.0.unwrap()").tokens;
-        let has_unwrap = toks
-            .iter()
-            .any(|t| matches!(&t.kind, TokenKind::Ident(s) if s == "unwrap"));
+        let has_unwrap =
+            toks.iter().any(|t| matches!(&t.kind, TokenKind::Ident(s) if s == "unwrap"));
         assert!(has_unwrap, "numeric field access must not swallow `.unwrap`: {toks:?}");
     }
 
     #[test]
     fn float_exponents_stay_literals() {
         let toks = lex("let x = 1.0e-9.max(2.5);").tokens;
-        let maxes = toks
-            .iter()
-            .filter(|t| matches!(&t.kind, TokenKind::Ident(s) if s == "max"))
-            .count();
+        let maxes =
+            toks.iter().filter(|t| matches!(&t.kind, TokenKind::Ident(s) if s == "max")).count();
         assert_eq!(maxes, 1);
     }
 
@@ -379,10 +376,8 @@ mod tests {
     fn line_numbers_survive_multiline_strings() {
         let src = "let s = \"line\none\";\nlet t = HashMap::new();";
         let out = lex(src);
-        let hm = out
-            .tokens
-            .iter()
-            .find(|t| matches!(&t.kind, TokenKind::Ident(s) if s == "HashMap"));
+        let hm =
+            out.tokens.iter().find(|t| matches!(&t.kind, TokenKind::Ident(s) if s == "HashMap"));
         assert_eq!(hm.map(|t| t.line), Some(3));
     }
 }

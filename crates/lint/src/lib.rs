@@ -69,8 +69,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub use analysis::{AnalysisConfig, AnalysisReport};
-use report::LintStats;
 pub use report::LintReport;
+use report::LintStats;
 pub use rules::{FileContext, Finding};
 pub use waivers::WAIVER_FILE;
 
@@ -135,10 +135,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// used in findings and waivers.
 fn rel_str(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
-    rel.components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
+    rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
 }
 
 /// Lists the immediate subdirectories of `dir` that contain a
@@ -270,7 +267,12 @@ pub fn run_workspace_with(
         if pkg_dir != root {
             let manifest_path = pkg_dir.join("Cargo.toml");
             let rel = rel_str(root, &manifest_path);
-            findings.extend(manifest::check_manifest(&rel, &read(&manifest_path)?, *is_vendor, false));
+            findings.extend(manifest::check_manifest(
+                &rel,
+                &read(&manifest_path)?,
+                *is_vendor,
+                false,
+            ));
             manifests_checked += 1;
         }
         if *is_vendor {

@@ -79,9 +79,8 @@ pub fn check_manifest(
 
         let is_dep_table = DEP_SECTIONS.contains(&table.name.as_str())
             || (is_workspace_root && table.name == "workspace.dependencies")
-            || (table.name.starts_with("target.") && DEP_SECTIONS.iter().any(|s| {
-                table.name.ends_with(&format!(".{s}"))
-            }));
+            || (table.name.starts_with("target.")
+                && DEP_SECTIONS.iter().any(|s| table.name.ends_with(&format!(".{s}"))));
         if is_dep_table {
             for entry in &table.entries {
                 // `foo.workspace = true` dotted-key form.

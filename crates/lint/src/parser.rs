@@ -163,10 +163,8 @@ impl ParsedFile {
     /// so artifact rows stay stable and narrow; empty past the file.
     #[must_use]
     pub fn snippet(&self, line: u32) -> String {
-        let text = line
-            .checked_sub(1)
-            .and_then(|l| self.lines.get(l as usize))
-            .map_or("", |l| l.trim());
+        let text =
+            line.checked_sub(1).and_then(|l| self.lines.get(l as usize)).map_or("", |l| l.trim());
         let mut s: String = text.chars().take(96).collect();
         if text.chars().count() > 96 {
             s.push('…');
@@ -367,11 +365,8 @@ pub fn parse(source: &str) -> ParsedFile {
                 pending_pub = false;
                 // A gated field, variant or body-less item ends here,
                 // unless the separator is nested in its header.
-                let nested = if *sep == ',' {
-                    !header_open.is_empty()
-                } else {
-                    header_open.contains(&'[')
-                };
+                let nested =
+                    if *sep == ',' { !header_open.is_empty() } else { header_open.contains(&'[') };
                 if !nested {
                     pending_test = false;
                 }
@@ -542,8 +537,7 @@ pub fn parse(source: &str) -> ParsedFile {
                                     _ => None,
                                 })
                                 .collect();
-                            let is_test =
-                                file_is_test || pending_test || !test_depths.is_empty();
+                            let is_test = file_is_test || pending_test || !test_depths.is_empty();
                             out.fns.push(FnDef {
                                 name,
                                 impl_target,
@@ -605,11 +599,7 @@ pub fn parse(source: &str) -> ParsedFile {
 /// past the terminating `;`. Handles `a::b::c`, `as` renames, one level of
 /// `{…}` groups (nested groups degrade to their leaves with the outer
 /// prefix), and ignores globs.
-fn parse_use(
-    toks: &[Token],
-    mut i: usize,
-    imports: &mut BTreeMap<String, Vec<String>>,
-) -> usize {
+fn parse_use(toks: &[Token], mut i: usize, imports: &mut BTreeMap<String, Vec<String>>) -> usize {
     let n = toks.len();
     let mut prefix: Vec<String> = Vec::new();
     let mut group_stack: Vec<usize> = Vec::new(); // prefix lengths at group entry
@@ -715,10 +705,10 @@ fn record_event(
 
     // Keywords that look like idents but never name calls.
     const KEYWORDS: &[&str] = &[
-        "if", "else", "match", "while", "for", "loop", "let", "mut", "return", "break",
-        "continue", "move", "ref", "in", "as", "dyn", "impl", "where", "unsafe", "async",
-        "await", "box", "static", "const", "struct", "enum", "union", "type", "self",
-        "Self", "super", "crate", "true", "false",
+        "if", "else", "match", "while", "for", "loop", "let", "mut", "return", "break", "continue",
+        "move", "ref", "in", "as", "dyn", "impl", "where", "unsafe", "async", "await", "box",
+        "static", "const", "struct", "enum", "union", "type", "self", "Self", "super", "crate",
+        "true", "false",
     ];
 
     let name = segments.last().cloned().unwrap_or_default();
@@ -916,7 +906,9 @@ mod tests {
             )),
             "{ev:?}"
         );
-        assert!(ev.iter().any(|e| matches!(e, Event::MacroCall { name, .. } if name == "assert_eq")));
+        assert!(ev
+            .iter()
+            .any(|e| matches!(e, Event::MacroCall { name, .. } if name == "assert_eq")));
         // Calls inside macro arguments still count.
         assert!(ev.iter().any(|e| matches!(e, Event::BareCall { name, .. } if name == "check")));
     }
@@ -967,10 +959,7 @@ mod tests {
             .filter(|(t, _)| matches!(&t.kind, TokenKind::Ident(s) if s == "HashMap"))
             .map(|(t, &flag)| (t.line, flag))
             .collect();
-        assert_eq!(
-            flags,
-            vec![(3, true), (5, true), (5, true), (7, true), (8, false), (8, false)]
-        );
+        assert_eq!(flags, vec![(3, true), (5, true), (5, true), (7, true), (8, false), (8, false)]);
         assert_eq!(parsed.in_test.len(), parsed.tokens.len());
     }
 

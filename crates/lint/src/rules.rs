@@ -183,7 +183,10 @@ pub fn check_source(ctx: &FileContext<'_>, file: &ParsedFile) -> Vec<Finding> {
                 Some(format!("{name}!"))
             }
             Some(name)
-                if PANIC_METHODS.contains(&name) && i > 0 && punct(i - 1, '.') && punct(i + 1, '(') =>
+                if PANIC_METHODS.contains(&name)
+                    && i > 0
+                    && punct(i - 1, '.')
+                    && punct(i + 1, '(') =>
             {
                 Some(format!(".{name}()"))
             }

@@ -62,7 +62,8 @@ impl Table {
 /// root table (which holds assignments before the first header).
 #[must_use]
 pub fn parse(source: &str) -> Vec<Table> {
-    let mut tables = vec![Table { name: String::new(), is_array: false, line: 0, entries: Vec::new() }];
+    let mut tables =
+        vec![Table { name: String::new(), is_array: false, line: 0, entries: Vec::new() }];
     let mut lines = source.lines().enumerate().peekable();
     while let Some((idx, raw)) = lines.next() {
         let lineno = (idx + 1) as u32;

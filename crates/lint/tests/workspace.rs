@@ -21,15 +21,13 @@ fn lint_report(root: &Path) -> LintReport {
 #[test]
 fn real_workspace_is_lint_clean() {
     let report = lint_report(&real_root());
-    let unwaived: Vec<String> = report
-        .unwaived()
-        .iter()
-        .map(|f| format!("{} {}:{}", f.rule, f.path, f.line))
-        .collect();
+    let unwaived: Vec<String> =
+        report.unwaived().iter().map(|f| format!("{} {}:{}", f.rule, f.path, f.line)).collect();
     assert!(unwaived.is_empty(), "unwaived findings: {unwaived:#?}");
-    assert!(report.findings.iter().all(|f| {
-        !f.waived || f.reason.as_deref().is_some_and(|r| !r.trim().is_empty())
-    }));
+    assert!(report
+        .findings
+        .iter()
+        .all(|f| { !f.waived || f.reason.as_deref().is_some_and(|r| !r.trim().is_empty()) }));
 }
 
 #[test]

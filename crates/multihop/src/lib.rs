@@ -56,8 +56,7 @@ pub use convergence::{
 pub use error::MultihopError;
 pub use geometry::{Arena, Point};
 pub use localgame::{
-    analytic_p_hn, local_optimal_windows, local_optimal_windows_threads,
-    local_taus, LocalRule,
+    analytic_p_hn, local_optimal_windows, local_optimal_windows_threads, local_taus, LocalRule,
 };
 pub use metrics::{evaluate_quasi_optimality, unilateral_quality, QuasiOptimality};
 pub use mobility::{Mobility, WaypointConfig};

@@ -41,7 +41,8 @@ pub fn global_payoff_at(
     duration: MicroSecs,
 ) -> Result<f64, MultihopError> {
     let n = positions.len();
-    let mut engine = SpatialEngine::with_positions(positions.to_vec(), &vec![w; n], config.clone())?;
+    let mut engine =
+        SpatialEngine::with_positions(positions.to_vec(), &vec![w; n], config.clone())?;
     let report = engine.run_for(duration);
     Ok(report.global_payoff_rate(&config.utility))
 }
@@ -60,7 +61,12 @@ pub fn sweep_global(
 ) -> Result<Vec<GlobalSample>, MultihopError> {
     windows
         .iter()
-        .map(|&w| Ok(GlobalSample { window: w, payoff: global_payoff_at(positions, w, config, duration)? }))
+        .map(|&w| {
+            Ok(GlobalSample {
+                window: w,
+                payoff: global_payoff_at(positions, w, config, duration)?,
+            })
+        })
         .collect()
 }
 
@@ -119,8 +125,7 @@ pub fn local_quality(
         let mut engine =
             SpatialEngine::with_positions(positions.to_vec(), &vec![w; n], config.clone())?;
         let report = engine.run_for(duration);
-        let payoffs =
-            (0..n).map(|i| report.payoff_rate(i, &config.utility)).collect::<Vec<_>>();
+        let payoffs = (0..n).map(|i| report.payoff_rate(i, &config.utility)).collect::<Vec<_>>();
         sweep.push((w, payoffs));
     }
     let mut out = Vec::with_capacity(sample_nodes.len());
@@ -265,8 +270,9 @@ mod tests {
         // at W = 2 must lose to a window near the cluster's optimum.
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let positions: Vec<Point> = (0..15)
-            .map(|_| {
-                Point { x: 500.0 + rng.gen_range(-25.0..25.0), y: 500.0 + rng.gen_range(-25.0..25.0) }
+            .map(|_| Point {
+                x: 500.0 + rng.gen_range(-25.0..25.0),
+                y: 500.0 + rng.gen_range(-25.0..25.0),
             })
             .collect();
         let config = static_config(2);
@@ -285,8 +291,7 @@ mod tests {
         let positions = random_positions(10, 3);
         let config = static_config(4);
         let dur = MicroSecs::from_seconds(3.0);
-        let quality =
-            local_quality(&positions, 16, &[0, 3], &[8, 16, 32], &config, dur).unwrap();
+        let quality = local_quality(&positions, 16, &[0, 3], &[8, 16, 32], &config, dur).unwrap();
         assert_eq!(quality.len(), 2);
         for q in &quality {
             assert!((0.0..=1.0).contains(&q.fraction), "fraction {}", q.fraction);
@@ -319,14 +324,14 @@ mod tests {
         // the NE window is visibly below 1 (TFT exists to deter this).
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let positions: Vec<Point> = (0..10)
-            .map(|_| {
-                Point { x: 500.0 + rng.gen_range(-50.0..50.0), y: 500.0 + rng.gen_range(-50.0..50.0) }
+            .map(|_| Point {
+                x: 500.0 + rng.gen_range(-50.0..50.0),
+                y: 500.0 + rng.gen_range(-50.0..50.0),
             })
             .collect();
         let config = static_config(3);
         let dur = MicroSecs::from_seconds(4.0);
-        let uni =
-            unilateral_quality(&positions, 32, &[0], &[4, 8, 16, 32], &config, dur).unwrap();
+        let uni = unilateral_quality(&positions, 32, &[0], &[4, 8, 16, 32], &config, dur).unwrap();
         assert!(uni[0].fraction < 0.9, "fraction {}", uni[0].fraction);
         assert!(uni[0].best.0 < 32, "best deviation {}", uni[0].best.0);
     }

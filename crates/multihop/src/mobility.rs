@@ -70,7 +70,8 @@ impl Mobility {
     #[must_use]
     pub fn new(n: usize, config: WaypointConfig, seed: u64) -> Self {
         assert!(n > 0, "need at least one node"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-        assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+        assert!(
+            // PANIC-POLICY: documented # Panics contract (programmer-error guard)
             config.min_speed >= 0.0 && config.max_speed >= config.min_speed,
             "invalid speed range"
         );
@@ -114,8 +115,7 @@ impl Mobility {
                 if state.pause_left.value() > 0.0 {
                     let pause_secs = state.pause_left.to_seconds();
                     if pause_secs >= remaining {
-                        state.pause_left =
-                            MicroSecs::from_seconds(pause_secs - remaining);
+                        state.pause_left = MicroSecs::from_seconds(pause_secs - remaining);
                         remaining = 0.0;
                     } else {
                         state.pause_left = MicroSecs::ZERO;
@@ -166,11 +166,7 @@ mod tests {
         let before = m.positions();
         m.step(MicroSecs::from_seconds(60.0));
         let after = m.positions();
-        let moved = before
-            .iter()
-            .zip(&after)
-            .filter(|(a, b)| a.distance_to(b) > 1.0)
-            .count();
+        let moved = before.iter().zip(&after).filter(|(a, b)| a.distance_to(b) > 1.0).count();
         assert!(moved > 15, "only {moved} nodes moved");
     }
 

@@ -411,12 +411,7 @@ impl SpatialEngine {
                 })
                 .collect(),
             elapsed: self.clock - clock_base,
-            local_elapsed: self
-                .local_clock
-                .iter()
-                .zip(&local_base)
-                .map(|(a, b)| *a - *b)
-                .collect(),
+            local_elapsed: self.local_clock.iter().zip(&local_base).map(|(a, b)| *a - *b).collect(),
             slots: self.slots - slots_base,
         };
         telemetry::counter("multihop.spatial.runs", 1);
@@ -462,12 +457,8 @@ mod tests {
         // 0-1-2 line with 200 m spacing and 250 m range: 0 and 2 are
         // mutually hidden; transmissions to the middle node suffer.
         let config = static_config(5);
-        let mut engine = SpatialEngine::with_positions(
-            line_positions(3, 200.0),
-            &[16, 16, 16],
-            config,
-        )
-        .unwrap();
+        let mut engine =
+            SpatialEngine::with_positions(line_positions(3, 200.0), &[16, 16, 16], config).unwrap();
         let report = engine.run_for(MicroSecs::from_seconds(50.0));
         let p_hn = report.network_p_hn().expect("plenty of exposed attempts");
         assert!(p_hn < 0.999, "expected hidden losses, p_hn = {p_hn}");
@@ -482,11 +473,7 @@ mod tests {
             SpatialEngine::with_positions(line_positions(4, 150.0), &[32; 4], config).unwrap();
         let report = engine.run_for(MicroSecs::from_seconds(10.0));
         for (i, s) in report.node_stats.iter().enumerate() {
-            assert_eq!(
-                s.attempts,
-                s.successes + s.collisions,
-                "node {i}: attempts must partition"
-            );
+            assert_eq!(s.attempts, s.successes + s.collisions, "node {i}: attempts must partition");
             assert!(report.hidden[i].hidden_losses <= report.hidden[i].exposed_attempts);
         }
         assert!(report.elapsed.value() >= 10.0 * 1e6);
@@ -537,8 +524,6 @@ mod tests {
         assert!(e.set_windows(&[0, 1]).is_err());
         assert!(e.set_window(5, 4).is_err());
         assert!(e.set_window(0, 0).is_err());
-        assert!(
-            SpatialEngine::with_positions(vec![Point { x: 0.0, y: 0.0 }], &[8, 8], c).is_err()
-        );
+        assert!(SpatialEngine::with_positions(vec![Point { x: 0.0, y: 0.0 }], &[8, 8], c).is_err());
     }
 }

@@ -71,7 +71,9 @@ impl Topology {
     #[must_use]
     pub fn line(n: usize) -> Self {
         assert!(n > 0, "need at least one node"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-        Topology::from_adjacency((0..n).map(|i| if i + 1 < n { vec![i + 1] } else { vec![] }).collect())
+        Topology::from_adjacency(
+            (0..n).map(|i| if i + 1 < n { vec![i + 1] } else { vec![] }).collect(),
+        )
     }
 
     /// A `rows × cols` 4-neighbor grid, row-major node numbering

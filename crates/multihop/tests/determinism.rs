@@ -40,8 +40,7 @@ fn mobility_trajectories_differ_across_seeds() {
 fn spatial_reports_bitwise_identical_for_same_seed() {
     let run = |seed: u64| {
         let n = 10;
-        let mut engine =
-            SpatialEngine::new(n, &vec![32; n], SpatialConfig::paper(seed)).unwrap();
+        let mut engine = SpatialEngine::new(n, &vec![32; n], SpatialConfig::paper(seed)).unwrap();
         engine.run_for(MicroSecs::from_seconds(2.0))
     };
     // `SpatialReport` derives `PartialEq`, so this compares every counter
@@ -56,8 +55,7 @@ fn spatial_report_invariant_under_interrupted_runs_with_same_seed() {
     // fresh engine must land on the same final cumulative state.
     let total = |splits: &[f64]| {
         let n = 8;
-        let mut engine =
-            SpatialEngine::new(n, &vec![64; n], SpatialConfig::paper(11)).unwrap();
+        let mut engine = SpatialEngine::new(n, &vec![64; n], SpatialConfig::paper(11)).unwrap();
         let mut last = None;
         for &s in splits {
             last = Some(engine.run_for(MicroSecs::from_seconds(s)));
@@ -82,13 +80,18 @@ fn local_windows_and_ne_check_invariant_across_thread_counts() {
     let utility = UtilityParams::default();
     let game = GameConfig::builder(10).build().unwrap();
 
-    let baseline =
-        local_optimal_windows_threads(&topology, &params, &utility, 1024, LocalRule::ExactArgmax, 1)
-            .unwrap();
+    let baseline = local_optimal_windows_threads(
+        &topology,
+        &params,
+        &utility,
+        1024,
+        LocalRule::ExactArgmax,
+        1,
+    )
+    .unwrap();
     let w_m = *baseline.iter().min().unwrap();
     let baseline_check =
-        check_multihop_ne_threads(&topology, &baseline, w_m, &game, DEFAULT_NE_EPSILON, 1)
-            .unwrap();
+        check_multihop_ne_threads(&topology, &baseline, w_m, &game, DEFAULT_NE_EPSILON, 1).unwrap();
     let baseline_trace = tft_converge(&topology, &baseline).unwrap();
 
     for threads in [2usize, 8] {

@@ -34,9 +34,8 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args { tcp: None, config: EngineConfig::default() };
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
-        let mut value = |name: &str| {
-            iter.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
+        let mut value =
+            |name: &str| iter.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"));
         match flag.as_str() {
             "--tcp" => args.tcp = Some(value("--tcp")?),
             "--threads" => {
@@ -64,10 +63,7 @@ fn run() -> Result<(), String> {
     match args.tcp {
         Some(addr) => {
             let listener = TcpListener::bind(&addr).map_err(|e| format!("bind {addr}: {e}"))?;
-            eprintln!(
-                "served: listening on {}",
-                listener.local_addr().map_err(|e| e.to_string())?
-            );
+            eprintln!("served: listening on {}", listener.local_addr().map_err(|e| e.to_string())?);
             serve_tcp(&Arc::new(engine), &listener).map_err(|e| e.to_string())
         }
         None => serve_stdio(&engine).map_err(|e| e.to_string()),

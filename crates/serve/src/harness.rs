@@ -105,8 +105,8 @@ impl ServeHarness {
         let mut reader = Cursor::new(wire.to_vec());
         let mut replies = Vec::new();
         while let Some(payload) = read_frame(&mut reader).map_err(ServeError::Frame)? {
-            let text = std::str::from_utf8(&payload)
-                .map_err(|e| ServeError::Protocol(e.to_string()))?;
+            let text =
+                std::str::from_utf8(&payload).map_err(|e| ServeError::Protocol(e.to_string()))?;
             replies.push(serde_json::from_str(text)?);
         }
         Ok(replies)

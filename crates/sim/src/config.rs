@@ -225,9 +225,7 @@ impl SimConfigBuilder {
                 )));
             }
             if self.aifs.iter().any(|&a| a > 64) {
-                return Err(crate::SimError::InvalidConfig(
-                    "AIFS must be at most 64 slots".into(),
-                ));
+                return Err(crate::SimError::InvalidConfig("AIFS must be at most 64 slots".into()));
             }
         }
         if !self.txop.is_empty() {

@@ -562,10 +562,8 @@ mod tests {
 
     #[test]
     fn rtscts_timing_applied() {
-        let params =
-            DcfParams::builder().access_mode(AccessMode::RtsCts).build().unwrap();
-        let config =
-            SimConfig::builder().params(params).symmetric(5, 16).seed(11).build().unwrap();
+        let params = DcfParams::builder().access_mode(AccessMode::RtsCts).build().unwrap();
+        let config = SimConfig::builder().params(params).symmetric(5, 16).seed(11).build().unwrap();
         let mut e = Engine::new(&config);
         let r = e.run_slots(10_000);
         let t = params.timings();
@@ -636,12 +634,8 @@ mod tests {
         // often than its equal-window peers, and strictly less than it
         // would in the equal-AIFS network.
         let base = SimConfig::builder().symmetric(4, 32).seed(9).build().unwrap();
-        let cfg = SimConfig::builder()
-            .symmetric(4, 32)
-            .aifs(vec![0, 0, 0, 2])
-            .seed(9)
-            .build()
-            .unwrap();
+        let cfg =
+            SimConfig::builder().symmetric(4, 32).aifs(vec![0, 0, 0, 2]).seed(9).build().unwrap();
         let rb = Engine::new(&base).run_slots(200_000);
         let rd = Engine::new(&cfg).run_slots(200_000);
         assert!(
@@ -658,12 +652,8 @@ mod tests {
     #[test]
     fn txop_bursts_extend_successful_slots_only() {
         let p = DcfParams::default();
-        let cfg = SimConfig::builder()
-            .symmetric(3, 32)
-            .txop(vec![4, 1, 1])
-            .seed(13)
-            .build()
-            .unwrap();
+        let cfg =
+            SimConfig::builder().symmetric(3, 32).txop(vec![4, 1, 1]).seed(13).build().unwrap();
         let mut e = Engine::new(&cfg);
         let mut expect = 0.0f64;
         let t = p.timings();
@@ -790,12 +780,8 @@ mod tests {
         // Offered load far beyond capacity: τ̂ should match the saturated
         // run with the same windows.
         let mk = |traffic| {
-            let config = SimConfig::builder()
-                .symmetric(4, 32)
-                .traffic(traffic)
-                .seed(5)
-                .build()
-                .unwrap();
+            let config =
+                SimConfig::builder().symmetric(4, 32).traffic(traffic).seed(5).build().unwrap();
             let mut e = Engine::new(&config);
             e.run_slots(200_000)
         };
@@ -837,8 +823,7 @@ mod tests {
         let sym = solve_symmetric(n, w, &p).unwrap();
         let mut e = engine(n, w, 2024);
         let _ = e.run_slots(400_000);
-        let predicted =
-            mean_access_slots(w, sym.collision_prob, p.max_backoff_stage()).unwrap();
+        let predicted = mean_access_slots(w, sym.collision_prob, p.max_backoff_stage()).unwrap();
         for i in 0..n {
             let measured = e.delay.mean_slots(i).expect("plenty of samples");
             let rel = (measured - predicted).abs() / predicted;

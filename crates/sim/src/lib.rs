@@ -60,6 +60,5 @@ pub use report::{ChannelCounts, StageReport};
 pub use traffic::TrafficModel;
 pub use validation::{
     relative_error, validate_edca_sweep, validate_fixed_point, validate_fixed_point_sweep,
-    QuantitySweep,
-    SweepReport, ValidationReport, ValidationRow,
+    QuantitySweep, SweepReport, ValidationReport, ValidationRow,
 };

@@ -74,7 +74,8 @@ impl Node {
     #[must_use]
     pub fn new(window: u32, max_stage: u32, rng: &mut impl Rng) -> Self {
         assert!(window >= 1, "contention window must be at least 1"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
-        let mut node = Node { window, max_stage, stage: 0, counter: 0, stats: NodeStats::default() };
+        let mut node =
+            Node { window, max_stage, stage: 0, counter: 0, stats: NodeStats::default() };
         node.counter = node.draw_backoff(rng);
         node
     }

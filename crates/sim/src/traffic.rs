@@ -43,7 +43,8 @@ impl TrafficModel {
         match *self {
             TrafficModel::Saturated => 0,
             TrafficModel::Poisson { packets_per_second } => {
-                assert!( // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+                // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+                assert!(
                     packets_per_second.is_finite() && packets_per_second >= 0.0,
                     "arrival rate must be finite and non-negative"
                 );

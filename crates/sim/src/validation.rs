@@ -240,14 +240,11 @@ pub fn validate_fixed_point_sweep(
         .seed(base_seed)
         .build()?;
     let reports = replicate_threads(&config, slots, replications, base_seed, threads)?;
-    let per_node = |f: &dyn Fn(&crate::report::StageReport, usize) -> f64,
-                    predicted: &[f64]| {
+    let per_node = |f: &dyn Fn(&crate::report::StageReport, usize) -> f64, predicted: &[f64]| {
         (0..windows.len())
             .map(|i| QuantitySweep {
                 predicted: predicted[i],
-                estimate: Summary::of(
-                    &reports.iter().map(|r| f(r, i)).collect::<Vec<f64>>(),
-                ),
+                estimate: Summary::of(&reports.iter().map(|r| f(r, i)).collect::<Vec<f64>>()),
             })
             .collect::<Vec<QuantitySweep>>()
     };
@@ -255,9 +252,7 @@ pub fn validate_fixed_point_sweep(
     let collision_probs = per_node(&|r, i| r.p_hat(i), &eq.collision_probs);
     let throughput = QuantitySweep {
         predicted: normalized_throughput(&eq.taus, params),
-        estimate: Summary::of(
-            &reports.iter().map(|r| r.throughput(params)).collect::<Vec<f64>>(),
-        ),
+        estimate: Summary::of(&reports.iter().map(|r| r.throughput(params)).collect::<Vec<f64>>()),
     };
     Ok(SweepReport {
         windows: windows.to_vec(),
@@ -317,14 +312,11 @@ pub fn validate_edca_sweep(
         .seed(base_seed)
         .build()?;
     let reports = replicate_threads(&config, slots, replications, base_seed, threads)?;
-    let per_node = |f: &dyn Fn(&crate::report::StageReport, usize) -> f64,
-                    predicted: &[f64]| {
+    let per_node = |f: &dyn Fn(&crate::report::StageReport, usize) -> f64, predicted: &[f64]| {
         (0..tuples.len())
             .map(|i| QuantitySweep {
                 predicted: predicted[i],
-                estimate: Summary::of(
-                    &reports.iter().map(|r| f(r, i)).collect::<Vec<f64>>(),
-                ),
+                estimate: Summary::of(&reports.iter().map(|r| f(r, i)).collect::<Vec<f64>>()),
             })
             .collect::<Vec<QuantitySweep>>()
     };
@@ -332,12 +324,8 @@ pub fn validate_edca_sweep(
     let collision_probs = per_node(&|r, i| r.p_hat(i), &eq.collision_probs);
     let payload = params.payload_time().value();
     let measured_s = |r: &crate::report::StageReport| -> f64 {
-        let frames: f64 = r
-            .node_stats
-            .iter()
-            .zip(&bursts)
-            .map(|(s, &k)| s.successes as f64 * f64::from(k))
-            .sum();
+        let frames: f64 =
+            r.node_stats.iter().zip(&bursts).map(|(s, &k)| s.successes as f64 * f64::from(k)).sum();
         frames * payload / r.elapsed.value()
     };
     let throughput = QuantitySweep {
@@ -354,8 +342,7 @@ mod tests {
 
     #[test]
     fn symmetric_profile_validates_tightly() {
-        let report =
-            validate_fixed_point(&[76; 5], &DcfParams::default(), 400_000, 11).unwrap();
+        let report = validate_fixed_point(&[76; 5], &DcfParams::default(), 400_000, 11).unwrap();
         assert!(report.max_tau_error() < 0.05, "τ error {}", report.max_tau_error());
         assert!(report.max_p_error() < 0.10, "p error {}", report.max_p_error());
         assert!(
@@ -368,8 +355,7 @@ mod tests {
     #[test]
     fn heterogeneous_profile_validates() {
         let windows = [16u32, 48, 96, 192];
-        let report =
-            validate_fixed_point(&windows, &DcfParams::default(), 400_000, 5).unwrap();
+        let report = validate_fixed_point(&windows, &DcfParams::default(), 400_000, 5).unwrap();
         assert!(report.max_tau_error() < 0.08, "τ error {}", report.max_tau_error());
         for row in &report.rows {
             assert_eq!(row.window, windows[row.node]);

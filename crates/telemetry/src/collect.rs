@@ -47,19 +47,11 @@ struct HistogramData {
 
 impl HistogramData {
     fn new(n_bounds: usize) -> Self {
-        Self {
-            counts: vec![0; n_bounds + 1],
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Self { counts: vec![0; n_bounds + 1], count: 0, min: f64::INFINITY, max: f64::NEG_INFINITY }
     }
 
     fn record(&mut self, bounds: &[f64], value: f64) {
-        let idx = bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(bounds.len());
+        let idx = bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len());
         self.counts[idx] += 1;
         self.count += 1;
         self.min = self.min.min(value);
@@ -101,9 +93,7 @@ pub struct CollectingRecorder {
 
 impl std::fmt::Debug for CollectingRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CollectingRecorder")
-            .field("shards", &SHARDS)
-            .finish()
+        f.debug_struct("CollectingRecorder").field("shards", &SHARDS).finish()
     }
 }
 
@@ -182,21 +172,11 @@ impl CollectingRecorder {
                     .collect();
                 (
                     name,
-                    HistogramSnapshot {
-                        count: data.count,
-                        min: data.min,
-                        max: data.max,
-                        buckets,
-                    },
+                    HistogramSnapshot { count: data.count, min: data.min, max: data.max, buckets },
                 )
             })
             .collect();
-        Snapshot {
-            counters,
-            gauges,
-            histograms,
-            timings,
-        }
+        Snapshot { counters, gauges, histograms, timings }
     }
 }
 
@@ -227,10 +207,7 @@ impl Recorder for CollectingRecorder {
         }
         let n_bounds = self.bounds.len();
         let mut shard = self.shard().lock().unwrap(); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-        let data = shard
-            .histograms
-            .entry(name)
-            .or_insert_with(|| HistogramData::new(n_bounds));
+        let data = shard.histograms.entry(name).or_insert_with(|| HistogramData::new(n_bounds));
         data.record(&self.bounds, value);
     }
 
@@ -347,11 +324,7 @@ impl Snapshot {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!(
-                "\n    {}: {}",
-                json_string(name),
-                format_f64(*value)
-            ));
+            out.push_str(&format!("\n    {}: {}", json_string(name), format_f64(*value)));
         }
         if !first {
             out.push_str("\n  ");

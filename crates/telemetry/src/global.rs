@@ -34,7 +34,8 @@ fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    if let Some(recorder) = RECORDER.read().unwrap().as_deref() { // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+    // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+    if let Some(recorder) = RECORDER.read().unwrap().as_deref() {
         f(recorder);
     }
 }
@@ -70,11 +71,7 @@ pub fn timing(name: &'static str, nanos: u64) {
 /// is a no-op, so spans are as cheap as the other facade calls.
 #[must_use = "a span records its duration when dropped"]
 pub fn span(name: &'static str) -> Span {
-    let start = if ENABLED.load(Ordering::Relaxed) {
-        Some(Instant::now())
-    } else {
-        None
-    };
+    let start = if ENABLED.load(Ordering::Relaxed) { Some(Instant::now()) } else { None };
     Span { name, start }
 }
 

@@ -73,8 +73,5 @@ mod global;
 mod recorder;
 
 pub use collect::{CollectingRecorder, HistogramSnapshot, Snapshot, TimingSnapshot};
-pub use global::{
-    clear_recorder, counter, gauge, histogram, set_recorder, span, timing,
-    Span,
-};
+pub use global::{clear_recorder, counter, gauge, histogram, set_recorder, span, timing, Span};
 pub use recorder::{NoopRecorder, Recorder};

@@ -58,21 +58,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(w) => w,
         None => {
             // Disconnected mesh: evaluate the largest component's minimum.
-            let comp = topo
-                .components()
-                .into_iter()
-                .max_by_key(Vec::len)
-                .expect("nonempty graph");
+            let comp = topo.components().into_iter().max_by_key(Vec::len).expect("nonempty graph");
             comp.iter().map(|&i| trace.final_windows[i]).min().unwrap()
         }
     };
     println!("converged NE window W_m = {w_m}");
 
     // ── Quasi-optimality at W_m (paper: ≥96% local, ≥97% global) ──────
-    let sweep: Vec<u32> = [w_m / 4, w_m / 2, w_m, w_m * 2, w_m * 4]
-        .into_iter()
-        .filter(|&w| w >= 1)
-        .collect();
+    let sweep: Vec<u32> =
+        [w_m / 4, w_m / 2, w_m, w_m * 2, w_m * 4].into_iter().filter(|&w| w >= 1).collect();
     // Sample connected nodes only (isolated nodes have no game to play).
     let sample: Vec<usize> =
         (0..n).filter(|&i| topo.degree(i) >= 1).step_by(n / 8).take(8).collect();
@@ -93,10 +87,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for s in &quality.global_sweep {
         println!("  W = {:>4}: {:.4e} per µs", s.window, s.payoff);
     }
-    println!("global fraction at W_m: {:.1}%  (paper: within 3% of optimum)",
-        100.0 * quality.global_fraction);
-    println!("worst sampled node's local fraction: {:.1}%  (paper: ≥ 96%)",
-        100.0 * quality.min_local_fraction());
+    println!(
+        "global fraction at W_m: {:.1}%  (paper: within 3% of optimum)",
+        100.0 * quality.global_fraction
+    );
+    println!(
+        "worst sampled node's local fraction: {:.1}%  (paper: ≥ 96%)",
+        100.0 * quality.min_local_fraction()
+    );
 
     // The temptation TFT deters: a lone deviator against a *non-reacting*
     // crowd profits handsomely — which is why the punishment matters.

@@ -11,8 +11,8 @@
 use macgame::dcf::delay::{delay_aware_symmetric_utility, efficient_cw_delay_aware};
 use macgame::dcf::{AccessMode, DcfParams, UtilityParams};
 use macgame::game::equilibrium::efficient_ne;
-use macgame::game::ratecontrol::{performance_anomaly, rate_game, rate_set_80211b};
 use macgame::game::population::{replicator, PopulationState};
+use macgame::game::ratecontrol::{performance_anomaly, rate_game, rate_set_80211b};
 use macgame::game::strategy::{BestResponse, Constant, GenerousTft, Tft};
 use macgame::game::tournament::{round_robin, Entrant};
 use macgame::game::GameConfig;
@@ -48,7 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let game = rate_game(5, 48, &rtscts, &utility, rate_set_80211b())?;
     let out = game.best_response_dynamics(&[0; 5], 10);
     let rates: Vec<_> = out.profile.iter().map(|&a| game.actions()[a]).collect();
-    println!("  best-response dynamics from all-1-Mbit/s: {rates:?} (converged: {})", out.converged);
+    println!(
+        "  best-response dynamics from all-1-Mbit/s: {rates:?} (converged: {})",
+        out.converged
+    );
     let nes = game.enumerate_pure_nash();
     println!("  pure Nash equilibria: {} (all-fast only: {})", nes.len(), nes.len() == 1);
     for n in [3usize, 10, 20] {
@@ -58,7 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             100.0 * report.damage()
         );
     }
-    println!("→ here selfishness is perfectly aligned: all-fast is dominant AND socially optimal.\n");
+    println!(
+        "→ here selfishness is perfectly aligned: all-fast is dominant AND socially optimal.\n"
+    );
 
     // ── 3. The tournament ───────────────────────────────────────────────
     let template = GameConfig::builder(2).discount(0.999).build()?;
@@ -66,7 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w_star = efficient_ne(&two)?.window;
     let field: Vec<Entrant> = vec![
         Entrant::new("tft", move || Box::new(Tft::new(w_star))),
-        Entrant::new("generous-tft", move || Box::new(GenerousTft::try_new(w_star, 2, 0.9).expect("valid GTFT parameters"))),
+        Entrant::new("generous-tft", move || {
+            Box::new(GenerousTft::try_new(w_star, 2, 0.9).expect("valid GTFT parameters"))
+        }),
         Entrant::new("aggressor", move || Box::new(Constant::new((w_star / 8).max(1)))),
         Entrant::new("best-response", move || Box::new(BestResponse::new(w_star))),
     ];

@@ -27,8 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut probe = AnalyticProbe::new(game.clone());
     let outcome = run_search(&mut probe, &game, w_star.saturating_sub(15).max(1), 0.0)?;
     println!("analytic probe, starting 15 below W_c*:");
-    println!("  found W_m = {} after {} measurements ({:?} walk)",
-        outcome.w_m, outcome.trace.len(), outcome.direction);
+    println!(
+        "  found W_m = {} after {} measurements ({:?} walk)",
+        outcome.w_m,
+        outcome.trace.len(),
+        outcome.direction
+    );
     let shown = outcome.messages.len().min(5);
     for m in &outcome.messages[..shown] {
         match m {
@@ -37,8 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SearchMessage::Broadcast { w_m } => println!("    → Broadcast(W_m = {w_m})"),
         }
     }
-    println!("    … {} more messages, ending with Broadcast(W_m = {})\n",
-        outcome.messages.len() - shown, outcome.w_m);
+    println!(
+        "    … {} more messages, ending with Broadcast(W_m = {})\n",
+        outcome.messages.len() - shown,
+        outcome.w_m
+    );
 
     // ── Noisy measured payoffs ──────────────────────────────────────────
     // The paper's t_m: measure each window long enough that sampling noise
@@ -47,11 +54,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut probe = SimulatedProbe::new(game.clone(), 99, MicroSecs::from_seconds(20.0))?;
     let outcome = run_search(&mut probe, &game, w_star.saturating_sub(10).max(1), 0.002)?;
     println!("simulated probe (t_m = 20 s, 0.2% improvement margin):");
-    println!("  found W_m = {} (true optimum {w_star}) after {} measurements",
-        outcome.w_m, outcome.trace.len());
+    println!(
+        "  found W_m = {} (true optimum {w_star}) after {} measurements",
+        outcome.w_m,
+        outcome.trace.len()
+    );
     let err = (f64::from(outcome.w_m) - f64::from(w_star)).abs() / f64::from(w_star);
-    println!("  relative error {:.1}% — the payoff curve is flat near W_c*, so any
-  window in this neighborhood loses almost nothing (paper Fig. 2–3).\n", 100.0 * err);
+    println!(
+        "  relative error {:.1}% — the payoff curve is flat near W_c*, so any
+  window in this neighborhood loses almost nothing (paper Fig. 2–3).\n",
+        100.0 * err
+    );
 
     // ── The same protocol over a lossy broadcast channel ────────────────
     println!("distributed actors over a 20%-lossy broadcast bus:");
@@ -79,14 +92,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let under = lying_broadcast(&game, w_star, w_star / 2, w_star / 2, 1)?;
     println!(
         "  broadcast W_m = {} (too low):  liar {:.1} vs honest {:.1}  → lying pays: {}",
-        w_star / 2, under.liar_payoff, under.honest_payoff, under.lying_pays()
+        w_star / 2,
+        under.liar_payoff,
+        under.honest_payoff,
+        under.lying_pays()
     );
     let over = lying_broadcast(&game, w_star, w_star * 2, w_star, 1)?;
     println!(
         "  broadcast W_m = {} (too high): liar {:.1} vs honest {:.1}  → lying pays: {}",
-        w_star * 2, over.liar_payoff, over.honest_payoff, over.lying_pays()
+        w_star * 2,
+        over.liar_payoff,
+        over.honest_payoff,
+        over.lying_pays()
     );
-    println!("→ under-broadcasting hurts the liar itself; over-broadcasting gains only
-  a transient that discounting wipes out. Honesty is incentive-compatible.");
+    println!(
+        "→ under-broadcasting hurts the liar itself; over-broadcasting gains only
+  a transient that discounting wipes out. Honesty is incentive-compatible."
+    );
     Ok(())
 }

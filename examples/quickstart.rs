@@ -22,13 +22,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ne = efficient_ne(&game)?;
     println!("n = {} players, basic access", game.player_count());
     println!("efficient NE window  W_c* = {}", ne.window);
-    println!("transmission prob    τ(W_c*) = {:.5}  (continuous τ* = {:.5})", ne.point.tau, ne.tau_star);
+    println!(
+        "transmission prob    τ(W_c*) = {:.5}  (continuous τ* = {:.5})",
+        ne.point.tau, ne.tau_star
+    );
     println!("collision prob       p(W_c*) = {:.5}", ne.point.collision_prob);
 
     // ── The Theorem 2 equilibrium interval and its refinement ──────────
     let interval = ne_interval(&game)?;
-    println!("\nTheorem 2 NE interval: [{}, {}] ({} equilibria)",
-        interval.lower, interval.upper, interval.count());
+    println!(
+        "\nTheorem 2 NE interval: [{}, {}] ({} equilibria)",
+        interval.lower,
+        interval.upper,
+        interval.count()
+    );
     let refinements = refine(&game, interval)?;
     let efficient: Vec<_> =
         refinements.iter().filter(|r| r.pareto_optimal).map(|r| r.window).collect();

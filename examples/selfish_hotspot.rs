@@ -13,6 +13,7 @@
 //!
 //! Run with: `cargo run --release --example selfish_hotspot`
 
+use macgame::dcf::MicroSecs;
 use macgame::game::deviation::{
     malicious_impact, optimal_shortsighted_deviation, shortsighted_deviation,
 };
@@ -20,13 +21,10 @@ use macgame::game::equilibrium::efficient_ne;
 use macgame::game::evaluator::SimulatedEvaluator;
 use macgame::game::strategy::{Constant, GenerousTft, Strategy, Tft};
 use macgame::game::{GameConfig, RepeatedGame};
-use macgame::dcf::MicroSecs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 8;
-    let game = GameConfig::builder(n)
-        .stage_duration(MicroSecs::from_seconds(5.0))
-        .build()?;
+    let game = GameConfig::builder(n).stage_duration(MicroSecs::from_seconds(5.0)).build()?;
     let w_star = efficient_ne(&game)?.window;
     println!("hotspot of {n} saturated stations, efficient NE W_c* = {w_star}\n");
 
@@ -71,8 +69,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ── 3. The same story on the packet simulator ──────────────────────
-    println!("\npacket-level replay: one constant defector at W = {} vs {} TFT stations",
-        w_star / 3, n - 1);
+    println!(
+        "\npacket-level replay: one constant defector at W = {} vs {} TFT stations",
+        w_star / 3,
+        n - 1
+    );
     let mut players: Vec<Box<dyn Strategy>> = vec![Box::new(Constant::new(w_star / 3))];
     for _ in 1..n {
         players.push(Box::new(Tft::new(w_star)));
@@ -98,7 +99,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let players: Vec<Box<dyn Strategy>> = (0..n)
             .map(|_| {
                 if generous {
-                    Box::new(GenerousTft::try_new(w_star, 3, 0.8).expect("valid GTFT parameters")) as Box<dyn Strategy>
+                    Box::new(GenerousTft::try_new(w_star, 3, 0.8).expect("valid GTFT parameters"))
+                        as Box<dyn Strategy>
                 } else {
                     Box::new(Tft::new(w_star)) as Box<dyn Strategy>
                 }
@@ -107,8 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let evaluator = Box::new(SimulatedEvaluator::new(game.clone(), 7)?);
         let mut repeated = RepeatedGame::new(game.clone(), players, evaluator)?;
         repeated.play(6)?;
-        let path: Vec<u32> =
-            repeated.history().stages().iter().map(|s| s.windows[0]).collect();
+        let path: Vec<u32> = repeated.history().stages().iter().map(|s| s.windows[0]).collect();
         println!("  {label:<28} window path: {path:?}");
     }
     println!("→ GTFT holds the efficient window under measurement noise.");

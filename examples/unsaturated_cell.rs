@@ -24,12 +24,15 @@ fn run_cell(n: usize, w: u32, rate: f64, secs: f64) -> (f64, f64, u64, f64) {
     let offered: u64 = (0..n).map(|i| engine.total_arrivals(i)).sum();
     let delivered: u64 = report.node_stats.iter().map(|s| s.successes).sum();
     let backlog: u64 = (0..n).map(|i| engine.queue_len(i)).sum();
-    let mean_delay_ms = (0..n)
-        .filter_map(|i| engine.mean_access_delay(i))
-        .map(|d| d.value() / 1000.0)
-        .sum::<f64>()
-        / n as f64;
-    (delivered as f64 / offered.max(1) as f64, report.throughput(config.params()), backlog, mean_delay_ms)
+    let mean_delay_ms =
+        (0..n).filter_map(|i| engine.mean_access_delay(i)).map(|d| d.value() / 1000.0).sum::<f64>()
+            / n as f64;
+    (
+        delivered as f64 / offered.max(1) as f64,
+        report.throughput(config.params()),
+        backlog,
+        mean_delay_ms,
+    )
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -99,16 +99,20 @@ fn params_of(options: &Options) -> Result<DcfParams, String> {
 fn cmd_ne(options: &Options) -> Result<(), String> {
     let params = params_of(options)?;
     let utility = UtilityParams::default();
-    let ne = efficient_cw(options.n, &params, &utility, options.w_max)
-        .map_err(|e| e.to_string())?;
+    let ne =
+        efficient_cw(options.n, &params, &utility, options.w_max).map_err(|e| e.to_string())?;
     let interval =
         ne_interval(options.n, &params, &utility, options.w_max).map_err(|e| e.to_string())?;
     let taus = vec![ne.point.tau; options.n];
     let s = normalized_throughput(&taus, &params);
     println!("n = {}, {} access, m = {}", options.n, params.access_mode(), options.max_stage);
     println!("efficient NE window  W_c* = {}", ne.window);
-    println!("NE interval          [{}, {}] ({} equilibria)",
-        interval.lower, interval.upper, interval.count());
+    println!(
+        "NE interval          [{}, {}] ({} equilibria)",
+        interval.lower,
+        interval.upper,
+        interval.count()
+    );
     println!("transmission prob    τ = {:.5}  (continuous τ* = {:.5})", ne.point.tau, ne.tau_star);
     println!("collision prob       p = {:.5}", ne.point.collision_prob);
     println!("per-node utility     u = {:.4e} /µs", ne.utility);
@@ -123,12 +127,10 @@ fn cmd_simulate(options: &Options) -> Result<(), String> {
     let params = params_of(options)?;
     // Convert seconds into slots via the predicted mean slot length.
     let sym = solve_symmetric(options.n, options.w, &params).map_err(|e| e.to_string())?;
-    let stats =
-        macgame::dcf::throughput::slot_stats(&vec![sym.tau; options.n], &params);
+    let stats = macgame::dcf::throughput::slot_stats(&vec![sym.tau; options.n], &params);
     let slots = ((options.seconds * 1e6) / stats.mean_slot.value()).ceil() as u64;
-    let report =
-        validate_fixed_point(&vec![options.w; options.n], &params, slots, options.seed)
-            .map_err(|e| e.to_string())?;
+    let report = validate_fixed_point(&vec![options.w; options.n], &params, slots, options.seed)
+        .map_err(|e| e.to_string())?;
     println!(
         "n = {}, W = {}, {} access: {} slots (~{} s)",
         options.n,

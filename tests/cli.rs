@@ -3,10 +3,7 @@
 use std::process::Command;
 
 fn run(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(env!("CARGO_BIN_EXE_macgame"))
-        .args(args)
-        .output()
-        .expect("binary runs");
+    let out = Command::new(env!("CARGO_BIN_EXE_macgame")).args(args).output().expect("binary runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),

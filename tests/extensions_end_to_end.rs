@@ -27,10 +27,8 @@ fn min_max_ratio(allocation: &[f64]) -> f64 {
 /// fairness claim, quantified with the Jain index).
 #[test]
 fn tft_play_is_jain_fair() {
-    let game = GameConfig::builder(5)
-        .stage_duration(MicroSecs::from_seconds(30.0))
-        .build()
-        .unwrap();
+    let game =
+        GameConfig::builder(5).stage_duration(MicroSecs::from_seconds(30.0)).build().unwrap();
     let w_star = efficient_ne(&game).unwrap().window;
     let players: Vec<Box<dyn Strategy>> =
         (0..5).map(|_| Box::new(Tft::new(w_star)) as Box<dyn Strategy>).collect();

@@ -8,7 +8,10 @@ use macgame::multihop::localgame::{local_optimal_windows, LocalRule};
 use macgame::multihop::metrics::{evaluate_quasi_optimality, unilateral_quality};
 use macgame::multihop::spatialsim::{SpatialConfig, SpatialEngine};
 
-fn scenario(n: usize, seed: u64) -> (Vec<macgame::multihop::Point>, macgame::multihop::Topology, SpatialConfig) {
+fn scenario(
+    n: usize,
+    seed: u64,
+) -> (Vec<macgame::multihop::Point>, macgame::multihop::Topology, SpatialConfig) {
     let config = SpatialConfig::paper(seed);
     let engine = SpatialEngine::new(n, &vec![64; n], config.clone()).unwrap();
     (engine.positions().to_vec(), engine.topology().clone(), config)
@@ -19,14 +22,9 @@ fn scenario(n: usize, seed: u64) -> (Vec<macgame::multihop::Point>, macgame::mul
 #[test]
 fn local_games_converge_to_a_multihop_ne() {
     let (_, topo, config) = scenario(60, 7);
-    let local = local_optimal_windows(
-        &topo,
-        &config.params,
-        &config.utility,
-        2048,
-        LocalRule::ExactArgmax,
-    )
-    .unwrap();
+    let local =
+        local_optimal_windows(&topo, &config.params, &config.utility, 2048, LocalRule::ExactArgmax)
+            .unwrap();
     let trace = tft_converge(&topo, &local).unwrap();
     // Monotone min-propagation, bounded by the diameter when connected.
     if let Some(d) = topo.diameter() {
@@ -46,18 +44,12 @@ fn local_games_converge_to_a_multihop_ne() {
 #[test]
 fn converged_window_is_quasi_optimal() {
     let (positions, topo, config) = scenario(60, 7);
-    let local = local_optimal_windows(
-        &topo,
-        &config.params,
-        &config.utility,
-        2048,
-        LocalRule::ExactArgmax,
-    )
-    .unwrap();
+    let local =
+        local_optimal_windows(&topo, &config.params, &config.utility, 2048, LocalRule::ExactArgmax)
+            .unwrap();
     let trace = tft_converge(&topo, &local).unwrap();
-    let w_m = trace
-        .converged_window()
-        .unwrap_or_else(|| *trace.final_windows.iter().min().unwrap());
+    let w_m =
+        trace.converged_window().unwrap_or_else(|| *trace.final_windows.iter().min().unwrap());
     let sweep: Vec<u32> =
         [w_m / 2, w_m, w_m * 2, w_m * 4].into_iter().filter(|&w| w >= 1).collect();
     let sample: Vec<usize> = (0..topo.len()).filter(|&i| topo.degree(i) >= 2).take(4).collect();
@@ -71,11 +63,7 @@ fn converged_window_is_quasi_optimal() {
         MicroSecs::from_seconds(60.0),
     )
     .unwrap();
-    assert!(
-        quality.global_fraction > 0.8,
-        "global fraction {:.2}",
-        quality.global_fraction
-    );
+    assert!(quality.global_fraction > 0.8, "global fraction {:.2}", quality.global_fraction);
     assert!(
         quality.min_local_fraction() > 0.4,
         "min local fraction {:.2} (rises toward the paper's 96% with longer runs)",

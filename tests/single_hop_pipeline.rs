@@ -16,10 +16,8 @@ use macgame::sim::{Engine, SimConfig};
 /// the efficient NE with equalized payoffs.
 #[test]
 fn tft_on_simulator_operates_at_efficient_ne() {
-    let game = GameConfig::builder(5)
-        .stage_duration(MicroSecs::from_seconds(20.0))
-        .build()
-        .unwrap();
+    let game =
+        GameConfig::builder(5).stage_duration(MicroSecs::from_seconds(20.0)).build().unwrap();
     let ne = efficient_ne(&game).unwrap();
     let players: Vec<Box<dyn Strategy>> =
         (0..5).map(|_| Box::new(Tft::new(ne.window)) as Box<dyn Strategy>).collect();
@@ -71,11 +69,8 @@ fn refinement_and_deviation_audit_agree() {
     let game = GameConfig::builder(8).build().unwrap();
     let interval = macgame::game::ne_interval(&game).unwrap();
     let refinements = refine(&game, interval).unwrap();
-    let survivors: Vec<u32> = refinements
-        .iter()
-        .filter(|r| r.pareto_optimal)
-        .map(|r| r.window)
-        .collect();
+    let survivors: Vec<u32> =
+        refinements.iter().filter(|r| r.pareto_optimal).map(|r| r.window).collect();
     assert_eq!(survivors.len(), 1);
     let check = check_symmetric_ne(&game, survivors[0], 1, DEFAULT_NE_EPSILON).unwrap();
     assert!(check.is_ne);
@@ -85,10 +80,8 @@ fn refinement_and_deviation_audit_agree() {
 /// faithful, noisy realization of the analytical stage game).
 #[test]
 fn evaluators_agree_on_profile_ranking() {
-    let game = GameConfig::builder(4)
-        .stage_duration(MicroSecs::from_seconds(20.0))
-        .build()
-        .unwrap();
+    let game =
+        GameConfig::builder(4).stage_duration(MicroSecs::from_seconds(20.0)).build().unwrap();
     let mut analytic = AnalyticalEvaluator::new(game.clone());
     let mut sim = SimulatedEvaluator::new(game.clone(), 17).unwrap();
     // Compare a polite and an aggressive symmetric profile.
@@ -109,8 +102,7 @@ fn evaluators_agree_on_profile_ranking() {
 fn noisy_search_lands_in_the_flat_neighborhood() {
     let game = GameConfig::builder(5).build().unwrap();
     let w_star = efficient_ne(&game).unwrap().window;
-    let mut probe =
-        SimulatedProbe::new(game.clone(), 5, MicroSecs::from_seconds(30.0)).unwrap();
+    let mut probe = SimulatedProbe::new(game.clone(), 5, MicroSecs::from_seconds(30.0)).unwrap();
     let outcome = run_search(&mut probe, &game, w_star - 8, 0.002).unwrap();
     // The analytic payoff at the found window is within 2% of the optimum
     // (the paper's robustness of the flat top).
@@ -118,8 +110,7 @@ fn noisy_search_lands_in_the_flat_neighborhood() {
         macgame::dcf::optimal::symmetric_utility(5, outcome.w_m, game.params(), game.utility())
             .unwrap();
     let u_star =
-        macgame::dcf::optimal::symmetric_utility(5, w_star, game.params(), game.utility())
-            .unwrap();
+        macgame::dcf::optimal::symmetric_utility(5, w_star, game.params(), game.utility()).unwrap();
     assert!(
         u_found > 0.98 * u_star,
         "found W = {} with payoff {:.3e} vs optimum {:.3e}",
