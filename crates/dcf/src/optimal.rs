@@ -378,7 +378,7 @@ pub fn ne_interval_in<S: SymmetricSource + ?Sized>(
 
 /// The window whose symmetric fixed-point `τ` is closest to `target_tau`
 /// (used to translate the continuous `τ_c*` into the discrete strategy
-/// space).
+/// space). Like [`efficient_cw`], it searches `1..=min(w_max, MAX_CW)`.
 ///
 /// # Errors
 ///
@@ -393,6 +393,7 @@ pub fn cw_for_tau(
     if w_max == 0 {
         return Err(DcfError::invalid("w_max", "strategy space must be non-empty"));
     }
+    let w_max = w_max.min(MAX_CW);
     // τ(W) is strictly decreasing in W: binary search for the crossing.
     let tau_of = |w: u32| -> Result<f64, DcfError> { Ok(solve_symmetric(n, w, params)?.tau) };
     if tau_of(1)? <= target_tau {
@@ -610,6 +611,18 @@ mod tests {
             );
         }
         assert_eq!(ne_interval(50_000, &p, &u, u32::MAX).unwrap(), interval);
+    }
+
+    #[test]
+    fn tau_star_inversion_stops_at_the_largest_window() {
+        // The τ* inversion probes its bound first; past MAX_CW there is
+        // no operating point, so a larger bound answers as MAX_CW does.
+        let p = basic();
+        let bits = |ne: EfficientNe| (ne.window, ne.utility.to_bits(), ne.tau_star.to_bits());
+        let at_cap = bits(efficient_cw_from_tau_star(5, &p, MAX_CW).unwrap());
+        assert_eq!(at_cap.0, 78);
+        assert_eq!(bits(efficient_cw_from_tau_star(5, &p, u32::MAX).unwrap()), at_cap);
+        assert_eq!(cw_for_tau(1e-12, 5, &p, u32::MAX).unwrap(), MAX_CW);
     }
 
     #[test]

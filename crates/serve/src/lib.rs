@@ -19,7 +19,6 @@
 //!   after oversized declarations.
 //! * [`protocol`] — request/reply envelopes over
 //!   [`macgame_core::queries::Query`] / `QueryResult`.
-//! * [`executor`] — fixed-chunk fan-out (the `dcf::parallel` discipline).
 //! * [`engine`] — coalescing, the query → result reply caches (one
 //!   `dcf::cache::Memo` per query kind, keyed by the query's typed
 //!   fields, all on the `serve.cache.*` telemetry), routing,
@@ -42,7 +41,6 @@
 use core::fmt;
 
 pub mod engine;
-pub mod executor;
 pub mod frame;
 pub mod harness;
 pub mod protocol;

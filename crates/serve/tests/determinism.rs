@@ -29,8 +29,8 @@ fn harness_with_threads(threads: usize) -> ServeHarness {
     ServeHarness::with_config(EngineConfig { threads, ..EngineConfig::default() }).unwrap()
 }
 
-/// A mixed batch large enough to span several executor chunks
-/// (`SERVE_CHUNK = 32`), covering all four query types.
+/// A mixed batch large enough to split over several workers, covering
+/// all four query types.
 fn mixed_batch() -> Vec<Query> {
     let mut queries = Vec::new();
     for w_dev in 1..=60 {

@@ -3,7 +3,7 @@
 /// A sink for telemetry events.
 ///
 /// All methods take `&self` and must be safe to call from any thread;
-/// instrumented hot paths fan out over the vendored `rayon` shim. Metric
+/// instrumented hot paths fan out over `macgame_dcf::parallel`. Metric
 /// names are `&'static str` so recording never allocates on the hot path.
 pub trait Recorder: Send + Sync {
     /// Add `delta` to the monotonic counter `name`.

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full CI gate: release build, tier-1 tests, full workspace tests, lints.
+# Full CI gate: release build, tier-1 tests, full workspace tests, lints,
+# formatting.
 # This script is the one definition of the gate: the GitHub workflow runs
 # it as a single step. Run it from anywhere: ./scripts/ci.sh
 set -euo pipefail
@@ -56,7 +57,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> cargo fmt --check (advisory)"
-cargo fmt --all --check || echo "fmt check skipped or failed (advisory only)"
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "CI OK"
