@@ -11,8 +11,8 @@
 //! 1 and 2 workers.
 
 use macgame_core::edca::{
-    edca_axis_sweep, edca_best_response, edca_plane_ne, edca_stage_memo, EdcaAxis,
-    EdcaBestResponse, EdcaGainRow, EdcaLattice, EdcaPlaneCell,
+    edca_axis_sweep, edca_best_response, edca_plane_ne, EdcaAxis, EdcaBestResponse, EdcaGainRow,
+    EdcaLattice, EdcaPlaneCell, EdcaStageMemo,
 };
 use macgame_core::equilibrium::efficient_ne;
 use macgame_core::queries::{evaluate_query, Query, QueryResult, SolveCaches};
@@ -165,7 +165,7 @@ pub fn run_edca(settings: &EdcaSettings) -> Result<EdcaPayload, BenchError> {
     let params = *game.params();
     let m = params.max_backoff_stage();
     let w_star = efficient_ne(&game)?.window;
-    let memo = edca_stage_memo();
+    let memo = EdcaStageMemo::new(*game.params(), None);
 
     // ── Per-knob cheating-gain surface (Banchs-style) ──────────────────
     let baseline = EdcaTuple::new(w_star, m, 1, 1)?;

@@ -15,7 +15,7 @@ use macgame_core::deviation::{
     malicious_impact, optimal_shortsighted_deviation, shortsighted_deviation, DeviationOutcome,
     MaliciousImpact,
 };
-use macgame_core::edca::{edca_axis_sweep, edca_stage_memo, EdcaAxis, EdcaGainRow};
+use macgame_core::edca::{edca_axis_sweep, EdcaAxis, EdcaGainRow, EdcaStageMemo};
 use macgame_core::search::{run_search, AnalyticProbe, SearchOutcome};
 use macgame_core::strategy::Constant;
 use macgame_core::tournament::Entrant;
@@ -349,7 +349,7 @@ pub fn edca_golden() -> Result<EdcaGolden, ConformanceError> {
     }
 
     let sym = EdcaTuple::new(w_star, m, 1, 1)?;
-    let memo = edca_stage_memo();
+    let memo = EdcaStageMemo::new(*game.params(), None);
     let sweeps = [
         (EdcaAxis::CwMin, vec![w_star / 4, w_star / 2, w_star]),
         (EdcaAxis::Aifs, vec![0, 1, 2]),

@@ -15,11 +15,11 @@
 //! efficient NE.
 
 use macgame_dcf::cache::SolveCache;
-use macgame_dcf::classes::{class_utilities, ClassProfile};
-use macgame_dcf::fixedpoint::{solve, SolveOptions};
+use macgame_dcf::classes::{class_utilities, ClassEquilibrium, ClassProfile};
+use macgame_dcf::fixedpoint::{solve, solve_classes, SolveOptions};
 use macgame_dcf::optimal::SymmetricSource;
-use macgame_dcf::parallel::{self, solve_sweep};
-use macgame_dcf::utility::all_utilities;
+use macgame_dcf::parallel::{self, one_deviator_sweep};
+use macgame_dcf::utility::{all_utilities, one_deviator_utilities};
 use serde::{Deserialize, Serialize};
 
 use crate::error::GameError;
@@ -77,46 +77,42 @@ pub(crate) fn check_cache_params(game: &GameConfig, cache: &SolveCache) -> Resul
     Ok(())
 }
 
-/// [`deviator_stage`] routed through a shared [`SolveCache`]: the
-/// one-deviator profile collapses to at most two classes, so repeated
-/// queries over a parameter grid (the serve-layer workload) hit the
-/// cached class solution instead of re-running the fixed point. Results
-/// are deterministic and agree with [`deviator_stage`] to solver
-/// tolerance (the cached path solves at class level, the direct path at
-/// node level — the same fixed point either way).
+/// The stage rate of every class of `profile`, solved afresh by
+/// [`solve_classes`] under the game's parameters: the bits a
+/// [`SolveCache`] bound to them stores for `profile`.
+fn class_stage_rates(game: &GameConfig, profile: &ClassProfile) -> Result<Vec<f64>, GameError> {
+    let eq = solve_classes(profile, game.params(), SolveOptions::default())?;
+    Ok(class_utilities(profile, &eq.taus, &eq.collision_probs, game.params(), game.utility()))
+}
+
+/// [`deviator_stage`] at class level: the one-deviator profile collapses
+/// to at most two classes, solved by [`class_stage_rates`]. Agrees with
+/// [`deviator_stage`] to solver tolerance (the class path solves and
+/// prices at class level, the direct path at node level — the same
+/// fixed point either way).
 ///
 /// # Errors
 ///
-/// Returns [`GameError::InvalidConfig`] if `cache` is bound to different
-/// DCF parameters than `game`, or for fewer than two players; propagates
-/// solver failures.
-pub fn deviator_stage_cached(
+/// Returns [`GameError::InvalidConfig`] for fewer than two players;
+/// propagates solver failures.
+fn class_deviator_stage(
     game: &GameConfig,
     w_others: u32,
     w_dev: u32,
-    cache: &SolveCache,
 ) -> Result<DeviatorStage, GameError> {
-    check_cache_params(game, cache)?;
     let n = game.player_count();
     if n < 2 {
         return Err(GameError::InvalidConfig("deviation needs at least two players".into()));
     }
-    let profile = if w_dev == w_others {
-        ClassProfile::new(vec![w_others], vec![n])?
-    } else {
-        ClassProfile::new(vec![w_dev, w_others], vec![1, n - 1])?
-    };
-    let eq = cache.solve_class_profile(&profile)?;
-    let us =
-        class_utilities(&profile, &eq.taus, &eq.collision_probs, game.params(), game.utility());
     if w_dev == w_others {
-        return Ok(DeviatorStage { deviator: us[0], compliant: us[0] });
+        let rate = class_stage_rates(game, &ClassProfile::new(vec![w_others], vec![n])?)?[0];
+        return Ok(DeviatorStage { deviator: rate, compliant: rate });
     }
-    // Classes are sorted by window; locate the deviator's class.
-    let dev_class =
-        profile.windows().iter().position(|&w| w == w_dev).ok_or_else(|| {
-            GameError::InvalidConfig("deviator window missing from profile".into())
-        })?;
+    let profile = ClassProfile::new(vec![w_dev, w_others], vec![1, n - 1])?;
+    let us = class_stage_rates(game, &profile)?;
+    // Classes are sorted by window: the deviator's is first iff it is the
+    // smaller window.
+    let dev_class = usize::from(w_dev > w_others);
     Ok(DeviatorStage { deviator: us[dev_class], compliant: us[1 - dev_class] })
 }
 
@@ -294,25 +290,23 @@ fn price_deviation(
     })
 }
 
-/// [`shortsighted_deviation`] with every stage solve routed through a
-/// shared [`SolveCache`] — the serve-layer entry point, where deviation
-/// grids revisit the same `(W*, W_s)` class profiles across requests. The
-/// pricing is identical to the direct path; only the
-/// stage-rate computation goes through the cache, so results agree with
-/// [`shortsighted_deviation`] to solver tolerance and are bitwise
-/// reproducible for a given cache.
+/// [`shortsighted_deviation`] priced at class level — the serve-layer
+/// entry point. Each of its three class profiles (the deviation, the
+/// punished tail on `w_s`, compliance on `w_star`) is solved once by
+/// [`solve_classes`] under the game's parameters; prices rarely repeat a
+/// profile, so no memo is consulted. The pricing is identical to the
+/// direct path, so results agree with [`shortsighted_deviation`] to
+/// solver tolerance and are bitwise reproducible.
 ///
 /// # Errors
 ///
-/// Same conditions as [`shortsighted_deviation`], plus
-/// [`GameError::InvalidConfig`] on a parameter-mismatched cache.
-pub fn shortsighted_deviation_cached(
+/// Same conditions as [`shortsighted_deviation`].
+pub(crate) fn shortsighted_deviation_classes(
     game: &GameConfig,
     w_star: u32,
     w_s: u32,
     reaction_stages: u32,
     delta_s: f64,
-    cache: &SolveCache,
 ) -> Result<DeviationOutcome, GameError> {
     if reaction_stages == 0 {
         return Err(GameError::InvalidConfig("TFT reaction takes at least one stage".into()));
@@ -320,21 +314,24 @@ pub fn shortsighted_deviation_cached(
     if !(0.0..1.0).contains(&delta_s) {
         return Err(GameError::InvalidConfig("deviator discount must be in [0, 1)".into()));
     }
-    let during = deviator_stage_cached(game, w_star, w_s, cache)?;
-    let after = symmetric_stage_cached(game, w_s, cache)?;
-    let at_star = symmetric_stage_cached(game, w_star, cache)?;
+    let during = class_deviator_stage(game, w_star, w_s)?;
+    let symmetric = |w: u32| -> Result<f64, GameError> {
+        Ok(class_stage_rates(game, &ClassProfile::new(vec![w], vec![game.player_count()])?)?[0])
+    };
+    let after = symmetric(w_s)?;
+    let at_star = symmetric(w_star)?;
     price_deviation(game, w_s, reaction_stages, delta_s, during, after, at_star)
 }
 
 /// Evaluates every downward deviation `w_s ∈ [1, w_star]` in one batch,
 /// returning the outcomes in `w_s` order.
 ///
-/// The heterogeneous one-deviator solves go through
-/// [`macgame_dcf::parallel::solve_sweep`]: profiles adjacent in the sweep
-/// differ only in the deviator's window, so each solve is warm-started
-/// from its neighbor's solution, and fixed-size chunks are fanned out over
-/// `threads` workers (`0` = auto from `MACGAME_THREADS`; results are
-/// bitwise-identical for every thread count). The symmetric "after" stages
+/// The one-deviator solves go through
+/// [`macgame_dcf::parallel::one_deviator_sweep`]: profiles adjacent in the
+/// sweep differ only in the deviator's window, so each solve is
+/// warm-started from its neighbor's solution, and fixed-size chunks are
+/// fanned out over `threads` workers (`0` = auto from `MACGAME_THREADS`;
+/// results are bitwise-identical for every thread count). The symmetric "after" stages
 /// ride the guaranteed symmetric root search and are fanned out the same way.
 ///
 /// # Errors
@@ -369,13 +366,13 @@ pub fn deviation_sweep(
     let compliant_payoff = t * at_star / (1.0 - delta_s);
 
     // One deviator against the W* crowd, for every w_s: warm-chained.
-    let profiles = one_deviator_profiles(n, w_star, 1..=w_star);
-    let eqs = solve_sweep(&profiles, game.params(), SolveOptions::default(), threads)?;
+    let deviators: Vec<u32> = (1..=w_star).collect();
+    let eqs =
+        one_deviator_sweep(n, w_star, &deviators, game.params(), SolveOptions::default(), threads)?;
 
     let mut out = Vec::with_capacity(w_star as usize);
     for ((w_s, eq), &after) in (1..=w_star).zip(&eqs).zip(&stages[1..]) {
-        let us = all_utilities(&eq.taus, &eq.collision_probs, game.params(), game.utility());
-        let during = DeviatorStage { deviator: us[0], compliant: us[1] };
+        let during = chain_stage(game, eq);
         out.push(DeviationOutcome {
             w_s,
             delta_s,
@@ -388,16 +385,20 @@ pub fn deviation_sweep(
     Ok(out)
 }
 
-/// One profile per deviator window in `deviator`: node 0 on it, the other
-/// `n − 1` nodes on `w`.
-fn one_deviator_profiles(n: usize, w: u32, deviator: impl Iterator<Item = u32>) -> Vec<Vec<u32>> {
-    deviator
-        .map(|w_s| {
-            let mut p = vec![w; n];
-            p[0] = w_s;
-            p
-        })
-        .collect()
+/// The stage rates of one [`one_deviator_sweep`] entry: the deviator's
+/// class is first and the crowd's last (the same class at the homogeneous
+/// end), priced bit for bit as `all_utilities` prices nodes 0 and 1 of
+/// the node-level profile.
+fn chain_stage(game: &GameConfig, eq: &ClassEquilibrium) -> DeviatorStage {
+    let crowd = eq.taus.len() - 1;
+    let [deviator, compliant] = one_deviator_utilities(
+        (eq.taus[0], eq.collision_probs[0]),
+        (eq.taus[crowd], eq.collision_probs[crowd]),
+        game.player_count(),
+        game.params(),
+        game.utility(),
+    );
+    DeviatorStage { deviator, compliant }
 }
 
 /// The upward deviations an ε-NE check of the common window `w` prices:
@@ -419,8 +420,8 @@ pub(crate) fn upward_probes(game: &GameConfig, w: u32) -> impl Iterator<Item = u
 /// ε only enter the pricing.
 ///
 /// The downward solves run as one serial warm-chained
-/// [`solve_sweep`], each seeded from its neighbor's solution within the
-/// sweep's fixed chunks; the upward ones are [`deviator_stage`]s.
+/// [`one_deviator_sweep`], each seeded from its neighbor's solution within
+/// the sweep's fixed chunks; the upward ones are [`deviator_stage`]s.
 ///
 /// # Errors
 ///
@@ -431,12 +432,9 @@ pub(crate) fn deviator_row(game: &GameConfig, w: u32) -> Result<Vec<f64>, GameEr
     if w > 1 && n < 2 {
         return Err(GameError::InvalidConfig("deviation needs at least two players".into()));
     }
-    let profiles = one_deviator_profiles(n, w, 1..w);
-    let eqs = solve_sweep(&profiles, game.params(), SolveOptions::default(), 1)?;
-    let mut row: Vec<f64> = eqs
-        .iter()
-        .map(|eq| all_utilities(&eq.taus, &eq.collision_probs, game.params(), game.utility())[0])
-        .collect();
+    let deviators: Vec<u32> = (1..w).collect();
+    let eqs = one_deviator_sweep(n, w, &deviators, game.params(), SolveOptions::default(), 1)?;
+    let mut row: Vec<f64> = eqs.iter().map(|eq| chain_stage(game, eq).deviator).collect();
     for w_dev in upward_probes(game, w) {
         row.push(deviator_stage(game, w, w_dev)?.deviator);
     }

@@ -15,12 +15,17 @@
 //! Every stage rate routes through one memoized class-level EDCA solve
 //! ([`EdcaStageMemo`]): a deviator profile collapses to at most two
 //! classes, so lattice and plane scans pay `O(k)` per distinct profile
-//! regardless of the player count.
+//! regardless of the player count, and profiles that differ only in
+//! burst lengths above 1 share one equilibrium.
+
+use std::sync::Arc;
 
 use macgame_dcf::cache::Memo;
 use macgame_dcf::fixedpoint::SolveOptions;
 use macgame_dcf::markov::MAX_CW;
-use macgame_dcf::{edca_utilities, solve_edca, EdcaProfile, EdcaTuple};
+use macgame_dcf::{
+    edca_utilities, solve_edca, DcfError, DcfParams, EdcaEquilibrium, EdcaProfile, EdcaTuple,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::deviation::{discount_split, DeviatorStage};
@@ -69,30 +74,70 @@ impl EdcaAxis {
     }
 }
 
-/// Memo of class-level EDCA stage solves keyed on the canonical tuple
-/// profile, holding each class's stage utility rate (per µs). Lattice and
-/// plane scans revisit the same one-deviator profiles many times; each
-/// distinct profile is solved once per memo.
-pub type EdcaStageMemo = Memo<EdcaProfile, Vec<f64>>;
-
-/// An empty, unbounded [`EdcaStageMemo`] counting on the
-/// `core.edca.memo.*` telemetry counters.
-#[must_use]
-pub fn edca_stage_memo() -> EdcaStageMemo {
-    Memo::new(None, "core.edca.memo.hits", "core.edca.memo.misses", "core.edca.memo.evictions")
+/// The part of a canonical [`EdcaProfile`] its EDCA iteration reads:
+/// each class's `(cw_min, stage_cap, aifs, txop > 1)` in profile order,
+/// and the class counts. The burst length enters the iteration only
+/// through the degeneracy test (`txop == 1`), so every profile that
+/// differs from another only in burst lengths above 1 has the same
+/// equilibrium, bit for bit.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct BurstFreeKey {
+    classes: Vec<(u32, u32, u32, bool)>,
+    counts: Vec<usize>,
 }
 
-/// Per-class stage utility rates (per µs) of `profile`, solved once per
-/// memo.
+impl BurstFreeKey {
+    fn of(profile: &EdcaProfile) -> Self {
+        let classes =
+            profile.tuples().iter().map(|t| (t.cw_min, t.stage_cap, t.aifs, t.txop > 1)).collect();
+        BurstFreeKey { classes, counts: profile.counts().to_vec() }
+    }
+}
+
+/// Memo of class-level EDCA equilibria under one [`DcfParams`], keyed by
+/// the burst-free part of the profile (each class's burst length only
+/// as "1 or more"): lattice, plane and `W*` scans revisit the same
+/// profiles, and burst lengths above 1 share one solve. It stores
+/// equilibria, not utilities, so a hit is priced under the caller's own
+/// burst lengths and [`macgame_dcf::UtilityParams`].
+#[derive(Debug)]
+pub struct EdcaStageMemo {
+    params: DcfParams,
+    memo: Memo<BurstFreeKey, Arc<EdcaEquilibrium>>,
+}
+
+impl EdcaStageMemo {
+    /// An empty memo for games under `params`, holding at most `capacity`
+    /// equilibria with [`Memo::new`]'s bound semantics (`None`
+    /// unbounded), counting on the `core.edca.memo.*` telemetry counters.
+    #[must_use]
+    pub fn new(params: DcfParams, capacity: Option<usize>) -> Self {
+        let memo = Memo::new(
+            capacity,
+            "core.edca.memo.hits",
+            "core.edca.memo.misses",
+            "core.edca.memo.evictions",
+        );
+        EdcaStageMemo { params, memo }
+    }
+}
+
+/// Per-class stage utility rates (per µs) of `profile`, priced from its
+/// memoized equilibrium.
 fn class_rates(
     game: &GameConfig,
     profile: &EdcaProfile,
     memo: &EdcaStageMemo,
 ) -> Result<Vec<f64>, GameError> {
-    memo.get_or_try_insert_with(profile, || {
-        let eq = solve_edca(profile, game.params(), SolveOptions::default())?;
-        Ok(edca_utilities(profile, &eq, game.params(), game.utility()))
-    })
+    if memo.params != *game.params() {
+        return Err(GameError::InvalidConfig(
+            "EDCA stage memo is bound to different DCF parameters than the game".into(),
+        ));
+    }
+    let eq = memo.memo.get_or_try_insert_with(&BurstFreeKey::of(profile), || {
+        Ok::<_, GameError>(Arc::new(solve_edca(profile, game.params(), SolveOptions::default())?))
+    })?;
+    Ok(edca_utilities(profile, &eq, game.params(), game.utility()))
 }
 
 /// Stage utility rate (per µs) when all `n` players sit on `tuple` — the
@@ -300,12 +345,15 @@ pub fn edca_best_response(
 /// Uses the same exponential-bracket / ternary-cut / local-sweep search as
 /// the scalar optimizer, over the same `1..=min(w_max, MAX_CW)`: the
 /// symmetric utility is unimodal in `W` for any fixed burst length (the
-/// burst only rescales the success term).
+/// burst only rescales the success term). As there, an argmax at
+/// `MAX_CW` is a boundary of the model, not an answer.
 ///
 /// # Errors
 ///
 /// Returns [`GameError::InvalidConfig`] for an out-of-range burst length
-/// (via tuple validation); propagates solver failures.
+/// (via tuple validation) or a memo bound to other parameters,
+/// [`DcfError::WindowCapReached`] if the argmax is `MAX_CW`; propagates
+/// solver failures.
 pub fn edca_wc_star(
     game: &GameConfig,
     txop: u32,
@@ -353,6 +401,10 @@ pub fn edca_wc_star(
         if u > best.1 {
             best = (w, u);
         }
+    }
+    if best.0 == MAX_CW {
+        let n = game.player_count();
+        return Err(DcfError::WindowCapReached { n, cap: MAX_CW }.into());
     }
     Ok(best)
 }
@@ -438,6 +490,8 @@ pub fn edca_plane_ne(
 mod tests {
     use super::*;
     use crate::deviation::{deviator_stage, symmetric_stage};
+    use macgame_dcf::AccessMode;
+    use proptest::prelude::*;
 
     fn game(n: usize) -> GameConfig {
         GameConfig::builder(n).build().unwrap()
@@ -454,7 +508,7 @@ mod tests {
     #[test]
     fn degenerate_stages_match_the_scalar_stage_game() {
         let g = game(5);
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let sym = legacy(76, &g);
         let dev = legacy(20, &g);
         let edca_sym = edca_symmetric_stage(&g, sym, &memo).unwrap();
@@ -469,7 +523,7 @@ mod tests {
     #[test]
     fn every_knob_pays_selfish_ward() {
         let g = game(5);
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let sym = EdcaTuple::new(76, g.params().max_backoff_stage(), 1, 1).unwrap();
         let gain = |axis: EdcaAxis, value: u32| {
             edca_axis_sweep(&g, sym, axis, &[value], &memo).unwrap()[0].gain
@@ -489,7 +543,7 @@ mod tests {
     #[test]
     fn axis_sweep_rows_are_consistent() {
         let g = game(5);
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let sym = legacy(76, &g);
         let rows = edca_axis_sweep(&g, sym, EdcaAxis::Txop, &[1, 2, 4, 8], &memo).unwrap();
         assert_eq!(rows.len(), 4);
@@ -510,21 +564,21 @@ mod tests {
     #[test]
     fn memo_deduplicates_profiles() {
         let g = game(5);
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let sym = legacy(76, &g);
         let dev = legacy(20, &g);
         edca_deviator_stage(&g, sym, dev, &memo).unwrap();
-        let misses = memo.misses();
+        let misses = memo.memo.misses();
         edca_deviator_stage(&g, sym, dev, &memo).unwrap();
         edca_axis_sweep(&g, sym, EdcaAxis::CwMin, &[dev.cw_min], &memo).unwrap();
-        assert_eq!(memo.misses(), misses + 1, "only the symmetric baseline is new");
-        assert!(memo.hits() >= 2);
+        assert_eq!(memo.memo.misses(), misses + 1, "only the symmetric baseline is new");
+        assert!(memo.memo.hits() >= 2);
     }
 
     #[test]
     fn best_response_picks_the_most_selfish_corner() {
         let g = game(5);
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let m = g.params().max_backoff_stage();
         let sym = EdcaTuple::new(76, m, 1, 1).unwrap();
         let lattice = EdcaLattice {
@@ -537,13 +591,13 @@ mod tests {
         assert_eq!(br.tuple, EdcaTuple::new(16, m, 0, 4).unwrap());
         assert!(br.gain > 1.0);
         // Solves are shared across the 8 candidates and the baseline.
-        assert!(memo.misses() <= 9);
+        assert!(memo.memo.misses() <= 9);
     }
 
     #[test]
     fn plane_ne_prices_patience_like_the_scalar_model() {
         let g = game(5);
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let sym = legacy(79, &g);
         let cw_mins = [20u32, 79];
         let txops = [1u32, 4];
@@ -564,7 +618,7 @@ mod tests {
     #[test]
     fn wc_star_search_matches_scalar_and_improves_with_bursts() {
         let g = game(5);
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let (w1, u1) = edca_wc_star(&g, 1, &memo).unwrap();
         let scalar = crate::equilibrium::efficient_ne(&g).unwrap();
         // Class-level and dense utilities agree to solver tolerance, so on
@@ -589,16 +643,112 @@ mod tests {
         let at = |w_max: u32| {
             let mut builder = GameConfig::builder(50_000);
             builder.w_max(w_max);
-            let (w, u) = edca_wc_star(&builder.build().unwrap(), 2, &edca_stage_memo()).unwrap();
+            let g = builder.build().unwrap();
+            let (w, u) = edca_wc_star(&g, 2, &EdcaStageMemo::new(*g.params(), None)).unwrap();
             (w, u.to_bits())
         };
         assert_eq!(at(u32::MAX), at(MAX_CW));
     }
 
     #[test]
+    fn bursts_above_one_share_one_equilibrium() {
+        let g = game(5);
+        let memo = EdcaStageMemo::new(*g.params(), None);
+        let m = g.params().max_backoff_stage();
+        let at = |txop: u32| {
+            edca_symmetric_stage(&g, EdcaTuple::new(76, m, 0, txop).unwrap(), &memo).unwrap()
+        };
+        let (single, burst) = (at(1), at(2));
+        assert_eq!(memo.memo.misses(), 2, "txop 1 is the degenerate model, txop 2 is not");
+        let longer = at(16);
+        assert_eq!((memo.memo.misses(), memo.memo.hits()), (2, 1), "16 reads 2's solve");
+        assert!(longer > burst && burst > single, "{single} < {burst} < {longer}");
+    }
+
+    #[test]
+    fn memo_is_bound_to_its_parameters() {
+        let g = game(5);
+        let rtscts = DcfParams::builder().access_mode(AccessMode::RtsCts).build().unwrap();
+        let memo = EdcaStageMemo::new(rtscts, None);
+        let sym = legacy(76, &g);
+        assert!(edca_symmetric_stage(&g, sym, &memo).is_err());
+        assert!(edca_wc_star(&g, 4, &memo).is_err());
+        assert!(memo.memo.is_empty(), "a rejected game stores nothing");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A memo hit for any profile is the equilibrium a fresh
+        /// `solve_edca` of that very profile gives, and so are its rates:
+        /// the memo is first primed with a sibling whose every burst above
+        /// 1 is another burst above 1.
+        #[test]
+        fn burst_free_hits_are_fresh_solves(
+            classes in prop::collection::vec(
+                ((1u32..300, 0u32..=7, 0u32..4), (1u32..=64, 1usize..6, 2u32..=64)),
+                1..=3,
+            ),
+            rtscts in 0u32..2,
+        ) {
+            let mode = if rtscts == 1 { AccessMode::RtsCts } else { AccessMode::Basic };
+            let params = DcfParams::builder().access_mode(mode).build().unwrap();
+            let mut builder = GameConfig::builder(5);
+            builder.params(params);
+            let g = builder.build().unwrap();
+            type Class = ((u32, u32, u32), (u32, usize, u32));
+            let tuple = |&((w, m, a), (k, _, _)): &Class| EdcaTuple::new(w, m, a, k).unwrap();
+            let counts: Vec<usize> = classes.iter().map(|c| c.1 .1).collect();
+            let profile =
+                EdcaProfile::new(classes.iter().map(tuple).collect(), counts.clone()).unwrap();
+            let sibling_tuples = classes
+                .iter()
+                .map(|c| {
+                    let mut t = tuple(c);
+                    if t.txop > 1 {
+                        t.txop = c.1 .2;
+                    }
+                    t
+                })
+                .collect();
+            let sibling = EdcaProfile::new(sibling_tuples, counts).unwrap();
+            let memo = EdcaStageMemo::new(params, None);
+            let primed = class_rates(&g, &sibling, &memo);
+            let hits = memo.memo.hits();
+            let got = class_rates(&g, &profile, &memo);
+            match solve_edca(&profile, &params, SolveOptions::default()) {
+                Ok(fresh) => {
+                    let want = edca_utilities(&profile, &fresh, &params, g.utility());
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&got.unwrap()), bits(&want));
+                    let key = BurstFreeKey::of(&profile);
+                    if key == BurstFreeKey::of(&sibling) && primed.is_ok() {
+                        prop_assert_eq!(memo.memo.hits(), hits + 1, "the sibling's solve");
+                    }
+                    let stored = memo.memo.get(&key).unwrap();
+                    prop_assert_eq!(&*stored, &fresh);
+                }
+                Err(_) => prop_assert!(got.is_err()),
+            }
+        }
+    }
+
+    #[test]
+    fn wc_star_search_refuses_the_window_cap() {
+        for w_max in [MAX_CW, 1 << 21] {
+            let mut builder = GameConfig::builder(70_000);
+            builder.w_max(w_max);
+            let g = builder.build().unwrap();
+            let got = edca_wc_star(&g, 2, &EdcaStageMemo::new(*g.params(), None));
+            let capped = DcfError::WindowCapReached { n: 70_000, cap: MAX_CW };
+            assert_eq!(got, Err(GameError::Model(capped)), "w_max {w_max}");
+        }
+    }
+
+    #[test]
     fn invalid_inputs_surface_errors() {
         let g = game(5);
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let sym = legacy(76, &g);
         assert!(edca_plane_ne(&g, sym, &[20], &[1], 0, 0.0, &memo).is_err());
         assert!(edca_plane_ne(&g, sym, &[20], &[1], 1, 1.0, &memo).is_err());

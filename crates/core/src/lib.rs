@@ -76,9 +76,9 @@ pub mod strategy;
 pub mod tournament;
 
 pub use edca::{
-    edca_axis_sweep, edca_best_response, edca_deviator_stage, edca_plane_ne, edca_stage_memo,
-    edca_symmetric_stage, edca_wc_star, EdcaAxis, EdcaBestResponse, EdcaGainRow, EdcaLattice,
-    EdcaPlaneCell, EdcaStageMemo,
+    edca_axis_sweep, edca_best_response, edca_deviator_stage, edca_plane_ne, edca_symmetric_stage,
+    edca_wc_star, EdcaAxis, EdcaBestResponse, EdcaGainRow, EdcaLattice, EdcaPlaneCell,
+    EdcaStageMemo,
 };
 pub use equilibrium::{check_symmetric_ne, efficient_ne, ne_interval, NeCheck, DEFAULT_NE_EPSILON};
 pub use error::GameError;

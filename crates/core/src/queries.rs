@@ -16,24 +16,28 @@
 //! Each query evaluates against a per-mode [`SolveCache`]
 //! ([`SolveCaches`]) — one capacity-bounded cache per [`AccessMode`],
 //! because cached solutions are only valid for the parameter set they
-//! were computed under. Deviation and welfare stages read its class
-//! solutions; the `W_c*` and NE-interval searches read its `W_c*` memo,
-//! keyed by `(n, w_max, utility)`, whose misses search its `(n, W)`
-//! symmetric points; the robustness check's stage table reads its stage
-//! columns, keyed by `(n, cover, utility)` with `cover` the window
-//! rounded up to a power of two; and the check's one-deviator sweep reads
-//! its deviator rows, keyed by `(n, W, w_max, utility)`, so cells that
-//! differ only in reaction lag or ε share one sweep. An EDCA query at burst length above 1 memoizes its
-//! stage solves in a fresh [`crate::edca::EdcaStageMemo`]. All of them
-//! are the one sharded cache type, [`macgame_dcf::cache::Memo`].
+//! were computed under. The `W_c*` and NE-interval searches read its
+//! `W_c*` memo, keyed by `(n, w_max, utility)`, whose misses search its
+//! `(n, W)` symmetric points; the robustness check's stage table reads
+//! its stage columns, keyed by `(n, cover, utility)` with `cover` the
+//! window rounded up to a power of two; the check's one-deviator sweep
+//! reads its deviator rows, keyed by `(n, W, w_max, utility)`, so cells
+//! that differ only in reaction lag or ε share one sweep; and the cell's
+//! two welfare stages read its class solutions. An EDCA query at burst
+//! length above 1 reads the mode's [`EdcaStageMemo`], whose key leaves
+//! out burst lengths above 1, so every such query at one `n` shares the
+//! search's equilibria. All of them are the one sharded cache type,
+//! [`macgame_dcf::cache::Memo`]. A deviation price solves its three
+//! class profiles afresh: prices seldom repeat one, and a memo probe that
+//! misses costs more than it saves.
 
 use macgame_dcf::cache::SolveCache;
 use macgame_dcf::fixedpoint::SolveOptions;
 use macgame_dcf::{AccessMode, DcfParams, EdcaTuple};
 use serde::{Deserialize, Serialize};
 
-use crate::deviation::{shortsighted_deviation_cached, symmetric_stage_cached};
-use crate::edca::{edca_stage_memo, edca_wc_star};
+use crate::deviation::{shortsighted_deviation_classes, symmetric_stage_cached};
+use crate::edca::{edca_wc_star, EdcaStageMemo};
 use crate::equilibrium::{check_symmetric_ne_cached, efficient_ne_cached, ne_interval_cached};
 use crate::error::GameError;
 use crate::game::GameConfig;
@@ -184,20 +188,23 @@ pub enum QueryResult {
     },
 }
 
-/// One sharded [`SolveCache`] per [`AccessMode`]: cached class solutions
-/// are only valid for the DCF parameter set they were computed under, and
-/// the query space spans both channel models.
+/// One sharded [`SolveCache`] and one [`EdcaStageMemo`] per
+/// [`AccessMode`]: cached solutions are only valid for the DCF parameter
+/// set they were computed under, and the query space spans both channel
+/// models.
 #[derive(Debug)]
 pub struct SolveCaches {
     basic: SolveCache,
     rtscts: SolveCache,
+    edca_basic: EdcaStageMemo,
+    edca_rtscts: EdcaStageMemo,
 }
 
 impl SolveCaches {
-    /// Builds one bounded cache per access mode (Table I default
-    /// parameters, default solver options); `capacity` is the per-mode
-    /// resident bound, with `0` the documented no-op cache — see
-    /// [`SolveCache::with_capacity`].
+    /// Builds one bounded cache and one bounded EDCA memo per access mode
+    /// (Table I default parameters, default solver options); `capacity`
+    /// is the per-mode resident bound of each memo, with `0` the
+    /// documented no-op cache — see [`SolveCache::with_capacity`].
     ///
     /// # Errors
     ///
@@ -208,6 +215,8 @@ impl SolveCaches {
         Ok(SolveCaches {
             basic: SolveCache::with_capacity(basic, SolveOptions::default(), capacity),
             rtscts: SolveCache::with_capacity(rtscts, SolveOptions::default(), capacity),
+            edca_basic: EdcaStageMemo::new(basic, Some(capacity)),
+            edca_rtscts: EdcaStageMemo::new(rtscts, Some(capacity)),
         })
     }
 
@@ -217,6 +226,14 @@ impl SolveCaches {
         match mode {
             AccessMode::Basic => &self.basic,
             AccessMode::RtsCts => &self.rtscts,
+        }
+    }
+
+    /// The EDCA equilibrium memo bound to `mode`'s parameters.
+    fn edca_for_mode(&self, mode: AccessMode) -> &EdcaStageMemo {
+        match mode {
+            AccessMode::Basic => &self.edca_basic,
+            AccessMode::RtsCts => &self.edca_rtscts,
         }
     }
 
@@ -276,8 +293,7 @@ pub fn evaluate_query(query: &Query, caches: &SolveCaches) -> Result<QueryResult
                     txop,
                 });
             }
-            let memo = edca_stage_memo();
-            let (window, utility) = edca_wc_star(&game, txop, &memo)?;
+            let (window, utility) = edca_wc_star(&game, txop, caches.edca_for_mode(mode))?;
             Ok(QueryResult::EdcaWcStar { window, utility, txop })
         }
         Query::NeInterval { players, mode, w_max } => {
@@ -291,14 +307,8 @@ pub fn evaluate_query(query: &Query, caches: &SolveCaches) -> Result<QueryResult
         }
         Query::DeviationPayoff { players, mode, w_star, w_dev, reaction_stages, delta_s } => {
             let game = game_for(players, mode, None)?;
-            let outcome = shortsighted_deviation_cached(
-                &game,
-                w_star,
-                w_dev,
-                reaction_stages,
-                delta_s,
-                cache,
-            )?;
+            let outcome =
+                shortsighted_deviation_classes(&game, w_star, w_dev, reaction_stages, delta_s)?;
             Ok(QueryResult::DeviationPayoff {
                 w_s: outcome.w_s,
                 deviant_payoff: outcome.deviant_payoff,
@@ -466,7 +476,23 @@ mod tests {
     #[test]
     fn evaluation_is_bitwise_reproducible_and_uses_the_cache() {
         let caches = caches();
-        let q = Query::DeviationPayoff {
+        let cell = Query::RobustnessCell {
+            players: 6,
+            mode: AccessMode::RtsCts,
+            window: 40,
+            reaction_stages: 2,
+            epsilon: DEFAULT_NE_EPSILON,
+        };
+        let first = evaluate_query(&cell, &caches).unwrap();
+        let (_, misses_after_first, _) = caches.counters();
+        let second = evaluate_query(&cell, &caches).unwrap();
+        let (hits, misses, _) = caches.counters();
+        assert_eq!(first, second, "same query, same result, bitwise");
+        assert_eq!(misses, misses_after_first, "revisit must not re-solve");
+        assert!(hits > 0);
+        // A price solves its class profiles afresh: repeatable bit for
+        // bit, and it leaves the class memo as it found it.
+        let price = Query::DeviationPayoff {
             players: 6,
             mode: AccessMode::RtsCts,
             w_star: 100,
@@ -474,13 +500,62 @@ mod tests {
             reaction_stages: 2,
             delta_s: 0.5,
         };
-        let first = evaluate_query(&q, &caches).unwrap();
-        let (_, misses_after_first, _) = caches.counters();
-        let second = evaluate_query(&q, &caches).unwrap();
-        let (hits, misses, _) = caches.counters();
-        assert_eq!(first, second, "same query, same result, bitwise");
-        assert_eq!(misses, misses_after_first, "revisit must not re-solve");
-        assert!(hits > 0);
+        let before = caches.counters();
+        let resident = caches.for_mode(AccessMode::RtsCts).memo().len();
+        let first = evaluate_query(&price, &caches).unwrap();
+        assert_eq!(first, evaluate_query(&price, &caches).unwrap());
+        assert_eq!(caches.counters(), before, "a price never probes the class memo");
+        assert_eq!(caches.for_mode(AccessMode::RtsCts).memo().len(), resident);
+    }
+
+    #[test]
+    fn deviation_price_is_the_bits_of_the_class_memo() {
+        // The class memo stores solve_classes' bits, so a price read
+        // through it is the price solved afresh.
+        let caches = caches();
+        let cache = caches.for_mode(AccessMode::Basic);
+        let game = game_for(7, AccessMode::Basic, None).unwrap();
+        for (w_star, w_dev) in [(90u32, 20u32), (90, 90), (50, 300)] {
+            let q = Query::DeviationPayoff {
+                players: 7,
+                mode: AccessMode::Basic,
+                w_star,
+                w_dev,
+                reaction_stages: 3,
+                delta_s: 0.25,
+            };
+            let QueryResult::DeviationPayoff { deviant_payoff, victim_payoff, .. } =
+                evaluate_query(&q, &caches).unwrap()
+            else {
+                panic!("variant mismatch");
+            };
+            let rate = |windows: Vec<u32>, counts: Vec<usize>, of: u32| {
+                let profile = macgame_dcf::ClassProfile::new(windows, counts).unwrap();
+                let eq = cache.solve_class_profile(&profile).unwrap();
+                let us = macgame_dcf::class_utilities(
+                    &profile,
+                    &eq.taus,
+                    &eq.collision_probs,
+                    game.params(),
+                    game.utility(),
+                );
+                us[profile.windows().iter().position(|&w| w == of).unwrap()]
+            };
+            let (dev, crowd) = if w_dev == w_star {
+                let r = rate(vec![w_star], vec![7], w_star);
+                (r, r)
+            } else {
+                (
+                    rate(vec![w_dev, w_star], vec![1, 6], w_dev),
+                    rate(vec![w_dev, w_star], vec![1, 6], w_star),
+                )
+            };
+            let after = symmetric_stage_cached(&game, w_dev, cache).unwrap();
+            let t = game.stage_duration().value();
+            let (head, tail) = crate::deviation::discount_split(0.25, 3).unwrap();
+            assert_eq!(deviant_payoff.to_bits(), (t * (head * dev + tail * after)).to_bits());
+            assert_eq!(victim_payoff.to_bits(), (t * (head * crowd + tail * after)).to_bits());
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! random profiles, TFT dynamics, and deviation pricing.
 
 use macgame_core::deviation::shortsighted_deviation;
-use macgame_core::edca::{edca_axis_sweep, edca_stage_memo, EdcaAxis, EdcaStageMemo};
+use macgame_core::edca::{edca_axis_sweep, EdcaAxis, EdcaStageMemo};
 use macgame_core::equilibrium::DEFAULT_NE_EPSILON;
 use macgame_core::evaluator::AnalyticalEvaluator;
 use macgame_core::generalized::FiniteGame;
@@ -262,7 +262,7 @@ proptest! {
         let g = game(n);
         let m = g.params().max_backoff_stage();
         let sym = macgame_dcf::EdcaTuple::new(w_sym, m, 1, 1).unwrap();
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let g_lo = knob_gain(&g, sym, EdcaAxis::CwMin, lo, &memo);
         let g_hi = knob_gain(&g, sym, EdcaAxis::CwMin, lo + step, &memo);
         prop_assert!(
@@ -282,7 +282,7 @@ proptest! {
         let g = game(n);
         let m = g.params().max_backoff_stage();
         let sym = macgame_dcf::EdcaTuple::new(w_sym, m, sym_aifs, 1).unwrap();
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let g_lo = knob_gain(&g, sym, EdcaAxis::Aifs, a_lo, &memo);
         let g_hi = knob_gain(&g, sym, EdcaAxis::Aifs, a_lo + extra, &memo);
         prop_assert!(
@@ -301,7 +301,7 @@ proptest! {
         let g = game(n);
         let m = g.params().max_backoff_stage();
         let sym = macgame_dcf::EdcaTuple::new(w_sym, m, 1, 1).unwrap();
-        let memo = edca_stage_memo();
+        let memo = EdcaStageMemo::new(*g.params(), None);
         let g_lo = knob_gain(&g, sym, EdcaAxis::Txop, k_lo, &memo);
         let g_hi = knob_gain(&g, sym, EdcaAxis::Txop, k_lo + extra, &memo);
         prop_assert!(

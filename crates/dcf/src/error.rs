@@ -62,6 +62,15 @@ pub enum DcfError {
         /// Human-readable constraint description.
         reason: String,
     },
+    /// A `W_c*` search's argmax landed on the window cap: the largest
+    /// window with an operating point bounds the search, so the answer
+    /// is a boundary of the model, not a maximum of the utility.
+    WindowCapReached {
+        /// The population the search ran for.
+        n: usize,
+        /// The cap, [`crate::markov::MAX_CW`].
+        cap: u32,
+    },
 }
 
 impl DcfError {
@@ -97,6 +106,9 @@ impl fmt::Display for DcfError {
             }
             DcfError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter `{name}`: {reason}")
+            }
+            DcfError::WindowCapReached { n, cap } => {
+                write!(f, "the efficient window for n = {n} reaches the window cap {cap}")
             }
         }
     }

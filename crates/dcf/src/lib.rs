@@ -86,7 +86,7 @@ pub use fixedpoint::{
     solve_with_guess, Equilibrium, RobustSolve, SolveOptions, SymmetricPoint,
 };
 pub use optimal::{efficient_cw, ne_interval, optimal_tau, EfficientNe, NeInterval};
-pub use parallel::{resolve_threads, solve_sweep, solve_sweep_cached};
+pub use parallel::{one_deviator_sweep, resolve_threads, solve_sweep_cached};
 pub use params::{AccessMode, DcfParams, DcfParamsBuilder, FrameParams, FrameTimings, PhyParams};
 pub use record::SolutionRecord;
 pub use units::{BitRate, Bits, MicroSecs};

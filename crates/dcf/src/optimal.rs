@@ -175,11 +175,13 @@ impl SymmetricSource for DcfParams {
 ///
 /// The search runs over `1..=min(w_max, MAX_CW)`: no window past
 /// [`MAX_CW`] has an operating point, so a larger bound answers as
-/// `MAX_CW` does.
+/// `MAX_CW` does. An argmax at a bound `w_max < MAX_CW` is the answer
+/// within the strategy space; one at `MAX_CW` is not an optimum at all.
 ///
 /// # Errors
 ///
-/// Returns [`DcfError::InvalidParameter`] if `w_max == 0`; propagates
+/// Returns [`DcfError::InvalidParameter`] if `w_max == 0` and
+/// [`DcfError::WindowCapReached`] if the argmax is `MAX_CW`; propagates
 /// solver errors.
 pub fn efficient_cw(
     n: usize,
@@ -242,6 +244,9 @@ pub(crate) fn search_efficient_cw<S: SymmetricSource + ?Sized>(
             best_u = u;
             best_w = w;
         }
+    }
+    if best_w == MAX_CW {
+        return Err(DcfError::WindowCapReached { n, cap: MAX_CW });
     }
     finish_efficient(source, n, best_w, best_u)
 }
@@ -611,6 +616,22 @@ mod tests {
             );
         }
         assert_eq!(ne_interval(50_000, &p, &u, u32::MAX).unwrap(), interval);
+    }
+
+    #[test]
+    fn an_argmax_at_the_window_cap_is_an_error() {
+        // W* ≈ 17.3·n passes MAX_CW near n = 6·10⁴: at n = 7·10⁴ the
+        // search's argmax is the cap itself, which is no maximum.
+        let (p, u) = (basic(), UtilityParams::default());
+        let capped = DcfError::WindowCapReached { n: 70_000, cap: MAX_CW };
+        for w_max in [MAX_CW, 1 << 21] {
+            assert_eq!(efficient_cw(70_000, &p, &u, w_max), Err(capped.clone()), "w_max {w_max}");
+            assert_eq!(ne_interval(70_000, &p, &u, w_max), Err(capped.clone()), "w_max {w_max}");
+        }
+        assert!(capped.to_string().contains("n = 70000") && capped.to_string().contains("1048576"));
+        // A bound below the cap is the strategy space: its argmax stands.
+        let bounded = efficient_cw(70_000, &p, &u, MAX_CW - 1).unwrap();
+        assert_eq!(bounded.window, MAX_CW - 1);
     }
 
     #[test]

@@ -19,23 +19,24 @@
 //!
 //! # Determinism
 //!
-//! [`solve_sweep`] splits the profile list into **fixed-size** chunks
-//! ([`SWEEP_CHUNK`]) whose boundaries do not depend on the thread count.
-//! Within a chunk, each solve is warm-started from the previous solution
-//! (profiles adjacent in a sweep differ by one window, so the previous
-//! root is an excellent seed); the first profile of each chunk starts
-//! cold. Chunks are distributed over worker threads, and because warm
-//! chains never cross a chunk boundary, the result vector is
+//! [`one_deviator_sweep`] splits its deviator windows into **fixed-size**
+//! chunks ([`SWEEP_CHUNK`]) whose boundaries do not depend on the thread
+//! count. Within a chunk, each solve is warm-started from the previous
+//! solution (profiles adjacent in a sweep differ by one window, so the
+//! previous root is an excellent seed); the first profile of each chunk
+//! starts cold. Chunks are distributed over worker threads, and because
+//! warm chains never cross a chunk boundary, the result vector is
 //! bitwise-identical for every `threads` value.
 
 use macgame_telemetry as telemetry;
 
 use crate::cache::SolveCache;
+use crate::classes::{ClassEquilibrium, ClassProfile};
 use crate::error::DcfError;
-use crate::fixedpoint::{solve_with_guess, Equilibrium, SolveOptions};
+use crate::fixedpoint::{solve_classes_with_guess, Equilibrium, SolveOptions};
 use crate::params::DcfParams;
 
-/// Number of profiles per warm-chained chunk in [`solve_sweep`].
+/// Number of profiles per warm-chained chunk in [`one_deviator_sweep`].
 ///
 /// A constant (rather than `len / threads`) so chunk boundaries — and
 /// therefore warm-start seeds and results — are independent of the
@@ -105,45 +106,69 @@ where
     map(&chunks, threads, |chunk| f(chunk))
 }
 
-/// Solves every profile in `profiles` with warm-chained, chunk-parallel
-/// iteration. Results are bitwise-identical for every `threads` value
-/// (including 1); see the module docs for why.
+/// Solves the one-deviator profile `[w_s ×1, w ×(n−1)]` of every `w_s` in
+/// `deviators` at class level, warm-chained within fixed chunks spread
+/// over `threads` workers. Entry `i` solves `deviators[i]`'s profile: two
+/// classes, the deviator's first, or the one class `[w ×n]` where
+/// `deviators[i] == w`.
+///
+/// Each solve is seeded as [`crate::fixedpoint::solve_with_guess`] seeds
+/// the node-level profile from the previous node-level solution: node 0's
+/// `τ` for the deviator's class and node 1's for the crowd's, only node
+/// 0's for a one-class profile. So every entry is bitwise the class
+/// solution a chain of `solve_with_guess` calls over the `n`-entry
+/// window vectors would compute, without building them. Results are
+/// bitwise-identical for every `threads` value (including 1); see the
+/// module docs for why.
 ///
 /// # Errors
 ///
-/// Returns the first solver error in profile order.
-pub fn solve_sweep(
-    profiles: &[Vec<u32>],
+/// Returns [`DcfError::InvalidParameter`] for a non-empty sweep with
+/// `n < 2`, or a deviator window of 0 or above `w`; otherwise the first
+/// solver error in deviator order.
+pub fn one_deviator_sweep(
+    n: usize,
+    w: u32,
+    deviators: &[u32],
     params: &DcfParams,
     options: SolveOptions,
     threads: usize,
-) -> Result<Vec<Equilibrium>, DcfError> {
-    telemetry::counter("dcf.sweep.profiles", profiles.len() as u64);
+) -> Result<Vec<ClassEquilibrium>, DcfError> {
+    telemetry::counter("dcf.sweep.profiles", deviators.len() as u64);
     let _span = telemetry::span("dcf.sweep.solve");
-    telemetry::counter("dcf.sweep.chunks", profiles.len().div_ceil(SWEEP_CHUNK) as u64);
-    let solved: Vec<Result<Vec<Equilibrium>, DcfError>> =
-        map_chunks(profiles, SWEEP_CHUNK, threads, |chunk| {
-            let mut out = Vec::with_capacity(chunk.len());
-            let mut seed: Option<Vec<f64>> = None;
-            for profile in chunk {
-                // Warm-start only when the profile length matches the
-                // previous solution (sweeps normally keep n fixed).
-                let guess = seed.as_deref().filter(|s| s.len() == profile.len());
-                let eq = solve_with_guess(profile, params, options, guess)?;
-                seed = Some(eq.taus.clone());
-                out.push(eq);
+    telemetry::counter("dcf.sweep.chunks", deviators.len().div_ceil(SWEEP_CHUNK) as u64);
+    if !deviators.is_empty() && n < 2 {
+        return Err(DcfError::invalid("n", "a deviator needs at least one other node"));
+    }
+    let solved: Vec<Result<Vec<ClassEquilibrium>, DcfError>> =
+        map_chunks(deviators, SWEEP_CHUNK, threads, |chunk| {
+            let mut out: Vec<ClassEquilibrium> = Vec::with_capacity(chunk.len());
+            for &w_s in chunk {
+                if w_s > w {
+                    return Err(DcfError::invalid(
+                        "deviators",
+                        "must not exceed the common window",
+                    ));
+                }
+                let profile = ClassProfile::new(vec![w_s, w], vec![1, n - 1])?;
+                let k = profile.num_classes();
+                telemetry::counter("dcf.solver.class_collapsed", (n - k) as u64);
+                let seed = out.last().map(|prev| [prev.taus[0], prev.taus[prev.taus.len() - 1]]);
+                let guess = seed.as_ref().map(|seed| &seed[..k]);
+                out.push(solve_classes_with_guess(&profile, params, options, guess)?);
             }
             Ok(out)
         });
-    let mut all = Vec::with_capacity(profiles.len());
+    let mut all = Vec::with_capacity(deviators.len());
     for chunk in solved {
         all.extend(chunk?);
     }
     Ok(all)
 }
 
-/// Like [`solve_sweep`], but consults `cache` before solving and stores
-/// fresh solutions into it. Canonicalization makes permutations of
+/// Solves every profile in `profiles` through `cache`, in fixed
+/// [`SWEEP_CHUNK`] chunks over `threads` workers: each solve consults
+/// `cache` first and stores a fresh solution into it. Canonicalization makes permutations of
 /// previously-seen profiles hits, and a hit is bitwise-identical to the
 /// fresh solve, so results still do not depend on the thread count — only
 /// on which profiles the cache has already seen (a cold cache reproduces
@@ -216,20 +241,79 @@ mod tests {
             .collect()
     }
 
+    /// The node-level chain the class chain replaced: each `n`-entry
+    /// one-deviator profile solved by `solve_with_guess`, seeded with the
+    /// previous solution within fixed `SWEEP_CHUNK` chunks.
+    fn node_level_chain(
+        n: usize,
+        w: u32,
+        deviators: &[u32],
+        params: &DcfParams,
+    ) -> Vec<Equilibrium> {
+        let mut out = Vec::new();
+        for chunk in deviators.chunks(SWEEP_CHUNK) {
+            let mut seed: Option<Vec<f64>> = None;
+            for &w_s in chunk {
+                let mut profile = vec![w; n];
+                profile[0] = w_s;
+                let eq = crate::fixedpoint::solve_with_guess(
+                    &profile,
+                    params,
+                    SolveOptions::default(),
+                    seed.as_deref(),
+                )
+                .unwrap();
+                seed = Some(eq.taus.clone());
+                out.push(eq);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sweep_is_bitwise_the_node_level_chain() {
+        for mode in [crate::AccessMode::Basic, crate::AccessMode::RtsCts] {
+            let params = DcfParams::builder().access_mode(mode).build().unwrap();
+            for (n, w) in [(2usize, 1u32), (2, 40), (6, 76), (37, 100), (1_000, 70)] {
+                // Up to and including the homogeneous end, across chunks.
+                let deviators: Vec<u32> = (1..=w).collect();
+                let chain =
+                    one_deviator_sweep(n, w, &deviators, &params, SolveOptions::default(), 1)
+                        .unwrap();
+                let nodes = node_level_chain(n, w, &deviators, &params);
+                for ((&w_s, class), node) in deviators.iter().zip(&chain).zip(&nodes) {
+                    let k = class.taus.len();
+                    assert_eq!(k, if w_s == w { 1 } else { 2 }, "n = {n}, w_s = {w_s}");
+                    for (node_i, class_i) in [(0, 0), (n - 1, k - 1)] {
+                        assert_eq!(
+                            node.taus[node_i].to_bits(),
+                            class.taus[class_i].to_bits(),
+                            "{mode:?} n = {n}, w = {w}, w_s = {w_s}"
+                        );
+                        assert_eq!(
+                            node.collision_probs[node_i].to_bits(),
+                            class.collision_probs[class_i].to_bits()
+                        );
+                    }
+                    assert_eq!(node.iterations, class.iterations);
+                }
+            }
+        }
+    }
+
     #[test]
     fn sweep_matches_cold_solves() {
         let params = DcfParams::default();
         let options = SolveOptions::default();
-        let profiles = deviation_profiles();
-        let swept = solve_sweep(&profiles, &params, options, 1).unwrap();
-        for (profile, eq) in profiles.iter().zip(&swept) {
-            let cold = solve(profile, &params, options).unwrap();
-            for i in 0..profile.len() {
-                assert!(
-                    (eq.taus[i] - cold.taus[i]).abs() < 10.0 * options.tolerance,
-                    "profile {profile:?} node {i}"
-                );
-            }
+        let deviators: Vec<u32> = (1..=76).collect();
+        let swept = one_deviator_sweep(6, 76, &deviators, &params, options, 1).unwrap();
+        for (&w_s, eq) in deviators.iter().zip(&swept) {
+            let mut profile = vec![76u32; 6];
+            profile[0] = w_s;
+            let cold = solve(&profile, &params, options).unwrap();
+            let k = eq.taus.len();
+            assert!((eq.taus[0] - cold.taus[0]).abs() < 10.0 * options.tolerance, "w_s {w_s}");
+            assert!((eq.taus[k - 1] - cold.taus[5]).abs() < 10.0 * options.tolerance);
         }
     }
 
@@ -237,15 +321,12 @@ mod tests {
     fn sweep_is_thread_count_invariant() {
         let params = DcfParams::default();
         let options = SolveOptions::default();
-        let profiles = deviation_profiles();
-        let serial = solve_sweep(&profiles, &params, options, 1).unwrap();
+        let deviators: Vec<u32> = (1..=100).map(|w_s: u32| w_s.min(76)).collect();
+        let serial = one_deviator_sweep(6, 76, &deviators, &params, options, 1).unwrap();
         for threads in [2, 3, 7] {
-            let parallel = solve_sweep(&profiles, &params, options, threads).unwrap();
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.taus, b.taus, "threads = {threads}");
-                assert_eq!(a.collision_probs, b.collision_probs);
-                assert_eq!(a.iterations, b.iterations);
-            }
+            let parallel =
+                one_deviator_sweep(6, 76, &deviators, &params, options, threads).unwrap();
+            assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
 
@@ -253,11 +334,18 @@ mod tests {
     fn warm_chaining_reduces_total_iterations() {
         let params = DcfParams::default();
         let options = SolveOptions::default();
-        let profiles = deviation_profiles();
-        let swept = solve_sweep(&profiles, &params, options, 1).unwrap();
+        // One deviator below a crowd on 100, up to the homogeneous end.
+        let deviators: Vec<u32> = (1..=100).collect();
+        let swept = one_deviator_sweep(6, 100, &deviators, &params, options, 1).unwrap();
         let warm_total: usize = swept.iter().map(|e| e.iterations).sum();
-        let cold_total: usize =
-            profiles.iter().map(|p| solve(p, &params, options).unwrap().iterations).sum();
+        let cold_total: usize = deviators
+            .iter()
+            .map(|&w_s| {
+                let mut profile = vec![100u32; 6];
+                profile[0] = w_s;
+                solve(&profile, &params, options).unwrap().iterations
+            })
+            .sum();
         // The accelerated solver converges superlinearly once near the
         // root, so a neighbor seed buys a consistent but modest margin
         // (the order-of-magnitude wins are exact seeds and cache hits —
@@ -272,9 +360,23 @@ mod tests {
         // needed ~10 sweeps per profile on this sweep (~1000+ total); keep
         // the whole chained sweep well under that.
         assert!(
-            warm_total < profiles.len() * 10,
+            warm_total < deviators.len() * 10,
             "warm {warm_total}: accelerated chained sweep regressed"
         );
+    }
+
+    #[test]
+    fn sweep_rejects_malformed_profiles() {
+        let params = DcfParams::default();
+        let options = SolveOptions::default();
+        let sweep = |n: usize, w: u32, deviators: &[u32]| {
+            one_deviator_sweep(n, w, deviators, &params, options, 1)
+        };
+        assert_eq!(sweep(1, 8, &[]), Ok(Vec::new()), "an empty sweep solves nothing");
+        assert!(sweep(1, 8, &[4]).is_err(), "no crowd");
+        assert!(sweep(0, 8, &[4]).is_err(), "no nodes");
+        assert!(sweep(5, 8, &[9]).is_err(), "deviator above the crowd");
+        assert!(sweep(5, 8, &[0]).is_err(), "zero window");
     }
 
     #[test]

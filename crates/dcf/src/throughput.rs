@@ -66,9 +66,11 @@ pub fn slot_stats(taus: &[f64], params: &DcfParams) -> SlotStats {
 }
 
 /// [`slot_stats`] of the homogeneous profile of `n` nodes at `tau`,
-/// without building it: the same products and sum, over
-/// `repeat(·).take(·)` instead of the `n`-entry vector (one run of equal
-/// `τ`), so bit-for-bit `slot_stats(&vec![tau; n], params)`.
+/// without building it: the same products and sum, folded in the same
+/// order over one run of equal `τ`, so bit-for-bit
+/// `slot_stats(&vec![tau; n], params)`. Each fold stops once a step leaves
+/// its accumulator unchanged ([`repeated_fold`]), so a fold that underflows
+/// to zero or stalls on a subnormal costs a block, not `n` steps.
 ///
 /// # Panics
 ///
@@ -81,10 +83,83 @@ pub(crate) fn homogeneous_slot_stats(tau: f64, n: usize, params: &DcfParams) -> 
         (0.0..=1.0).contains(&tau),
         "transmission probabilities must be in [0, 1]"
     );
-    let all_idle: f64 = std::iter::repeat(1.0 - tau).take(n).product();
-    let others: f64 = std::iter::repeat(1.0 - tau).take(n - 1).product();
-    let single: f64 = std::iter::repeat(tau * others).take(n).sum();
+    let idle = 1.0 - tau;
+    let all_idle = repeated_fold(1.0, n, |acc| acc * idle);
+    let others = repeated_fold(1.0, n - 1, |acc| acc * idle);
+    let term = tau * others;
+    let single = repeated_fold(SUM_START, n, |acc| acc + term);
     stats_from(all_idle, single, params)
+}
+
+/// [`slot_stats`] of the one-deviator profile `[tau_dev, tau, …, tau]` of
+/// `n ≥ 2` nodes, without building it. Bit for bit the node-level fold:
+/// when `tau_dev` and `tau` are bitwise equal the profile is one run and
+/// this is [`homogeneous_slot_stats`]; otherwise it is two runs, node 0's
+/// product over the `n − 1` crowd factors and one product, over node 0's
+/// factor then `n − 2` crowd factors, shared by the crowd's `n − 1` terms,
+/// each fold taken left to right as `Iterator::product` and
+/// `Iterator::sum` take it.
+///
+/// # Panics
+///
+/// Panics if `n < 2` or either `τ ∉ [0, 1]`.
+#[must_use]
+pub(crate) fn one_deviator_slot_stats(
+    tau_dev: f64,
+    tau: f64,
+    n: usize,
+    params: &DcfParams,
+) -> SlotStats {
+    assert!(n >= 2, "a deviator needs a crowd"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    assert!(
+        // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+        (0.0..=1.0).contains(&tau_dev) && (0.0..=1.0).contains(&tau),
+        "transmission probabilities must be in [0, 1]"
+    );
+    if tau_dev.to_bits() == tau.to_bits() {
+        return homogeneous_slot_stats(tau, n, params);
+    }
+    let idle = 1.0 - tau;
+    // `1.0 · x` is `x` bitwise, so each product that starts on node 0's
+    // factor starts from it.
+    let all_idle = repeated_fold(1.0 - tau_dev, n - 1, |acc| acc * idle);
+    let others_of_dev = repeated_fold(1.0, n - 1, |acc| acc * idle);
+    let others_of_crowd = repeated_fold(1.0 - tau_dev, n - 2, |acc| acc * idle);
+    let crowd_term = tau * others_of_crowd;
+    let single = repeated_fold(SUM_START + tau_dev * others_of_dev, n - 1, |acc| acc + crowd_term);
+    stats_from(all_idle, single, params)
+}
+
+/// The accumulator `f64`'s `Iterator::sum` starts from (`-0.0`, the
+/// additive identity that keeps a sum of `-0.0` terms `-0.0`).
+const SUM_START: f64 = -0.0;
+
+/// Steps between two checks of [`repeated_fold`]'s early stop. A check on
+/// every step costs more than the steps it saves at `n ≤ 10⁶`.
+const FOLD_BLOCK: usize = 1024;
+
+/// `init` folded through `step` `count` times, left to right: the fold of
+/// `Iterator::product` or `Iterator::sum` over `count` equal items. After
+/// each block of [`FOLD_BLOCK`] steps, a last step that left the
+/// accumulator's bits unchanged ends the fold: every later step is the
+/// same operation on the same value, so the result is bitwise the full
+/// fold's.
+fn repeated_fold(init: f64, count: usize, step: impl Fn(f64) -> f64) -> f64 {
+    let mut acc = init;
+    let mut left = count;
+    while left > 0 {
+        let block = left.min(FOLD_BLOCK);
+        for _ in 1..block {
+            acc = step(acc);
+        }
+        let next = step(acc);
+        if next.to_bits() == acc.to_bits() {
+            return next;
+        }
+        acc = next;
+        left -= block;
+    }
+    acc
 }
 
 /// The slot statistics from the all-idle probability and the
@@ -197,6 +272,61 @@ mod tests {
         let s_basic = normalized_throughput(&vec![sym_b.tau; n], &basic);
         let s_rtscts = normalized_throughput(&vec![sym_r.tau; n], &rtscts);
         assert!(s_rtscts > 1.5 * s_basic, "basic {s_basic} vs rts/cts {s_rtscts}");
+    }
+
+    /// The folds `homogeneous_slot_stats` stops early, run to the end.
+    fn plain_homogeneous(tau: f64, n: usize, params: &DcfParams) -> SlotStats {
+        let all_idle: f64 = std::iter::repeat(1.0 - tau).take(n).product();
+        let others: f64 = std::iter::repeat(1.0 - tau).take(n - 1).product();
+        let single: f64 = std::iter::repeat(tau * others).take(n).sum();
+        stats_from(all_idle, single, params)
+    }
+
+    fn stats_bits(s: &SlotStats) -> [u64; 3] {
+        [s.p_transmit.to_bits(), s.p_success.to_bits(), s.mean_slot.value().to_bits()]
+    }
+
+    /// `τ` values whose folds stay normal (`6.1e-5`, the W = 1024 root
+    /// at n = 10⁶; `1e-17`, whose `1 − τ` is 1), run through subnormals
+    /// to `0.0` (`1e-3`, `0.5`), reach `0.0` at once (`1.0`) or never
+    /// move (`0.0`, `-0.0`).
+    const FOLD_TAUS: [f64; 7] = [6.1e-5, 1e-17, 1e-3, 0.5, 1.0, 0.0, -0.0];
+    const FOLD_NS: [usize; 6] = [1, 2, 1_023, 1_024, 1_025, 1_000_000];
+
+    #[test]
+    fn repeated_fold_is_bitwise_the_plain_fold() {
+        for n in FOLD_NS {
+            for tau in FOLD_TAUS {
+                let x = 1.0 - tau;
+                let product: f64 = std::iter::repeat(x).take(n).product();
+                let sum: f64 = std::iter::repeat(tau * x).take(n).sum();
+                assert_eq!(repeated_fold(1.0, n, |a| a * x).to_bits(), product.to_bits());
+                assert_eq!(
+                    repeated_fold(SUM_START, n, |a| a + tau * x).to_bits(),
+                    sum.to_bits(),
+                    "n = {n}, τ = {tau:e}"
+                );
+            }
+        }
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(SUM_START.to_bits(), empty.to_bits(), "Sum's starting value");
+    }
+
+    #[test]
+    fn homogeneous_stats_are_bitwise_the_plain_folds() {
+        for params in
+            [params(), DcfParams::builder().access_mode(AccessMode::RtsCts).build().unwrap()]
+        {
+            for n in FOLD_NS {
+                for tau in FOLD_TAUS {
+                    assert_eq!(
+                        stats_bits(&homogeneous_slot_stats(tau, n, &params)),
+                        stats_bits(&plain_homogeneous(tau, n, &params)),
+                        "n = {n}, τ = {tau:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fixedpoint::SymmetricPoint;
 use crate::params::DcfParams;
-use crate::throughput::{homogeneous_slot_stats, slot_stats, SlotStats};
+use crate::throughput::{homogeneous_slot_stats, one_deviator_slot_stats, slot_stats, SlotStats};
 use crate::units::MicroSecs;
 
 /// Gain/cost parameters of the utility function.
@@ -138,6 +138,32 @@ pub fn all_utilities(
         .zip(collision_probs)
         .map(|(&tau, &p)| utility_rate(tau, p, &stats, utility))
         .collect()
+}
+
+/// Node 0's and node 1's utilities on the one-deviator profile of `n ≥ 2`
+/// nodes: node 0 at `deviator = (τ, p)`, the other `n − 1` at `crowd`.
+/// Bit for bit the first two entries of [`all_utilities`] on
+/// `[τ_dev, τ, …, τ]` and `[p_dev, p, …, p]`, without building either
+/// vector: the slot statistics fold the profile in `slot_stats`'s order,
+/// a single run when the two `τ` are bitwise equal.
+///
+/// # Panics
+///
+/// Panics if `n < 2` or a probability is outside `[0, 1]`, as
+/// [`all_utilities`] does on the node-level profile.
+#[must_use]
+pub fn one_deviator_utilities(
+    deviator: (f64, f64),
+    crowd: (f64, f64),
+    n: usize,
+    params: &DcfParams,
+    utility: &UtilityParams,
+) -> [f64; 2] {
+    let stats = one_deviator_slot_stats(deviator.0, crowd.0, n, params);
+    [
+        utility_rate(deviator.0, deviator.1, &stats, utility),
+        utility_rate(crowd.0, crowd.1, &stats, utility),
+    ]
 }
 
 /// Social welfare: the sum of all node utilities (per microsecond).

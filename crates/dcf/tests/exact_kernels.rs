@@ -3,8 +3,9 @@
 //!
 //! The production kernels stop their bisections once the bracket reaches
 //! its fixed point, take the `Π_{j≠i}(1−τ_j)` product of `slot_stats`
-//! once per run of bitwise-equal `τ`, and compute the slot statistics of
-//! `all_utilities` once per profile. Each reference below is the plain
+//! once per run of bitwise-equal `τ`, compute the slot statistics of
+//! `all_utilities` once per profile, and price a one-deviator profile
+//! without building it. Each reference below is the plain
 //! fixed-step or all-pairs loop; every comparison is on the raw bits.
 
 use macgame_dcf::fixedpoint::{solve_symmetric, SymmetricPoint};
@@ -12,7 +13,7 @@ use macgame_dcf::markov::transmission_probability;
 use macgame_dcf::optimal::{efficient_cw, optimal_tau, q_function};
 use macgame_dcf::throughput::{slot_stats, SlotStats};
 use macgame_dcf::utility::{
-    all_utilities, node_utility, symmetric_node_utility, SymmetricSolution,
+    all_utilities, node_utility, one_deviator_utilities, symmetric_node_utility, SymmetricSolution,
 };
 use macgame_dcf::{AccessMode, DcfError, DcfParams, UtilityParams};
 
@@ -274,6 +275,62 @@ fn all_utilities_keeps_the_per_node_checks() {
     assert!(bad_p.is_err(), "a collision probability above 1 must panic");
     let bad_len = std::panic::catch_unwind(|| all_utilities(&[0.1, 0.2], &[0.1], &p, &u));
     assert!(bad_len.is_err(), "mismatched profile lengths must panic");
+}
+
+#[test]
+fn one_deviator_utilities_are_bitwise_those_of_the_node_profile() {
+    // The corner grid: the solver's roots at the grid windows, the edge
+    // values, a τ whose crowd product underflows, and τ_dev == τ.
+    let u = UtilityParams::default();
+    let mut rng = Rng(0xDE7);
+    for mode in [AccessMode::Basic, AccessMode::RtsCts] {
+        let p = params(mode, 5);
+        for n in GRID_N.into_iter().filter(|&n| n >= 2) {
+            let roots = GRID_W.map(|w| solve_symmetric(n, w, &p).unwrap().tau);
+            let taus: Vec<f64> = if n <= 1_000 {
+                roots.into_iter().chain([0.0, -0.0, 1.0, 0.5, 1e-3, 5e-324]).collect()
+            } else {
+                // The node-level reference folds subnormals at full cost:
+                // keep the large population to roots whose folds stay
+                // normal, and a zero factor.
+                vec![roots[3], roots[4], 1.0]
+            };
+            for &tau_dev in &taus {
+                for &tau in &taus {
+                    let (p_dev, p_crowd) = (rng.prob(), rng.prob());
+                    let mut node_taus = vec![tau; n];
+                    node_taus[0] = tau_dev;
+                    let mut node_ps = vec![p_crowd; n];
+                    node_ps[0] = p_dev;
+                    let want = all_utilities(&node_taus, &node_ps, &p, &u);
+                    let got = one_deviator_utilities((tau_dev, p_dev), (tau, p_crowd), n, &p, &u);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want[..2]),
+                        "{mode:?} n = {n}, τ_dev = {tau_dev:e}, τ = {tau:e}"
+                    );
+                    if n <= 128 {
+                        let per_node = utilities_per_node(&node_taus, &node_ps, &p, &u);
+                        assert_eq!(bits(&got), bits(&per_node[..2]), "all-pairs, n = {n}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn one_deviator_utilities_keep_the_node_checks() {
+    let p = DcfParams::default();
+    let u = UtilityParams::default();
+    let price = |dev: (f64, f64), crowd: (f64, f64), n: usize| {
+        std::panic::catch_unwind(|| one_deviator_utilities(dev, crowd, n, &p, &u))
+    };
+    assert!(price((0.1, 0.1), (0.2, 0.2), 2).is_ok());
+    assert!(price((0.1, 0.1), (0.2, 0.2), 1).is_err(), "a deviator needs a crowd");
+    assert!(price((0.1, 1.5), (0.2, 0.2), 3).is_err(), "deviator's p above 1");
+    assert!(price((0.1, 0.1), (0.2, -0.5), 3).is_err(), "crowd's p below 0");
+    assert!(price((1.5, 0.1), (0.2, 0.2), 3).is_err(), "deviator's τ above 1");
 }
 
 #[test]

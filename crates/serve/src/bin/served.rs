@@ -7,7 +7,7 @@
 //!
 //! Options: `--threads N` (0 = auto from `MACGAME_THREADS`),
 //! `--reply-cache N` (replies, split evenly across the five query kinds:
-//! `max(1, N / 5)` each), `--solve-cache N` (entries in each of the five
+//! `max(1, N / 5)` each), `--solve-cache N` (entries in each of the six
 //! solve-cache memos per access mode); 0 = no-op cache.
 
 use std::net::TcpListener;
@@ -20,10 +20,11 @@ const USAGE: &str = "usage: served [--tcp ADDR] [--threads N] [--reply-cache N] 
   (no --tcp: serve framed JSON on stdin/stdout)
   --reply-cache N: replies kept, split evenly across the five query kinds
                    (max(1, N/5) each; default 4096, 0 = no reply cache)
-  --solve-cache N: entries in each of the five solve-cache memos
+  --solve-cache N: entries in each of the six solve-cache memos
                    (class solutions, symmetric points, deviator rows,
-                   W* answers, stage columns) per access mode
-                   (default 4096, 0 = solve every point afresh)";
+                   W* answers, stage columns, EDCA equilibria) per
+                   access mode (default 4096, 0 = solve every point
+                   afresh)";
 
 struct Args {
     tcp: Option<String>,

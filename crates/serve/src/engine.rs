@@ -65,9 +65,11 @@ pub struct EngineConfig {
     /// the five query kinds (`max(1, c / 5)` each; see the module docs;
     /// `0` = no-op cache).
     pub reply_cache_capacity: usize,
-    /// Per-mode capacity of each of the `SolveCache`'s five memos: class
-    /// solutions, `(n, W)` symmetric points, deviator rows, `W_c*`
-    /// answers and stage columns (`0` = no-op cache).
+    /// Per-mode capacity of each of six memos: the `SolveCache`'s five
+    /// (class solutions, `(n, W)` symmetric points, deviator rows, `W_c*`
+    /// answers and stage columns) and the EDCA equilibrium memo (`0` =
+    /// no-op cache, which also re-solves an `EdcaWcStar` query's repeated
+    /// probes).
     pub solve_cache_capacity: usize,
 }
 
@@ -337,21 +339,20 @@ mod tests {
     #[test]
     fn duplicates_coalesce_to_one_evaluation_with_identical_replies() {
         let e = engine();
-        let query = Query::DeviationPayoff {
+        let query = Query::RobustnessCell {
             players: 5,
             mode: AccessMode::Basic,
-            w_star: 79,
-            w_dev: 20,
+            window: 40,
             reaction_stages: 1,
-            delta_s: 0.0,
+            epsilon: 1e-5,
         };
         let requests: Vec<Request> =
             (0..8).map(|i| Request { id: i, query: query.clone() }).collect();
         let replies = e.handle_batch(&requests);
         let (_, misses, _) = e.solve_caches.counters();
         // All eight requests collapse to one unit of work; the reply
-        // cache saw one miss for the unique key, and the class solves
-        // behind it went through the sharded solve cache.
+        // cache saw one miss for the unique key, and the cell's welfare
+        // stages went through the sharded solve cache.
         assert_eq!(e.reply_counters().1, 1);
         assert!(misses > 0);
         let Reply::Ok { result: first, .. } = &replies[0] else { panic!("expected Ok") };

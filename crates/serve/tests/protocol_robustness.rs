@@ -286,3 +286,35 @@ fn nesting_past_the_reader_limit_is_malformed_json() {
     assert_eq!(reply_to(128), too_deep);
     assert_eq!(reply_to(1_000_000), too_deep);
 }
+
+#[test]
+fn a_window_cap_optimum_is_an_error_and_the_stream_keeps_serving() {
+    // At n = 7·10⁴ the utility still rises at MAX_CW = 2²⁰: every query
+    // whose bound reaches the cap answers with a structured error naming
+    // n and the cap, and the next frame is served as usual.
+    let h = harness();
+    let n = 70_000;
+    let capped = vec![
+        Query::WcStar { players: n, mode: AccessMode::Basic, w_max: 1 << 20 },
+        Query::NeInterval { players: n, mode: AccessMode::Basic, w_max: 1 << 21 },
+        Query::EdcaWcStar { players: n, mode: AccessMode::Basic, txop: 2, w_max: 1 << 21 },
+    ];
+    let mut wire = ServeHarness::encode_batch(&capped).unwrap();
+    wire.extend_from_slice(&ServeHarness::encode_batch(&valid_queries()).unwrap());
+    let replies = assert_all_replies_parse(&h.roundtrip_raw(&wire).unwrap());
+    assert_eq!(replies.len(), capped.len() + valid_queries().len());
+    for reply in &replies[..capped.len()] {
+        let Reply::Error { error, .. } = reply else {
+            panic!("expected an error reply: {reply:?}");
+        };
+        assert_eq!(error.kind, ErrorKind::Evaluation);
+        assert!(
+            error.message.contains("n = 70000") && error.message.contains("1048576"),
+            "{}",
+            error.message
+        );
+    }
+    for reply in &replies[capped.len()..] {
+        assert!(reply.is_ok(), "the next frame must be served: {reply:?}");
+    }
+}
