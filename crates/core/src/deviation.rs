@@ -15,8 +15,12 @@
 //! efficient NE.
 
 use macgame_dcf::cache::SolveCache;
-use macgame_dcf::classes::{class_utilities, ClassEquilibrium, ClassProfile};
-use macgame_dcf::fixedpoint::{solve, solve_classes, SolveOptions};
+use macgame_dcf::classes::{
+    class_utilities, ClassProfile, OneDeviatorEquilibrium, OneDeviatorProfile,
+};
+use macgame_dcf::fixedpoint::{
+    solve, solve_one_deviator, solve_one_deviator_classes, SolveOptions,
+};
 use macgame_dcf::optimal::SymmetricSource;
 use macgame_dcf::parallel::{self, one_deviator_sweep};
 use macgame_dcf::utility::{all_utilities, one_deviator_utilities};
@@ -77,19 +81,14 @@ pub(crate) fn check_cache_params(game: &GameConfig, cache: &SolveCache) -> Resul
     Ok(())
 }
 
-/// The stage rate of every class of `profile`, solved afresh by
-/// [`solve_classes`] under the game's parameters: the bits a
-/// [`SolveCache`] bound to them stores for `profile`.
-fn class_stage_rates(game: &GameConfig, profile: &ClassProfile) -> Result<Vec<f64>, GameError> {
-    let eq = solve_classes(profile, game.params(), SolveOptions::default())?;
-    Ok(class_utilities(profile, &eq.taus, &eq.collision_probs, game.params(), game.utility()))
-}
-
 /// [`deviator_stage`] at class level: the one-deviator profile collapses
-/// to at most two classes, solved by [`class_stage_rates`]. Agrees with
-/// [`deviator_stage`] to solver tolerance (the class path solves and
-/// prices at class level, the direct path at node level — the same
-/// fixed point either way).
+/// to at most two classes (one where `w_dev == w_others`, the symmetric
+/// stage), solved afresh by [`solve_one_deviator_classes`] and priced by
+/// class: the bits [`class_utilities`] gives for the solution a
+/// [`SolveCache`] bound to the game's parameters stores for that profile.
+/// Agrees with [`deviator_stage`] to solver tolerance (the class path
+/// solves and prices at class level, the direct path at node level — the
+/// same fixed point either way).
 ///
 /// # Errors
 ///
@@ -104,16 +103,10 @@ fn class_deviator_stage(
     if n < 2 {
         return Err(GameError::InvalidConfig("deviation needs at least two players".into()));
     }
-    if w_dev == w_others {
-        let rate = class_stage_rates(game, &ClassProfile::new(vec![w_others], vec![n])?)?[0];
-        return Ok(DeviatorStage { deviator: rate, compliant: rate });
-    }
-    let profile = ClassProfile::new(vec![w_dev, w_others], vec![1, n - 1])?;
-    let us = class_stage_rates(game, &profile)?;
-    // Classes are sorted by window: the deviator's is first iff it is the
-    // smaller window.
-    let dev_class = usize::from(w_dev > w_others);
-    Ok(DeviatorStage { deviator: us[dev_class], compliant: us[1 - dev_class] })
+    let profile = OneDeviatorProfile::new(n, w_others, w_dev)?;
+    let eq = solve_one_deviator_classes(&profile, game.params(), SolveOptions::default(), None)?;
+    let [deviator, compliant] = eq.class_utilities(&profile, game.params(), game.utility());
+    Ok(DeviatorStage { deviator, compliant })
 }
 
 /// [`symmetric_stage`] routed through a shared [`SolveCache`]: the
@@ -293,10 +286,11 @@ fn price_deviation(
 /// [`shortsighted_deviation`] priced at class level — the serve-layer
 /// entry point. Each of its three class profiles (the deviation, the
 /// punished tail on `w_s`, compliance on `w_star`) is solved once by
-/// [`solve_classes`] under the game's parameters; prices rarely repeat a
-/// profile, so no memo is consulted. The pricing is identical to the
-/// direct path, so results agree with [`shortsighted_deviation`] to
-/// solver tolerance and are bitwise reproducible.
+/// [`class_deviator_stage`] under the game's parameters, on the stack;
+/// prices rarely repeat a profile, so no memo is consulted. The pricing is
+/// identical to the direct path, so results agree with
+/// [`shortsighted_deviation`] to solver tolerance and are bitwise
+/// reproducible.
 ///
 /// # Errors
 ///
@@ -315,11 +309,8 @@ pub(crate) fn shortsighted_deviation_classes(
         return Err(GameError::InvalidConfig("deviator discount must be in [0, 1)".into()));
     }
     let during = class_deviator_stage(game, w_star, w_s)?;
-    let symmetric = |w: u32| -> Result<f64, GameError> {
-        Ok(class_stage_rates(game, &ClassProfile::new(vec![w], vec![game.player_count()])?)?[0])
-    };
-    let after = symmetric(w_s)?;
-    let at_star = symmetric(w_star)?;
+    let after = class_deviator_stage(game, w_s, w_s)?.deviator;
+    let at_star = class_deviator_stage(game, w_star, w_star)?.deviator;
     price_deviation(game, w_s, reaction_stages, delta_s, during, after, at_star)
 }
 
@@ -385,15 +376,12 @@ pub fn deviation_sweep(
     Ok(out)
 }
 
-/// The stage rates of one [`one_deviator_sweep`] entry: the deviator's
-/// class is first and the crowd's last (the same class at the homogeneous
-/// end), priced bit for bit as `all_utilities` prices nodes 0 and 1 of
-/// the node-level profile.
-fn chain_stage(game: &GameConfig, eq: &ClassEquilibrium) -> DeviatorStage {
-    let crowd = eq.taus.len() - 1;
+/// The stage rates of one solved one-deviator profile, priced bit for bit
+/// as `all_utilities` prices nodes 0 and 1 of the node-level profile.
+fn chain_stage(game: &GameConfig, eq: &OneDeviatorEquilibrium) -> DeviatorStage {
     let [deviator, compliant] = one_deviator_utilities(
-        (eq.taus[0], eq.collision_probs[0]),
-        (eq.taus[crowd], eq.collision_probs[crowd]),
+        eq.deviator,
+        eq.crowd,
         game.player_count(),
         game.params(),
         game.utility(),
@@ -421,7 +409,9 @@ pub(crate) fn upward_probes(game: &GameConfig, w: u32) -> impl Iterator<Item = u
 ///
 /// The downward solves run as one serial warm-chained
 /// [`one_deviator_sweep`], each seeded from its neighbor's solution within
-/// the sweep's fixed chunks; the upward ones are [`deviator_stage`]s.
+/// the sweep's fixed chunks; the upward ones are cold
+/// [`solve_one_deviator`]s. Both are priced as [`deviator_stage`] prices
+/// node 0, bit for bit, without an `n`-entry profile.
 ///
 /// # Errors
 ///
@@ -436,7 +426,8 @@ pub(crate) fn deviator_row(game: &GameConfig, w: u32) -> Result<Vec<f64>, GameEr
     let eqs = one_deviator_sweep(n, w, &deviators, game.params(), SolveOptions::default(), 1)?;
     let mut row: Vec<f64> = eqs.iter().map(|eq| chain_stage(game, eq).deviator).collect();
     for w_dev in upward_probes(game, w) {
-        row.push(deviator_stage(game, w, w_dev)?.deviator);
+        let eq = solve_one_deviator(n, w, w_dev, game.params(), SolveOptions::default(), None)?;
+        row.push(chain_stage(game, &eq).deviator);
     }
     Ok(row)
 }
@@ -673,6 +664,108 @@ mod tests {
         let ws = w_star(&g);
         let impact = malicious_impact(&g, ws, 1).unwrap();
         assert!(impact.collapsed(), "welfare after = {}", impact.welfare_after);
+    }
+
+    /// The downward part of [`deviator_row`] as it was built before the
+    /// chain moved to [`solve_one_deviator`]: `solve_classes_with_guess`
+    /// on each deviator's [`ClassProfile`], seeded within fixed
+    /// `SWEEP_CHUNK` chunks as the node-level chain seeds. The row's
+    /// upward probes were node-level [`deviator_stage`]s.
+    fn reference_chain(game: &GameConfig, w: u32) -> Vec<f64> {
+        use macgame_dcf::classes::ClassEquilibrium;
+        use macgame_dcf::fixedpoint::solve_classes_with_guess;
+        use macgame_dcf::parallel::SWEEP_CHUNK;
+        let (n, params, utility) = (game.player_count(), game.params(), game.utility());
+        let deviators: Vec<u32> = (1..w).collect();
+        let mut row = Vec::new();
+        for chunk in deviators.chunks(SWEEP_CHUNK) {
+            let mut prev: Option<ClassEquilibrium> = None;
+            for &w_s in chunk {
+                let profile = ClassProfile::new(vec![w_s, w], vec![1, n - 1]).unwrap();
+                let seed = prev.as_ref().map(|eq| [eq.taus[0], eq.taus[1]]);
+                let eq = solve_classes_with_guess(
+                    &profile,
+                    params,
+                    SolveOptions::default(),
+                    seed.as_ref().map(|seed| &seed[..]),
+                )
+                .unwrap();
+                let pricing = one_deviator_utilities(
+                    (eq.taus[0], eq.collision_probs[0]),
+                    (eq.taus[1], eq.collision_probs[1]),
+                    n,
+                    params,
+                    utility,
+                );
+                row.push(pricing[0]);
+                prev = Some(eq);
+            }
+        }
+        row
+    }
+
+    #[test]
+    fn rows_are_the_node_level_reference_bit_for_bit() {
+        use macgame_dcf::DcfParams;
+        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let populations = (2usize..=16).chain([100, 10_000]);
+        for mode in [macgame_dcf::AccessMode::Basic, macgame_dcf::AccessMode::RtsCts] {
+            let params = DcfParams::builder().access_mode(mode).build().unwrap();
+            for n in populations.clone() {
+                for w in [1u32, 2, 33, 64, 65, 128, 4095, 4096] {
+                    let mut w_maxes = vec![w, w + 1, 2 * w, 4096];
+                    w_maxes.sort_unstable();
+                    w_maxes.dedup();
+                    let mut chain = None;
+                    for w_max in w_maxes {
+                        let game =
+                            GameConfig::builder(n).params(params).w_max(w_max).build().unwrap();
+                        let mut expected =
+                            chain.get_or_insert_with(|| reference_chain(&game, w)).clone();
+                        for w_dev in upward_probes(&game, w) {
+                            expected.push(deviator_stage(&game, w, w_dev).unwrap().deviator);
+                        }
+                        assert_eq!(
+                            expected.len(),
+                            w as usize - 1 + upward_probes(&game, w).count()
+                        );
+                        assert_eq!(
+                            bits(&deviator_row(&game, w).unwrap()),
+                            bits(&expected),
+                            "{mode:?} n = {n}, w = {w}, w_max = {w_max}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_prices_are_the_class_profile_prices_bit_for_bit() {
+        // The price path solves its one-deviator and symmetric profiles on
+        // the stack; `solve_classes` on the `ClassProfile` and
+        // `class_utilities` must give the same rates.
+        use macgame_dcf::fixedpoint::solve_classes;
+        for n in [2usize, 3, 10, 1_000] {
+            let g = game(n);
+            let (params, utility) = (g.params(), g.utility());
+            for (w_others, w_dev) in [(76u32, 20u32), (76, 76), (76, 300), (1, 4096), (4096, 1)] {
+                let profile = ClassProfile::new(vec![w_dev, w_others], vec![1, n - 1]).unwrap();
+                let eq = solve_classes(&profile, params, SolveOptions::default()).unwrap();
+                let rates =
+                    class_utilities(&profile, &eq.taus, &eq.collision_probs, params, utility);
+                let dev_class = usize::from(w_dev > w_others);
+                let expected = [rates[dev_class], rates[rates.len() - 1 - dev_class]];
+                let stage = class_deviator_stage(&g, w_others, w_dev).unwrap();
+                assert_eq!(
+                    [stage.deviator.to_bits(), stage.compliant.to_bits()],
+                    expected.map(f64::to_bits),
+                    "n = {n}, w_others = {w_others}, w_dev = {w_dev}"
+                );
+            }
+        }
+        assert!(class_deviator_stage(&game(1), 76, 20).is_err());
+        assert!(class_deviator_stage(&game(5), 0, 20).is_err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::fixedpoint::Equilibrium;
 use crate::markov::transmission_probability;
 use crate::params::DcfParams;
 use crate::throughput::SlotStats;
-use crate::utility::UtilityParams;
+use crate::utility::{utility_rate, UtilityParams};
 
 /// A window profile in class form: `k` strictly increasing distinct
 /// windows with their multiplicities. This is the canonical representation
@@ -186,12 +186,6 @@ impl ClassProfile {
     pub fn counts(&self) -> &[usize] {
         &self.counts
     }
-
-    /// Whether every node shares one window (`k == 1`).
-    #[must_use]
-    pub fn is_homogeneous(&self) -> bool {
-        self.windows.len() == 1
-    }
 }
 
 /// Solution of the coupled system in class form: one `(τ_c, p_c)` pair per
@@ -274,6 +268,122 @@ impl ClassEquilibrium {
     }
 }
 
+/// The one-deviator profile of `n ≥ 2` nodes — node 0 on `w_dev`, the
+/// other `n − 1` on `w` — in class form, held inline: the [`ClassProfile`]
+/// of `[w_dev ×1, w ×(n−1)]` without its two `Vec`s. It has one class when
+/// `w_dev == w` and two otherwise, in [`ClassProfile`]'s ascending window
+/// order, so its class solve
+/// ([`crate::fixedpoint::solve_one_deviator_classes`]) runs the same float
+/// operations as [`crate::fixedpoint::solve_classes`] on that profile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OneDeviatorProfile {
+    n: usize,
+    w: u32,
+    w_dev: u32,
+}
+
+impl OneDeviatorProfile {
+    /// Builds the profile of `n` nodes with node 0 on `w_dev` and the rest
+    /// on `w`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DcfError::InvalidParameter`] for a zero window (with
+    /// [`ClassProfile::new`]'s message) or for `n < 2`.
+    pub fn new(n: usize, w: u32, w_dev: u32) -> Result<Self, DcfError> {
+        if w == 0 || w_dev == 0 {
+            return Err(DcfError::invalid("windows", "contention windows must be at least 1"));
+        }
+        if n < 2 {
+            return Err(DcfError::invalid("n", "a deviator needs at least one other node"));
+        }
+        Ok(OneDeviatorProfile { n, w, w_dev })
+    }
+
+    /// Number of classes: 1 when the deviator plays the crowd's window,
+    /// else 2.
+    #[must_use]
+    pub fn num_classes(&self) -> usize {
+        if self.w_dev == self.w {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// The class windows and multiplicities in ascending window order; only
+    /// the first [`Self::num_classes`] entries are classes.
+    pub(crate) fn classes(&self) -> ([u32; 2], [usize; 2]) {
+        let (n, w, w_dev) = (self.n, self.w, self.w_dev);
+        match w_dev.cmp(&w) {
+            std::cmp::Ordering::Less => ([w_dev, w], [1, n - 1]),
+            std::cmp::Ordering::Equal => ([w, w], [n, 0]),
+            std::cmp::Ordering::Greater => ([w, w_dev], [n - 1, 1]),
+        }
+    }
+
+    /// The class indices of node 0 and of the crowd (both 0 for one
+    /// class).
+    pub(crate) fn class_of(&self) -> (usize, usize) {
+        match self.w_dev.cmp(&self.w) {
+            std::cmp::Ordering::Less => (0, 1),
+            std::cmp::Ordering::Equal => (0, 0),
+            std::cmp::Ordering::Greater => (1, 0),
+        }
+    }
+
+    /// Per-class values from node 0's value and the crowd's, in class
+    /// order. With one class node 0's wins: it is the class's first node in
+    /// player order, the node [`crate::fixedpoint::solve_with_guess`]
+    /// seeds a class from.
+    pub(crate) fn by_class(&self, deviator: f64, crowd: f64) -> [f64; 2] {
+        let (dev, rest) = self.class_of();
+        let mut values = [0.0; 2];
+        values[rest] = crowd;
+        values[dev] = deviator;
+        values
+    }
+}
+
+/// Solution of a [`OneDeviatorProfile`]: node 0's `(τ, p)` and every other
+/// node's, bitwise equal when the profile has one class.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OneDeviatorEquilibrium {
+    /// Node 0's transmission and collision probabilities.
+    pub deviator: (f64, f64),
+    /// Each crowd node's transmission and collision probabilities.
+    pub crowd: (f64, f64),
+    /// Sweeps used by the iterative solver (always at least 1).
+    pub iterations: usize,
+}
+
+impl OneDeviatorEquilibrium {
+    /// The deviator's and each crowd node's utility rates, priced at class
+    /// level: bit for bit what [`class_utilities`] returns for the
+    /// deviator's and the crowd's classes of `profile`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probability is outside `[0, 1]`, as [`class_utilities`]
+    /// does.
+    #[must_use]
+    pub fn class_utilities(
+        &self,
+        profile: &OneDeviatorProfile,
+        params: &DcfParams,
+        utility: &UtilityParams,
+    ) -> [f64; 2] {
+        let k = profile.num_classes();
+        let (_, counts) = profile.classes();
+        let taus = profile.by_class(self.deviator.0, self.crowd.0);
+        let stats = slot_stats_of_classes(&counts[..k], &taus[..k], params);
+        [
+            utility_rate(self.deviator.0, self.deviator.1, &stats, utility),
+            utility_rate(self.crowd.0, self.crowd.1, &stats, utility),
+        ]
+    }
+}
+
 /// [`crate::throughput::slot_stats`] computed from class data in O(k):
 /// `Π_i (1−τ_i)` becomes `exp(Σ_c n_c·ln(1−τ_c))` and the single-success
 /// probability weights each class's contribution by its multiplicity.
@@ -287,21 +397,31 @@ impl ClassEquilibrium {
 #[must_use]
 pub fn class_slot_stats(profile: &ClassProfile, taus: &[f64], params: &DcfParams) -> SlotStats {
     assert_eq!(taus.len(), profile.num_classes(), "need one τ per class"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
+    slot_stats_of_classes(profile.counts(), taus, params)
+}
+
+/// [`class_slot_stats`] over class multiplicities `counts` aligned with
+/// `taus`, as a [`ClassProfile`] or a [`OneDeviatorProfile`] orders them.
+///
+/// # Panics
+///
+/// Panics if a `τ` is outside `[0, 1]`.
+fn slot_stats_of_classes(counts: &[usize], taus: &[f64], params: &DcfParams) -> SlotStats {
+    // PANIC-POLICY: documented # Panics contract (programmer-error guard)
     assert!(
-        // PANIC-POLICY: documented # Panics contract (programmer-error guard)
         taus.iter().all(|t| (0.0..=1.0).contains(t)),
         "transmission probabilities must be in [0, 1]"
     );
     let total_log: f64 = taus
         .iter()
-        .zip(profile.counts())
+        .zip(counts)
         .map(|(&t, &c)| (c as f64) * (1.0 - t).max(f64::MIN_POSITIVE).ln())
         .sum();
     let all_idle = total_log.exp();
     let p_transmit = 1.0 - all_idle;
     let single: f64 = taus
         .iter()
-        .zip(profile.counts())
+        .zip(counts)
         .map(|(&t, &c)| {
             let others = (total_log - (1.0 - t).max(f64::MIN_POSITIVE).ln()).exp();
             (c as f64) * t * others
@@ -338,10 +458,7 @@ pub fn class_utilities(
         "collision probabilities must be in [0, 1]"
     );
     let stats = class_slot_stats(profile, taus, params);
-    taus.iter()
-        .zip(collision_probs)
-        .map(|(&t, &p)| t * ((1.0 - p) * utility.gain - utility.cost) / stats.mean_slot.value())
-        .collect()
+    taus.iter().zip(collision_probs).map(|(&t, &p)| utility_rate(t, p, &stats, utility)).collect()
 }
 
 #[cfg(test)]
@@ -358,7 +475,6 @@ mod tests {
         assert_eq!(assignment, vec![1, 0, 1, 0, 2]);
         assert_eq!(profile.total_nodes(), 5);
         assert_eq!(profile.num_classes(), 3);
-        assert!(!profile.is_homogeneous());
     }
 
     #[test]

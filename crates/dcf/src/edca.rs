@@ -34,7 +34,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::classes::ClassProfile;
 use crate::error::DcfError;
-use crate::fixedpoint::{couple, iterate_sweeps, solve_classes, SolveOptions, SweepTelemetry};
+use crate::fixedpoint::{
+    couple, iterate_sweeps, solve_classes_in, ClassBuf, SolveOptions, SweepTelemetry,
+};
 use crate::markov::transmission_probability;
 use crate::params::DcfParams;
 use crate::units::MicroSecs;
@@ -229,12 +231,6 @@ impl EdcaProfile {
         &self.counts
     }
 
-    /// Whether every node plays the same tuple.
-    #[must_use]
-    pub fn is_homogeneous(&self) -> bool {
-        self.tuples.len() == 1
-    }
-
     /// The smallest AIFS in the profile — the class that defines the slot
     /// process.
     #[must_use]
@@ -401,40 +397,57 @@ const EDCA_SWEEPS: SweepTelemetry = SweepTelemetry {
     residual: None,
 };
 
-/// The EDCA class iteration: one [`iterate_sweeps`] run over the map
-/// `τ_c ← τ(W_c, p_c, m_c)`, with the idle-root/thinning coupling
-/// evaluated inside every sweep.
-fn iterate_edca(
+/// The EDCA class iteration in `S` storage: one [`iterate_sweeps`] run
+/// over the map `τ_c ← τ(W_c, p_c, m_c)`, with the idle-root/thinning
+/// coupling evaluated inside every sweep. It starts cold, from the
+/// zero-collision attempt rate `2/(W+1)` per class, the same heuristic
+/// the scalar solver uses for heterogeneous cold starts.
+fn iterate_edca<S: ClassBuf>(
     tuples: &[EdcaTuple],
     counts: &[usize],
     options: SolveOptions,
-    taus: Vec<f64>,
 ) -> Result<EdcaEquilibrium, DcfError> {
     let k = tuples.len();
     // PANIC-POLICY: internal callers always pass a tuple per count.
     assert_eq!(counts.len(), k, "need one count per class");
     let min_aifs = tuples.iter().map(|t| t.aifs).min().unwrap_or(0);
     let defers: Vec<u32> = tuples.iter().map(|t| t.aifs - min_aifs).collect();
-    let mut thinned = vec![0.0; k];
-    let mut logs = vec![0.0; k];
-    let mut collision_probs = vec![0.0; k];
+    let mut taus = S::zeros(k);
+    for (tau, tuple) in taus.as_mut().iter_mut().zip(tuples) {
+        *tau = 2.0 / (f64::from(tuple.cw_min) + 1.0);
+    }
+    let mut thinned = S::zeros(k);
+    let mut logs = S::zeros(k);
+    let mut collision_probs = S::zeros(k);
     let (taus, iterations) = iterate_sweeps(counts, options, taus, &EDCA_SWEEPS, |taus, sweep| {
-        edca_coupling(taus, &defers, counts, &mut thinned, &mut logs, &mut collision_probs);
-        for ((tau_new, tuple), &p) in sweep.iter_mut().zip(tuples).zip(&collision_probs) {
+        edca_coupling(
+            taus,
+            &defers,
+            counts,
+            thinned.as_mut(),
+            logs.as_mut(),
+            collision_probs.as_mut(),
+        );
+        for ((tau_new, tuple), &p) in sweep.iter_mut().zip(tuples).zip(collision_probs.as_ref()) {
             *tau_new = transmission_probability(tuple.cw_min, p, tuple.stage_cap)?;
         }
         Ok(())
     })?;
-    let idle_root =
-        edca_coupling(&taus, &defers, counts, &mut thinned, &mut logs, &mut collision_probs);
-    Ok(EdcaEquilibrium { taus, thinned_taus: thinned, collision_probs, idle_root, iterations })
-}
-
-/// Cold-start seed for the EDCA iteration: the zero-collision attempt
-/// rate `2/(W+1)` per class, the same heuristic the scalar solver uses
-/// for heterogeneous cold starts.
-fn cold_start(tuples: &[EdcaTuple]) -> Vec<f64> {
-    tuples.iter().map(|t| 2.0 / (f64::from(t.cw_min) + 1.0)).collect()
+    let idle_root = edca_coupling(
+        taus.as_ref(),
+        &defers,
+        counts,
+        thinned.as_mut(),
+        logs.as_mut(),
+        collision_probs.as_mut(),
+    );
+    Ok(EdcaEquilibrium {
+        taus: taus.into_vec(),
+        thinned_taus: thinned.into_vec(),
+        collision_probs: collision_probs.into_vec(),
+        idle_root,
+        iterations,
+    })
 }
 
 /// Solves the EDCA fixed point at class level — `k` coupled `(τ_c, p_c)`
@@ -454,6 +467,19 @@ pub fn solve_edca(
     params: &DcfParams,
     options: SolveOptions,
 ) -> Result<EdcaEquilibrium, DcfError> {
+    match profile.num_classes() {
+        1 => solve_edca_in::<[f64; 1]>(profile, params, options),
+        2 => solve_edca_in::<[f64; 2]>(profile, params, options),
+        _ => solve_edca_in::<Vec<f64>>(profile, params, options),
+    }
+}
+
+/// [`solve_edca`] with every per-class value of its solve in `S` storage.
+pub(crate) fn solve_edca_in<S: ClassBuf>(
+    profile: &EdcaProfile,
+    params: &DcfParams,
+    options: SolveOptions,
+) -> Result<EdcaEquilibrium, DcfError> {
     if !(options.damping > 0.0 && options.damping <= 1.0) {
         return Err(DcfError::invalid("damping", "must be in (0, 1]"));
     }
@@ -464,19 +490,21 @@ pub fn solve_edca(
         // windows are already sorted and distinct in class order.
         let windows: Vec<u32> = profile.tuples.iter().map(|t| t.cw_min).collect();
         let classes = ClassProfile::new(windows, profile.counts.clone())?;
-        let eq = solve_classes(&classes, params, options)?;
-        let k = eq.taus.len();
-        let total_log = couple(&eq.taus, profile.counts(), &mut vec![0.0; k], &mut vec![0.0; k]);
+        let (taus, collision_probs, iterations) =
+            solve_classes_in::<S>(classes.windows(), classes.counts(), params, options, None)?;
+        let k = classes.num_classes();
+        let total_log =
+            couple(taus.as_ref(), profile.counts(), S::zeros(k).as_mut(), S::zeros(k).as_mut());
+        let taus = taus.into_vec();
         return Ok(EdcaEquilibrium {
-            thinned_taus: eq.taus.clone(),
-            taus: eq.taus,
-            collision_probs: eq.collision_probs,
+            thinned_taus: taus.clone(),
+            taus,
+            collision_probs: collision_probs.into_vec(),
             idle_root: total_log.exp(),
-            iterations: eq.iterations,
+            iterations,
         });
     }
-    let seed = cold_start(&profile.tuples);
-    iterate_edca(&profile.tuples, &profile.counts, options, seed)
+    iterate_edca::<S>(&profile.tuples, &profile.counts, options)
 }
 
 /// Dense per-node reference solve: every node is its own class (all
@@ -504,8 +532,7 @@ pub fn solve_edca_dense(
         tuple.validate()?;
     }
     let counts = vec![1usize; tuples.len()];
-    let seed = cold_start(tuples);
-    iterate_edca(tuples, &counts, options, seed)
+    iterate_edca::<Vec<f64>>(tuples, &counts, options)
 }
 
 /// Probabilistic description of a random slot of the EDCA-thinned
@@ -678,7 +705,6 @@ mod tests {
         let p = EdcaProfile::new(vec![a, a], vec![2, 3]).unwrap();
         assert_eq!(p.num_classes(), 1);
         assert_eq!(p.counts(), &[5]);
-        assert!(p.is_homogeneous());
     }
 
     #[test]

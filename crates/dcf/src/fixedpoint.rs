@@ -27,7 +27,7 @@
 use macgame_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
-use crate::classes::{ClassEquilibrium, ClassProfile};
+use crate::classes::{ClassEquilibrium, ClassProfile, OneDeviatorEquilibrium, OneDeviatorProfile};
 use crate::error::{DcfError, SolveAttempt, SolveRung};
 use crate::markov::transmission_probability;
 use crate::params::DcfParams;
@@ -241,11 +241,45 @@ pub fn solve_classes_with_guess(
     options: SolveOptions,
     guess: Option<&[f64]>,
 ) -> Result<ClassEquilibrium, DcfError> {
+    let (windows, counts) = (profile.windows(), profile.counts());
+    match windows.len() {
+        1 => solve_classes_in::<[f64; 1]>(windows, counts, params, options, guess)
+            .map(class_equilibrium),
+        2 => solve_classes_in::<[f64; 2]>(windows, counts, params, options, guess)
+            .map(class_equilibrium),
+        _ => solve_classes_in::<Vec<f64>>(windows, counts, params, options, guess)
+            .map(class_equilibrium),
+    }
+}
+
+/// Moves a [`solve_classes_in`] result into the public solution type.
+pub(crate) fn class_equilibrium<S: ClassBuf>(
+    (taus, collision_probs, iterations): (S, S, usize),
+) -> ClassEquilibrium {
+    ClassEquilibrium {
+        taus: taus.into_vec(),
+        collision_probs: collision_probs.into_vec(),
+        iterations,
+    }
+}
+
+/// [`solve_classes_with_guess`] on the classes `windows` with
+/// multiplicities `counts`, as a [`ClassProfile`] stores them, with every
+/// per-class value of the solve in `S` storage. Returns
+/// `(taus, collision_probs, iterations)`.
+pub(crate) fn solve_classes_in<S: ClassBuf>(
+    windows: &[u32],
+    counts: &[usize],
+    params: &DcfParams,
+    options: SolveOptions,
+    guess: Option<&[f64]>,
+) -> Result<(S, S, usize), DcfError> {
     if !(0.0..=1.0).contains(&options.damping) || options.damping == 0.0 {
         return Err(DcfError::invalid("damping", "must be in (0, 1]"));
     }
-    let k = profile.num_classes();
-    let taus: Vec<f64> = match guess {
+    let k = windows.len();
+    let mut taus = S::zeros(k);
+    match guess {
         Some(seed) => {
             if seed.len() != k {
                 return Err(DcfError::invalid("guess", "need one entry per class"));
@@ -253,24 +287,86 @@ pub fn solve_classes_with_guess(
             if seed.iter().any(|t| !t.is_finite()) {
                 return Err(DcfError::invalid("guess", "entries must be finite"));
             }
-            seed.iter().map(|t| t.clamp(0.0, 1.0)).collect()
+            for (tau, t) in taus.as_mut().iter_mut().zip(seed) {
+                *tau = t.clamp(0.0, 1.0);
+            }
         }
-        None if profile.is_homogeneous() => {
+        None if k == 1 => {
             // Homogeneous: the symmetric root is the fixed point; seeding
             // from it lets the damped iteration confirm convergence in a
             // single sweep while keeping `iterations` an honest count.
-            vec![solve_symmetric(profile.total_nodes(), profile.windows()[0], params)?.tau]
+            taus.as_mut()[0] = solve_symmetric(counts[0], windows[0], params)?.tau;
         }
-        None => profile.windows().iter().map(|&w| 2.0 / (f64::from(w) + 1.0)).collect(),
-    };
+        None => {
+            for (tau, &w) in taus.as_mut().iter_mut().zip(windows) {
+                *tau = 2.0 / (f64::from(w) + 1.0);
+            }
+        }
+    }
     telemetry::counter("dcf.solver.solves", 1);
     if guess.is_some() {
         telemetry::counter("dcf.solver.warm_starts", 1);
     }
     telemetry::histogram("dcf.solver.classes", k as f64);
-    let (taus, collision_probs, iterations) =
-        iterate_fixed_point(profile.windows(), profile.counts(), params, options, taus)?;
-    Ok(ClassEquilibrium { taus, collision_probs, iterations })
+    iterate_fixed_point(windows, counts, params, options, taus)
+}
+
+/// [`solve_with_guess`] on the `n`-entry window vector
+/// `[w_dev, w, …, w]`, without building it: the class solve it runs, bit
+/// for bit and counter for counter, seeded as it seeds that vector from
+/// `guess`'s node-level solution (node 0's `τ` for node 0's class, node
+/// 1's for the crowd's). Warm chains over one-deviator profiles
+/// ([`crate::parallel::one_deviator_sweep`]) and the upward deviations of
+/// an ε-NE row run on it.
+///
+/// # Errors
+///
+/// Returns [`DcfError::InvalidParameter`] for a zero window or `n < 2`
+/// ([`OneDeviatorProfile::new`]); otherwise as [`solve_with_guess`].
+pub fn solve_one_deviator(
+    n: usize,
+    w: u32,
+    w_dev: u32,
+    params: &DcfParams,
+    options: SolveOptions,
+    guess: Option<&OneDeviatorEquilibrium>,
+) -> Result<OneDeviatorEquilibrium, DcfError> {
+    let profile = OneDeviatorProfile::new(n, w, w_dev)?;
+    telemetry::counter("dcf.solver.class_collapsed", (n - profile.num_classes()) as u64);
+    solve_one_deviator_classes(&profile, params, options, guess)
+}
+
+/// [`solve_classes_with_guess`] on `profile`'s class form, bit for bit
+/// and counter for counter, with every per-class value on the stack. A
+/// guess seeds node 0's class from its deviator and the crowd's class from
+/// its crowd (node 0's alone for one class).
+///
+/// # Errors
+///
+/// Same conditions as [`solve_classes_with_guess`].
+pub fn solve_one_deviator_classes(
+    profile: &OneDeviatorProfile,
+    params: &DcfParams,
+    options: SolveOptions,
+    guess: Option<&OneDeviatorEquilibrium>,
+) -> Result<OneDeviatorEquilibrium, DcfError> {
+    let k = profile.num_classes();
+    let (windows, counts) = profile.classes();
+    let seed = guess.map(|prev| profile.by_class(prev.deviator.0, prev.crowd.0));
+    let seed = seed.as_ref().map(|seed| &seed[..k]);
+    let (taus, collision_probs, iterations) = if k == 1 {
+        let (taus, collision_probs, iterations) =
+            solve_classes_in::<[f64; 1]>(&windows[..1], &counts[..1], params, options, seed)?;
+        ([taus[0]; 2], [collision_probs[0]; 2], iterations)
+    } else {
+        solve_classes_in::<[f64; 2]>(&windows, &counts, params, options, seed)?
+    };
+    let (dev, crowd) = profile.class_of();
+    Ok(OneDeviatorEquilibrium {
+        deviator: (taus[dev], collision_probs[dev]),
+        crowd: (taus[crowd], collision_probs[crowd]),
+        iterations,
+    })
 }
 
 /// The original 2n-dimensional node-level iteration, kept as the
@@ -312,24 +408,24 @@ pub fn solve_dense(
 /// to the unweighted sweep.
 ///
 /// Returns `(taus, collision_probs, iterations)` on convergence.
-fn iterate_fixed_point(
+fn iterate_fixed_point<S: ClassBuf>(
     windows: &[u32],
     counts: &[usize],
     params: &DcfParams,
     options: SolveOptions,
-    taus: Vec<f64>,
-) -> Result<(Vec<f64>, Vec<f64>, usize), DcfError> {
+    taus: S,
+) -> Result<(S, S, usize), DcfError> {
     let m = params.max_backoff_stage();
-    let mut logs = vec![0.0; windows.len()];
-    let mut collision_probs = vec![0.0; windows.len()];
+    let mut logs = S::zeros(windows.len());
+    let mut collision_probs = S::zeros(windows.len());
     let (taus, iterations) = iterate_sweeps(counts, options, taus, &DCF_SWEEPS, |taus, sweep| {
-        couple(taus, counts, &mut logs, &mut collision_probs);
-        for ((tau_new, &w), &p) in sweep.iter_mut().zip(windows).zip(&collision_probs) {
+        couple(taus, counts, logs.as_mut(), collision_probs.as_mut());
+        for ((tau_new, &w), &p) in sweep.iter_mut().zip(windows).zip(collision_probs.as_ref()) {
             *tau_new = transmission_probability(w, p, m)?;
         }
         Ok(())
     })?;
-    couple(&taus, counts, &mut logs, &mut collision_probs);
+    couple(taus.as_ref(), counts, logs.as_mut(), collision_probs.as_mut());
     Ok((taus, collision_probs, iterations))
 }
 
@@ -351,6 +447,41 @@ pub(crate) fn couple(
         *p = (1.0 - (total_log - log).exp()).clamp(0.0, 1.0);
     }
     total_log
+}
+
+/// Per-class `f64` storage of one class solve: `[f64; 1]` and `[f64; 2]`
+/// keep the one- and two-class profiles that served queries solve most
+/// (symmetric and one-deviator profiles) on the stack, and a `Vec` holds
+/// any larger profile. [`iterate_sweeps`] and its clients are generic over
+/// it, so every class count runs the one sweep body with the same float
+/// operations in the same order; only where the values live changes.
+pub(crate) trait ClassBuf: AsRef<[f64]> + AsMut<[f64]> {
+    /// `k` zeros; a fixed size must be `k`.
+    fn zeros(k: usize) -> Self;
+
+    /// The values as a `Vec`, for the public solution types.
+    fn into_vec(self) -> Vec<f64>;
+}
+
+impl<const K: usize> ClassBuf for [f64; K] {
+    fn zeros(k: usize) -> Self {
+        debug_assert_eq!(k, K, "fixed-size class storage of the wrong length");
+        [0.0; K]
+    }
+
+    fn into_vec(self) -> Vec<f64> {
+        self.to_vec()
+    }
+}
+
+impl ClassBuf for Vec<f64> {
+    fn zeros(k: usize) -> Self {
+        vec![0.0; k]
+    }
+
+    fn into_vec(self) -> Vec<f64> {
+        self
+    }
 }
 
 /// Telemetry names of one [`iterate_sweeps`] client.
@@ -382,8 +513,8 @@ const ACCEL_THRESHOLD: f64 = 1e-3;
 /// DCF map, or the EDCA map with its idle root and AIFS thinning).
 /// `counts[c]` weights class `c` in the Anderson secant, so the
 /// extrapolation matches what the expanded node-level iteration would
-/// compute. The buffers live across sweeps; nothing is allocated per
-/// sweep.
+/// compute. The buffers live across sweeps in `S` storage: nothing is
+/// allocated per sweep, and nothing at all for one or two classes.
 ///
 /// Far from the fixed point the damped map is needed for stability, but
 /// its `(1−d)`-dominated linear rate makes the final approach expensive no
@@ -396,19 +527,19 @@ const ACCEL_THRESHOLD: f64 = 1e-3;
 /// for good (worst case: the plain damped iteration).
 ///
 /// Returns the converged `taus` and the number of sweeps.
-pub(crate) fn iterate_sweeps(
+pub(crate) fn iterate_sweeps<S: ClassBuf>(
     counts: &[usize],
     options: SolveOptions,
-    mut taus: Vec<f64>,
+    mut taus: S,
     names: &SweepTelemetry,
     mut map: impl FnMut(&[f64], &mut [f64]) -> Result<(), DcfError>,
-) -> Result<(Vec<f64>, usize), DcfError> {
-    let k = taus.len();
-    let mut sweep = vec![0.0; k];
-    let mut next = vec![0.0; k];
+) -> Result<(S, usize), DcfError> {
+    let k = taus.as_ref().len();
+    let mut sweep = S::zeros(k);
+    let mut next = S::zeros(k);
     // Anderson history: the previous iterate and its raw sweep image.
-    let mut prev_x = vec![0.0; k];
-    let mut prev_g = vec![0.0; k];
+    let mut prev_x = S::zeros(k);
+    let mut prev_g = S::zeros(k);
     let mut has_hist = false;
     let mut damped_sweeps: u64 = 0;
     let mut accel_sweeps: u64 = 0;
@@ -417,8 +548,9 @@ pub(crate) fn iterate_sweeps(
     let mut accel = false;
     let mut prev_raw = f64::INFINITY;
     for iter in 0..options.max_iterations {
-        map(&taus, &mut sweep)?;
-        let raw = taus.iter().zip(&sweep).fold(0.0f64, |r, (&t, &g)| r.max((g - t).abs()));
+        map(taus.as_ref(), sweep.as_mut())?;
+        let (x, g) = (taus.as_ref(), sweep.as_ref());
+        let raw = x.iter().zip(g).fold(0.0f64, |r, (&t, &g)| r.max((g - t).abs()));
         if accel && raw > prev_raw {
             allow_accel = false;
             accel = false;
@@ -433,13 +565,14 @@ pub(crate) fn iterate_sweeps(
             // linearized residual of β·f_{k−1} + (1−β)·f_k and combine the
             // images accordingly. The plain undamped step stands in on the
             // first accelerated sweep or a degenerate secant.
+            let (next, prev_x, prev_g) = (next.as_mut(), prev_x.as_mut(), prev_g.as_mut());
             let mut stepped = false;
             if has_hist {
                 let mut num = 0.0f64;
                 let mut den = 0.0f64;
                 for i in 0..k {
                     let wc = counts[i] as f64;
-                    let f = sweep[i] - taus[i];
+                    let f = g[i] - x[i];
                     let df = f - (prev_g[i] - prev_x[i]);
                     num += wc * f * df;
                     den += wc * df * df;
@@ -447,25 +580,29 @@ pub(crate) fn iterate_sweeps(
                 let beta = if den > 0.0 { num / den } else { 0.0 };
                 if beta.is_finite() && beta.abs() <= 5.0 {
                     for i in 0..k {
-                        next[i] = (sweep[i] - beta * (sweep[i] - prev_g[i])).clamp(0.0, 1.0);
+                        next[i] = (g[i] - beta * (g[i] - prev_g[i])).clamp(0.0, 1.0);
                     }
                     stepped = true;
                 }
             }
             if !stepped {
-                next.copy_from_slice(&sweep);
+                next.copy_from_slice(g);
             }
-            prev_x.copy_from_slice(&taus);
-            prev_g.copy_from_slice(&sweep);
+            prev_x.copy_from_slice(x);
+            prev_g.copy_from_slice(g);
             has_hist = true;
         } else {
             damped_sweeps += 1;
             has_hist = false;
-            for ((x, &tau), &tau_new) in next.iter_mut().zip(&taus).zip(&sweep) {
-                *x = (1.0 - options.damping) * tau + options.damping * tau_new;
+            for ((next, &tau), &tau_new) in next.as_mut().iter_mut().zip(x).zip(g) {
+                *next = (1.0 - options.damping) * tau + options.damping * tau_new;
             }
         }
-        residual = next.iter().zip(&taus).fold(0.0f64, |r, (new, old)| r.max((new - old).abs()));
+        residual = next
+            .as_ref()
+            .iter()
+            .zip(taus.as_ref())
+            .fold(0.0f64, |r, (new, old)| r.max((new - old).abs()));
         std::mem::swap(&mut taus, &mut next);
         // `raw` is the true fixed-point residual |G(x) − x| at the previous
         // iterate; accepting it as a stop certificate keeps Anderson's

@@ -75,15 +75,19 @@ pub mod units;
 pub mod utility;
 
 pub use cache::{Memo, SolveCache};
-pub use classes::{class_slot_stats, class_utilities, ClassEquilibrium, ClassProfile};
+pub use classes::{
+    class_slot_stats, class_utilities, ClassEquilibrium, ClassProfile, OneDeviatorEquilibrium,
+    OneDeviatorProfile,
+};
 pub use edca::{
     edca_slot_stats, edca_throughput, edca_utilities, solve_edca, solve_edca_dense,
     EdcaEquilibrium, EdcaProfile, EdcaSlotStats, EdcaTuple,
 };
 pub use error::{DcfError, SolveAttempt, SolveRung};
 pub use fixedpoint::{
-    solve, solve_classes, solve_classes_with_guess, solve_dense, solve_robust, solve_symmetric,
-    solve_with_guess, Equilibrium, RobustSolve, SolveOptions, SymmetricPoint,
+    solve, solve_classes, solve_classes_with_guess, solve_dense, solve_one_deviator,
+    solve_one_deviator_classes, solve_robust, solve_symmetric, solve_with_guess, Equilibrium,
+    RobustSolve, SolveOptions, SymmetricPoint,
 };
 pub use optimal::{efficient_cw, ne_interval, optimal_tau, EfficientNe, NeInterval};
 pub use parallel::{one_deviator_sweep, resolve_threads, solve_sweep_cached};

@@ -31,9 +31,9 @@
 use macgame_telemetry as telemetry;
 
 use crate::cache::SolveCache;
-use crate::classes::{ClassEquilibrium, ClassProfile};
+use crate::classes::OneDeviatorEquilibrium;
 use crate::error::DcfError;
-use crate::fixedpoint::{solve_classes_with_guess, Equilibrium, SolveOptions};
+use crate::fixedpoint::{solve_one_deviator, Equilibrium, SolveOptions};
 use crate::params::DcfParams;
 
 /// Number of profiles per warm-chained chunk in [`one_deviator_sweep`].
@@ -108,18 +108,15 @@ where
 
 /// Solves the one-deviator profile `[w_s ×1, w ×(n−1)]` of every `w_s` in
 /// `deviators` at class level, warm-chained within fixed chunks spread
-/// over `threads` workers. Entry `i` solves `deviators[i]`'s profile: two
-/// classes, the deviator's first, or the one class `[w ×n]` where
-/// `deviators[i] == w`.
+/// over `threads` workers. Entry `i` solves `deviators[i]`'s profile (the
+/// one class `[w ×n]` where `deviators[i] == w`).
 ///
-/// Each solve is seeded as [`crate::fixedpoint::solve_with_guess`] seeds
-/// the node-level profile from the previous node-level solution: node 0's
-/// `τ` for the deviator's class and node 1's for the crowd's, only node
-/// 0's for a one-class profile. So every entry is bitwise the class
-/// solution a chain of `solve_with_guess` calls over the `n`-entry
-/// window vectors would compute, without building them. Results are
-/// bitwise-identical for every `threads` value (including 1); see the
-/// module docs for why.
+/// Each solve is a [`solve_one_deviator`] seeded from the previous entry,
+/// so every entry is bitwise the solution a chain of
+/// [`crate::fixedpoint::solve_with_guess`] calls over the `n`-entry window
+/// vectors would compute, without building them or any per-solve buffer.
+/// Results are bitwise-identical for every `threads` value (including 1);
+/// see the module docs for why.
 ///
 /// # Errors
 ///
@@ -133,16 +130,16 @@ pub fn one_deviator_sweep(
     params: &DcfParams,
     options: SolveOptions,
     threads: usize,
-) -> Result<Vec<ClassEquilibrium>, DcfError> {
+) -> Result<Vec<OneDeviatorEquilibrium>, DcfError> {
     telemetry::counter("dcf.sweep.profiles", deviators.len() as u64);
     let _span = telemetry::span("dcf.sweep.solve");
     telemetry::counter("dcf.sweep.chunks", deviators.len().div_ceil(SWEEP_CHUNK) as u64);
     if !deviators.is_empty() && n < 2 {
         return Err(DcfError::invalid("n", "a deviator needs at least one other node"));
     }
-    let solved: Vec<Result<Vec<ClassEquilibrium>, DcfError>> =
+    let solved: Vec<Result<Vec<OneDeviatorEquilibrium>, DcfError>> =
         map_chunks(deviators, SWEEP_CHUNK, threads, |chunk| {
-            let mut out: Vec<ClassEquilibrium> = Vec::with_capacity(chunk.len());
+            let mut out: Vec<OneDeviatorEquilibrium> = Vec::with_capacity(chunk.len());
             for &w_s in chunk {
                 if w_s > w {
                     return Err(DcfError::invalid(
@@ -150,12 +147,7 @@ pub fn one_deviator_sweep(
                         "must not exceed the common window",
                     ));
                 }
-                let profile = ClassProfile::new(vec![w_s, w], vec![1, n - 1])?;
-                let k = profile.num_classes();
-                telemetry::counter("dcf.solver.class_collapsed", (n - k) as u64);
-                let seed = out.last().map(|prev| [prev.taus[0], prev.taus[prev.taus.len() - 1]]);
-                let guess = seed.as_ref().map(|seed| &seed[..k]);
-                out.push(solve_classes_with_guess(&profile, params, options, guess)?);
+                out.push(solve_one_deviator(n, w, w_s, params, options, out.last())?);
             }
             Ok(out)
         });
@@ -282,18 +274,13 @@ mod tests {
                         .unwrap();
                 let nodes = node_level_chain(n, w, &deviators, &params);
                 for ((&w_s, class), node) in deviators.iter().zip(&chain).zip(&nodes) {
-                    let k = class.taus.len();
-                    assert_eq!(k, if w_s == w { 1 } else { 2 }, "n = {n}, w_s = {w_s}");
-                    for (node_i, class_i) in [(0, 0), (n - 1, k - 1)] {
+                    for (node_i, (tau, p)) in [(0, class.deviator), (n - 1, class.crowd)] {
                         assert_eq!(
                             node.taus[node_i].to_bits(),
-                            class.taus[class_i].to_bits(),
+                            tau.to_bits(),
                             "{mode:?} n = {n}, w = {w}, w_s = {w_s}"
                         );
-                        assert_eq!(
-                            node.collision_probs[node_i].to_bits(),
-                            class.collision_probs[class_i].to_bits()
-                        );
+                        assert_eq!(node.collision_probs[node_i].to_bits(), p.to_bits());
                     }
                     assert_eq!(node.iterations, class.iterations);
                 }
@@ -311,9 +298,8 @@ mod tests {
             let mut profile = vec![76u32; 6];
             profile[0] = w_s;
             let cold = solve(&profile, &params, options).unwrap();
-            let k = eq.taus.len();
-            assert!((eq.taus[0] - cold.taus[0]).abs() < 10.0 * options.tolerance, "w_s {w_s}");
-            assert!((eq.taus[k - 1] - cold.taus[5]).abs() < 10.0 * options.tolerance);
+            assert!((eq.deviator.0 - cold.taus[0]).abs() < 10.0 * options.tolerance, "w_s {w_s}");
+            assert!((eq.crowd.0 - cold.taus[5]).abs() < 10.0 * options.tolerance);
         }
     }
 

@@ -7,14 +7,24 @@
 //! * [`efficient_cw_scan`] — `W_c*` by exhaustive scan over the whole
 //!   strategy space; the bracketed search [`efficient_cw`] must find the
 //!   same window.
+//! * [`solve_classes_on_heap`] and [`solve_edca_on_heap`] — the class and
+//!   EDCA solves with their per-class values in `Vec`s whatever the class
+//!   count; the stack storage that [`solve_classes_with_guess`] and
+//!   [`solve_edca`] use for one and two classes must give the same bits
+//!   and counters.
 //!
 //! No production path calls these: they are kept only so the fast paths
 //! have a ground truth to disagree with.
 //!
 //! [`transmission_probability`]: crate::markov::transmission_probability
 //! [`efficient_cw`]: crate::optimal::efficient_cw
+//! [`solve_classes_with_guess`]: crate::fixedpoint::solve_classes_with_guess
+//! [`solve_edca`]: crate::edca::solve_edca
 
+use crate::classes::{ClassEquilibrium, ClassProfile};
+use crate::edca::{solve_edca_in, EdcaEquilibrium, EdcaProfile};
 use crate::error::DcfError;
+use crate::fixedpoint::{class_equilibrium, solve_classes_in, SolveOptions};
 use crate::markov::validate;
 use crate::optimal::{finish_efficient, symmetric_utility, EfficientNe};
 use crate::params::DcfParams;
@@ -151,6 +161,36 @@ pub fn efficient_cw_scan(
         }
     }
     finish_efficient(params, n, best_w, best_u)
+}
+
+/// [`crate::fixedpoint::solve_classes_with_guess`] with every per-class
+/// value of the solve in a `Vec`, for any class count.
+///
+/// # Errors
+///
+/// Same conditions as [`crate::fixedpoint::solve_classes_with_guess`].
+pub fn solve_classes_on_heap(
+    profile: &ClassProfile,
+    params: &DcfParams,
+    options: SolveOptions,
+    guess: Option<&[f64]>,
+) -> Result<ClassEquilibrium, DcfError> {
+    solve_classes_in::<Vec<f64>>(profile.windows(), profile.counts(), params, options, guess)
+        .map(class_equilibrium)
+}
+
+/// [`crate::edca::solve_edca`] with every per-class value of the solve in
+/// a `Vec`, for any class count.
+///
+/// # Errors
+///
+/// Same conditions as [`crate::edca::solve_edca`].
+pub fn solve_edca_on_heap(
+    profile: &EdcaProfile,
+    params: &DcfParams,
+    options: SolveOptions,
+) -> Result<EdcaEquilibrium, DcfError> {
+    solve_edca_in::<Vec<f64>>(profile, params, options)
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ pub fn node_utility(
 }
 
 /// `u_i` from node `i`'s own `(τ_i, p_i)` and the profile's slot statistics.
-fn utility_rate(tau: f64, p: f64, stats: &SlotStats, utility: &UtilityParams) -> f64 {
+pub(crate) fn utility_rate(tau: f64, p: f64, stats: &SlotStats, utility: &UtilityParams) -> f64 {
     assert!((0.0..=1.0).contains(&p), "collision probability must be in [0, 1]"); // PANIC-POLICY: documented # Panics contract (programmer-error guard)
     tau * ((1.0 - p) * utility.gain - utility.cost) / stats.mean_slot.value()
 }
