@@ -17,9 +17,8 @@ use macgame_core::edca::{
 use macgame_core::equilibrium::efficient_ne;
 use macgame_core::queries::{evaluate_query, Query, QueryResult, SolveCaches};
 use macgame_core::GameConfig;
-use macgame_dcf::classes::ClassProfile;
 use macgame_dcf::fixedpoint::{solve_classes, SolveOptions};
-use macgame_dcf::{solve_edca, AccessMode, EdcaProfile, EdcaTuple};
+use macgame_dcf::{solve_edca, AccessMode, Classes, EdcaTuple};
 use macgame_sim::{validate_edca_sweep, SweepReport};
 use serde::{Deserialize, Serialize};
 
@@ -208,10 +207,10 @@ pub fn run_edca(settings: &EdcaSettings) -> Result<EdcaPayload, BenchError> {
                 "EdcaWcStar query answered with a foreign variant".into(),
             )));
         };
-        let profile = EdcaProfile::new(vec![EdcaTuple::legacy(scalar.window, &params)?], vec![n])?;
+        let profile = Classes::new(vec![EdcaTuple::legacy(scalar.window, &params)?], vec![n])?;
         let edca_eq = solve_edca(&profile, &params, SolveOptions::default())?;
         let class_eq = solve_classes(
-            &ClassProfile::new(vec![scalar.window], vec![n])?,
+            &Classes::new(vec![scalar.window], vec![n])?,
             &params,
             SolveOptions::default(),
         )?;

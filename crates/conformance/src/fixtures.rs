@@ -24,7 +24,7 @@ use macgame_dcf::fixedpoint::{solve, SolveOptions};
 use macgame_dcf::optimal::{efficient_cw_from_tau_star, ne_interval, DEFAULT_W_MAX};
 use macgame_dcf::params::AccessMode;
 use macgame_dcf::{
-    edca_slot_stats, solve_edca, DcfParams, EdcaEquilibrium, EdcaProfile, EdcaSlotStats, EdcaTuple,
+    edca_slot_stats, solve_edca, Classes, DcfParams, EdcaEquilibrium, EdcaSlotStats, EdcaTuple,
     SolutionRecord, UtilityParams,
 };
 use macgame_multihop::convergence::{tft_converge, ConvergenceTrace};
@@ -335,12 +335,12 @@ pub fn edca_golden() -> Result<EdcaGolden, ConformanceError> {
     ];
     let mut cases = Vec::new();
     for (name, tuples, counts) in profiles {
-        let profile = EdcaProfile::new(tuples, counts)?;
+        let profile = Classes::new(tuples, counts)?;
         let equilibrium = solve_edca(&profile, &params, SolveOptions::default())?;
         let stats = edca_slot_stats(&profile, &equilibrium, &params);
         cases.push(EdcaCase {
             name: name.to_string(),
-            tuples: profile.tuples().to_vec(),
+            tuples: profile.keys().to_vec(),
             counts: profile.counts().to_vec(),
             degenerate: profile.is_degenerate(&params),
             equilibrium,

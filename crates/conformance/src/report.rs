@@ -317,7 +317,7 @@ fn robustness_claims() -> Result<Vec<Claim>, ConformanceError> {
 fn class_solver_claims() -> Result<Vec<Claim>, ConformanceError> {
     use macgame_dcf::cache::SolveCache;
     use macgame_dcf::fixedpoint::{solve, solve_classes, solve_dense, SolveOptions};
-    use macgame_dcf::ClassProfile;
+    use macgame_dcf::Classes;
 
     let basic = DcfParams::default();
     let rtscts = DcfParams::builder().access_mode(AccessMode::RtsCts).build()?;
@@ -342,7 +342,7 @@ fn class_solver_claims() -> Result<Vec<Claim>, ConformanceError> {
         let cache = SolveCache::new(*params, options);
         for profile in profiles {
             let public = solve(profile, params, options)?;
-            let (classes, assignment) = ClassProfile::from_windows(profile)?;
+            let (classes, assignment) = Classes::collapse(profile)?;
             let expanded = solve_classes(&classes, params, options)?.expand(&assignment);
             bitwise &= public == expanded;
             let cached = cache.solve(profile)?;
@@ -529,7 +529,7 @@ fn golden_claims() -> Result<Vec<Claim>, ConformanceError> {
 fn edca_claims(settings: &ConformanceSettings) -> Result<Vec<Claim>, ConformanceError> {
     use macgame_core::queries::{evaluate_query, Query, QueryResult, SolveCaches};
     use macgame_dcf::fixedpoint::{solve_classes, SolveOptions};
-    use macgame_dcf::{solve_edca, solve_edca_dense, ClassProfile, EdcaProfile, EdcaTuple};
+    use macgame_dcf::{solve_edca, solve_edca_dense, Classes, EdcaTuple};
     use macgame_sim::validate_edca_sweep;
 
     let params = DcfParams::default();
@@ -545,9 +545,9 @@ fn edca_claims(settings: &ConformanceSettings) -> Result<Vec<Claim>, Conformance
     for n in [5usize, 10, 20] {
         let game = GameConfig::builder(n).build()?;
         let w_star = efficient_ne(&game)?.window;
-        let profile = EdcaProfile::new(vec![EdcaTuple::legacy(w_star, &params)?], vec![n])?;
+        let profile = Classes::new(vec![EdcaTuple::legacy(w_star, &params)?], vec![n])?;
         let edca = solve_edca(&profile, &params, options)?;
-        let classes = ClassProfile::new(vec![w_star], vec![n])?;
+        let classes = Classes::new(vec![w_star], vec![n])?;
         let scalar = solve_classes(&classes, &params, options)?;
         bitwise &= edca.taus.iter().zip(&scalar.taus).all(|(a, b)| a.to_bits() == b.to_bits())
             && edca
@@ -594,9 +594,9 @@ fn edca_claims(settings: &ConformanceSettings) -> Result<Vec<Claim>, Conformance
     ];
     let mut worst_gap = 0.0f64;
     for (tuples, counts) in &hetero {
-        let profile = EdcaProfile::new(tuples.clone(), counts.clone())?;
+        let profile = Classes::new(tuples.clone(), counts.clone())?;
         let class_eq = solve_edca(&profile, &params, options)?;
-        let dense = solve_edca_dense(&profile.expand_tuples(), &params, options)?;
+        let dense = solve_edca_dense(&profile.expand(profile.keys().iter().copied()), options)?;
         let mut node = 0usize;
         for (class, &count) in profile.counts().iter().enumerate() {
             for _ in 0..count {

@@ -15,9 +15,7 @@
 //! efficient NE.
 
 use macgame_dcf::cache::SolveCache;
-use macgame_dcf::classes::{
-    class_utilities, ClassProfile, OneDeviatorEquilibrium, OneDeviatorProfile,
-};
+use macgame_dcf::classes::{class_utilities, Classes, OneDeviatorEquilibrium, OneDeviatorProfile};
 use macgame_dcf::fixedpoint::{
     solve, solve_one_deviator, solve_one_deviator_classes, SolveOptions,
 };
@@ -124,7 +122,7 @@ pub fn symmetric_stage_cached(
     cache: &SolveCache,
 ) -> Result<f64, GameError> {
     check_cache_params(game, cache)?;
-    let profile = ClassProfile::new(vec![w], vec![game.player_count()])?;
+    let profile = Classes::new(vec![w], vec![game.player_count()])?;
     let eq = cache.solve_class_profile(&profile)?;
     let us =
         class_utilities(&profile, &eq.taus, &eq.collision_probs, game.params(), game.utility());
@@ -668,7 +666,7 @@ mod tests {
 
     /// The downward part of [`deviator_row`] as it was built before the
     /// chain moved to [`solve_one_deviator`]: `solve_classes_with_guess`
-    /// on each deviator's [`ClassProfile`], seeded within fixed
+    /// on each deviator's [`Classes`], seeded within fixed
     /// `SWEEP_CHUNK` chunks as the node-level chain seeds. The row's
     /// upward probes were node-level [`deviator_stage`]s.
     fn reference_chain(game: &GameConfig, w: u32) -> Vec<f64> {
@@ -681,7 +679,7 @@ mod tests {
         for chunk in deviators.chunks(SWEEP_CHUNK) {
             let mut prev: Option<ClassEquilibrium> = None;
             for &w_s in chunk {
-                let profile = ClassProfile::new(vec![w_s, w], vec![1, n - 1]).unwrap();
+                let profile = Classes::new(vec![w_s, w], vec![1, n - 1]).unwrap();
                 let seed = prev.as_ref().map(|eq| [eq.taus[0], eq.taus[1]]);
                 let eq = solve_classes_with_guess(
                     &profile,
@@ -743,14 +741,14 @@ mod tests {
     #[test]
     fn class_prices_are_the_class_profile_prices_bit_for_bit() {
         // The price path solves its one-deviator and symmetric profiles on
-        // the stack; `solve_classes` on the `ClassProfile` and
+        // the stack; `solve_classes` on the `Classes` profile and
         // `class_utilities` must give the same rates.
         use macgame_dcf::fixedpoint::solve_classes;
         for n in [2usize, 3, 10, 1_000] {
             let g = game(n);
             let (params, utility) = (g.params(), g.utility());
             for (w_others, w_dev) in [(76u32, 20u32), (76, 76), (76, 300), (1, 4096), (4096, 1)] {
-                let profile = ClassProfile::new(vec![w_dev, w_others], vec![1, n - 1]).unwrap();
+                let profile = Classes::new(vec![w_dev, w_others], vec![1, n - 1]).unwrap();
                 let eq = solve_classes(&profile, params, SolveOptions::default()).unwrap();
                 let rates =
                     class_utilities(&profile, &eq.taus, &eq.collision_probs, params, utility);

@@ -24,7 +24,7 @@ use macgame_dcf::cache::Memo;
 use macgame_dcf::fixedpoint::SolveOptions;
 use macgame_dcf::markov::MAX_CW;
 use macgame_dcf::{
-    edca_utilities, solve_edca, DcfError, DcfParams, EdcaEquilibrium, EdcaProfile, EdcaTuple,
+    edca_utilities, solve_edca, Classes, DcfError, DcfParams, EdcaEquilibrium, EdcaTuple,
 };
 use serde::{Deserialize, Serialize};
 
@@ -74,7 +74,7 @@ impl EdcaAxis {
     }
 }
 
-/// The part of a canonical [`EdcaProfile`] its EDCA iteration reads:
+/// The part of a canonical tuple-keyed [`Classes`] its EDCA iteration reads:
 /// each class's `(cw_min, stage_cap, aifs, txop > 1)` in profile order,
 /// and the class counts. The burst length enters the iteration only
 /// through the degeneracy test (`txop == 1`), so every profile that
@@ -87,9 +87,9 @@ struct BurstFreeKey {
 }
 
 impl BurstFreeKey {
-    fn of(profile: &EdcaProfile) -> Self {
+    fn of(profile: &Classes<EdcaTuple>) -> Self {
         let classes =
-            profile.tuples().iter().map(|t| (t.cw_min, t.stage_cap, t.aifs, t.txop > 1)).collect();
+            profile.keys().iter().map(|t| (t.cw_min, t.stage_cap, t.aifs, t.txop > 1)).collect();
         BurstFreeKey { classes, counts: profile.counts().to_vec() }
     }
 }
@@ -126,7 +126,7 @@ impl EdcaStageMemo {
 /// memoized equilibrium.
 fn class_rates(
     game: &GameConfig,
-    profile: &EdcaProfile,
+    profile: &Classes<EdcaTuple>,
     memo: &EdcaStageMemo,
 ) -> Result<Vec<f64>, GameError> {
     if memo.params != *game.params() {
@@ -151,7 +151,7 @@ pub fn edca_symmetric_stage(
     tuple: EdcaTuple,
     memo: &EdcaStageMemo,
 ) -> Result<f64, GameError> {
-    let profile = EdcaProfile::new(vec![tuple], vec![game.player_count()])?;
+    let profile = Classes::new(vec![tuple], vec![game.player_count()])?;
     let rates = class_rates(game, &profile, memo)?;
     Ok(rates[0])
 }
@@ -177,11 +177,11 @@ pub fn edca_deviator_stage(
         let rate = edca_symmetric_stage(game, sym, memo)?;
         return Ok(DeviatorStage { deviator: rate, compliant: rate });
     }
-    let profile = EdcaProfile::new(vec![dev, sym], vec![1, n - 1])?;
+    let profile = Classes::new(vec![dev, sym], vec![1, n - 1])?;
     let rates = class_rates(game, &profile, memo)?;
     // Classes are in canonical tuple order; locate the deviator's class.
     let dev_class =
-        profile.tuples().iter().position(|t| *t == dev).ok_or_else(|| {
+        profile.keys().iter().position(|t| *t == dev).ok_or_else(|| {
             GameError::InvalidConfig("deviator tuple missing from profile".into())
         })?;
     Ok(DeviatorStage { deviator: rates[dev_class], compliant: rates[1 - dev_class] })
@@ -700,7 +700,7 @@ mod tests {
             let tuple = |&((w, m, a), (k, _, _)): &Class| EdcaTuple::new(w, m, a, k).unwrap();
             let counts: Vec<usize> = classes.iter().map(|c| c.1 .1).collect();
             let profile =
-                EdcaProfile::new(classes.iter().map(tuple).collect(), counts.clone()).unwrap();
+                Classes::new(classes.iter().map(tuple).collect(), counts.clone()).unwrap();
             let sibling_tuples = classes
                 .iter()
                 .map(|c| {
@@ -711,7 +711,7 @@ mod tests {
                     t
                 })
                 .collect();
-            let sibling = EdcaProfile::new(sibling_tuples, counts).unwrap();
+            let sibling = Classes::new(sibling_tuples, counts).unwrap();
             let memo = EdcaStageMemo::new(params, None);
             let primed = class_rates(&g, &sibling, &memo);
             let hits = memo.memo.hits();

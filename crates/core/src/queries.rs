@@ -530,7 +530,7 @@ mod tests {
                 panic!("variant mismatch");
             };
             let rate = |windows: Vec<u32>, counts: Vec<usize>, of: u32| {
-                let profile = macgame_dcf::ClassProfile::new(windows, counts).unwrap();
+                let profile = macgame_dcf::Classes::new(windows, counts).unwrap();
                 let eq = cache.solve_class_profile(&profile).unwrap();
                 let us = macgame_dcf::class_utilities(
                     &profile,
@@ -539,7 +539,7 @@ mod tests {
                     game.params(),
                     game.utility(),
                 );
-                us[profile.windows().iter().position(|&w| w == of).unwrap()]
+                us[profile.keys().iter().position(|&w| w == of).unwrap()]
             };
             let (dev, crowd) = if w_dev == w_star {
                 let r = rate(vec![w_star], vec![7], w_star);

@@ -24,7 +24,7 @@
 //! `σ` permutes the window profile, the solution permutes the same way.
 //! Scans, payoff-table builds and tournaments therefore revisit the same
 //! *multiset* of windows under many orderings. [`SolveCache`] keys on the
-//! canonical [`ClassProfile`] of that multiset and stores the class-level
+//! canonical [`Classes`] of that multiset and stores the class-level
 //! solution, expanding it onto the caller's player order on every lookup.
 //!
 //! Hit and miss both expand the **same** stored class solution, and the
@@ -67,7 +67,7 @@ use std::sync::{Arc, RwLock};
 
 use macgame_telemetry as telemetry;
 
-use crate::classes::{ClassEquilibrium, ClassProfile};
+use crate::classes::{ClassEquilibrium, Classes};
 use crate::error::DcfError;
 use crate::fixedpoint::{solve_classes, Equilibrium, SolveOptions};
 use crate::optimal::{search_efficient_cw, EfficientNe, SymmetricSource};
@@ -327,7 +327,7 @@ fn utility_bits(utility: &UtilityParams) -> [u64; 2] {
 pub struct SolveCache {
     params: DcfParams,
     options: SolveOptions,
-    memo: Memo<ClassProfile, Arc<ClassEquilibrium>>,
+    memo: Memo<Classes<u32>, Arc<ClassEquilibrium>>,
     symmetric: Memo<(usize, u32), SymmetricSolution>,
     rows: Memo<RowKey, Arc<[f64]>>,
     efficient: Memo<WindowKey, EfficientNe>,
@@ -390,7 +390,7 @@ impl SolveCache {
 
     /// The underlying store, for its counters and occupancy.
     #[must_use]
-    pub fn memo(&self) -> &Memo<ClassProfile, Arc<ClassEquilibrium>> {
+    pub fn memo(&self) -> &Memo<Classes<u32>, Arc<ClassEquilibrium>> {
         &self.memo
     }
 
@@ -406,16 +406,16 @@ impl SolveCache {
     pub fn solve(&self, windows: &[u32]) -> Result<Equilibrium, DcfError> {
         if windows.windows(2).all(|pair| pair[0] <= pair[1]) && !windows.is_empty() {
             telemetry::counter("dcf.cache.sorted_fast_path", 1);
-            let profile = ClassProfile::from_sorted(windows)?;
+            let profile = Classes::from_sorted(windows)?;
             let solved = self.solve_class_profile(&profile)?;
             return Ok(solved.expand_sorted(&profile));
         }
-        let (profile, assignment) = ClassProfile::from_windows(windows)?;
+        let (profile, assignment) = Classes::collapse(windows)?;
         let solved = self.solve_class_profile(&profile)?;
         Ok(solved.expand(&assignment))
     }
 
-    /// Solves a [`ClassProfile`] through the cache, sharing the stored
+    /// Solves a window profile in [`Classes`] form through the cache, sharing the stored
     /// [`Arc`] — the O(k) entry point for population-scale callers that
     /// never materialize node-level vectors.
     ///
@@ -424,7 +424,7 @@ impl SolveCache {
     /// Propagates solver errors (non-convergence, invalid damping).
     pub fn solve_class_profile(
         &self,
-        profile: &ClassProfile,
+        profile: &Classes<u32>,
     ) -> Result<Arc<ClassEquilibrium>, DcfError> {
         self.memo.get_or_try_insert_with(profile, || {
             solve_classes(profile, &self.params, self.options).map(Arc::new)
@@ -724,7 +724,7 @@ mod tests {
     #[test]
     fn class_profile_lookups_share_entries_with_node_lookups() {
         let c = cache();
-        let profile = ClassProfile::new(vec![16, 64], vec![2, 3]).unwrap();
+        let profile = Classes::new(vec![16, 64], vec![2, 3]).unwrap();
         let class_solved = c.solve_class_profile(&profile).unwrap();
         assert_eq!(c.memo().misses(), 1);
         let node_solved = c.solve(&[16, 16, 64, 64, 64]).unwrap();
@@ -744,8 +744,8 @@ mod tests {
     fn evicted_key_resolves_bitwise_identical() {
         // capacity 1 → a single one-entry shard → strict global FIFO.
         let c = bounded(1);
-        let first = ClassProfile::new(vec![16, 64], vec![2, 3]).unwrap();
-        let second = ClassProfile::new(vec![32, 128], vec![1, 4]).unwrap();
+        let first = Classes::new(vec![16, 64], vec![2, 3]).unwrap();
+        let second = Classes::new(vec![32, 128], vec![1, 4]).unwrap();
         let original = c.solve_class_profile(&first).unwrap();
         c.solve_class_profile(&second).unwrap(); // evicts `first`
         assert_eq!((c.memo().evictions(), c.memo().len()), (1, 1));

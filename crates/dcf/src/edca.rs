@@ -32,7 +32,7 @@
 use macgame_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
-use crate::classes::ClassProfile;
+use crate::classes::{check_nodes, gather, ClassKey, Classes};
 use crate::error::DcfError;
 use crate::fixedpoint::{
     couple, iterate_sweeps, solve_classes_in, ClassBuf, SolveOptions, SweepTelemetry,
@@ -61,7 +61,7 @@ const IDLE_ROOT_BISECTIONS: u32 = 64;
 /// One EDCA strategy: the four knobs a selfish 802.11e node can turn.
 ///
 /// The derived lexicographic order (`cw_min`, then `stage_cap`, `aifs`,
-/// `txop`) is the canonical class order used by [`EdcaProfile`].
+/// `txop`) is the canonical class order of a tuple-keyed [`Classes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct EdcaTuple {
     /// Initial contention window `W` (CWmin), at least 1.
@@ -126,124 +126,31 @@ impl EdcaTuple {
     }
 }
 
-/// A canonical EDCA class profile: sorted distinct tuples with
-/// multiplicities, the tuple-space analog of [`ClassProfile`]. Two node
-/// populations that are permutations of each other collapse to the same
-/// profile, which is what keys million-node solves at O(k).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct EdcaProfile {
-    /// Strictly increasing (lexicographic) distinct tuples.
-    tuples: Vec<EdcaTuple>,
-    /// Node count per class, all positive.
-    counts: Vec<usize>,
+impl ClassKey for EdcaTuple {
+    const FIELD: &'static str = "tuples";
+
+    fn check(&self) -> Result<(), DcfError> {
+        self.validate()
+    }
 }
 
-impl EdcaProfile {
-    /// Builds a profile from parallel class tuples and counts. Tuples are
-    /// sorted and duplicates merged, so the result is canonical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DcfError::InvalidParameter`] when the vectors are empty,
-    /// disagree in length, contain a zero count, or contain an invalid
-    /// tuple.
-    pub fn new(tuples: Vec<EdcaTuple>, counts: Vec<usize>) -> Result<Self, DcfError> {
-        if tuples.is_empty() {
-            return Err(DcfError::invalid("tuples", "need at least one class"));
-        }
-        if tuples.len() != counts.len() {
-            return Err(DcfError::invalid("counts", "need one count per class"));
-        }
-        if counts.contains(&0) {
-            return Err(DcfError::invalid("counts", "class counts must be positive"));
-        }
-        for tuple in &tuples {
-            tuple.validate()?;
-        }
-        let mut pairs: Vec<(EdcaTuple, usize)> = tuples.into_iter().zip(counts).collect();
-        pairs.sort_unstable_by_key(|&(t, _)| t);
-        let mut merged_tuples: Vec<EdcaTuple> = Vec::with_capacity(pairs.len());
-        let mut merged_counts: Vec<usize> = Vec::with_capacity(pairs.len());
-        for (tuple, count) in pairs {
-            if merged_tuples.last() == Some(&tuple) {
-                let last = merged_counts.len() - 1;
-                merged_counts[last] += count;
-            } else {
-                merged_tuples.push(tuple);
-                merged_counts.push(count);
-            }
-        }
-        Ok(EdcaProfile { tuples: merged_tuples, counts: merged_counts })
-    }
-
-    /// Collapses a per-node tuple list into a profile plus the
-    /// node-to-class assignment needed to expand class-level results back
-    /// to node level.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DcfError::InvalidParameter`] when the list is empty or
-    /// contains an invalid tuple.
-    pub fn from_tuples(tuples: &[EdcaTuple]) -> Result<(Self, Vec<usize>), DcfError> {
-        if tuples.is_empty() {
-            return Err(DcfError::invalid("tuples", "need at least one node"));
-        }
-        for tuple in tuples {
-            tuple.validate()?;
-        }
-        let mut distinct: Vec<EdcaTuple> = tuples.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut counts = vec![0usize; distinct.len()];
-        let assignment: Vec<usize> = tuples
-            .iter()
-            .map(|t| {
-                // PANIC-POLICY: `distinct` was built from these exact tuples.
-                let class = distinct.binary_search(t).expect("tuple must be in its own profile");
-                counts[class] += 1;
-                class
-            })
-            .collect();
-        Ok((EdcaProfile { tuples: distinct, counts }, assignment))
-    }
-
-    /// Number of distinct classes `k`.
-    #[must_use]
-    pub fn num_classes(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// Total node count `n = Σ_c n_c`.
-    #[must_use]
-    pub fn total_nodes(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// The sorted distinct tuples.
-    #[must_use]
-    pub fn tuples(&self) -> &[EdcaTuple] {
-        &self.tuples
-    }
-
-    /// Node counts, parallel to [`Self::tuples`].
-    #[must_use]
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
+/// The EDCA view of a tuple-keyed profile. Two node populations that are
+/// permutations of each other collapse to the same profile, which is what
+/// keys million-node solves at O(k).
+impl Classes<EdcaTuple> {
     /// The smallest AIFS in the profile — the class that defines the slot
     /// process.
     #[must_use]
     pub fn min_aifs(&self) -> u32 {
         // PANIC-POLICY: constructors reject empty profiles — the minimum exists.
-        self.tuples.iter().map(|t| t.aifs).min().expect("profile is never empty")
+        self.keys().iter().map(|t| t.aifs).min().expect("profile is never empty")
     }
 
     /// Per-class AIFS defer distances `d_c = AIFS_c − min_j AIFS_j`.
     #[must_use]
     pub fn aifs_defers(&self) -> Vec<u32> {
         let min = self.min_aifs();
-        self.tuples.iter().map(|t| t.aifs - min).collect()
+        self.keys().iter().map(|t| t.aifs - min).collect()
     }
 
     /// Whether the profile degenerates to the paper's CW-only model under
@@ -252,21 +159,10 @@ impl EdcaProfile {
     /// are solved by delegation to the scalar class solver, bitwise.
     #[must_use]
     pub fn is_degenerate(&self, params: &DcfParams) -> bool {
-        let aifs = self.tuples[0].aifs;
-        self.tuples
+        let aifs = self.keys()[0].aifs;
+        self.keys()
             .iter()
             .all(|t| t.aifs == aifs && t.txop == 1 && t.stage_cap == params.max_backoff_stage())
-    }
-
-    /// The per-node tuple list this profile canonicalizes (class order,
-    /// each tuple repeated its count).
-    #[must_use]
-    pub fn expand_tuples(&self) -> Vec<EdcaTuple> {
-        let mut out = Vec::with_capacity(self.total_nodes());
-        for (&tuple, &count) in self.tuples.iter().zip(&self.counts) {
-            out.extend(std::iter::repeat(tuple).take(count));
-        }
-        out
     }
 }
 
@@ -299,7 +195,7 @@ impl EdcaEquilibrium {
     }
 
     /// Routes class-level values back to node level through an
-    /// `assignment` produced by [`EdcaProfile::from_tuples`].
+    /// `assignment` produced by [`Classes::collapse`].
     ///
     /// # Panics
     ///
@@ -309,9 +205,9 @@ impl EdcaEquilibrium {
     #[must_use]
     pub fn expand(&self, assignment: &[usize]) -> EdcaEquilibrium {
         EdcaEquilibrium {
-            taus: assignment.iter().map(|&c| self.taus[c]).collect(),
-            thinned_taus: assignment.iter().map(|&c| self.thinned_taus[c]).collect(),
-            collision_probs: assignment.iter().map(|&c| self.collision_probs[c]).collect(),
+            taus: gather(&self.taus, assignment),
+            thinned_taus: gather(&self.thinned_taus, assignment),
+            collision_probs: gather(&self.collision_probs, assignment),
             idle_root: self.idle_root,
             iterations: self.iterations,
         }
@@ -453,7 +349,7 @@ fn iterate_edca<S: ClassBuf>(
 /// Solves the EDCA fixed point at class level — `k` coupled `(τ_c, p_c)`
 /// pairs plus the scalar idle root, independent of the population size.
 ///
-/// Degenerate profiles ([`EdcaProfile::is_degenerate`]) are delegated to
+/// Degenerate profiles ([`Classes::is_degenerate`]) are delegated to
 /// the scalar class solver, so their solutions are **bitwise identical**
 /// to [`crate::fixedpoint::solve_classes`] on the collapsed windows.
 ///
@@ -463,7 +359,7 @@ fn iterate_edca<S: ClassBuf>(
 /// `(0, 1]` and [`DcfError::SolveDidNotConverge`] if the iteration
 /// exhausts its budget.
 pub fn solve_edca(
-    profile: &EdcaProfile,
+    profile: &Classes<EdcaTuple>,
     params: &DcfParams,
     options: SolveOptions,
 ) -> Result<EdcaEquilibrium, DcfError> {
@@ -476,7 +372,7 @@ pub fn solve_edca(
 
 /// [`solve_edca`] with every per-class value of its solve in `S` storage.
 pub(crate) fn solve_edca_in<S: ClassBuf>(
-    profile: &EdcaProfile,
+    profile: &Classes<EdcaTuple>,
     params: &DcfParams,
     options: SolveOptions,
 ) -> Result<EdcaEquilibrium, DcfError> {
@@ -488,11 +384,10 @@ pub(crate) fn solve_edca_in<S: ClassBuf>(
         telemetry::counter("dcf.edca.degenerate_delegations", 1);
         // Distinct degenerate tuples differ only in cw_min, so the
         // windows are already sorted and distinct in class order.
-        let windows: Vec<u32> = profile.tuples.iter().map(|t| t.cw_min).collect();
-        let classes = ClassProfile::new(windows, profile.counts.clone())?;
+        let windows: Vec<u32> = profile.keys().iter().map(|t| t.cw_min).collect();
         let (taus, collision_probs, iterations) =
-            solve_classes_in::<S>(classes.windows(), classes.counts(), params, options, None)?;
-        let k = classes.num_classes();
+            solve_classes_in::<S>(&windows, profile.counts(), params, options, None)?;
+        let k = profile.num_classes();
         let total_log =
             couple(taus.as_ref(), profile.counts(), S::zeros(k).as_mut(), S::zeros(k).as_mut());
         let taus = taus.into_vec();
@@ -504,7 +399,7 @@ pub(crate) fn solve_edca_in<S: ClassBuf>(
             iterations,
         });
     }
-    iterate_edca::<S>(&profile.tuples, &profile.counts, options)
+    iterate_edca::<S>(profile.keys(), profile.counts(), options)
 }
 
 /// Dense per-node reference solve: every node is its own class (all
@@ -518,18 +413,11 @@ pub(crate) fn solve_edca_in<S: ClassBuf>(
 /// rejected.
 pub fn solve_edca_dense(
     tuples: &[EdcaTuple],
-    params: &DcfParams,
     options: SolveOptions,
 ) -> Result<EdcaEquilibrium, DcfError> {
-    let _ = params; // the dense path reads everything from the tuples
-    if tuples.is_empty() {
-        return Err(DcfError::invalid("tuples", "need at least one node"));
-    }
+    check_nodes(tuples)?;
     if !(options.damping > 0.0 && options.damping <= 1.0) {
         return Err(DcfError::invalid("damping", "must be in (0, 1]"));
-    }
-    for tuple in tuples {
-        tuple.validate()?;
     }
     let counts = vec![1usize; tuples.len()];
     iterate_edca::<Vec<f64>>(tuples, &counts, options)
@@ -568,7 +456,7 @@ impl EdcaSlotStats {
 /// solvers, so this is a programmer-error guard).
 #[must_use]
 pub fn edca_slot_stats(
-    profile: &EdcaProfile,
+    profile: &Classes<EdcaTuple>,
     eq: &EdcaEquilibrium,
     params: &DcfParams,
 ) -> EdcaSlotStats {
@@ -600,7 +488,7 @@ pub fn edca_slot_stats(
     let collision_rate = (1.0 - idle_rate - success_total).max(0.0);
     let collision_time = params.timings().collision_time;
     let mut mean_slot = idle_rate * params.sigma() + collision_rate * collision_time;
-    for (rate, tuple) in success_rates.iter().zip(profile.tuples()) {
+    for (rate, tuple) in success_rates.iter().zip(profile.keys()) {
         mean_slot += *rate * params.txop_success_time(tuple.txop);
     }
     EdcaSlotStats { idle_rate, success_rates, collision_rate, mean_slot }
@@ -614,12 +502,16 @@ pub fn edca_slot_stats(
 ///
 /// Same conditions as [`edca_slot_stats`].
 #[must_use]
-pub fn edca_throughput(profile: &EdcaProfile, eq: &EdcaEquilibrium, params: &DcfParams) -> f64 {
+pub fn edca_throughput(
+    profile: &Classes<EdcaTuple>,
+    eq: &EdcaEquilibrium,
+    params: &DcfParams,
+) -> f64 {
     let stats = edca_slot_stats(profile, eq, params);
     let frames: f64 = stats
         .success_rates
         .iter()
-        .zip(profile.tuples())
+        .zip(profile.keys())
         .map(|(rate, tuple)| rate * f64::from(tuple.txop))
         .sum();
     frames * (params.payload_time() / stats.mean_slot)
@@ -637,7 +529,7 @@ pub fn edca_throughput(profile: &EdcaProfile, eq: &EdcaEquilibrium, params: &Dcf
 /// probabilities must be in `[0, 1]`.
 #[must_use]
 pub fn edca_utilities(
-    profile: &EdcaProfile,
+    profile: &Classes<EdcaTuple>,
     eq: &EdcaEquilibrium,
     params: &DcfParams,
     utility: &UtilityParams,
@@ -651,7 +543,7 @@ pub fn edca_utilities(
     eq.thinned_taus
         .iter()
         .zip(&eq.collision_probs)
-        .zip(profile.tuples())
+        .zip(profile.keys())
         .map(|((&t, &p), tuple)| {
             t * ((1.0 - p) * utility.gain * f64::from(tuple.txop) - utility.cost)
                 / stats.mean_slot.value()
@@ -662,7 +554,7 @@ pub fn edca_utilities(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classes::{class_utilities, ClassProfile};
+    use crate::classes::class_utilities;
     use crate::fixedpoint::solve;
 
     fn params() -> DcfParams {
@@ -686,48 +578,18 @@ mod tests {
     }
 
     #[test]
-    fn profile_canonicalizes_permutations() {
-        let a = tuple(64, 5, 0, 1);
-        let b = tuple(16, 5, 2, 4);
-        let (p1, assign1) = EdcaProfile::from_tuples(&[a, b, a, b, a]).unwrap();
-        let (p2, _) = EdcaProfile::from_tuples(&[b, a, a, a, b]).unwrap();
-        assert_eq!(p1, p2);
-        assert_eq!(p1.tuples(), &[b, a]);
-        assert_eq!(p1.counts(), &[2, 3]);
-        assert_eq!(assign1, vec![1, 0, 1, 0, 1]);
-        assert_eq!(p1.total_nodes(), 5);
-        assert_eq!(p1.expand_tuples(), vec![b, b, a, a, a]);
-    }
-
-    #[test]
-    fn profile_new_merges_duplicates() {
-        let a = tuple(32, 5, 0, 1);
-        let p = EdcaProfile::new(vec![a, a], vec![2, 3]).unwrap();
-        assert_eq!(p.num_classes(), 1);
-        assert_eq!(p.counts(), &[5]);
-    }
-
-    #[test]
-    fn profile_rejects_invalid_inputs() {
-        assert!(EdcaProfile::new(vec![], vec![]).is_err());
-        assert!(EdcaProfile::new(vec![tuple(8, 5, 0, 1)], vec![]).is_err());
-        assert!(EdcaProfile::new(vec![tuple(8, 5, 0, 1)], vec![0]).is_err());
-        assert!(EdcaProfile::from_tuples(&[]).is_err());
-    }
-
-    #[test]
     fn degeneracy_detection() {
         let p = params();
         let m = p.max_backoff_stage();
-        let deg = EdcaProfile::from_tuples(&[tuple(16, m, 3, 1), tuple(64, m, 3, 1)]).unwrap().0;
+        let deg = Classes::collapse(&[tuple(16, m, 3, 1), tuple(64, m, 3, 1)]).unwrap().0;
         assert!(deg.is_degenerate(&p));
         assert_eq!(deg.aifs_defers(), vec![0, 0]);
-        let aifs = EdcaProfile::from_tuples(&[tuple(16, m, 0, 1), tuple(64, m, 1, 1)]).unwrap().0;
+        let aifs = Classes::collapse(&[tuple(16, m, 0, 1), tuple(64, m, 1, 1)]).unwrap().0;
         assert!(!aifs.is_degenerate(&p));
         assert_eq!(aifs.aifs_defers(), vec![0, 1]);
-        let txop = EdcaProfile::from_tuples(&[tuple(16, m, 0, 2)]).unwrap().0;
+        let txop = Classes::collapse(&[tuple(16, m, 0, 2)]).unwrap().0;
         assert!(!txop.is_degenerate(&p));
-        let stage = EdcaProfile::from_tuples(&[tuple(16, m - 1, 0, 1)]).unwrap().0;
+        let stage = Classes::collapse(&[tuple(16, m - 1, 0, 1)]).unwrap().0;
         assert!(!stage.is_degenerate(&p));
     }
 
@@ -737,7 +599,7 @@ mod tests {
         let windows = [16u32, 48, 48, 96, 192];
         let tuples: Vec<EdcaTuple> =
             windows.iter().map(|&w| EdcaTuple::legacy(w, &p).unwrap()).collect();
-        let (profile, assignment) = EdcaProfile::from_tuples(&tuples).unwrap();
+        let (profile, assignment) = Classes::collapse(&tuples).unwrap();
         let edca = solve_edca(&profile, &p, SolveOptions::default()).unwrap().expand(&assignment);
         let scalar = solve(&windows, &p, SolveOptions::default()).unwrap();
         assert_eq!(edca.taus, scalar.taus);
@@ -756,9 +618,9 @@ mod tests {
             tuple(32, m, 1, 2),
             tuple(128, 3, 2, 4),
         ];
-        let (profile, assignment) = EdcaProfile::from_tuples(&tuples).unwrap();
+        let (profile, assignment) = Classes::collapse(&tuples).unwrap();
         let class = solve_edca(&profile, &p, SolveOptions::default()).unwrap().expand(&assignment);
-        let dense = solve_edca_dense(&tuples, &p, SolveOptions::default()).unwrap();
+        let dense = solve_edca_dense(&tuples, SolveOptions::default()).unwrap();
         for i in 0..tuples.len() {
             assert!((class.taus[i] - dense.taus[i]).abs() <= 1e-12);
             assert!((class.thinned_taus[i] - dense.thinned_taus[i]).abs() <= 1e-12);
@@ -771,7 +633,7 @@ mod tests {
     fn aifs_thins_the_deferring_class() {
         let p = params();
         let m = p.max_backoff_stage();
-        let (profile, _) = EdcaProfile::from_tuples(&[
+        let (profile, _) = Classes::collapse(&[
             tuple(32, m, 0, 1),
             tuple(32, m, 0, 1),
             tuple(32, m, 0, 1),
@@ -785,7 +647,7 @@ mod tests {
         assert!((eq.thinned_taus[1] - eq.taus[1] * eq.idle_root.powi(2)).abs() < 1e-15);
         // The favored class sees fewer competing attempts than in the
         // equal-AIFS network.
-        let (equal, _) = EdcaProfile::from_tuples(&[tuple(32, m, 0, 1); 4]).unwrap();
+        let (equal, _) = Classes::collapse(&[tuple(32, m, 0, 1); 4]).unwrap();
         let eq_equal = solve_edca(&equal, &p, SolveOptions::default()).unwrap();
         assert!(eq.collision_probs[0] < eq_equal.collision_probs[0]);
     }
@@ -796,7 +658,7 @@ mod tests {
         let p = params();
         let m = p.max_backoff_stage();
         let (profile, _) =
-            EdcaProfile::from_tuples(&[tuple(16, m, 0, 1), tuple(64, m, 1, 2), tuple(64, m, 3, 1)])
+            Classes::collapse(&[tuple(16, m, 0, 1), tuple(64, m, 1, 2), tuple(64, m, 3, 1)])
                 .unwrap();
         let eq = solve_edca(&profile, &p, SolveOptions::default()).unwrap();
         let defers = profile.aifs_defers();
@@ -814,8 +676,7 @@ mod tests {
     fn slot_stats_partition_and_degenerate_identity() {
         let p = params();
         let m = p.max_backoff_stage();
-        let (profile, _) =
-            EdcaProfile::from_tuples(&[tuple(16, m, 0, 2), tuple(64, m, 1, 1)]).unwrap();
+        let (profile, _) = Classes::collapse(&[tuple(16, m, 0, 2), tuple(64, m, 1, 1)]).unwrap();
         let eq = solve_edca(&profile, &p, SolveOptions::default()).unwrap();
         let stats = edca_slot_stats(&profile, &eq, &p);
         let total = stats.idle_rate + stats.success_rate() + stats.collision_rate;
@@ -826,10 +687,10 @@ mod tests {
         let windows = [16u32, 64, 64];
         let tuples: Vec<EdcaTuple> =
             windows.iter().map(|&w| EdcaTuple::legacy(w, &p).unwrap()).collect();
-        let (deg, _) = EdcaProfile::from_tuples(&tuples).unwrap();
+        let (deg, _) = Classes::collapse(&tuples).unwrap();
         let deg_eq = solve_edca(&deg, &p, SolveOptions::default()).unwrap();
         let deg_stats = edca_slot_stats(&deg, &deg_eq, &p);
-        let classes = ClassProfile::from_windows(&windows).unwrap().0;
+        let classes = Classes::collapse(&windows).unwrap().0;
         let scalar = crate::classes::class_slot_stats(&classes, &deg_eq.taus, &p);
         assert!((deg_stats.idle_rate - (1.0 - scalar.p_transmit)).abs() < 1e-15);
         assert!((deg_stats.success_rate() - scalar.success_rate()).abs() < 1e-15);
@@ -845,11 +706,11 @@ mod tests {
         let windows = [32u32, 76, 76, 128];
         let tuples: Vec<EdcaTuple> =
             windows.iter().map(|&w| EdcaTuple::legacy(w, &p).unwrap()).collect();
-        let (profile, _) = EdcaProfile::from_tuples(&tuples).unwrap();
+        let (profile, _) = Classes::collapse(&tuples).unwrap();
         let eq = solve_edca(&profile, &p, SolveOptions::default()).unwrap();
         let u = UtilityParams::default();
         let edca_u = edca_utilities(&profile, &eq, &p, &u);
-        let classes = ClassProfile::from_windows(&windows).unwrap().0;
+        let classes = Classes::collapse(&windows).unwrap().0;
         let class_u = class_utilities(&classes, &eq.taus, &eq.collision_probs, &p, &u);
         for (a, b) in edca_u.iter().zip(&class_u) {
             assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{a} vs {b}");
@@ -861,8 +722,8 @@ mod tests {
         let p = params();
         let m = p.max_backoff_stage();
         let u = UtilityParams::default();
-        let single = EdcaProfile::from_tuples(&[tuple(76, m, 0, 1); 5]).unwrap().0;
-        let burst = EdcaProfile::from_tuples(&[tuple(76, m, 0, 4); 5]).unwrap().0;
+        let single = Classes::collapse(&[tuple(76, m, 0, 1); 5]).unwrap().0;
+        let burst = Classes::collapse(&[tuple(76, m, 0, 4); 5]).unwrap().0;
         let eq_single = solve_edca(&single, &p, SolveOptions::default()).unwrap();
         let eq_burst = solve_edca(&burst, &p, SolveOptions::default()).unwrap();
         // τ is a chain property: same window ⇒ same τ (the two solves
@@ -880,10 +741,10 @@ mod tests {
     #[test]
     fn solver_rejects_bad_options() {
         let p = params();
-        let (profile, _) = EdcaProfile::from_tuples(&[tuple(32, 5, 0, 1)]).unwrap();
+        let (profile, _) = Classes::collapse(&[tuple(32, 5, 0, 1)]).unwrap();
         let options = SolveOptions { damping: 0.0, ..SolveOptions::default() };
         assert!(solve_edca(&profile, &p, options).is_err());
-        assert!(solve_edca_dense(&[], &p, SolveOptions::default()).is_err());
+        assert!(solve_edca_dense(&[], SolveOptions::default()).is_err());
     }
 
     /// The fixed 64-step bisection that `idle_root` cuts short at the

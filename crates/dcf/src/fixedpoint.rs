@@ -16,7 +16,7 @@
 //!
 //! Since every `τ_i` depends only on node `i`'s window (nodes sharing a
 //! window are exchangeable), [`solve`] internally collapses the profile to
-//! its [`ClassProfile`] — `k` distinct windows with multiplicities — and
+//! its [`Classes`] — `k` distinct windows with multiplicities — and
 //! iterates `k` class-level pairs via [`solve_classes`], expanding back to
 //! a node-level [`Equilibrium`] at the end. The collapse is exact (the
 //! class-constant subspace is invariant under the sweep map and contains
@@ -27,7 +27,9 @@
 use macgame_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
-use crate::classes::{ClassEquilibrium, ClassProfile, OneDeviatorEquilibrium, OneDeviatorProfile};
+use crate::classes::{
+    check_nodes, ClassEquilibrium, ClassKey, Classes, OneDeviatorEquilibrium, OneDeviatorProfile,
+};
 use crate::error::{DcfError, SolveAttempt, SolveRung};
 use crate::markov::transmission_probability;
 use crate::params::DcfParams;
@@ -109,16 +111,6 @@ impl Equilibrium {
     }
 }
 
-fn validate_windows(windows: &[u32]) -> Result<(), DcfError> {
-    if windows.is_empty() {
-        return Err(DcfError::invalid("windows", "need at least one node"));
-    }
-    if windows.contains(&0) {
-        return Err(DcfError::invalid("windows", "contention windows must be at least 1"));
-    }
-    Ok(())
-}
-
 /// Solves the coupled `(τ, p)` system for an arbitrary window profile.
 ///
 /// Uses damped fixed-point iteration. Without a warm start, homogeneous
@@ -180,7 +172,7 @@ pub fn solve_with_guess(
     options: SolveOptions,
     guess: Option<&[f64]>,
 ) -> Result<Equilibrium, DcfError> {
-    validate_windows(windows)?;
+    check_nodes(windows)?;
     let n = windows.len();
     if let Some(seed) = guess {
         if seed.len() != n {
@@ -190,7 +182,7 @@ pub fn solve_with_guess(
             return Err(DcfError::invalid("guess", "entries must be finite"));
         }
     }
-    let (profile, assignment) = ClassProfile::from_windows(windows)?;
+    let (profile, assignment) = Classes::collapse(windows)?;
     let k = profile.num_classes();
     telemetry::counter("dcf.solver.class_collapsed", (n - k) as u64);
     // One guess entry per class: the first node of each class (in player
@@ -209,8 +201,8 @@ pub fn solve_with_guess(
     Ok(ceq.expand(&assignment))
 }
 
-/// Solves the coupled system for a [`ClassProfile`], iterating one
-/// `(τ_c, p_c)` pair per class. The per-sweep cost is O(k) regardless of
+/// Solves the coupled system for a window profile in [`Classes`] form,
+/// iterating one `(τ_c, p_c)` pair per class. The per-sweep cost is O(k) regardless of
 /// the population size, which is what makes `n = 10^6` populations with a
 /// handful of distinct windows as cheap as the paper's `n = 10` tables.
 ///
@@ -220,7 +212,7 @@ pub fn solve_with_guess(
 /// * [`DcfError::SolveDidNotConverge`] if the sweep residual stays above
 ///   `options.tolerance`.
 pub fn solve_classes(
-    profile: &ClassProfile,
+    profile: &Classes<u32>,
     params: &DcfParams,
     options: SolveOptions,
 ) -> Result<ClassEquilibrium, DcfError> {
@@ -236,12 +228,12 @@ pub fn solve_classes(
 /// Same conditions as [`solve_classes`], plus a guess of the wrong length
 /// or with non-finite entries.
 pub fn solve_classes_with_guess(
-    profile: &ClassProfile,
+    profile: &Classes<u32>,
     params: &DcfParams,
     options: SolveOptions,
     guess: Option<&[f64]>,
 ) -> Result<ClassEquilibrium, DcfError> {
-    let (windows, counts) = (profile.windows(), profile.counts());
+    let (windows, counts) = (profile.keys(), profile.counts());
     match windows.len() {
         1 => solve_classes_in::<[f64; 1]>(windows, counts, params, options, guess)
             .map(class_equilibrium),
@@ -264,7 +256,7 @@ pub(crate) fn class_equilibrium<S: ClassBuf>(
 }
 
 /// [`solve_classes_with_guess`] on the classes `windows` with
-/// multiplicities `counts`, as a [`ClassProfile`] stores them, with every
+/// multiplicities `counts`, as a [`Classes`] stores them, with every
 /// per-class value of the solve in `S` storage. Returns
 /// `(taus, collision_probs, iterations)`.
 pub(crate) fn solve_classes_in<S: ClassBuf>(
@@ -383,7 +375,7 @@ pub fn solve_dense(
     params: &DcfParams,
     options: SolveOptions,
 ) -> Result<Equilibrium, DcfError> {
-    validate_windows(windows)?;
+    check_nodes(windows)?;
     if !(0.0..=1.0).contains(&options.damping) || options.damping == 0.0 {
         return Err(DcfError::invalid("damping", "must be in (0, 1]"));
     }
@@ -737,7 +729,7 @@ fn solve_bisection_safe(
     params: &DcfParams,
     tolerance: f64,
 ) -> Result<Equilibrium, DcfError> {
-    validate_windows(windows)?;
+    check_nodes(windows)?;
     let n = windows.len();
     // Homogeneous: the scalar root search is monotone and guaranteed.
     if windows.iter().all(|&w| w == windows[0]) {
@@ -857,7 +849,7 @@ pub fn solve_symmetric(n: usize, w: u32, params: &DcfParams) -> Result<Symmetric
         return Err(DcfError::invalid("n", "need at least one node"));
     }
     let others = node_exponent(n)? - 1;
-    validate_windows(&[w])?;
+    w.check()?;
     let m = params.max_backoff_stage();
     if n == 1 {
         let tau = transmission_probability(w, 0.0, m)?;
@@ -1215,7 +1207,7 @@ mod tests {
         let options = SolveOptions::default();
         for windows in [vec![32u32; 5], vec![16, 48, 96, 192], vec![64, 16, 64, 8]] {
             let eq = solve(&windows, &p, options).unwrap();
-            let (profile, assignment) = ClassProfile::from_windows(&windows).unwrap();
+            let (profile, assignment) = Classes::collapse(&windows).unwrap();
             let ceq = solve_classes(&profile, &p, options).unwrap();
             assert_eq!(ceq.expand(&assignment), eq, "windows {windows:?}");
         }

@@ -17,10 +17,13 @@
 //!   accelerated solver through a damped retry to a guaranteed bisection
 //!   safe mode before ever reporting non-convergence;
 //! * [`classes`] — class-based aggregation: a profile with `k` distinct
-//!   windows collapses to a [`ClassProfile`] and the solver iterates `k`
+//!   windows collapses to its [`Classes`] and the solver iterates `k`
 //!   class-level `(τ_c, p_c)` pairs instead of `2n` node-level ones
 //!   (exactly — nodes sharing a window are exchangeable), making the
-//!   per-sweep cost independent of the population size;
+//!   per-sweep cost independent of the population size; one `Classes`
+//!   type, keyed by window or by EDCA tuple, serves both solvers;
+//! * [`edca`] — EDCA strategy tuples `(CWmin, m, AIFS, TXOP)` and the
+//!   generalized fixed point over tuple-keyed class profiles;
 //! * [`cache`] — the workspace's one cache container, the sharded FIFO
 //!   [`Memo`], and the permutation-canonicalizing memoization of
 //!   fixed-point solutions keyed by canonical class profiles built on it
@@ -76,12 +79,12 @@ pub mod utility;
 
 pub use cache::{Memo, SolveCache};
 pub use classes::{
-    class_slot_stats, class_utilities, ClassEquilibrium, ClassProfile, OneDeviatorEquilibrium,
+    class_slot_stats, class_utilities, ClassEquilibrium, Classes, OneDeviatorEquilibrium,
     OneDeviatorProfile,
 };
 pub use edca::{
     edca_slot_stats, edca_throughput, edca_utilities, solve_edca, solve_edca_dense,
-    EdcaEquilibrium, EdcaProfile, EdcaSlotStats, EdcaTuple,
+    EdcaEquilibrium, EdcaSlotStats, EdcaTuple,
 };
 pub use error::{DcfError, SolveAttempt, SolveRung};
 pub use fixedpoint::{

@@ -635,6 +635,23 @@ mod tests {
     }
 
     #[test]
+    fn w_star_meets_the_default_bound_at_its_edge() {
+        // W* ≈ c*·n hits DEFAULT_W_MAX first at n = ⌈4096/c*⌉: 237 for
+        // basic access (c* ≈ 17.33), 1 206 for RTS/CTS (c* ≈ 3.40). From
+        // there on the answer is the bound, and the NE interval ends on it.
+        let u = UtilityParams::default();
+        for (p, edge, below, lower) in [(basic(), 237, 4083, 4), (rtscts(), 1_206, 4093, 18)] {
+            let w_star = |n| efficient_cw(n, &p, &u, DEFAULT_W_MAX).unwrap().window;
+            assert_eq!(w_star(edge - 1), below, "n = {}", edge - 1);
+            for n in [edge, edge + 1, 2 * edge] {
+                assert_eq!(w_star(n), DEFAULT_W_MAX, "n = {n}");
+            }
+            let interval = ne_interval(edge, &p, &u, DEFAULT_W_MAX).unwrap();
+            assert_eq!((interval.lower, interval.upper), (lower, DEFAULT_W_MAX), "n = {edge}");
+        }
+    }
+
+    #[test]
     fn tau_star_inversion_stops_at_the_largest_window() {
         // The τ* inversion probes its bound first; past MAX_CW there is
         // no operating point, so a larger bound answers as MAX_CW does.

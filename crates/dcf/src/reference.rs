@@ -21,8 +21,8 @@
 //! [`solve_classes_with_guess`]: crate::fixedpoint::solve_classes_with_guess
 //! [`solve_edca`]: crate::edca::solve_edca
 
-use crate::classes::{ClassEquilibrium, ClassProfile};
-use crate::edca::{solve_edca_in, EdcaEquilibrium, EdcaProfile};
+use crate::classes::{ClassEquilibrium, Classes};
+use crate::edca::{solve_edca_in, EdcaEquilibrium, EdcaTuple};
 use crate::error::DcfError;
 use crate::fixedpoint::{class_equilibrium, solve_classes_in, SolveOptions};
 use crate::markov::validate;
@@ -170,12 +170,12 @@ pub fn efficient_cw_scan(
 ///
 /// Same conditions as [`crate::fixedpoint::solve_classes_with_guess`].
 pub fn solve_classes_on_heap(
-    profile: &ClassProfile,
+    profile: &Classes<u32>,
     params: &DcfParams,
     options: SolveOptions,
     guess: Option<&[f64]>,
 ) -> Result<ClassEquilibrium, DcfError> {
-    solve_classes_in::<Vec<f64>>(profile.windows(), profile.counts(), params, options, guess)
+    solve_classes_in::<Vec<f64>>(profile.keys(), profile.counts(), params, options, guess)
         .map(class_equilibrium)
 }
 
@@ -186,7 +186,7 @@ pub fn solve_classes_on_heap(
 ///
 /// Same conditions as [`crate::edca::solve_edca`].
 pub fn solve_edca_on_heap(
-    profile: &EdcaProfile,
+    profile: &Classes<EdcaTuple>,
     params: &DcfParams,
     options: SolveOptions,
 ) -> Result<EdcaEquilibrium, DcfError> {

@@ -7,11 +7,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use macgame_dcf::edca::{solve_edca, EdcaEquilibrium, EdcaProfile, EdcaTuple};
+use macgame_dcf::edca::{solve_edca, EdcaEquilibrium, EdcaTuple};
 use macgame_dcf::fixedpoint::{solve_classes_with_guess, SolveOptions};
 use macgame_dcf::markov::MAX_CW;
 use macgame_dcf::reference::{solve_classes_on_heap, solve_edca_on_heap};
-use macgame_dcf::{AccessMode, ClassEquilibrium, ClassProfile, DcfError, DcfParams};
+use macgame_dcf::{AccessMode, ClassEquilibrium, Classes, DcfError, DcfParams};
 use macgame_telemetry::{self as telemetry, CollectingRecorder, HistogramSnapshot};
 use proptest::prelude::*;
 
@@ -75,7 +75,7 @@ fn params(mode: AccessMode) -> DcfParams {
 /// Solves `profile` on the stack and on the heap; both must agree bit for
 /// bit and record the same telemetry. Returns the stack solve.
 fn same_class_solve(
-    profile: &ClassProfile,
+    profile: &Classes<u32>,
     params: &DcfParams,
     options: SolveOptions,
     guess: Option<&[f64]>,
@@ -90,7 +90,7 @@ fn same_class_solve(
     stack
 }
 
-fn same_edca_solve(profile: &EdcaProfile, params: &DcfParams, options: SolveOptions) {
+fn same_edca_solve(profile: &Classes<EdcaTuple>, params: &DcfParams, options: SolveOptions) {
     let (stack, stack_recorded) = recorded(|| solve_edca(profile, params, options));
     let (heap, heap_recorded) = recorded(|| solve_edca_on_heap(profile, params, options));
     let context = format!("{profile:?} {options:?}");
@@ -116,16 +116,16 @@ const NODES: [usize; 5] = [2, 3, 10, 1_000, 1_000_000];
 
 /// Every one- and two-class profile of the grid: `n` nodes on one window,
 /// or split `1 | n−1`, `n−1 | 1` and `⌊n/2⌋ | ⌈n/2⌉` over two.
-fn grid_profiles() -> Vec<ClassProfile> {
+fn grid_profiles() -> Vec<Classes<u32>> {
     let mut profiles = Vec::new();
     for n in NODES {
         for (i, &low) in WINDOWS.iter().enumerate() {
-            profiles.push(ClassProfile::new(vec![low], vec![n]).unwrap());
+            profiles.push(Classes::new(vec![low], vec![n]).unwrap());
             for &high in &WINDOWS[i + 1..] {
                 let mut splits = vec![(1, n - 1), (n - 1, 1), (n / 2, n - n / 2)];
                 splits.dedup();
                 for (a, b) in splits {
-                    profiles.push(ClassProfile::new(vec![low, high], vec![a, b]).unwrap());
+                    profiles.push(Classes::new(vec![low, high], vec![a, b]).unwrap());
                 }
             }
         }
@@ -159,9 +159,9 @@ fn starved_solves_fail_alike() {
     // residual on either storage, warm or cold.
     let params = DcfParams::default();
     for (profile, guess) in [
-        (ClassProfile::new(vec![16, 1024], vec![1, 9]).unwrap(), None),
-        (ClassProfile::new(vec![16, 1024], vec![1, 9]).unwrap(), Some(vec![0.9, -3.0])),
-        (ClassProfile::new(vec![2], vec![1_000_000]).unwrap(), Some(vec![0.5])),
+        (Classes::new(vec![16, 1024], vec![1, 9]).unwrap(), None),
+        (Classes::new(vec![16, 1024], vec![1, 9]).unwrap(), Some(vec![0.9, -3.0])),
+        (Classes::new(vec![2], vec![1_000_000]).unwrap(), Some(vec![0.5])),
     ] {
         for max_iterations in [0, 1, 2, 5] {
             let options = SolveOptions { max_iterations, ..SolveOptions::default() };
@@ -196,10 +196,10 @@ fn edca_solves_on_the_stack_are_the_heap_solves_bit_for_bit() {
         for n in [2usize, 10, 1_000_000] {
             let mut profiles = Vec::new();
             for (i, &a) in tuples.iter().enumerate() {
-                profiles.push(EdcaProfile::new(vec![a], vec![n]).unwrap());
+                profiles.push(Classes::new(vec![a], vec![n]).unwrap());
                 for &b in &tuples[i + 1..] {
                     for (x, y) in [(1, n - 1), (n - 1, 1)] {
-                        profiles.push(EdcaProfile::new(vec![a, b], vec![x, y]).unwrap());
+                        profiles.push(Classes::new(vec![a, b], vec![x, y]).unwrap());
                     }
                 }
             }
@@ -250,7 +250,7 @@ proptest! {
         rts in 0u8..2,
     ) {
         let (windows, counts): (Vec<u32>, Vec<usize>) = classes.into_iter().unzip();
-        let profile = ClassProfile::new(windows, counts).unwrap();
+        let profile = Classes::new(windows, counts).unwrap();
         let guess = guess.map(|g| g[..profile.num_classes()].to_vec());
         let mode = if rts == 1 { AccessMode::RtsCts } else { AccessMode::Basic };
         let _ = same_class_solve(&profile, &params(mode), options, guess.as_deref());
@@ -268,7 +268,7 @@ proptest! {
             .into_iter()
             .map(|((w, m, aifs, txop), c)| (EdcaTuple::new(w, m, aifs, txop).unwrap(), c))
             .unzip();
-        let profile = EdcaProfile::new(tuples, counts).unwrap();
+        let profile = Classes::new(tuples, counts).unwrap();
         same_edca_solve(&profile, &DcfParams::default(), options);
     }
 }

@@ -192,26 +192,26 @@ proptest! {
         picks in prop::collection::vec(0usize..5, 1..=64),
         rotation in 0usize..64,
     ) {
-        use macgame_dcf::ClassProfile;
+        use macgame_dcf::Classes;
         // Drawing from a 5-window palette bounds the class count at k ≤ 5.
         const PALETTE: [u32; 5] = [8, 16, 64, 128, 300];
         let windows: Vec<u32> = picks.iter().map(|&i| PALETTE[i]).collect();
         // Collapse → expand must reproduce every node's window exactly, and
         // any permutation of the same multiset must collapse to the *same*
         // canonical class profile (multiplicity merge subsumes sorting).
-        let (profile, assignment) = ClassProfile::from_windows(&windows).unwrap();
+        let (profile, assignment) = Classes::collapse(&windows).unwrap();
         prop_assert!(profile.num_classes() <= 5);
         prop_assert_eq!(profile.total_nodes(), windows.len());
         prop_assert_eq!(assignment.len(), windows.len());
         for (i, &class) in assignment.iter().enumerate() {
-            prop_assert_eq!(profile.windows()[class], windows[i]);
+            prop_assert_eq!(profile.keys()[class], windows[i]);
         }
-        prop_assert!(profile.windows().windows(2).all(|pair| pair[0] < pair[1]));
+        prop_assert!(profile.keys().windows(2).all(|pair| pair[0] < pair[1]));
 
         let k = rotation % windows.len();
         let rotated: Vec<u32> =
             windows.iter().skip(k).chain(windows.iter().take(k)).copied().collect();
-        let (rotated_profile, _) = ClassProfile::from_windows(&rotated).unwrap();
+        let (rotated_profile, _) = Classes::collapse(&rotated).unwrap();
         prop_assert_eq!(&rotated_profile, &profile, "canonical profile must be permutation-stable");
     }
 
@@ -295,14 +295,14 @@ proptest! {
         picks in prop::collection::vec(0usize..5, 2..=64),
         mode in any_mode(),
     ) {
-        use macgame_dcf::{solve_edca, solve_edca_dense, EdcaProfile};
+        use macgame_dcf::{solve_edca, solve_edca_dense, Classes};
         let p = params(mode);
         let palette = edca_palette(p.max_backoff_stage());
         let tuples: Vec<_> = picks.iter().map(|&i| palette[i]).collect();
         let options = SolveOptions::default();
-        let (profile, assignment) = EdcaProfile::from_tuples(&tuples).unwrap();
+        let (profile, assignment) = Classes::collapse(&tuples).unwrap();
         let class = solve_edca(&profile, &p, options).unwrap().expand(&assignment);
-        let dense = solve_edca_dense(&tuples, &p, options).unwrap();
+        let dense = solve_edca_dense(&tuples, options).unwrap();
         prop_assert!((class.idle_root - dense.idle_root).abs() < 1e-12);
         for i in 0..tuples.len() {
             prop_assert!(
@@ -330,11 +330,11 @@ proptest! {
         picks in prop::collection::vec(0usize..5, 1..=48),
         mode in any_mode(),
     ) {
-        use macgame_dcf::{edca_slot_stats, solve_edca, EdcaProfile};
+        use macgame_dcf::{edca_slot_stats, solve_edca, Classes};
         let p = params(mode);
         let palette = edca_palette(p.max_backoff_stage());
         let tuples: Vec<_> = picks.iter().map(|&i| palette[i]).collect();
-        let (profile, _) = EdcaProfile::from_tuples(&tuples).unwrap();
+        let (profile, _) = Classes::collapse(&tuples).unwrap();
         let eq = solve_edca(&profile, &p, SolveOptions::default()).unwrap();
         prop_assert!((0.0..=1.0).contains(&eq.idle_root), "q = {}", eq.idle_root);
         for c in 0..profile.num_classes() {
@@ -359,7 +359,7 @@ proptest! {
         aifs in 0u32..8,
         mode in any_mode(),
     ) {
-        use macgame_dcf::{solve_edca, EdcaProfile, EdcaTuple};
+        use macgame_dcf::{solve_edca, Classes, EdcaTuple};
         const WINDOWS: [u32; 5] = [4, 32, 76, 150, 512];
         const TXOPS: [u32; 5] = [4, 1, 2, 1, 8];
         let p = params(mode);
@@ -369,7 +369,7 @@ proptest! {
             .iter()
             .map(|&i| EdcaTuple::new(WINDOWS[i], m, aifs, TXOPS[i]).unwrap())
             .collect();
-        let (profile, _) = EdcaProfile::from_tuples(&mixed).unwrap();
+        let (profile, _) = Classes::collapse(&mixed).unwrap();
         let eq = solve_edca(&profile, &p, SolveOptions::default()).unwrap();
         prop_assert_eq!(&eq.taus, &eq.thinned_taus, "equal AIFS must not thin");
 
@@ -380,7 +380,7 @@ proptest! {
             .map(|&i| EdcaTuple::new(WINDOWS[i], m, aifs, 1).unwrap())
             .collect();
         let windows: Vec<u32> = picks.iter().map(|&i| WINDOWS[i]).collect();
-        let (profile, assignment) = EdcaProfile::from_tuples(&degenerate).unwrap();
+        let (profile, assignment) = Classes::collapse(&degenerate).unwrap();
         let edca = solve_edca(&profile, &p, SolveOptions::default())
             .unwrap()
             .expand(&assignment);
@@ -395,7 +395,7 @@ proptest! {
 /// on the paper's Table II/III fixture profiles.
 #[test]
 fn edca_degenerate_bitwise_on_table_fixtures() {
-    use macgame_dcf::{solve_edca, EdcaProfile, EdcaTuple};
+    use macgame_dcf::{solve_edca, Classes, EdcaTuple};
     let fixtures: [(AccessMode, &[&[u32]]); 2] = [
         (AccessMode::Basic, &[&[32; 5], &[76; 5], &[76; 10], &[128; 20], &[16, 48, 96, 192]]),
         (AccessMode::RtsCts, &[&[48; 8], &[8, 48, 48, 256]]),
@@ -405,7 +405,7 @@ fn edca_degenerate_bitwise_on_table_fixtures() {
         for windows in profiles {
             let tuples: Vec<EdcaTuple> =
                 windows.iter().map(|&w| EdcaTuple::legacy(w, &p).unwrap()).collect();
-            let (profile, assignment) = EdcaProfile::from_tuples(&tuples).unwrap();
+            let (profile, assignment) = Classes::collapse(&tuples).unwrap();
             assert!(profile.is_degenerate(&p));
             let edca =
                 solve_edca(&profile, &p, SolveOptions::default()).unwrap().expand(&assignment);

@@ -8,12 +8,12 @@
 //! `solve_symmetric`, the class sweep or the EDCA sweep moves the digest;
 //! a pure restructuring of those kernels must leave it alone.
 
-use macgame_dcf::edca::{solve_edca, EdcaEquilibrium, EdcaProfile, EdcaTuple};
+use macgame_dcf::edca::{solve_edca, EdcaEquilibrium, EdcaTuple};
 use macgame_dcf::fixedpoint::{
     solve_classes, solve_classes_with_guess, solve_robust, solve_symmetric, solve_with_guess,
     SolveOptions,
 };
-use macgame_dcf::{ClassEquilibrium, ClassProfile, DcfError, DcfParams};
+use macgame_dcf::{ClassEquilibrium, Classes, DcfError, DcfParams};
 
 /// The digest of the batch below.
 const DIGEST: u64 = 0xd317_c7d8_f5cd_8ea8;
@@ -129,14 +129,14 @@ fn options(rng: &mut Rng) -> SolveOptions {
     }
 }
 
-fn class_profile(rng: &mut Rng) -> ClassProfile {
+fn class_profile(rng: &mut Rng) -> Classes<u32> {
     let k = 1 + rng.below(6) as usize;
     let windows: Vec<u32> = (0..k).map(|_| rng.window()).collect();
     let counts: Vec<usize> = (0..k).map(|_| rng.count()).collect();
-    ClassProfile::new(windows, counts).unwrap()
+    Classes::new(windows, counts).unwrap()
 }
 
-fn edca_profile(rng: &mut Rng, m: u32) -> EdcaProfile {
+fn edca_profile(rng: &mut Rng, m: u32) -> Classes<EdcaTuple> {
     let k = 1 + rng.below(5) as usize;
     let tuples: Vec<EdcaTuple> = (0..k)
         .map(|_| {
@@ -147,7 +147,7 @@ fn edca_profile(rng: &mut Rng, m: u32) -> EdcaProfile {
         })
         .collect();
     let counts: Vec<usize> = (0..k).map(|_| 1 + rng.below(30) as usize).collect();
-    EdcaProfile::new(tuples, counts).unwrap()
+    Classes::new(tuples, counts).unwrap()
 }
 
 fn batch_digest() -> u64 {
@@ -173,7 +173,7 @@ fn batch_digest() -> u64 {
         for _ in 0..12 {
             let at = rng.below(windows.len() as u64) as usize;
             windows[at] = (windows[at] + 1 + rng.below(16) as u32).min(1 << 16);
-            let Ok(profile) = ClassProfile::new(windows.clone(), counts.clone()) else {
+            let Ok(profile) = Classes::new(windows.clone(), counts.clone()) else {
                 continue;
             };
             let seed = guess.as_deref().filter(|g| g.len() == profile.num_classes());

@@ -7,7 +7,7 @@
 
 use macgame_dcf::fixedpoint::{solve, SolveOptions};
 use macgame_dcf::throughput::normalized_throughput;
-use macgame_dcf::{edca_throughput, solve_edca, DcfParams, EdcaProfile, EdcaTuple, UtilityParams};
+use macgame_dcf::{edca_throughput, solve_edca, Classes, DcfParams, EdcaTuple, UtilityParams};
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{replicate_threads, Summary};
@@ -297,7 +297,7 @@ pub fn validate_edca_sweep(
             params.max_backoff_stage()
         )));
     }
-    let (profile, assignment) = EdcaProfile::from_tuples(tuples)?;
+    let (profile, assignment) = Classes::collapse(tuples)?;
     let class_eq = solve_edca(&profile, params, SolveOptions::default())?;
     let throughput_predicted = edca_throughput(&profile, &class_eq, params);
     let eq = class_eq.expand(&assignment);
