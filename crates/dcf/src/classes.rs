@@ -560,17 +560,6 @@ mod tests {
         assert_eq!(profile.expand(profile.keys().iter().copied()), vec![b, b, a, a, a]);
     }
 
-    /// splitmix64.
-    fn rng(mut state: u64) -> impl FnMut() -> u64 {
-        move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-    }
-
     /// On sorted input the run-length fast path and the general path give
     /// the same profile and assignment, and a shuffle of the same nodes
     /// collapses to the same profile with each node on its key's class.
@@ -597,7 +586,8 @@ mod tests {
         let (profile, assignment) = Classes::collapse(&[8u32, 8, 32, 32, 32]).unwrap();
         assert_eq!(profile, Classes::from_sorted(&[8, 8, 32, 32, 32]).unwrap());
         assert_eq!(assignment, vec![0, 0, 1, 1, 1]);
-        let mut next = rng(0xC1A5_5E55);
+        let mut state = 0xC1A5_5E55u64;
+        let mut next = move || rand::splitmix64(&mut state);
         for _ in 0..500 {
             let n = 1 + (next() % 40) as usize;
             let mut windows: Vec<u32> = (0..n).map(|_| 1 + (next() % 6) as u32).collect();

@@ -801,13 +801,7 @@ mod tests {
         }
         // Seeded random class profiles, edge probabilities included.
         let mut state = 0x1D1Eu64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = move || rand::splitmix64(&mut state);
         for _ in 0..5_000 {
             let k = 1 + (next() % 5) as usize;
             let mut taus = Vec::with_capacity(k);

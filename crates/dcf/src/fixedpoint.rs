@@ -172,7 +172,7 @@ pub fn solve_with_guess(
     options: SolveOptions,
     guess: Option<&[f64]>,
 ) -> Result<Equilibrium, DcfError> {
-    check_nodes(windows)?;
+    let (profile, assignment) = Classes::collapse(windows)?;
     let n = windows.len();
     if let Some(seed) = guess {
         if seed.len() != n {
@@ -182,7 +182,6 @@ pub fn solve_with_guess(
             return Err(DcfError::invalid("guess", "entries must be finite"));
         }
     }
-    let (profile, assignment) = Classes::collapse(windows)?;
     let k = profile.num_classes();
     telemetry::counter("dcf.solver.class_collapsed", (n - k) as u64);
     // One guess entry per class: the first node of each class (in player
@@ -1219,6 +1218,11 @@ mod tests {
         let options = SolveOptions::default();
         assert!(solve_with_guess(&[8, 16], &p, options, Some(&[0.1])).is_err());
         assert!(solve_with_guess(&[8, 16], &p, options, Some(&[0.1, f64::NAN])).is_err());
+        // An empty profile or a zero window is reported before the guess.
+        for windows in [&[][..], &[8, 0]] {
+            let invalid = Classes::collapse(windows).unwrap_err();
+            assert_eq!(solve_with_guess(windows, &p, options, Some(&[f64::NAN])), Err(invalid));
+        }
         // Out-of-range entries are clamped, not rejected.
         let eq = solve_with_guess(&[8, 16], &p, options, Some(&[-0.5, 2.0])).unwrap();
         assert!(eq.residual(&[8, 16], &p).unwrap() < 1e-9);

@@ -635,6 +635,20 @@ mod tests {
     }
 
     #[test]
+    fn the_window_cap_band_starts_where_pinned() {
+        // Near MAX_CW the utility is flat to float resolution, so answers
+        // just past the first capped n still alternate between a window
+        // within a few of the cap and the error: the edge is a band. Its
+        // first error is pinned, with the answer one node before it.
+        let u = UtilityParams::default();
+        for (p, last, window) in [(basic(), 60_496, 1_048_575), (rtscts(), 308_713, 1_048_573)] {
+            assert_eq!(efficient_cw(last, &p, &u, MAX_CW).unwrap().window, window, "n = {last}");
+            let capped = DcfError::WindowCapReached { n: last + 1, cap: MAX_CW };
+            assert_eq!(efficient_cw(last + 1, &p, &u, MAX_CW), Err(capped), "n = {}", last + 1);
+        }
+    }
+
+    #[test]
     fn w_star_meets_the_default_bound_at_its_edge() {
         // W* ≈ c*·n hits DEFAULT_W_MAX first at n = ⌈4096/c*⌉: 237 for
         // basic access (c* ≈ 17.33), 1 206 for RTS/CTS (c* ≈ 3.40). From

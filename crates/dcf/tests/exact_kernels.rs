@@ -26,17 +26,13 @@ fn params(mode: AccessMode, m: u32) -> DcfParams {
     DcfParams::builder().access_mode(mode).max_backoff_stage(m).build().unwrap()
 }
 
-/// splitmix64: a fixed, dependency-free stream, so every run sees the same
-/// profiles.
+/// splitmix64 (the vendored `rand::splitmix64`): a fixed stream, so every
+/// run sees the same profiles.
 struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        rand::splitmix64(&mut self.0)
     }
 
     fn below(&mut self, k: usize) -> usize {

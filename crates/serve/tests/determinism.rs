@@ -135,17 +135,13 @@ fn coalesced_replies_are_bitwise_equal_to_fresh_solves() {
     }
 }
 
-/// SplitMix64: a seeded stream for query generation, so the test needs
-/// no RNG crate.
+/// SplitMix64 (the vendored `rand::splitmix64`): a seeded stream for
+/// query generation.
 struct SplitMix(u64);
 
 impl SplitMix {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        rand::splitmix64(&mut self.0)
     }
 
     /// Uniform in `lo..=hi`.
